@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import checks, corays, fields, gh, pseudometric, zoo
-from .errors import DlscapeError
+from .errors import DlscapeError, DomainError
 from .space import materialize_window, shortest_path
 
 DEFAULT_SEED = 0
@@ -65,6 +65,10 @@ def _window_for(args, space=None):
 
 
 def _schedule(args):
+    if args.r_max < 1:
+        raise DomainError(f"--r-max must be >= 1, got {args.r_max}")
+    if args.r_step is not None and args.r_step < 1:
+        raise DomainError(f"--r-step must be >= 1, got {args.r_step}")
     step = args.r_step if args.r_step else max(1, args.r_max // 10)
     sched = list(range(step, args.r_max + 1, step))
     if sched[-1] != args.r_max:

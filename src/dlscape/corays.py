@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DescentError, DomainError
-from .fields import busemann
+from .errors import DescentError, DomainError, ZoneError
+from .fields import _summarize, busemann_anchors
 from .space import _bfs_from_indices
 
 
@@ -91,11 +91,16 @@ def verify_gradient(coray, field):
     on the path is at hop distance equal to its index gap.  The distance
     test is exact under truncation: the path bounds the in-window distance
     above, and in-window distances bound the true ones below.
+
+    One BFS from path[0] decides every pair: consecutive vertices are
+    adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
+    triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
+    forces d(g_s, g_t) = t - s.
     """
     window = field.window
     try:
         idxs = [field.index_of(v) for v in coray.vertices]
-    except Exception:
+    except ZoneError:
         return False
     values = field.values
     for a, b in zip(idxs, idxs[1:]):
@@ -103,13 +108,8 @@ def verify_gradient(coray, field):
             return False
         if values[a] - values[b] != 1:
             return False
-    L = len(idxs)
-    for s in range(L - 1):
-        d = _bfs_from_indices(window, [idxs[s]])
-        for t in range(s + 1, L):
-            if d[idxs[t]] != t - s:
-                return False
-    return True
+    d = _bfs_from_indices(window, [idxs[0]])
+    return all(d[i] == t for t, i in enumerate(idxs))
 
 
 def uniqueness_probe(field, start):
@@ -152,10 +152,24 @@ def representation_check(field, x, corays):
     with the self-started co-ray is exact (b vanishes at its own origin).
     Rays whose Busemann sweep has not stabilized at x are reported as
     inconclusive, not as failures.
+
+    b_g(x) is read from the sweep d(x, g(t)) - t, t = 1..T, the Busemann
+    field of :func:`~dlscape.fields.busemann` at x alone: one BFS at x
+    gives d(x, g(t)) for the anchors of every co-ray, and the geodesy
+    check makes one BFS per distinct start, both shared across the call.
     """
     window = field.window
-    ux = field.value_at(x)
+    zone = field.zone
+    ix = field.index_of(x)
+    ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
+    dists = {}
+
+    def dist_from(i):
+        if i not in dists:
+            dists[i] = _bfs_from_indices(window, [i])
+        return dists[i]
+
     for coray in corays:
         start = coray.vertices[0]
         if coray.length == 0:
@@ -166,13 +180,20 @@ def representation_check(field, x, corays):
                 report.inconclusive.append((start, "zero-length co-ray"))
             continue
         try:
-            bfield, brep = busemann(window, list(coray.vertices),
-                                    coray.length, field.zone)
+            anchors = busemann_anchors(window, coray.vertices, coray.length,
+                                       zone, dist_from)
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
             continue
-        bx = bfield.value_at(x)
-        stable = bfield.stable_at(x) or (start == x and bx == 0)
+        if window.dist_from_base[ix] > zone:
+            raise ZoneError(f"vertex {x!r} outside the field zone",
+                            parameter="zone", witness=x)
+        dx = dist_from(ix)
+        steps = range(1, len(anchors))
+        sweep = [(t, dx[anchors[t]] - t) for t in steps]
+        values, brep = _summarize(window, [ix], steps, {ix: sweep}, 2 * zone)
+        bx = values[ix]
+        stable = brep.stable[ix] or (start == x and bx == 0)
         bound = field.value_at(start) + bx
         entry = ReprEntry(start, bx, field.value_at(start), bound,
                           equality=(ux == bound), stable=stable)

@@ -150,6 +150,12 @@ def u_point_assigned(window, schedule, zone, tail=None):
     u^r(x) is monotone non-decreasing in r once r >= d(base, x), so only
     schedule entries in that range count; earlier entries can overshoot
     the limit (e.g. on the halfline) and are ignored per vertex.
+
+    Each u^r comes from one BFS from S_r confined to B_r, a prefix of the
+    window's breadth-first order.  That changes no value read: distance to
+    the base changes by at most one per step, so a shortest path from
+    x in B_r to S_r meets S_r before it can leave B_r, and the sweep reads
+    u^r(x) only where r >= d(base, x).
     """
     _check_zone(window, zone)
     schedule = tuple(schedule)
@@ -158,23 +164,26 @@ def u_point_assigned(window, schedule, zone, tail=None):
     if schedule[-1] + zone > window.radius:
         raise ZoneError("need max(schedule) + zone <= R",
                         parameter="radius")
+    if schedule[0] < 1:
+        raise ZoneError(f"r={schedule[0]} outside window radius",
+                        parameter="radius")
     if tail is None:
         tail = 2 * zone
     zone_idx = window.indices_within(zone)
-    dist = window.dist_from_base
     history = {i: [] for i in zone_idx}
     for r in schedule:
-        fld = u_r(window, r, zone)
-        for i in zone_idx:
-            if r >= dist[i]:
-                seq = history[i]
-                v = fld.values[i]
-                if seq and v < seq[-1][1]:
-                    raise ZoneError(
-                        "u^r decreased for r >= d(base,x); window too small "
-                        "for exact sphere distances", parameter="radius",
-                        witness=window.vertices[i])
-                seq.append((r, v))
+        inside = window.count_within(r)
+        d = _bfs_from_indices(window, range(window.count_within(r - 1),
+                                            inside), limit=inside)
+        for i in zone_idx[:inside]:
+            seq = history[i]
+            v = d[i] - r
+            if seq and v < seq[-1][1]:
+                raise ZoneError(
+                    "u^r decreased for r >= d(base,x); window too small "
+                    "for exact sphere distances", parameter="radius",
+                    witness=window.vertices[i])
+            seq.append((r, v))
     values, report = _summarize(window, zone_idx, schedule, history, tail)
     field = ScalarField(window, "point_assigned", zone, values, report)
     base_val = values[window.base_index]
@@ -184,12 +193,13 @@ def u_point_assigned(window, schedule, zone, tail=None):
     return field, report
 
 
-def verify_geodesic(window, path):
+def verify_geodesic(window, path, dist_from=None):
     """Check d(path[0], path[t]) == t for every stored t.
 
     The equality test is exact despite truncation: the path itself bounds
     the in-window distance above by t, and any in-window distance is at
-    least the true one.
+    least the true one.  ``dist_from(i)`` gives the BFS distances from
+    vertex index i, so callers can share passes; by default it runs one.
     """
     if not path:
         raise DomainError("path must be non-empty")
@@ -198,48 +208,56 @@ def verify_geodesic(window, path):
     for a, b in zip(idxs, idxs[1:]):
         if b not in adjacency[a]:
             return False
-    d0 = _bfs_from_indices(window, [idxs[0]])
+    if dist_from is None:
+        d0 = _bfs_from_indices(window, [idxs[0]])
+    else:
+        d0 = dist_from(idxs[0])
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def busemann(window, ray, T, zone, tail=None):
-    """Busemann-type field d(., ray[t]) - t, swept over t = 1..T.
+def busemann_anchors(window, ray, T, zone, dist_from=None):
+    """Validate a ray for a Busemann sweep; return the indices of
+    ray[0..T].
 
-    The ray must be a geodesic vertex path (verified).  Values are exact
-    on the zone when d(base, ray[t]) <= R - zone for every anchor used.
-    The sweep is monotone non-increasing in t, which drives the
-    stabilization flags.
+    Needs 1 <= T < len(ray), a geodesic ray[0..T] (one BFS from ray[0],
+    through ``dist_from`` as in :func:`verify_geodesic`), and
+    d(base, ray[t]) + zone <= R for every anchor, so that the anchor
+    distances are exact on the zone.
     """
     _check_zone(window, zone)
     ray = list(ray)
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
-    if not verify_geodesic(window, ray[:T + 1]):
+    if not verify_geodesic(window, ray[:T + 1], dist_from):
         raise DomainError("ray is not a geodesic vertex path")
     dist = window.dist_from_base
-    for t in range(T + 1):
-        i = window.index[ray[t]]
+    anchors = [window.index[v] for v in ray[:T + 1]]
+    for t, i in enumerate(anchors):
         if dist[i] + zone > window.radius:
             raise ZoneError(
                 f"anchor ray[{t}] too close to the window boundary "
                 f"(need d(base, anchor) + zone <= R)", parameter="radius",
                 witness=ray[t])
+    return anchors
+
+
+def busemann(window, ray, T, zone, tail=None):
+    """Busemann-type field d(., ray[t]) - t, swept over t = 1..T.
+
+    The ray is validated by :func:`busemann_anchors`; values are then
+    exact on the zone.  The sweep is monotone non-increasing in t, which
+    drives the stabilization flags: ray[t] and ray[t+1] are adjacent, so
+    d(y, ray[t+1]) <= d(y, ray[t]) + 1 in the window graph for every y.
+    """
+    anchors = busemann_anchors(window, ray, T, zone)
     if tail is None:
         tail = 2 * zone
     zone_idx = window.indices_within(zone)
     history = {i: [] for i in zone_idx}
-    prev = {}
     for t in range(1, T + 1):
-        d = dist_field(window, (ray[t],))
+        d = _bfs_from_indices(window, [anchors[t]])
         for i in zone_idx:
-            v = d[i] - t
-            if i in prev and v > prev[i]:
-                raise ZoneError("Busemann sweep increased in t; window too "
-                                "small for exact anchor distances",
-                                parameter="radius",
-                                witness=window.vertices[i])
-            prev[i] = v
-            history[i].append((t, v))
+            history[i].append((t, d[i] - t))
     schedule = tuple(range(1, T + 1))
     values, report = _summarize(window, zone_idx, schedule, history, tail)
     return ScalarField(window, "busemann", zone, values, report), report

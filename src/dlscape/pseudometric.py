@@ -20,11 +20,13 @@ def point_assigned_family(window, bases, schedule, zone, tail=None):
     """Point-assigned fields for several bases of one space.
 
     Each base gets its own window of the same radius, so every field's
-    zone is exact around its own base.
+    zone is exact around its own base.  Windows are immutable and
+    deterministic, so the caller's window serves its own base.
     """
     fields = {}
     for b in bases:
-        wb = materialize_window(window.space, b, window.radius)
+        wb = window if b == window.base else \
+            materialize_window(window.space, b, window.radius)
         fld, _ = u_point_assigned(wb, schedule, zone, tail)
         fields[b] = fld
     return fields
@@ -72,27 +74,16 @@ class RhoMatrix:
                                     self.sample[k], self.sample[j]))
         return bad
 
+    def pair_stable(self, i, j):
+        return self.stable[i][j] and self.stable[j][i]
+
     def zero_blocks(self, require_stable=True):
         """Connected components of the stable rho = 0 relation."""
         n = len(self.sample)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                usable = (not require_stable) or \
-                    (self.stable[i][j] and self.stable[j][i])
-                if usable and self.two_rho[i][j] == 0:
-                    parent[find(i)] = find(j)
-        blocks = {}
-        for i in range(n):
-            blocks.setdefault(find(i), []).append(self.sample[i])
-        return sorted(sorted(b) for b in blocks.values())
+        return _blocks(self.sample, [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if self.two_rho[i][j] == 0
+            and (not require_stable or self.pair_stable(i, j))])
 
     def to_json(self, space):
         n = len(self.sample)
@@ -103,6 +94,25 @@ class RhoMatrix:
             "rho_scaled": [[str(self.rho(i, j)) for j in range(n)]
                            for i in range(n)],
         }
+
+
+def _blocks(sample, links):
+    """Components of ``sample`` joined by the index pairs ``links``, as a
+    sorted list of sorted vertex lists."""
+    parent = list(range(len(sample)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in links:
+        parent[find(i)] = find(j)
+    blocks = {}
+    for i, v in enumerate(sample):
+        blocks.setdefault(find(i), []).append(v)
+    return sorted(sorted(b) for b in blocks.values())
 
 
 def _sample_distances(window, sample):
@@ -201,12 +211,18 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
                         fields=None, rho=None):
     """Partition a sample by constant field difference; cross-checked
     against the rho = 0 blocks.  A mismatch between the two routes is an
-    internal bug, not data."""
+    internal bug, not data.
+
+    Both routes use the same evidence: a pair is joined only when its rho
+    entries are stable both ways, as in :meth:`RhoMatrix.zero_blocks`.
+    """
     sample = tuple(sample)
     if fields is None:
         fields = point_assigned_family(window, sample, schedule, zone, tail)
     if rho is None:
         rho = rho_matrix(window, sample, schedule, zone, tail, fields=fields)
+    if rho.sample != sample:
+        raise DomainError("rho must be computed on the same sample")
 
     max_base_dist = max(window.dist_from_base[window.index[v]]
                         for v in sample)
@@ -219,25 +235,17 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
 
     n = len(sample)
     offsets = {}
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    links = []
     for i in range(n):
         for j in range(i + 1, n):
+            if not rho.pair_stable(i, j):
+                continue
             fx, fy = fields[sample[i]], fields[sample[j]]
             diffs = {fx.value_at(v) - fy.value_at(v) for v in eval_vertices}
             if len(diffs) == 1:
-                parent[find(i)] = find(j)
+                links.append((i, j))
                 offsets[(sample[i], sample[j])] = diffs.pop()
-    blocks = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(sample[i])
-    blocks = sorted(sorted(b) for b in blocks.values())
+    blocks = _blocks(sample, links)
 
     rho_blocks = rho.zero_blocks()
     if blocks != rho_blocks:

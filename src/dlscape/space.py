@@ -10,6 +10,7 @@ corrupts a value.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -108,7 +109,9 @@ class Window:
 
     Immutable after construction.  ``vertices`` is in breadth-first order
     with the generator's neighbor ordering, so two materializations of the
-    same (space, base, R) are identical.
+    same (space, base, R) are identical.  Breadth-first order makes
+    ``dist_from_base`` non-decreasing: every ball ``B_rho(base)`` is a
+    prefix of ``vertices`` and every sphere a contiguous index range.
     """
 
     __slots__ = ("space", "base", "radius", "vertices", "index",
@@ -130,9 +133,12 @@ class Window:
     def base_index(self):
         return 0
 
+    def count_within(self, rho):
+        """Size of ``B_rho(base)``, i.e. the length of its index prefix."""
+        return bisect_right(self.dist_from_base, rho)
+
     def indices_within(self, rho):
-        dist = self.dist_from_base
-        return [i for i in range(len(dist)) if dist[i] <= rho]
+        return list(range(self.count_within(rho)))
 
     def require_zone(self, vertex, rho, what="query"):
         i = self.index.get(vertex)
@@ -233,9 +239,22 @@ def dist_field(window, sources):
     return _bfs_from_indices(window, seeds)
 
 
-def _bfs_from_indices(window, seeds):
+def _bfs_from_indices(window, seeds, limit=None):
+    """Multi-source BFS over the window graph, from vertex indices.
+
+    With ``limit`` the search is confined to the vertices of index below
+    ``limit`` (a ball around the base, when ``limit`` comes from
+    :meth:`Window.count_within`); seeds must lie below it and the result
+    has ``limit`` entries.
+    """
     adjacency = window.adjacency
-    dist = [-1] * len(window.vertices)
+    n = len(adjacency)
+    if limit is None:
+        limit = n
+    # Indices past the limit start out settled, so the inner loop skips
+    # them without a bound test on every edge; they are cut off below.
+    dist = [-1] * limit
+    dist += [0] * (n - limit)
     queue = deque()
     for i in seeds:
         if dist[i] != 0:
@@ -250,6 +269,7 @@ def _bfs_from_indices(window, seeds):
             if dist[w] < 0:
                 dist[w] = dv
                 push(w)
+    del dist[limit:]
     return dist
 
 
@@ -258,8 +278,8 @@ def sphere(window, r):
     if r < 0 or r > window.radius:
         raise ZoneError(f"sphere radius {r} outside window radius "
                         f"{window.radius}", parameter="radius")
-    dist = window.dist_from_base
-    members = [window.vertices[i] for i in range(len(dist)) if dist[i] == r]
+    members = window.vertices[window.count_within(r - 1):
+                              window.count_within(r)]
     members.sort()
     return tuple(members)
 

@@ -100,6 +100,29 @@ def test_rho(capsys):
     assert data["axiom_violations"] == []
 
 
+def test_rho_unstable_entries_exit_0(capsys):
+    # a tail shorter than the schedule step leaves every entry unstable;
+    # neither class route may then join a pair
+    code, out, err = run(capsys, "rho", "--space", "halfline", "--radius",
+                         "1200", "--r-max", "960", "--zone", "16",
+                         "--sample", "0;3;7;10")
+    assert code == 0, err
+    data = json.loads(out)
+    assert not any(map(any, data["rho"]["stable"]))
+    assert data["partition"]["blocks"] == [["0"], ["3"], ["7"], ["10"]]
+
+
+@pytest.mark.parametrize("flag,value", [("--r-max", "0"),
+                                        ("--r-step", "-5")])
+def test_schedule_values_below_one(capsys, flag, value):
+    args = {"--r-max": "20", "--r-step": "5", flag: value}
+    code, out, err = run(capsys, "field", "--space", "line", "--radius",
+                         "60", *[t for kv in args.items() for t in kv])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError" and flag in payload["message"]
+
+
 def test_gh_command(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

@@ -2,9 +2,12 @@
 
 import pytest
 
-from dlscape import (CoRay, DescentError, build, materialize_window,
-                     representation_check, trace_corays, u_point_assigned,
+from dlscape import (CoRay, DescentError, DomainError, ScalarField,
+                     ZoneError, build, busemann, dist_field,
+                     materialize_window, representation_check,
+                     shortest_path, trace_corays, u_point_assigned,
                      uniqueness_probe, verify_gradient)
+from dlscape.corays import ReprEntry
 
 
 def _fresh_h_field():
@@ -81,3 +84,155 @@ def test_representation_bounds_other_vertices(line_field):
     report = representation_check(line_field, 0, trace.paths)
     assert report.ok
     assert all(report.value <= e.bound for e in report.entries)
+
+
+# -- differential checks against the definitions, one BFS per pair or ray --
+
+def _gradient_all_pairs(coray, field):
+    """verify_gradient by its definition: one BFS from every path vertex."""
+    window = field.window
+    idxs = [window.index.get(v) for v in coray.vertices]
+    if any(i not in field.values for i in idxs):
+        return False
+    for a, b in zip(idxs, idxs[1:]):
+        if b not in window.adjacency[a] or \
+                field.values[a] - field.values[b] != 1:
+            return False
+    for s, v in enumerate(coray.vertices):
+        d = dist_field(window, (v,))
+        if any(d[idxs[t]] != t - s for t in range(s, len(idxs))):
+            return False
+    return True
+
+
+def _representation_by_busemann(field, x, corays):
+    """representation_check via a full Busemann sweep per co-ray."""
+    ux = field.value_at(x)
+    entries, inconclusive = [], []
+    for coray in corays:
+        start = coray.vertices[0]
+        if coray.length == 0:
+            if start == x:
+                entries.append(ReprEntry(start, 0, ux, ux, True, True))
+            else:
+                inconclusive.append((start, "zero-length co-ray"))
+            continue
+        try:
+            bfield, _ = busemann(field.window, list(coray.vertices),
+                                 coray.length, field.zone)
+        except DomainError as exc:
+            inconclusive.append((start, str(exc)))
+            continue
+        bx = bfield.value_at(x)
+        stable = bfield.stable_at(x) or (start == x and bx == 0)
+        bound = field.value_at(start) + bx
+        entry = ReprEntry(start, bx, field.value_at(start), bound,
+                          ux == bound, stable)
+        if stable:
+            entries.append(entry)
+        else:
+            inconclusive.append((start, "busemann value not stable"))
+    return entries, inconclusive
+
+
+def _ray(vertices):
+    return CoRay(tuple(vertices), (1,) * (len(vertices) - 1), True)
+
+
+# Spaces with co-ray starts, long geodesics (a, b) started away from the
+# base, query points x, and a simple path that is not a geodesic (none
+# exists on the line, a tree).
+DIFF_SPACES = {
+    "line": dict(
+        params={}, radius=60, zone=8, schedule=range(6, 49, 6),
+        starts=[0, 3, -5, 8], geodesics=[(2, 48), (-1, -45), (8, -30)],
+        xs=[0, 4, -6, 8], detour=None),
+    "h_graph": dict(
+        params={}, radius=40, zone=8, schedule=range(4, 29, 4),
+        starts=[(0, 0), (2, 2), (3, 0), (-2, 1)],
+        geodesics=[((1, 0), (28, 0)), ((3, 3), (-20, 0)), ((2, 1), (25, 0))],
+        xs=[(0, 0), (1, 1), (4, 0), (-3, 2)],
+        detour=[(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-2, 0)]),
+    "grid2d": dict(
+        params={}, radius=30, zone=6, schedule=range(3, 22, 3),
+        starts=[(0, 0), (2, -1), (-3, 3), (0, 6)],
+        geodesics=[((3, -2), (20, 4)), ((-1, 0), (-16, -6)),
+                   ((0, 2), (5, 19))],
+        xs=[(0, 0), (1, 2), (-2, -3), (4, 0)],
+        detour=[(0, 0), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]),
+}
+
+
+def _diff_case(name):
+    case = DIFF_SPACES[name]
+    space = build(name, case["params"])
+    window = materialize_window(space, space.default_base(), case["radius"])
+    fld, _ = u_point_assigned(window, case["schedule"], case["zone"])
+    traced = [p for s in case["starts"]
+              for p in trace_corays(fld, s, max_paths=4).paths]
+    long_rays = [shortest_path(window, a, b) for a, b in case["geodesics"]]
+    return window, fld, traced, long_rays
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_SPACES))
+def test_representation_matches_busemann_sweeps(name):
+    window, fld, traced, long_rays = _diff_case(name)
+    zone = fld.zone
+    far = window.vertices[-1]        # on the window boundary
+    outside = next(w for w in window.space.neighbors(far)
+                   if w not in window.index)
+    v = long_rays[0]
+    rays = traced + [_ray(g) for g in long_rays]
+    # lengths on either side of the stability tail 2 * zone
+    rays += [_ray(g[:2 * zone + k]) for g in long_rays for k in (0, 1, 2)]
+    rays += [
+        _ray(v[::2]),                                # not a path
+        _ray(v[:3] + v[1::-1]),                      # doubles back
+        _ray(shortest_path(window, window.base, far)),   # anchors too far
+        _ray((far, outside)),                        # leaves the window
+        _ray(v[:1]),                                 # zero length
+    ]
+    stable_away = unstable = 0
+    for x in DIFF_SPACES[name]["xs"]:
+        report = representation_check(fld, x, rays)
+        entries, inconclusive = _representation_by_busemann(fld, x, rays)
+        assert report.entries == entries
+        assert report.inconclusive == inconclusive
+        stable_away += sum(e.start != x for e in entries)
+        unstable += sum(r == "busemann value not stable"
+                        for _, r in inconclusive)
+    assert stable_away > 0 and unstable > 0
+    # a field value beyond the zone has no exact Busemann value
+    x_out = window.vertices[window.count_within(zone)]
+    wide = ScalarField(window, fld.kind, zone,
+                       {**fld.values, window.index[x_out]: 0}, fld.report)
+    for route in (representation_check, _representation_by_busemann):
+        with pytest.raises(ZoneError):
+            route(wide, x_out, rays)
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_SPACES))
+def test_verify_gradient_matches_all_pairs(name):
+    window, fld, traced, _ = _diff_case(name)
+    checks = [(p, fld) for p in traced]
+    for p in traced:
+        v = p.vertices
+        checks += [(_ray(c), fld) for c in (
+            v[::-1], v[:1] + v[2:], v[1:] + v[:1],
+            v[:-1] + (window.vertices[-1],))]
+    detour = DIFF_SPACES[name]["detour"]
+    if detour:
+        # unit drops along edges of a simple path that stops being a
+        # geodesic part-way
+        values = dict(fld.values)
+        for t, u in enumerate(detour):
+            values[window.index[u]] = 100 - t
+        bent = ScalarField(window, fld.kind, fld.zone, values, fld.report)
+        checks += [(_ray(detour[:k]), bent)
+                   for k in range(1, len(detour) + 1)]
+    verdicts = []
+    for p, f in checks:
+        got = verify_gradient(p, f)
+        assert got == _gradient_all_pairs(p, f), p.vertices
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlscape import (DomainError, ZoneError, build, busemann,
-                     default_t_samples, dl_from_sets, field_from_json,
-                     field_to_json, gromov_check, horofunction, level_set,
-                     materialize_window, oracle, stability_check,
-                     u_point_assigned, u_r, verify_geodesic)
+                     default_t_samples, dist_field, dl_from_sets,
+                     field_from_json, field_to_json, gromov_check,
+                     horofunction, level_set, materialize_window, oracle,
+                     stability_check, u_point_assigned, u_r,
+                     verify_geodesic)
+from dlscape.fields import _summarize
 
 
 def test_u_r_closed_form_on_line(line_window):
@@ -54,6 +56,41 @@ def test_point_assigned_matches_oracle(name, params, radius):
         v = w.vertices[i]
         assert fld.values[i] == oracle(space, "point_assigned", w.base, v)
     assert not fld.lipschitz_violations()
+
+
+def _point_assigned_by_whole_window(window, schedule, zone, tail):
+    """The sweep by definition: one whole-window BFS from S_r per r."""
+    dist = window.dist_from_base
+    zone_idx = [i for i, d in enumerate(dist) if d <= zone]
+    history = {i: [] for i in zone_idx}
+    for r in schedule:
+        df = dist_field(window, [v for v, d in zip(window.vertices, dist)
+                                 if d == r])
+        for i in zone_idx:
+            if r >= dist[i]:
+                history[i].append((r, df[i] - r))
+    return _summarize(window, zone_idx, tuple(schedule), history, tail)
+
+
+ALL_GENERATORS = [("line", {}, 60), ("halfline", {}, 60),
+                  ("tree", {"b": 2}, 10), ("grid2d", {}, 30),
+                  ("h_graph", {}, 40), ("stick", {"m": 6, "h": 2}, 40),
+                  ("pendant_line", {}, 40), ("cylinder", {"m": 5}, 40)]
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_point_assigned_matches_whole_window_sweep(name, params, radius):
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    for zone in (2, radius // 4):
+        hi = radius - zone
+        for schedule in (range(1, hi + 1), range(zone + 1, hi + 1, 3),
+                         (1, hi // 2, hi)):
+            fld, rep = u_point_assigned(w, schedule, zone, tail=2 * zone)
+            values, ref = _point_assigned_by_whole_window(w, schedule,
+                                                          zone, 2 * zone)
+            assert fld.values == values
+            assert rep == ref
 
 
 def test_point_assigned_stick_tolerance():

@@ -94,6 +94,12 @@ def test_partition_tree_singletons(tree2_window):
     assert part.blocks == [[v] for v in sorted(sample)]
 
 
+def test_family_reuses_the_base_window(halfline_window):
+    fields = point_assigned_family(halfline_window, [0, 3], SCHED, 10)
+    assert fields[0].window is halfline_window
+    assert fields[3].window.base == 3
+
+
 def test_partition_consistency_guard(halfline_window):
     sample = [0, 1, 2]
     fields = point_assigned_family(halfline_window, sample, SCHED, 10)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dlscape import (DomainError, ResourceLimitError, ZoneError, build,
                      dist_field, materialize_window, pairwise_dist,
                      shortest_path, sphere, vertex_budget)
+from dlscape.space import _bfs_from_indices
 
 SMALL = [("line", {}, 20), ("halfline", {}, 20), ("tree", {"b": 2}, 8),
          ("grid2d", {}, 8), ("h_graph", {}, 15),
@@ -29,6 +30,17 @@ def test_window_invariants(name, params, radius):
             assert abs(w.dist_from_base[i] - w.dist_from_base[j]) <= 1
     # the index is the inverse of the vertex list
     assert all(w.index[v] == i for i, v in enumerate(w.vertices))
+    # balls are index prefixes, spheres their differences; a BFS confined
+    # to B_r agrees with the whole-window BFS there
+    for r in range(radius + 1):
+        ball = [i for i, d in enumerate(w.dist_from_base) if d <= r]
+        assert w.indices_within(r) == ball
+        assert sphere(w, r) == tuple(sorted(
+            v for v, d in zip(w.vertices, w.dist_from_base) if d == r))
+        seeds = [i for i in ball if w.dist_from_base[i] == r]
+        full = _bfs_from_indices(w, seeds)
+        assert _bfs_from_indices(w, seeds, limit=len(ball)) == \
+            full[:len(ball)]
 
 
 @given(x=st.integers(-30, 30))
