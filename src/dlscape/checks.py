@@ -41,6 +41,13 @@ def _window(space, radius):
     return materialize_window(space, space.default_base(), radius)
 
 
+def _suite_schedule(radius):
+    """Zone and sweep schedule of the field-based suites."""
+    zone = max(4, radius // 5)
+    hi = radius - zone
+    return zone, list(range(max(2, hi // 6), hi + 1, max(1, hi // 6)))
+
+
 def _label(window, i):
     return window.space.vertex_label(window.vertices[i])
 
@@ -80,13 +87,10 @@ def suite_monotone(space, radius, trials, seed):
 def _field_pool(space, radius, pool_size, rng):
     """Point-assigned fields for a small random pool of nearby vertices."""
     window = _window(space, radius)
-    zone = max(4, radius // 5)
+    zone, schedule = _suite_schedule(radius)
     inner = window.indices_within(zone // 2)
     picks = sorted(rng.sample(inner, min(pool_size, len(inner))))
     bases = [window.vertices[i] for i in picks]
-    hi = radius - zone
-    schedule = [r for r in range(max(2, hi // 6), hi + 1,
-                                 max(1, hi // 6))]
     fields = point_assigned_family(window, bases, schedule, zone)
     return window, bases, fields
 
@@ -134,9 +138,7 @@ def suite_gromov(space, radius, trials, seed):
     field, at ``trials`` sampled integer thresholds."""
     window = _window(space, radius)
     rng = random.Random(seed)
-    zone = max(4, radius // 5)
-    hi = radius - zone
-    schedule = list(range(max(2, hi // 6), hi + 1, max(1, hi // 6)))
+    zone, schedule = _suite_schedule(radius)
     fld, _ = u_point_assigned(window, schedule, zone)
     lo_t = min(fld.values.values())
     hi_t = max(fld.values.values())
@@ -157,9 +159,7 @@ def suite_coray(space, radius, trials, seed):
     traced co-rays pass the exact gradient verification."""
     window = _window(space, radius)
     rng = random.Random(seed)
-    zone = max(4, radius // 5)
-    hi = radius - zone
-    schedule = list(range(max(2, hi // 6), hi + 1, max(1, hi // 6)))
+    zone, schedule = _suite_schedule(radius)
     fld, _ = u_point_assigned(window, schedule, zone)
     starts = window.indices_within(zone)
     result = SuiteResult("coray", trials, 0)
@@ -188,6 +188,9 @@ def suite_sphere(space, radius, trials, seed):
     """Every vertex of S_r has a neighbor on S_{r-1}: spheres grow by
     unit steps, the discrete trace of the geodesic property."""
     window = _window(space, radius)
+    if radius < 1:
+        raise DomainError(f"the sphere suite needs radius >= 1, "
+                          f"got {radius}")
     rng = random.Random(seed)
     dist = window.dist_from_base
     result = SuiteResult("sphere", trials, 0)

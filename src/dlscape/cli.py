@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import checks, corays, fields, gh, pseudometric, zoo
-from .errors import DlscapeError, DomainError
-from .space import materialize_window, shortest_path
+from .errors import DlscapeError, DomainError, GeneratorParamError
+from .space import bfs_memo, materialize_window, shortest_path
 
 DEFAULT_SEED = 0
 
@@ -31,17 +31,28 @@ def _canonical(obj):
 
 
 def _parse_fraction(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"expected an integer or p/q with q != 0, "
+                          f"got {text!r}") from None
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_space(spec):
     """JSON file path, or shorthand 'name' / 'name:key=val,...'."""
     if os.path.exists(spec) or spec.endswith(".json"):
-        with open(spec) as fh:
-            return zoo.build_from_dict(json.load(fh))
+        return zoo.build_from_dict(_load_json(spec))
     name, _, tail = spec.partition(":")
     params, scale = {}, Fraction(1)
     if tail:
@@ -52,14 +63,27 @@ def load_space(spec):
                     f"bad space parameter {item!r}; expected key=value")
             if key == "scale":
                 scale = _parse_fraction(val)
-            else:
+                continue
+            try:
                 params[key] = int(val)
+            except ValueError:
+                raise GeneratorParamError(
+                    f"space parameter {key} must be an integer, "
+                    f"got {val!r}") from None
     return zoo.build(name, params, scale)
+
+
+def _vertex(space, text):
+    try:
+        return space.parse_vertex(text)
+    except ValueError:
+        raise DomainError(f"bad vertex label {text!r} for generator "
+                          f"{space.generator_id}") from None
 
 
 def _window_for(args, space=None):
     space = space if space is not None else load_space(args.space)
-    base = space.parse_vertex(args.base) if args.base is not None \
+    base = _vertex(space, args.base) if args.base is not None \
         else space.default_base()
     return space, materialize_window(space, base, args.radius)
 
@@ -137,10 +161,10 @@ def cmd_level_set(args):
 
 def _ray_from_args(args, space, window):
     if args.ray:
-        return [space.parse_vertex(t) for t in args.ray.split(";")]
+        return [_vertex(space, t) for t in args.ray.split(";")]
     if args.ray_target:
         return shortest_path(window, window.base,
-                             space.parse_vertex(args.ray_target))
+                             _vertex(space, args.ray_target))
     raise DlscapeError("provide --ray or --ray-target")
 
 
@@ -158,7 +182,7 @@ def cmd_busemann(args):
 
 def cmd_horo(args):
     space, window = _window_for(args)
-    points = [space.parse_vertex(t) for t in args.points.split(";")]
+    points = [_vertex(space, t) for t in args.points.split(";")]
     fld, _ = fields.horofunction(window, points, _zone(args), args.tail)
     if args.csv:
         _emit(args, _field_csv(fld))
@@ -169,12 +193,13 @@ def cmd_horo(args):
 
 def cmd_coray(args):
     space, window, fld = _point_assigned(args)
-    start = space.parse_vertex(args.start) if args.start is not None \
+    start = _vertex(space, args.start) if args.start is not None \
         else window.base
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
+    dist_from = bfs_memo(window)    # every traced co-ray starts at start
     out_paths, all_ok = [], True
     for cr in trace.paths:
-        ok = corays.verify_gradient(cr, fld)
+        ok = corays.verify_gradient(cr, fld, dist_from)
         all_ok = all_ok and ok
         out_paths.append({
             "vertices": [space.vertex_label(v) for v in cr.vertices],
@@ -191,7 +216,7 @@ def cmd_coray(args):
 
 def cmd_rho(args):
     space, window = _window_for(args)
-    sample = [space.parse_vertex(t) for t in args.sample.split(";")]
+    sample = [_vertex(space, t) for t in args.sample.split(";")]
     sched, zone = _schedule(args), _zone(args)
     flds = pseudometric.point_assigned_family(window, sample, sched, zone,
                                               args.tail)
@@ -207,10 +232,8 @@ def cmd_rho(args):
 
 
 def cmd_gh(args):
-    with open(args.x) as fh:
-        X = gh.FiniteMetricSpace.from_json(json.load(fh))
-    with open(args.y) as fh:
-        Y = gh.FiniteMetricSpace.from_json(json.load(fh))
+    X = gh.FiniteMetricSpace.from_json(_load_json(args.x))
+    Y = gh.FiniteMetricSpace.from_json(_load_json(args.y))
     lower, upper, corr = gh.gh_bounds(X, Y, budget=args.budget)
     iso = gh.build_eps_isometry(corr, X, Y)
     payload = {"lower": str(lower), "upper": str(upper),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
 from .fields import _summarize, busemann_anchors
-from .space import _bfs_from_indices
+from .space import _bfs_from_indices, bfs_memo
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def trace_corays(field, start, max_paths=64):
     return CoRayTrace(paths, exhausted)
 
 
-def verify_gradient(coray, field):
+def verify_gradient(coray, field, dist_from=None):
     """Independent re-check of the gradient identity and geodesy.
 
     True iff the field drops by exactly one per step and every vertex pair
@@ -95,7 +95,8 @@ def verify_gradient(coray, field):
     One BFS from path[0] decides every pair: consecutive vertices are
     adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
-    forces d(g_s, g_t) = t - s.
+    forces d(g_s, g_t) = t - s.  ``dist_from`` shares that BFS across
+    calls, as in :func:`~dlscape.fields.verify_geodesic`.
     """
     window = field.window
     try:
@@ -108,7 +109,10 @@ def verify_gradient(coray, field):
             return False
         if values[a] - values[b] != 1:
             return False
-    d = _bfs_from_indices(window, [idxs[0]])
+    if dist_from is None:
+        d = _bfs_from_indices(window, [idxs[0]])
+    else:
+        d = dist_from(idxs[0])
     return all(d[i] == t for t, i in enumerate(idxs))
 
 
@@ -163,13 +167,7 @@ def representation_check(field, x, corays):
     ix = field.index_of(x)
     ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
-    dists = {}
-
-    def dist_from(i):
-        if i not in dists:
-            dists[i] = _bfs_from_indices(window, [i])
-        return dists[i]
-
+    dist_from = bfs_memo(window)
     for coray in corays:
         start = coray.vertices[0]
         if coray.length == 0:

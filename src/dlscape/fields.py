@@ -125,16 +125,16 @@ def _check_zone(window, zone):
 def u_r(window, r, zone):
     """Finite-radius approximant d(., S_r(base)) - r on B_zone(base).
 
-    Exactness needs r + zone <= R: a shortest path from a zone vertex to
-    its nearest sphere point stays inside B_{r+zone}(base).
+    Exact whenever 1 <= r <= R and zone <= R.  Distance to the base
+    changes by at most one per step.  So for x in B_r, a shortest path
+    from x to S_r meets S_r before it can leave B_r.  For x at distance
+    s > r, every point of S_r is at least s - r from x, and the segment
+    of a base-x geodesic from S_r to x has that length and stays in B_s.
+    Either way a shortest path lies in the window.
     """
     _check_zone(window, zone)
     if r < 1 or r > window.radius:
         raise ZoneError(f"r={r} outside window radius", parameter="radius")
-    if r + zone > window.radius:
-        raise ZoneError(f"need r + zone <= R for exact sphere distances "
-                        f"(r={r}, zone={zone}, R={window.radius})",
-                        parameter="radius")
     df = dist_field(window, sphere(window, r))
     zone_idx = window.indices_within(zone)
     values = {i: df[i] - r for i in zone_idx}
@@ -144,6 +144,21 @@ def u_r(window, r, zone):
     return ScalarField(window, "u_r", zone, values, report)
 
 
+def _check_schedule(window, schedule, zone):
+    """The preconditions of :func:`u_point_assigned`; returns the schedule
+    as a tuple."""
+    _check_zone(window, zone)
+    schedule = tuple(schedule)
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError("schedule must be non-empty strictly increasing")
+    if schedule[-1] > window.radius:
+        raise ZoneError("need max(schedule) <= R", parameter="radius")
+    if schedule[0] < 1:
+        raise ZoneError(f"r={schedule[0]} outside window radius",
+                        parameter="radius")
+    return schedule
+
+
 def u_point_assigned(window, schedule, zone, tail=None):
     """Truncated point-assigned field: the last u^r value per vertex.
 
@@ -151,22 +166,16 @@ def u_point_assigned(window, schedule, zone, tail=None):
     schedule entries in that range count; earlier entries can overshoot
     the limit (e.g. on the halfline) and are ignored per vertex.
 
-    Each u^r comes from one BFS from S_r confined to B_r, a prefix of the
-    window's breadth-first order.  That changes no value read: distance to
-    the base changes by at most one per step, so a shortest path from
-    x in B_r to S_r meets S_r before it can leave B_r, and the sweep reads
-    u^r(x) only where r >= d(base, x).
+    Needs max(schedule) <= R and zone <= R, nothing more: the values are
+    then those of the infinite graph, so every window of radius at least
+    max(schedule) and zone gives the same field.  Each u^r comes from one
+    BFS from S_r confined to B_r, a prefix of the window's breadth-first
+    order.  The sweep reads u^r(x) only where d(base, x) <= r, and
+    distance to the base changes by at most one per step, so a shortest
+    path from such an x meets S_r before it can leave B_r, a subset of
+    B_R.
     """
-    _check_zone(window, zone)
-    schedule = tuple(schedule)
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be non-empty strictly increasing")
-    if schedule[-1] + zone > window.radius:
-        raise ZoneError("need max(schedule) + zone <= R",
-                        parameter="radius")
-    if schedule[0] < 1:
-        raise ZoneError(f"r={schedule[0]} outside window radius",
-                        parameter="radius")
+    schedule = _check_schedule(window, schedule, zone)
     if tail is None:
         tail = 2 * zone
     zone_idx = window.indices_within(zone)

@@ -12,21 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, ZoneError
-from .fields import u_point_assigned
-from .space import dist_field, materialize_window
+from .fields import _check_schedule, u_point_assigned
+from .space import _bfs_from_indices, dist_field, materialize_window
 
 
 def point_assigned_family(window, bases, schedule, zone, tail=None):
     """Point-assigned fields for several bases of one space.
 
-    Each base gets its own window of the same radius, so every field's
-    zone is exact around its own base.  Windows are immutable and
-    deterministic, so the caller's window serves its own base.
+    The schedule and zone are checked against the caller's window first,
+    so this accepts the inputs :func:`u_point_assigned` accepts there.
+    The caller's window serves its own base.  Every other base b gets
+    B_m(b) with m = max(max(schedule), zone), built from the caller's
+    window (``materialize_window(..., known=window)``).  That gives the
+    field of a window B_R(b): u_point_assigned is exact on any window of
+    radius at least max(schedule) and zone (the proof is in its
+    docstring), and B_m(b) is a prefix of B_R(b) in breadth-first order,
+    so the vertex indices agree too.
     """
+    schedule = _check_schedule(window, schedule, zone)
+    radius = max(schedule[-1], zone)
     fields = {}
     for b in bases:
         wb = window if b == window.base else \
-            materialize_window(window.space, b, window.radius)
+            materialize_window(window.space, b, radius, known=window)
         fld, _ = u_point_assigned(wb, schedule, zone, tail)
         fields[b] = fld
     return fields
@@ -115,11 +123,28 @@ def _blocks(sample, links):
     return sorted(sorted(b) for b in blocks.values())
 
 
-def _sample_distances(window, sample):
+def _sample_distances(window, sample, zone):
+    """Window distances between sample points, by one BFS per point.
+
+    Each BFS is confined to the prefix B_{dmax+zone}, dmax the largest
+    d(base, s) over the sample.  That is exact wherever d_W(x, y) <= zone:
+    every vertex z of a window geodesic from x to y has
+    d(base, z) <= d(base, x) + d_W(x, z) <= dmax + zone.  A source with an
+    entry above zone, or unreached, is run again over the whole window,
+    so every entry is the whole-window distance.
+    """
+    idxs = [window.index[v] for v in sample]
+    dmax = max(window.dist_from_base[i] for i in idxs)
+    # a negative zone fails later; the limit still covers the sample
+    limit = window.count_within(dmax + max(zone, 0))
     d = {}
-    for v in sample:
-        df = dist_field(window, (v,))
-        d[v] = {w: df[window.index[w]] for w in sample}
+    for v, i in zip(sample, idxs):
+        df = _bfs_from_indices(window, [i], limit=limit)
+        row = [df[j] for j in idxs]
+        if any(e < 0 or e > zone for e in row):
+            df = _bfs_from_indices(window, [i])
+            row = [df[j] for j in idxs]
+        d[v] = dict(zip(sample, row))
     return d
 
 
@@ -129,13 +154,20 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     Requires every pair of sample points within ``zone`` hops of each
     other so u_x(y) is exact on each per-base window.  Unstable entries
     are flagged, not failed.
+
+    u_x(y) is read on x's own window B_m(x) of
+    :func:`point_assigned_family`; it equals the value on B_R(x), so
+    rho is the same as with windows of the caller's radius.  The sample
+    distances come from BFS passes confined to a ball around the base
+    (:func:`_sample_distances`), exact up to ``zone``; a pair further
+    apart raises ZoneError with its whole-window distance.
     """
     sample = tuple(sample)
     if not sample:
         raise DomainError("sample must be non-empty")
     for v in sample:
         window.require_zone(v, window.radius // 3, what="sample")
-    dmap = _sample_distances(window, sample)
+    dmap = _sample_distances(window, sample, zone)
     for x in sample:
         for y in sample:
             if dmap[x][y] > zone:

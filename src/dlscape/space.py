@@ -173,12 +173,20 @@ class Window:
         }
 
 
-def materialize_window(space, base, radius, max_vertices=None):
+def materialize_window(space, base, radius, max_vertices=None, known=None):
     """Breadth-first materialization of ``B_radius(base)``.
 
     Adjacency rows keep the generator's neighbor order, restricted to
     in-window vertices.  Raises :class:`ResourceLimitError` when the vertex
     budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded.
+
+    ``known`` is an optional window of the same space.  The row of a
+    vertex v with d(known.base, v) < known.radius lists every generator
+    neighbor in generator order, so a vertex reached through such rows
+    takes its row from ``known.adjacency``, mapped index by index, instead
+    of calling the generator.  Every other vertex, including those past
+    the edge of ``known``, goes through the generator.  The window is the
+    same with or without ``known``.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -191,20 +199,55 @@ def materialize_window(space, base, radius, max_vertices=None):
     adjacency = []
     nbr = space.neighbors
     get = index.get
+    # kpos[i]: index in ``known`` of vertex i when its known row is full,
+    # else -1 (also for i past the end of kpos: vertices reached through
+    # the generator are not entered); remap[j]: index here of known vertex
+    # j once a known row has reached it, else -1.
+    kpos = None
+    if known is not None:
+        if known.space is not space:
+            raise DomainError("known window must be of the same space")
+        kverts, kadj = known.vertices, known.adjacency
+        inner = known.count_within(known.radius - 1)
+        remap = [-1] * len(kverts)
+        kpos = [-1]
+        k0 = known.index.get(base)
+        if k0 is not None:
+            remap[k0] = 0
+            if k0 < inner:
+                kpos[0] = k0
     head = 0
     while head < len(vertices):
-        v = vertices[head]
         dv = dist[head]
         row = []
-        if dv < radius:
-            for w in nbr(v):
+        if kpos is not None and head < len(kpos) and kpos[head] >= 0:
+            grow = dv < radius
+            for j in kadj[kpos[head]]:
+                i = remap[j]
+                if i < 0:
+                    w = kverts[j]
+                    i = get(w)          # reached through a generator row
+                    if i is None:
+                        if not grow:
+                            continue
+                        i = len(vertices)
+                        if i >= budget:
+                            raise _over_budget(space, base, radius, budget)
+                        index[w] = i
+                        vertices.append(w)
+                        dist.append(dv + 1)
+                        if len(kpos) < i:
+                            kpos += [-1] * (i - len(kpos))
+                        kpos.append(j if j < inner else -1)
+                    remap[j] = i
+                row.append(i)
+        elif dv < radius:
+            for w in nbr(vertices[head]):
                 j = get(w)
                 if j is None:
                     j = len(vertices)
                     if j >= budget:
-                        raise ResourceLimitError(
-                            f"window ({space!r}, base={base!r}, R={radius}) "
-                            f"exceeds vertex budget {budget}")
+                        raise _over_budget(space, base, radius, budget)
                     index[w] = j
                     vertices.append(w)
                     dist.append(dv + 1)
@@ -212,13 +255,18 @@ def materialize_window(space, base, radius, max_vertices=None):
         else:
             # Peripheral shell: every in-window neighbor (dist <= R) has
             # already been discovered, so filtering by the index is exact.
-            for w in nbr(v):
+            for w in nbr(vertices[head]):
                 j = get(w)
                 if j is not None:
                     row.append(j)
         adjacency.append(row)
         head += 1
     return Window(space, base, radius, vertices, index, dist, adjacency)
+
+
+def _over_budget(space, base, radius, budget):
+    return ResourceLimitError(f"window ({space!r}, base={base!r}, "
+                              f"R={radius}) exceeds vertex budget {budget}")
 
 
 def dist_field(window, sources):
@@ -271,6 +319,19 @@ def _bfs_from_indices(window, seeds, limit=None):
                 push(w)
     del dist[limit:]
     return dist
+
+
+def bfs_memo(window):
+    """``dist_from(i)``: BFS distances from vertex index i, one pass per
+    distinct i, for the ``dist_from`` arguments of the geodesy checks."""
+    dists = {}
+
+    def dist_from(i):
+        if i not in dists:
+            dists[i] = _bfs_from_indices(window, [i])
+        return dists[i]
+
+    return dist_from
 
 
 def sphere(window, r):

@@ -385,8 +385,12 @@ def build_from_dict(spec):
     if "generator" not in spec:
         raise DomainError("space spec needs a 'generator' key")
     scale = spec.get("scale", {"num": 1, "den": 1})
-    return build(spec["generator"], spec.get("params"),
-                 Fraction(scale["num"], scale["den"]))
+    try:
+        scale = Fraction(scale["num"], scale["den"])
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise DomainError(f"space scale must be {{num, den}} integers with "
+                          f"den != 0: {exc!r}") from None
+    return build(spec["generator"], spec.get("params"), scale)
 
 
 def catalog():

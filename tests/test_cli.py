@@ -177,3 +177,92 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "gh", "--x", "/no/such.json", "--y",
                        "/no/such.json")
     assert code == 2
+
+
+def _usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    return json.loads(err)
+
+
+def test_non_integer_space_parameter(capsys):
+    payload = _usage_error(capsys, "field", "--space", "tree:b=x",
+                           "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "GeneratorParamError"
+    assert "'x'" in payload["message"]
+
+
+def test_zero_denominator_scale(capsys):
+    payload = _usage_error(capsys, "field", "--space", "line:scale=1/0",
+                           "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "DomainError"
+    assert "'1/0'" in payload["message"]
+
+
+def test_sphere_suite_radius_zero(capsys):
+    payload = _usage_error(capsys, "check", "--suite", "sphere", "--space",
+                           "line", "--radius", "0")
+    assert payload["error"] == "DomainError"
+    assert "radius >= 1" in payload["message"]
+
+
+def test_non_integer_vertex_label(capsys):
+    payload = _usage_error(capsys, "rho", "--space", "line", "--radius",
+                           "40", "--r-max", "30", "--sample", "a;1")
+    assert payload["error"] == "DomainError" and "'a'" in payload["message"]
+
+
+def test_malformed_json_files(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"generator": ')
+    payload = _usage_error(capsys, "field", "--space", str(bad), "--radius",
+                           "5", "--r-max", "3")
+    assert "not valid JSON" in payload["message"]
+    payload = _usage_error(capsys, "gh", "--x", str(bad), "--y", str(bad))
+    assert "not valid JSON" in payload["message"]
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"generator": "line",
+                                "scale": {"num": 1, "den": 0}}))
+    payload = _usage_error(capsys, "field", "--space", str(zero),
+                           "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "DomainError"
+
+
+def test_rho_sample_beyond_zone(capsys):
+    payload = _usage_error(capsys, "rho", "--space", "line", "--radius",
+                           "60", "--r-max", "40", "--sample", "0;19")
+    assert payload["error"] == "ZoneError"
+    assert "are 19 apart" in payload["message"]
+
+
+def test_field_schedule_up_to_the_radius(capsys):
+    # max(schedule) = 55 and zone 10 on R = 60: exact, though 55 + 10 > R
+    code, out, err = run(capsys, "field", "--space", "line", "--radius",
+                         "60", "--r-max", "55", "--zone", "10")
+    assert code == 0, err
+    rows = json.loads(out)["values"]
+    assert [r["value"] for r in rows] == [-abs(int(r["vertex"]))
+                                          for r in rows]
+
+
+def test_coray_shares_the_start_bfs(capsys, monkeypatch):
+    """All traced co-rays start at --start, so verifying them takes one
+    BFS however many there are."""
+    from dlscape import corays, space
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        if limit is None:
+            calls.append(tuple(seeds))
+        return bfs(window, seeds, limit)
+
+    for module in (corays, space):
+        monkeypatch.setattr(module, "_bfs_from_indices", counted)
+    code, out, _ = run(capsys, "coray", "--space", "h_graph", "--radius",
+                       "60", "--r-max", "48", "--zone", "10", "--start",
+                       "0,0")
+    assert code == 0
+    paths = json.loads(out)["paths"]
+    assert len(paths) > 1 and all(p["gradient_ok"] for p in paths)
+    assert len(calls) == 1

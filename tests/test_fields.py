@@ -23,7 +23,9 @@ def test_u_r_closed_form_on_line(line_window):
 
 def test_u_r_preconditions(line_window):
     with pytest.raises(ZoneError):
-        u_r(line_window, 55, 10)          # r + zone > R
+        u_r(line_window, 61, 10)          # r > R
+    with pytest.raises(ZoneError):
+        u_r(line_window, 20, 61)          # zone > R
     with pytest.raises(ZoneError):
         u_r(line_window, 0, 10)
     with pytest.raises(DomainError):
@@ -109,7 +111,23 @@ def test_point_assigned_schedule_validation(line_window):
     with pytest.raises(DomainError):
         u_point_assigned(line_window, [10, 10], 10)
     with pytest.raises(ZoneError):
-        u_point_assigned(line_window, [55], 10)
+        u_point_assigned(line_window, [61], 10)     # max(schedule) > R
+    with pytest.raises(ZoneError):
+        u_point_assigned(line_window, [20], 61)     # zone > R
+
+
+def test_bounds_at_the_window_radius(line_window):
+    """r = R and max(schedule) = R are exact for any zone <= R; the old
+    bounds asked for r + zone <= R."""
+    for r, zone in ((55, 10), (60, 10), (10, 60)):
+        fld = u_r(line_window, r, zone)
+        assert fld.values == {i: abs(r - abs(x)) - r for i, x in
+                              enumerate(line_window.vertices)
+                              if abs(x) <= zone}
+    fld, _ = u_point_assigned(line_window, [40, 55], 10)
+    assert all(fld.value_at(x) == -abs(x) for x in range(-10, 11))
+    fld, _ = u_point_assigned(line_window, [60], 60)
+    assert all(fld.value_at(x) == -abs(x) for x in range(-60, 61))
 
 
 def test_verify_geodesic(line_window):
@@ -214,3 +232,40 @@ def test_field_json_roundtrip(h_window, h_field):
     rebuilt = field_from_json(data, h_window)
     assert rebuilt.values == h_field.values
     assert rebuilt.report.stable == h_field.report.stable
+
+
+def _big_and_small_windows(name, params, radius):
+    """Windows B_radius(b) and B_2radius(b) around a vertex b off the
+    default base; on the larger one the old bounds r + zone <= R and
+    max(schedule) + zone <= R hold for every case below."""
+    space = build(name, params)
+    wide = materialize_window(space, space.default_base(), 2 * radius)
+    b = wide.vertices[wide.count_within(1) - 1]
+    return (materialize_window(space, b, radius),
+            materialize_window(space, b, 2 * radius))
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_u_r_small_window_matches_big(name, params, radius):
+    """u_r is exact for 1 <= r <= R and zone <= R: every (r, zone) on
+    B_R gives the values of B_2R, including r = R and zone = R."""
+    radius = min(radius // 2, 12)
+    small, big = _big_and_small_windows(name, params, radius)
+    for r in range(1, radius + 1):
+        for zone in sorted({1, r, radius - r, radius} - {0}):
+            assert u_r(small, r, zone).values == u_r(big, r, zone).values
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_point_assigned_small_window_matches_big(name, params, radius):
+    """max(schedule) <= R and zone <= R suffice: fields and reports on
+    B_R equal those on B_2R."""
+    radius = min(radius // 2, 16)
+    small, big = _big_and_small_windows(name, params, radius)
+    for zone in (1, radius // 2, radius):
+        for schedule in (range(1, radius + 1), range(2, radius + 1, 3),
+                         (radius,)):
+            f_small, r_small = u_point_assigned(small, schedule, zone)
+            f_big, r_big = u_point_assigned(big, schedule, zone)
+            assert f_small.values == f_big.values
+            assert r_small == r_big

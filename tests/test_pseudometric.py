@@ -6,9 +6,9 @@ import pytest
 from fractions import Fraction
 
 from dlscape import (ConsistencyError, ZoneError, anti_triangle_check,
-                     base_lipschitz_check, build, equivalence_classes,
-                     materialize_window, oracle, point_assigned_family,
-                     rho_matrix)
+                     base_lipschitz_check, build, dist_field,
+                     equivalence_classes, materialize_window, oracle,
+                     point_assigned_family, rho_matrix, u_point_assigned)
 from dlscape.pseudometric import base_lipschitz_gap
 
 SCHED = range(8, 41, 4)
@@ -95,9 +95,13 @@ def test_partition_tree_singletons(tree2_window):
 
 
 def test_family_reuses_the_base_window(halfline_window):
-    fields = point_assigned_family(halfline_window, [0, 3], SCHED, 10)
-    assert fields[0].window is halfline_window
-    assert fields[3].window.base == 3
+    for schedule, zone in ((SCHED, 10), ((2, 4, 6), 10)):
+        fields = point_assigned_family(halfline_window, [0, 3], schedule,
+                                       zone)
+        assert fields[0].window is halfline_window
+        assert fields[3].window.base == 3
+        # the other bases' windows reach max(schedule) and the zone
+        assert fields[3].window.radius == max(max(schedule), zone)
 
 
 def test_partition_consistency_guard(halfline_window):
@@ -117,3 +121,71 @@ def test_rho_scaled_units():
     rho = rho_matrix(w, [0, 4], SCHED, 10)
     # 4 hops at two hops per unit length: rho = 2 in reported units
     assert rho.rho(0, 1) == 2
+
+
+def test_rho_zone_error_names_the_window_distance():
+    """The confined sample BFS cannot see the row at height 3 of the
+    H-graph, so (3,3) and (-3,3) look 12 apart there; the error carries
+    the whole-window distance 6."""
+    w = materialize_window(build("h_graph"), (0, 0), 40)
+    with pytest.raises(ZoneError, match=r"are 6 apart, beyond zone 2"):
+        rho_matrix(w, [(3, 3), (-3, 3)], SCHED, 2)
+    # with zone 12 the confining ball B_18 holds that row, at distance 9
+    assert rho_matrix(w, [(3, 3), (-3, 3)], SCHED, 12).dist == \
+        ((0, 6), (6, 0))
+
+
+# (generator, params, R, schedule, zone); the samples below lie within two
+# hops of the base, so every pair is within the zone and the classes keep
+# an evaluation zone of at least zone - 2.
+FAMILY_SPACES = [("line", {}, 40, range(4, 33, 4), 10),
+                 ("halfline", {}, 40, range(4, 33, 4), 10),
+                 ("tree", {"b": 2}, 9, range(2, 8), 4),
+                 ("grid2d", {}, 24, (6, 12, 18), 8),
+                 ("h_graph", {}, 40, range(6, 31, 6), 10),
+                 ("stick", {"m": 6, "h": 2}, 30, range(4, 25, 4), 8),
+                 ("pendant_line", {}, 30, range(4, 25, 4), 8),
+                 ("cylinder", {"m": 5}, 30, range(4, 25, 4), 8)]
+
+
+def _family_on_caller_radius(window, bases, schedule, zone):
+    """Each base's field on a window of the caller's radius."""
+    return {b: u_point_assigned(
+        window if b == window.base else
+        materialize_window(window.space, b, window.radius),
+        schedule, zone)[0] for b in bases}
+
+
+@pytest.mark.parametrize("name,params,radius,schedule,zone", FAMILY_SPACES)
+def test_family_rho_and_classes_match_caller_radius_windows(
+        name, params, radius, schedule, zone):
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    near = w.vertices[:w.count_within(2)]
+    for sample in (near[:6], near[1:6], near[-4:]):
+        fields = point_assigned_family(w, sample, schedule, zone)
+        ref = _family_on_caller_radius(w, sample, schedule, zone)
+        for b in sample:
+            if b != w.base:
+                assert fields[b].window.radius == max(max(schedule), zone)
+            assert fields[b].values == ref[b].values
+            assert fields[b].report == ref[b].report
+        rho = rho_matrix(w, sample, schedule, zone)
+        rho_ref = rho_matrix(w, sample, schedule, zone, fields=ref)
+        assert (rho.two_rho, rho.stable) == (rho_ref.two_rho, rho_ref.stable)
+        assert rho.dist == tuple(
+            tuple(dist_field(w, (x,))[w.index[y]] for y in sample)
+            for x in sample)
+        part = equivalence_classes(w, sample, schedule, zone)
+        part_ref = equivalence_classes(w, sample, schedule, zone,
+                                       fields=ref, rho=rho_ref)
+        assert (part.blocks, part.offsets, part.evaluation_zone) == \
+            (part_ref.blocks, part_ref.offsets, part_ref.evaluation_zone)
+
+
+def test_family_checks_the_callers_window(line_window):
+    """A base other than the caller's may not slip past its bounds."""
+    with pytest.raises(ZoneError, match="max.schedule. <= R"):
+        point_assigned_family(line_window, [3], range(8, 65, 4), 10)
+    with pytest.raises(ZoneError, match="zone exceeds"):
+        point_assigned_family(line_window, [3], SCHED, 61)

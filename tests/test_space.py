@@ -43,6 +43,46 @@ def test_window_invariants(name, params, radius):
             full[:len(ball)]
 
 
+def _window_fields(w):
+    return (w.space, w.base, w.radius, w.vertices, w.index,
+            w.dist_from_base, w.adjacency)
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_materialize_from_known_window(name, params, radius):
+    """Rows taken from a known window give the plain materialization, for
+    bases inside it, on its boundary shell and outside it, and for radii
+    inside it and reaching past its edge."""
+    space = build(name, params)
+    known = materialize_window(space, space.default_base(), radius)
+    outer = materialize_window(space, space.default_base(), radius + 2)
+    dist = outer.dist_from_base
+    picks = {0, known.count_within(1) - 1, known.count_within(radius // 2),
+             known.count_within(radius - 1), len(known) - 1,
+             len(outer) - 1}
+    for i in sorted(picks):
+        b = outer.vertices[i]
+        for m in sorted({0, 1, radius // 2, radius - dist[i],
+                         radius - dist[i] + 1, radius, radius + 3}):
+            if m < 0:
+                continue
+            plain = materialize_window(space, b, m)
+            assert _window_fields(materialize_window(space, b, m,
+                                                     known=known)) == \
+                _window_fields(plain)
+
+
+def test_materialize_from_known_window_checks():
+    known = materialize_window(build("line"), 0, 10)
+    with pytest.raises(DomainError):
+        materialize_window(build("line"), 3, 5, known=materialize_window(
+            build("halfline"), 0, 10))
+    with pytest.raises(ResourceLimitError):
+        materialize_window(known.space, 3, 30, max_vertices=20, known=known)
+    with pytest.raises(ResourceLimitError):
+        materialize_window(known.space, 3, 5, max_vertices=5, known=known)
+
+
 @given(x=st.integers(-30, 30))
 def test_line_distance_closed_form(x):
     w = materialize_window(build("line"), 0, 40)
