@@ -22,8 +22,9 @@ def point_assigned_family(window, bases, schedule, zone, tail=None):
     The schedule and zone are checked against the caller's window first,
     so this accepts the inputs :func:`u_point_assigned` accepts there.
     The caller's window serves its own base.  Every other base b gets
-    B_m(b) with m = max(max(schedule), zone), built from the caller's
-    window (``materialize_window(..., known=window)``).  That gives the
+    B_m(b) with m = max(max(schedule), zone), read off the caller's
+    window's rows when it contains B_m(b) (``materialize_window(...,
+    known=window)``), else from the generator.  That gives the
     field of a window B_R(b): u_point_assigned is exact on any window of
     radius at least max(schedule) and zone (the proof is in its
     docstring), and B_m(b) is a prefix of B_R(b) in breadth-first order,

@@ -180,18 +180,21 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     in-window vertices.  Raises :class:`ResourceLimitError` when the vertex
     budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded.
 
-    ``known`` is an optional window of the same space.  The row of a
-    vertex v with d(known.base, v) < known.radius lists every generator
-    neighbor in generator order, so a vertex reached through such rows
-    takes its row from ``known.adjacency``, mapped index by index, instead
-    of calling the generator.  Every other vertex, including those past
-    the edge of ``known``, goes through the generator.  The window is the
-    same with or without ``known``.
+    ``known`` is an optional window of the same space.  When it contains
+    B_radius(base) the window is read off its rows (:func:`_sub_window`)
+    instead of the generator; it is the same window either way.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     space.check_vertex(base)
     budget = max_vertices if max_vertices is not None else vertex_budget()
+    if known is not None:
+        k = known.index.get(base)
+        if k is not None and known.dist_from_base[k] + radius <= known.radius:
+            window = _sub_window(known, k, radius)
+            if len(window) > budget:
+                raise _over_budget(space, base, radius, budget)
+            return window
 
     index = {base: 0}
     vertices = [base]
@@ -199,50 +202,13 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     adjacency = []
     nbr = space.neighbors
     get = index.get
-    # kpos[i]: index in ``known`` of vertex i when its known row is full,
-    # else -1 (also for i past the end of kpos: vertices reached through
-    # the generator are not entered); remap[j]: index here of known vertex
-    # j once a known row has reached it, else -1.
-    kpos = None
-    if known is not None:
-        if known.space is not space:
-            raise DomainError("known window must be of the same space")
-        kverts, kadj = known.vertices, known.adjacency
-        inner = known.count_within(known.radius - 1)
-        remap = [-1] * len(kverts)
-        kpos = [-1]
-        k0 = known.index.get(base)
-        if k0 is not None:
-            remap[k0] = 0
-            if k0 < inner:
-                kpos[0] = k0
     head = 0
     while head < len(vertices):
+        v = vertices[head]
         dv = dist[head]
         row = []
-        if kpos is not None and head < len(kpos) and kpos[head] >= 0:
-            grow = dv < radius
-            for j in kadj[kpos[head]]:
-                i = remap[j]
-                if i < 0:
-                    w = kverts[j]
-                    i = get(w)          # reached through a generator row
-                    if i is None:
-                        if not grow:
-                            continue
-                        i = len(vertices)
-                        if i >= budget:
-                            raise _over_budget(space, base, radius, budget)
-                        index[w] = i
-                        vertices.append(w)
-                        dist.append(dv + 1)
-                        if len(kpos) < i:
-                            kpos += [-1] * (i - len(kpos))
-                        kpos.append(j if j < inner else -1)
-                    remap[j] = i
-                row.append(i)
-        elif dv < radius:
-            for w in nbr(vertices[head]):
+        if dv < radius:
+            for w in nbr(v):
                 j = get(w)
                 if j is None:
                     j = len(vertices)
@@ -255,7 +221,7 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
         else:
             # Peripheral shell: every in-window neighbor (dist <= R) has
             # already been discovered, so filtering by the index is exact.
-            for w in nbr(vertices[head]):
+            for w in nbr(v):
                 j = get(w)
                 if j is not None:
                     row.append(j)
@@ -267,6 +233,46 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
 def _over_budget(space, base, radius, budget):
     return ResourceLimitError(f"window ({space!r}, base={base!r}, "
                               f"R={radius}) exceeds vertex budget {budget}")
+
+
+def _sub_window(known, k, radius):
+    """B_radius(v) for v = known.vertices[k], by a BFS over the rows of
+    ``known``, which must contain that ball.
+
+    A vertex u at distance below ``radius`` from v is within
+    d(known.base, v) + radius - 1 < known.radius of the base, so its row
+    in ``known`` lists every generator neighbor in generator order.  A
+    vertex u at distance ``radius`` is in ``known``, and so is each of its
+    neighbors in B_radius(v); its row keeps those, in generator order.  So
+    the BFS discovers vertices in the order of the generator loop and
+    gives the same rows.
+    """
+    kadj = known.adjacency
+    remap = [-1] * len(kadj)      # index here of known vertex j, or -1
+    remap[k] = 0
+    order = [k]                   # index in known of each vertex here
+    dist = [0]
+    adjacency = []
+    head = 0
+    while head < len(order):
+        dv = dist[head]
+        row = []
+        for j in kadj[order[head]]:
+            i = remap[j]
+            if i < 0:
+                if dv == radius:
+                    continue
+                i = remap[j] = len(order)
+                order.append(j)
+                dist.append(dv + 1)
+            row.append(i)
+        adjacency.append(row)
+        head += 1
+    # The index keeps remap's int objects, which the rows share.
+    kverts = known.vertices
+    index = {kverts[j]: remap[j] for j in order}
+    return Window(known.space, kverts[k], radius, list(index), index, dist,
+                  adjacency)
 
 
 def dist_field(window, sources):
