@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import _summarize, busemann_anchors
+from .fields import ConvergenceReport, busemann_anchors
 from .space import _bfs_from_indices, bfs_memo
 
 
@@ -158,9 +158,10 @@ def representation_check(field, x, corays):
     inconclusive, not as failures.
 
     b_g(x) is read from the sweep d(x, g(t)) - t, t = 1..T, the Busemann
-    field of :func:`~dlscape.fields.busemann` at x alone: one BFS at x
-    gives d(x, g(t)) for the anchors of every co-ray, and the geodesy
-    check makes one BFS per distinct start, both shared across the call.
+    field of :func:`~dlscape.fields.busemann` at x alone, under the same
+    stability rule: one BFS at x gives d(x, g(t)) for the anchors of every
+    co-ray, and the geodesy check makes one BFS per distinct start, both
+    shared across the call.
     """
     window = field.window
     zone = field.zone
@@ -188,9 +189,13 @@ def representation_check(field, x, corays):
                             parameter="zone", witness=x)
         dx = dist_from(ix)
         steps = range(1, len(anchors))
-        sweep = [(t, dx[anchors[t]] - t) for t in steps]
-        values, brep = _summarize(window, [ix], steps, {ix: sweep}, 2 * zone)
-        bx = values[ix]
+        bx = change = None
+        for t in steps:
+            b = dx[anchors[t]] - t
+            if b != bx:
+                bx, change = b, t
+        brep = ConvergenceReport.from_last_change(steps, 2 * zone,
+                                                  {ix: change})
         stable = brep.stable[ix] or (start == x and bx == 0)
         bound = field.value_at(start) + bx
         entry = ReprEntry(start, bx, field.value_at(start), bound,

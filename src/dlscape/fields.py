@@ -24,10 +24,21 @@ class ConvergenceReport:
     tail: int
     stable: dict
     last_change: dict
-    oscillation: dict
 
-    def stable_indices(self):
-        return [i for i, ok in self.stable.items() if ok]
+    @classmethod
+    def from_last_change(cls, schedule, tail, last_change):
+        """The stability rule.  A vertex's sweep entries are a suffix of the
+        schedule; it is stable when its value last changed at or before
+        cutoff = max(schedule) - tail and at least two schedule parameters
+        exceed the cutoff.  Such a vertex has an entry at each of those
+        parameters and the value held across all of them.
+        """
+        schedule = tuple(schedule)
+        cutoff = schedule[-1] - tail
+        settled = sum(p > cutoff for p in schedule) >= 2
+        return cls(schedule, tail,
+                   {i: settled and c <= cutoff
+                    for i, c in last_change.items()}, last_change)
 
 
 @dataclass
@@ -85,41 +96,37 @@ class ScalarField:
         return bad
 
 
-def _summarize(window, zone_idx, schedule, history, tail, monotone_max=None):
-    """Collapse a per-parameter value history into field + report.
-
-    ``history`` maps index -> list of (parameter, value); entries may start
-    later than the schedule for vertices whose early entries are invalid.
-    A vertex is stable when at least two entries fall in the tail window
-    (parameter > last - tail) and none of them changed the value.
-    """
-    values, stable, last_change, oscillation = {}, {}, {}, {}
-    last_param = schedule[-1]
-    cutoff = last_param - tail
-    for i in zone_idx:
-        seq = history[i]
-        if not seq:
-            continue
-        vals = [v for _, v in seq]
-        values[i] = vals[-1]
-        change = seq[0][0]
-        for (p0, v0), (p1, v1) in zip(seq, seq[1:]):
-            if v1 != v0:
-                change = p1
-        last_change[i] = change
-        tail_vals = [v for p, v in seq if p > cutoff]
-        osc = max(tail_vals) - min(tail_vals) if tail_vals else 0
-        oscillation[i] = osc
-        stable[i] = len(tail_vals) >= 2 and osc == 0 and change <= cutoff
-    return values, ConvergenceReport(tuple(schedule), tail, stable,
-                                     last_change, oscillation)
-
-
 def _check_zone(window, zone):
     if zone < 1:
         raise DomainError("zone must be >= 1")
     if zone > window.radius:
         raise ZoneError("zone exceeds the window radius", parameter="radius")
+
+
+def _sweep(window, kind, zone, tail, steps):
+    """The limit of d(., H_n) - c_n on B_zone(base), swept along a schedule.
+
+    Each step is (parameter, source indices of H_n, shift c_n, limit): one
+    BFS from the sources confined to the first ``limit`` indices (a ball
+    around the base) gives the values of the zone vertices below
+    ``limit``, so a vertex's entries form a suffix of the schedule.  Only
+    the last value and the parameter of its last change are kept; the
+    stability rule is :meth:`ConvergenceReport.from_last_change`, with
+    tail 2 * zone by default.
+    """
+    zone_n = window.count_within(zone)
+    values, changed, schedule = {}, {}, []
+    for param, sources, shift, limit in steps:
+        schedule.append(param)
+        d = _bfs_from_indices(window, sources, limit)
+        for i in range(min(zone_n, limit)):
+            v = d[i] - shift
+            if values.get(i) != v:
+                values[i] = v
+                changed[i] = param
+    report = ConvergenceReport.from_last_change(
+        schedule, 2 * zone if tail is None else tail, changed)
+    return ScalarField(window, kind, zone, values, report), report
 
 
 def u_r(window, r, zone):
@@ -139,8 +146,7 @@ def u_r(window, r, zone):
     zone_idx = window.indices_within(zone)
     values = {i: df[i] - r for i in zone_idx}
     report = ConvergenceReport((r,), 0, {i: True for i in zone_idx},
-                               {i: r for i in zone_idx},
-                               {i: 0 for i in zone_idx})
+                               {i: r for i in zone_idx})
     return ScalarField(window, "u_r", zone, values, report)
 
 
@@ -165,6 +171,10 @@ def u_point_assigned(window, schedule, zone, tail=None):
     u^r(x) is monotone non-decreasing in r once r >= d(base, x), so only
     schedule entries in that range count; earlier entries can overshoot
     the limit (e.g. on the halfline) and are ignored per vertex.
+    Monotone: a path from x in B_r to S_r' (r' > r) crosses S_r, and from
+    there needs r' - r more steps, so u^r'(x) >= u^r(x), in any window.
+    The value at the base is d(base, S_r) - r = 0 for every r.  Neither
+    needs a run-time check.
 
     Needs max(schedule) <= R and zone <= R, nothing more: the values are
     then those of the infinite graph, so every window of radius at least
@@ -176,30 +186,10 @@ def u_point_assigned(window, schedule, zone, tail=None):
     B_R.
     """
     schedule = _check_schedule(window, schedule, zone)
-    if tail is None:
-        tail = 2 * zone
-    zone_idx = window.indices_within(zone)
-    history = {i: [] for i in zone_idx}
-    for r in schedule:
-        inside = window.count_within(r)
-        d = _bfs_from_indices(window, range(window.count_within(r - 1),
-                                            inside), limit=inside)
-        for i in zone_idx[:inside]:
-            seq = history[i]
-            v = d[i] - r
-            if seq and v < seq[-1][1]:
-                raise ZoneError(
-                    "u^r decreased for r >= d(base,x); window too small "
-                    "for exact sphere distances", parameter="radius",
-                    witness=window.vertices[i])
-            seq.append((r, v))
-    values, report = _summarize(window, zone_idx, schedule, history, tail)
-    field = ScalarField(window, "point_assigned", zone, values, report)
-    base_val = values[window.base_index]
-    if base_val != 0:
-        raise ZoneError(f"point-assigned value at base is {base_val}, not 0",
-                        parameter="radius")
-    return field, report
+    count = window.count_within
+    return _sweep(window, "point_assigned", zone, tail,
+                  ((r, range(count(r - 1), count(r)), r, count(r))
+                   for r in schedule))
 
 
 def verify_geodesic(window, path, dist_from=None):
@@ -257,32 +247,34 @@ def busemann(window, ray, T, zone, tail=None):
     exact on the zone.  The sweep is monotone non-increasing in t, which
     drives the stabilization flags: ray[t] and ray[t+1] are adjacent, so
     d(y, ray[t+1]) <= d(y, ray[t]) + 1 in the window graph for every y.
+
+    The BFS from an anchor a is confined to B_{d(base, a) + zone}.  A
+    vertex z on a window geodesic from a zone vertex y to a has
+    d(base, z) <= zone + d(y, z) and d(base, z) <= d(base, a) + d(a, z),
+    and d(y, z) + d(z, a) = d(y, a) <= zone + d(base, a), so
+    2 d(base, z) <= 2 (zone + d(base, a)).
     """
     anchors = busemann_anchors(window, ray, T, zone)
-    if tail is None:
-        tail = 2 * zone
-    zone_idx = window.indices_within(zone)
-    history = {i: [] for i in zone_idx}
-    for t in range(1, T + 1):
-        d = _bfs_from_indices(window, [anchors[t]])
-        for i in zone_idx:
-            history[i].append((t, d[i] - t))
-    schedule = tuple(range(1, T + 1))
-    values, report = _summarize(window, zone_idx, schedule, history, tail)
-    return ScalarField(window, "busemann", zone, values, report), report
+    dist, count = window.dist_from_base, window.count_within
+    return _sweep(window, "busemann", zone, tail,
+                  ((t, (a,), t, count(dist[a] + zone))
+                   for t, a in enumerate(anchors) if t))
 
 
 def horofunction(window, points, zone, tail=None):
     """Horofunction-type field d(., p_n) - d(base, p_n) along a diverging
-    vertex sequence.  Sequences need not be monotone; the report carries
-    the tail oscillation instead of a convergence claim.
+    vertex sequence.  Sequences need not be monotone; the stability flags
+    say where the sweep has settled, not that it converges.
+
+    The BFS from p_n is confined to B_{d(base, p_n) + zone}, by the proof
+    in :func:`busemann` with p_n for the anchor.
     """
     _check_zone(window, zone)
     points = list(points)
     if len(points) < 2:
         raise DomainError("need at least two points")
     dist = window.dist_from_base
-    radii = []
+    idxs = []
     for p in points:
         i = window.index.get(p)
         if i is None:
@@ -292,26 +284,23 @@ def horofunction(window, points, zone, tail=None):
             raise ZoneError("point too close to the window boundary "
                             "(need d(base, p) + zone <= R)",
                             parameter="radius", witness=p)
-        radii.append(dist[i])
-    if any(b <= a for a, b in zip(radii, radii[1:])):
+        idxs.append(i)
+    if any(dist[j] <= dist[i] for i, j in zip(idxs, idxs[1:])):
         raise DomainError("d(base, p_n) must be strictly increasing")
-    if tail is None:
-        tail = 2 * zone
-    zone_idx = window.indices_within(zone)
-    history = {i: [] for i in zone_idx}
-    for p, rn in zip(points, radii):
-        d = dist_field(window, (p,))
-        for i in zone_idx:
-            history[i].append((rn, d[i] - rn))
-    values, report = _summarize(window, zone_idx, tuple(radii), history, tail)
-    return ScalarField(window, "horo", zone, values, report), report
+    count = window.count_within
+    return _sweep(window, "horo", zone, tail,
+                  ((dist[i], (i,), dist[i], count(dist[i] + zone))
+                   for i in idxs))
 
 
 def dl_from_sets(window, sets, shifts, zone, tail=None):
     """General set-sequence field d(., H_n) - c_n.
 
-    Exactness needs d(base, H_n) + 2*zone <= R so the realizing shortest
-    path from any zone vertex stays inside the window.
+    Exactness needs a + 2*zone <= R, a = d(base, H_n), so the realizing
+    shortest path from any zone vertex stays inside the window: it has
+    length at most zone + a (through the base), so its vertices, its
+    nearest member of H_n included, lie in B_{a + 2*zone}.  The BFS from
+    H_n is confined to that ball; members past it are skipped.
     """
     _check_zone(window, zone)
     sets = [tuple(s) for s in sets]
@@ -319,8 +308,8 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     if len(sets) != len(shifts) or len(sets) < 2:
         raise DomainError("need matching sets/shifts lists of length >= 2")
     dist = window.dist_from_base
-    base_dists = []
-    for hn in sets:
+    steps = []
+    for hn, cn in zip(sets, shifts):
         if not hn:
             raise DomainError("H_n must be non-empty")
         idxs = [window.require_zone(v, window.radius, what="H_n") for v in hn]
@@ -329,21 +318,11 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
             raise ZoneError("H_n too close to the window boundary "
                             "(need d(base, H_n) + 2*zone <= R)",
                             parameter="radius")
-        base_dists.append(a)
-    if any(b <= a for a, b in zip(base_dists, base_dists[1:])):
+        steps.append((a, idxs, cn, window.count_within(a + 2 * zone)))
+    if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
         raise DomainError("d(base, H_n) must be strictly increasing "
                           "(diverging sets)")
-    if tail is None:
-        tail = 2 * zone
-    zone_idx = window.indices_within(zone)
-    history = {i: [] for i in zone_idx}
-    for hn, cn, a in zip(sets, shifts, base_dists):
-        d = dist_field(window, hn)
-        for i in zone_idx:
-            history[i].append((a, d[i] - cn))
-    values, report = _summarize(window, zone_idx, tuple(base_dists), history,
-                                tail)
-    return ScalarField(window, "set_limit", zone, values, report), report
+    return _sweep(window, "set_limit", zone, tail, steps)
 
 
 @dataclass
@@ -499,6 +478,5 @@ def field_from_json(data, window):
         stable[i] = row["stable"]
         last_change[i] = row["last_change"]
     report = ConvergenceReport(tuple(data["schedule"]), data["tail"],
-                               stable, last_change,
-                               {i: 0 for i in values})
+                               stable, last_change)
     return ScalarField(window, data["kind"], data["zone"], values, report)

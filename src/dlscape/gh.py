@@ -84,7 +84,7 @@ class FiniteMetricSpace:
             scale = Fraction(data["scale"]["num"], data["scale"]["den"])
             dist = tuple(tuple(int(v) for v in row) for row in data["dist"])
             return cls(int(data["n"]), dist, int(data["base"]), scale)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed finite-space JSON: {exc}") from exc
 
 

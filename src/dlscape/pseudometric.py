@@ -248,6 +248,12 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
 
     Both routes use the same evidence: a pair is joined only when its rho
     entries are stable both ways, as in :meth:`RhoMatrix.zero_blocks`.
+
+    The fields are compared on B_{zone - dmax}(base), dmax the largest
+    d(base, s) over the sample, and on the sample itself.  A constant
+    difference c on a set holding x and y gives c = u_x(x) - u_y(x) =
+    -u_y(x) and c = u_x(y) - u_y(y) = u_x(y), so u_x(y) + u_y(x) = 0:
+    this route joins only pairs with rho = 0.
     """
     sample = tuple(sample)
     if fields is None:
@@ -263,8 +269,8 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     if eval_zone < 1:
         raise ZoneError("zone too small for a shared evaluation region",
                         parameter="zone")
-    eval_vertices = [window.vertices[i]
-                     for i in window.indices_within(eval_zone)]
+    eval_vertices = window.vertices[:window.count_within(eval_zone)] + \
+        list(sample)
 
     n = len(sample)
     offsets = {}

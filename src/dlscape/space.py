@@ -298,8 +298,8 @@ def _bfs_from_indices(window, seeds, limit=None):
 
     With ``limit`` the search is confined to the vertices of index below
     ``limit`` (a ball around the base, when ``limit`` comes from
-    :meth:`Window.count_within`); seeds must lie below it and the result
-    has ``limit`` entries.
+    :meth:`Window.count_within`); seeds at or past it are skipped and the
+    result has ``limit`` entries.
     """
     adjacency = window.adjacency
     n = len(adjacency)

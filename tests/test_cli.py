@@ -100,6 +100,18 @@ def test_rho(capsys):
     assert data["axiom_violations"] == []
 
 
+def test_rho_classes_compare_fields_on_the_sample(capsys):
+    # u_-3 - u_0 is -3 on the evaluation ball [1, 9] around base 5 but 3
+    # at -3, so the constant-difference route keeps -3 and 0 apart, as
+    # rho(-3, 0) = 3 does
+    code, out, err = run(capsys, "rho", "--space", "line", "--radius", "60",
+                         "--r-max", "40", "--zone", "12", "--base", "5",
+                         "--sample", "0;5;9;-3")
+    assert code == 0, err
+    blocks = json.loads(out)["partition"]["blocks"]
+    assert blocks == [["-3"], ["0"], ["5"], ["9"]]
+
+
 def test_rho_unstable_entries_exit_0(capsys):
     # a tail shorter than the schedule step leaves every entry unstable;
     # neither class route may then join a pair
@@ -225,6 +237,10 @@ def test_malformed_json_files(tmp_path, capsys):
                                 "scale": {"num": 1, "den": 0}}))
     payload = _usage_error(capsys, "field", "--space", str(zero),
                            "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "DomainError"
+    zero.write_text(json.dumps({"n": 1, "base": 0, "dist": [[0]],
+                                "scale": {"num": 1, "den": 0}}))
+    payload = _usage_error(capsys, "gh", "--x", str(zero), "--y", str(zero))
     assert payload["error"] == "DomainError"
 
 

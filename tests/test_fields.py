@@ -1,6 +1,7 @@
 """Distance-like fields: approximants, limits, and the sublevel identity."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,9 @@ from dlscape import (DomainError, ZoneError, build, busemann,
                      default_t_samples, dist_field, dl_from_sets,
                      field_from_json, field_to_json, gromov_check,
                      horofunction, level_set, materialize_window, oracle,
-                     stability_check, u_point_assigned, u_r,
-                     verify_geodesic)
-from dlscape.fields import _summarize
+                     shortest_path, sphere, stability_check,
+                     u_point_assigned, u_r, verify_geodesic)
+from dlscape.fields import ConvergenceReport
 
 
 def test_u_r_closed_form_on_line(line_window):
@@ -60,18 +61,44 @@ def test_point_assigned_matches_oracle(name, params, radius):
     assert not fld.lipschitz_violations()
 
 
-def _point_assigned_by_whole_window(window, schedule, zone, tail):
-    """The sweep by definition: one whole-window BFS from S_r per r."""
+def _sweep_by_whole_window(window, zone, tail, steps):
+    """The sweep by definition: one whole-window BFS from H_n per step
+    (parameter, H_n, c_n, reach), recording d(x, H_n) - c_n for the zone
+    vertices x with d(base, x) <= reach in a per-vertex history.  A vertex
+    is stable when at least two of its entries lie in the tail (parameter
+    > last - tail), none of them differ, and its value last changed at or
+    before last - tail."""
     dist = window.dist_from_base
     zone_idx = [i for i, d in enumerate(dist) if d <= zone]
     history = {i: [] for i in zone_idx}
-    for r in schedule:
-        df = dist_field(window, [v for v, d in zip(window.vertices, dist)
-                                 if d == r])
+    for param, hn, cn, reach in steps:
+        df = dist_field(window, hn)
         for i in zone_idx:
-            if r >= dist[i]:
-                history[i].append((r, df[i] - r))
-    return _summarize(window, zone_idx, tuple(schedule), history, tail)
+            if dist[i] <= reach:
+                history[i].append((param, df[i] - cn))
+    schedule = tuple(step[0] for step in steps)
+    cutoff = schedule[-1] - tail
+    values, stable, last_change = {}, {}, {}
+    for i in zone_idx:
+        seq = history[i]
+        if not seq:
+            continue
+        values[i] = seq[-1][1]
+        last_change[i] = seq[0][0]
+        for (_, v0), (p1, v1) in zip(seq, seq[1:]):
+            if v1 != v0:
+                last_change[i] = p1
+        tail_vals = [v for p, v in seq if p > cutoff]
+        stable[i] = (len(tail_vals) >= 2
+                     and min(tail_vals) == max(tail_vals)
+                     and last_change[i] <= cutoff)
+    return values, ConvergenceReport(schedule, tail, stable, last_change)
+
+
+def _point_assigned_by_whole_window(window, schedule, zone, tail):
+    """u^r(x) = d(x, S_r) - r, read where r >= d(base, x)."""
+    return _sweep_by_whole_window(window, zone, tail, [
+        (r, sphere(window, r), r, r) for r in schedule])
 
 
 ALL_GENERATORS = [("line", {}, 60), ("halfline", {}, 60),
@@ -93,6 +120,85 @@ def test_point_assigned_matches_whole_window_sweep(name, params, radius):
                                                           zone, 2 * zone)
             assert fld.values == values
             assert rep == ref
+
+
+def _far_vertices(window, rng, lo, hi, k):
+    """k seeded vertices at distances from lo to hi, by increasing
+    distance; None when the range is too short."""
+    if hi - lo + 1 < k:
+        return None
+    out = []
+    for r in sorted(rng.sample(range(lo, hi + 1), k)):
+        out.append(rng.choice(sphere(window, r)))
+    return out
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_limit_fields_match_whole_window_sweeps(name, params, radius):
+    """Busemann, horofunction and set-limit fields, with BFS passes
+    confined to a ball around the base, equal the sweeps by definition
+    with one whole-window BFS per step."""
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    rng = random.Random(name)
+    dist = w.dist_from_base
+    for zone in (2, radius // 4):
+        far = radius - zone
+        for tail in (None, zone // 2 + 1):
+            ref_tail = 2 * zone if tail is None else tail
+            # rays from the base and from a zone vertex, with anchors at
+            # every distance; some go past R - zone and must be refused
+            starts = (w.base, rng.choice(sphere(w, zone)))
+            for s in starts:
+                for t in (rng.choice(sphere(w, far)),
+                          rng.choice(sphere(w, radius))):
+                    ray = shortest_path(w, s, t)
+                    if len(ray) < 2:
+                        continue
+                    T = len(ray) - 1
+                    if max(dist[w.index[v]] for v in ray) + zone > radius:
+                        with pytest.raises(ZoneError):
+                            busemann(w, ray, T, zone, tail)
+                        continue
+                    fld, rep = busemann(w, ray, T, zone, tail)
+                    assert fld.kind == "busemann"
+                    assert (fld.values, rep) == _sweep_by_whole_window(
+                        w, zone, ref_tail,
+                        [(k, (ray[k],), k, zone) for k in range(1, T + 1)])
+            for k in (2, 4):
+                points = _far_vertices(w, rng, 1, far, k)
+                if points is None:
+                    continue
+                fld, rep = horofunction(w, points, zone, tail)
+                assert fld.kind == "horo"
+                steps = [(dist[w.index[p]], (p,), dist[w.index[p]], zone)
+                         for p in points]
+                assert (fld.values, rep) == _sweep_by_whole_window(
+                    w, zone, ref_tail, steps)
+            # H_n: a nearest member at distance a <= R - 2*zone, either
+            # anywhere (shifted at random) or on a ray from the base
+            # (shifted by a, a Busemann-like limit), plus members farther
+            # out, some past the ball B_{a+2*zone} the BFS is confined to
+            near = radius - 2 * zone
+            ray = shortest_path(w, w.base, rng.choice(sphere(w, near)))
+            for nearest, jitter in (
+                    (_far_vertices(w, rng, 1, near, 3), 2),
+                    ([ray[a] for a in range(1, near + 1, 2)], 0)):
+                if nearest is None or len(nearest) < 2:
+                    continue
+                sets, shifts, steps = [], [], []
+                for p in nearest:
+                    a = dist[w.index[p]]
+                    hn = (p, w.vertices[-1], rng.choice(w.vertices[
+                        w.count_within(a):]))
+                    cn = a + rng.randint(-jitter, jitter)
+                    sets.append(hn)
+                    shifts.append(cn)
+                    steps.append((a, hn, cn, zone))
+                fld, rep = dl_from_sets(w, sets, shifts, zone, tail)
+                assert fld.kind == "set_limit"
+                assert (fld.values, rep) == _sweep_by_whole_window(
+                    w, zone, ref_tail, steps)
 
 
 def test_point_assigned_stick_tolerance():
@@ -231,7 +337,7 @@ def test_field_json_roundtrip(h_window, h_field):
     data = json.loads(json.dumps(field_to_json(h_field)))
     rebuilt = field_from_json(data, h_window)
     assert rebuilt.values == h_field.values
-    assert rebuilt.report.stable == h_field.report.stable
+    assert rebuilt.report == h_field.report
 
 
 def _big_and_small_windows(name, params, radius):

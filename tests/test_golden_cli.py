@@ -1,0 +1,69 @@
+"""Golden gate: the README's CLI examples give byte-identical stdout.
+
+The digests were captured from the code before the field sweeps were
+merged into one kernel; a refactor that changes any byte of these outputs,
+or an exit code, fails here.  ``gh`` runs on the two finite spaces below
+instead of the README's placeholder files.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dlscape.cli import main
+
+GH_X = {"n": 3, "base": 0, "scale": {"num": 1, "den": 1},
+        "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+GH_Y = {"n": 3, "base": 0, "scale": {"num": 1, "den": 2},
+        "dist": [[0, 2, 3], [2, 0, 2], [3, 2, 0]]}
+
+# (argv, exit code, sha256 of stdout); "{x}" and "{y}" name GH_X and GH_Y.
+GOLDEN = [
+    (["zoo", "list"], 0,
+     "8eebeeee62e2b6aaef4a9f112f8449af7061a00ae1c826ba355503276465449a"),
+    (["field", "--space", "h_graph", "--radius", "120", "--r-max", "96",
+      "--zone", "20"], 0,
+     "66bb4af91be9046ac0c68274b772d1493f2dce5d620eedd75ef4a02119484e79"),
+    (["level-set", "--space", "h_graph", "--radius", "60", "--r-max", "48",
+      "--zone", "10", "--level", "0"], 0,
+     "e2d8be172e0b8e9d475e004dc3290abd7a3e42e763d8015b15d576fce252688d"),
+    (["busemann", "--space", "line", "--radius", "40", "--ray-target", "30",
+      "--zone", "8"], 0,
+     "a79b76306822d6a992db4230d3baee15121f29be014d157d0d0e3bad0a9cab91"),
+    (["horo", "--space", "line", "--radius", "40", "--points", "10;20;30",
+      "--zone", "8"], 0,
+     "68446d2f6a589a7dea0bbd8bd90d5cfdfccb1809e42e30ed0084b6a4421f72ca"),
+    (["coray", "--space", "h_graph", "--radius", "60", "--r-max", "48",
+      "--zone", "10", "--start", "2,2"], 0,
+     "a1ee24bd9b02b08f8ef4857a931320feef7e5cbf59b77ea9d5f1ed5302b7ac12"),
+    (["rho", "--space", "line", "--radius", "40", "--r-max", "32", "--zone",
+      "8", "--sample=-2;0;3"], 0,
+     "4210121c370966f1c6fb3f48827225a2befb18bde45368c66181d7efb19bffc0"),
+    (["gh", "--x", "{x}", "--y", "{y}"], 0,
+     "91a29e56d8cc4acdc689ccfd3b2e6a07e7a4c8e9547508e9cf5f5f378ac3abcf"),
+    (["experiment", "pa-gh", "--space-x", "pendant_line", "--space-y",
+      "line", "--map", "nearest_spine", "--eps", "1", "--radius", "40",
+      "--r-max", "32", "--zone", "8", "--tail", "16"], 0,
+     "c475693134343ee4778d4db4380f218635471fee55747cf81f44835c61c0fc34"),
+    (["check", "--suite", "anti-triangle", "--space", "h_graph", "--trials",
+      "500", "--seed", "7"], 0,
+     "523bf9a69b9e8e915e0496339d3ea8fdedd33026db9e56e648641653633fb897"),
+]
+
+
+def _run(capsys, tmp_path, argv):
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(json.dumps(GH_X))
+    y.write_text(json.dumps(GH_Y))
+    argv = [a.format(x=x, y=y) for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[g[0][0] for g in GOLDEN])
+def test_readme_example_output_is_unchanged(capsys, tmp_path, argv, code,
+                                            digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
