@@ -220,4 +220,6 @@ def run_suite(name, space, radius, trials, seed):
     if fn is None:
         raise DomainError(f"unknown suite {name!r}; "
                           f"choose from {sorted(SUITES)}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     return fn(space, radius, trials, seed)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import checks, corays, fields, gh, pseudometric, zoo
 from .errors import DlscapeError, DomainError, GeneratorParamError
-from .space import bfs_memo, materialize_window, shortest_path
+from .space import materialize_window, shortest_path
 
 DEFAULT_SEED = 0
 
@@ -95,7 +95,7 @@ def _schedule(args):
         raise DomainError(f"--r-step must be >= 1, got {args.r_step}")
     step = args.r_step if args.r_step else max(1, args.r_max // 10)
     sched = list(range(step, args.r_max + 1, step))
-    if sched[-1] != args.r_max:
+    if not sched or sched[-1] != args.r_max:
         sched.append(args.r_max)
     return sched
 
@@ -196,11 +196,9 @@ def cmd_coray(args):
     start = _vertex(space, args.start) if args.start is not None \
         else window.base
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
-    dist_from = bfs_memo(window)    # every traced co-ray starts at start
-    out_paths, all_ok = [], True
-    for cr in trace.paths:
-        ok = corays.verify_gradient(cr, fld, dist_from)
-        all_ok = all_ok and ok
+    oks = corays.verify_corays(trace.paths, fld)
+    out_paths = []
+    for cr, ok in zip(trace.paths, oks):
         out_paths.append({
             "vertices": [space.vertex_label(v) for v in cr.vertices],
             "decrements": list(cr.decrements),
@@ -211,7 +209,7 @@ def cmd_coray(args):
                "descending_neighbors": corays.uniqueness_probe(fld, start),
                "paths": out_paths, "exhausted": trace.exhausted}
     _emit(args, _canonical(payload))
-    return 0 if all_ok else 1
+    return 0 if all(oks) else 1
 
 
 def cmd_rho(args):
@@ -406,6 +404,9 @@ def main(argv=None):
             val = getattr(exc, attr, None)
             if val is not None:
                 payload[attr] = str(val)
+        need = getattr(exc, "need", None)
+        if need is not None:
+            payload["need"] = need
         sys.stderr.write(_canonical(payload))
         return 2
     except OSError as exc:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import ConvergenceReport, busemann_anchors
-from .space import _bfs_from_indices, bfs_memo
+from .fields import (ConvergenceReport, busemann_anchors, geodesy_limit,
+                     verify_geodesic)
+from .space import bfs_memo
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,10 @@ def trace_corays(field, start, max_paths=64):
     Neighbor ties break in generator order.  A path that stops strictly
     inside the zone contradicts co-ray existence and raises
     :class:`DescentError`; a stop at the zone boundary is reported as a
-    truncated path.
+    truncated path.  ``max_paths`` must be at least 1.
     """
+    if max_paths < 1:
+        raise DomainError(f"max_paths must be >= 1, got {max_paths}")
     window = field.window
     i0 = field.index_of(start)
     dist = window.dist_from_base
@@ -87,33 +90,58 @@ def trace_corays(field, start, max_paths=64):
 def verify_gradient(coray, field, dist_from=None):
     """Independent re-check of the gradient identity and geodesy.
 
-    True iff the field drops by exactly one per step and every vertex pair
-    on the path is at hop distance equal to its index gap.  The distance
-    test is exact under truncation: the path bounds the in-window distance
-    above, and in-window distances bound the true ones below.
+    True iff every vertex lies in the field's zone, the field drops by
+    exactly one per step and every vertex pair on the path is at hop
+    distance equal to its index gap.  The distance test is exact under
+    truncation: the path bounds the in-window distance above, and
+    in-window distances bound the true ones below.
 
-    One BFS from path[0] decides every pair: consecutive vertices are
+    The pairs from g_0 decide every pair: consecutive vertices are
     adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
-    forces d(g_s, g_t) = t - s.  ``dist_from`` shares that BFS across
-    calls, as in :func:`~dlscape.fields.verify_geodesic`.
+    forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields.verify_geodesic`
+    decides them with one BFS from g_0, confined to the ball of
+    :func:`~dlscape.fields.geodesy_limit`; for a co-ray, a geodesic
+    between zone vertices, that ball lies in B_{2 zone}.  ``dist_from``
+    shares that BFS across calls and must cover the ball, as there.
     """
-    window = field.window
     try:
         idxs = [field.index_of(v) for v in coray.vertices]
     except ZoneError:
         return False
     values = field.values
-    for a, b in zip(idxs, idxs[1:]):
-        if b not in window.adjacency[a]:
-            return False
-        if values[a] - values[b] != 1:
-            return False
-    if dist_from is None:
-        d = _bfs_from_indices(window, [idxs[0]])
-    else:
-        d = dist_from(idxs[0])
-    return all(d[i] == t for t, i in enumerate(idxs))
+    if any(values[a] - values[b] != 1 for a, b in zip(idxs, idxs[1:])):
+        return False
+    return verify_geodesic(field.window, coray.vertices, dist_from)
+
+
+def _shared_bfs(field, corays, ix=None):
+    """One BFS memo for the geodesy checks of ``corays`` and, with ``ix``,
+    the pass at window index ix that reads b_g there, confined to the
+    union of the balls they need: :func:`~dlscape.fields.geodesy_limit`
+    for each co-ray, and B_{d(base, x) + max_t d(base, g(t))} at x (see
+    :func:`representation_check`).  Co-rays that leave the window are
+    refused before any pass and add nothing.
+    """
+    window = field.window
+    dist = window.dist_from_base
+    limit = 0
+    for coray in corays:
+        idxs = [window.index.get(v) for v in coray.vertices]
+        if not idxs or None in idxs:
+            continue
+        limit = max(limit, geodesy_limit(window, idxs))
+        if ix is not None:
+            top = dist[ix] + max(dist[i] for i in idxs)
+            limit = max(limit, window.count_within(top))
+    return bfs_memo(window, limit)
+
+
+def verify_corays(corays, field):
+    """:func:`verify_gradient` of each co-ray, with one shared BFS per
+    distinct start (one in all for the co-rays of a trace)."""
+    dist_from = _shared_bfs(field, corays)
+    return [verify_gradient(coray, field, dist_from) for coray in corays]
 
 
 def uniqueness_probe(field, start):
@@ -160,15 +188,22 @@ def representation_check(field, x, corays):
     b_g(x) is read from the sweep d(x, g(t)) - t, t = 1..T, the Busemann
     field of :func:`~dlscape.fields.busemann` at x alone, under the same
     stability rule: one BFS at x gives d(x, g(t)) for the anchors of every
-    co-ray, and the geodesy check makes one BFS per distinct start, both
-    shared across the call.
+    co-ray, and the geodesy check makes one BFS per distinct start, all
+    shared across the call (x is often a start itself).
+
+    The pass at x needs only B_{d(base, x) + max d(base, a)} over the
+    anchors a, by the proof in :func:`~dlscape.fields.busemann`: a vertex
+    z on a window geodesic from x to a has 2 d(base, z) <= (d(base, x) +
+    d(x, z)) + (d(base, a) + d(z, a)) <= 2 (d(base, x) + d(base, a)),
+    since d(x, a) <= d(base, x) + d(base, a).  The shared passes are
+    confined to the union of that ball and the geodesy balls.
     """
     window = field.window
     zone = field.zone
     ix = field.index_of(x)
     ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
-    dist_from = bfs_memo(window)
+    dist_from = _shared_bfs(field, corays, ix)
     for coray in corays:
         start = coray.vertices[0]
         if coray.length == 0:
@@ -186,7 +221,8 @@ def representation_check(field, x, corays):
             continue
         if window.dist_from_base[ix] > zone:
             raise ZoneError(f"vertex {x!r} outside the field zone",
-                            parameter="zone", witness=x)
+                            parameter="zone", witness=x,
+                            need=window.dist_from_base[ix])
         dx = dist_from(ix)
         steps = range(1, len(anchors))
         bx = change = None

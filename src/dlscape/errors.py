@@ -24,13 +24,16 @@ class DomainError(DlscapeError):
 class ZoneError(DomainError):
     """A query falls outside the validity zone of a window or field.
 
-    ``parameter`` names the knob to increase (radius, zone, ...).
+    ``parameter`` names the knob to increase (radius, zone, ...) and
+    ``need``, when known, the smallest value of it that satisfies the
+    violated bound.
     """
 
-    def __init__(self, message, parameter=None, witness=None):
+    def __init__(self, message, parameter=None, witness=None, need=None):
         super().__init__(message)
         self.parameter = parameter
         self.witness = witness
+        self.need = need
 
 
 class MetricError(DlscapeError):

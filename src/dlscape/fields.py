@@ -67,7 +67,9 @@ class ScalarField:
         i = self.window.index.get(vertex)
         if i is None or i not in self.values:
             raise ZoneError(f"vertex {vertex!r} outside the field zone",
-                            parameter="zone", witness=vertex)
+                            parameter="zone", witness=vertex,
+                            need=None if i is None
+                            else self.window.dist_from_base[i])
         return i
 
     def value_at(self, vertex):
@@ -100,7 +102,8 @@ def _check_zone(window, zone):
     if zone < 1:
         raise DomainError("zone must be >= 1")
     if zone > window.radius:
-        raise ZoneError("zone exceeds the window radius", parameter="radius")
+        raise ZoneError("zone exceeds the window radius", parameter="radius",
+                        need=zone)
 
 
 def _sweep(window, kind, zone, tail, steps):
@@ -141,7 +144,8 @@ def u_r(window, r, zone):
     """
     _check_zone(window, zone)
     if r < 1 or r > window.radius:
-        raise ZoneError(f"r={r} outside window radius", parameter="radius")
+        raise ZoneError(f"r={r} outside window radius", parameter="radius",
+                        need=r if r > 0 else None)
     df = dist_field(window, sphere(window, r))
     zone_idx = window.indices_within(zone)
     values = {i: df[i] - r for i in zone_idx}
@@ -158,7 +162,8 @@ def _check_schedule(window, schedule, zone):
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be non-empty strictly increasing")
     if schedule[-1] > window.radius:
-        raise ZoneError("need max(schedule) <= R", parameter="radius")
+        raise ZoneError("need max(schedule) <= R", parameter="radius",
+                        need=schedule[-1])
     if schedule[0] < 1:
         raise ZoneError(f"r={schedule[0]} outside window radius",
                         parameter="radius")
@@ -192,13 +197,36 @@ def u_point_assigned(window, schedule, zone, tail=None):
                    for r in schedule))
 
 
+def geodesy_limit(window, idxs):
+    """Prefix length of the ball B_L, L = floor((d(base, p_0) +
+    max_t d(base, p_t) + T) / 2), that decides the geodesy of a path
+    p_0..p_T of window neighbours (window indices ``idxs``); the whole
+    window when L >= R.
+
+    The path bounds the window distance d(p_0, p_t) by t.  Let z lie on
+    a window geodesic from p_0 to p_t, of length s <= t <= T.  Then
+    d(base, z) <= d(base, p_0) + d(p_0, z) and d(base, z) <=
+    d(base, p_t) + d(z, p_t), so 2 d(base, z) <= d(base, p_0) +
+    d(base, p_t) + s <= 2 L + 1, and z lies in B_L.  So the BFS from p_0
+    confined to B_L gives the window distance d(p_0, p_t) for every t.
+    The path lies in B_L as well: distance to the base changes by at
+    most one per step, so T >= max - d(base, p_0) and L >= max.
+    """
+    dist = window.dist_from_base
+    top = (dist[idxs[0]] + max(dist[i] for i in idxs) + len(idxs) - 1) // 2
+    return window.count_within(top)
+
+
 def verify_geodesic(window, path, dist_from=None):
     """Check d(path[0], path[t]) == t for every stored t.
 
     The equality test is exact despite truncation: the path itself bounds
     the in-window distance above by t, and any in-window distance is at
-    least the true one.  ``dist_from(i)`` gives the BFS distances from
-    vertex index i, so callers can share passes; by default it runs one.
+    least the true one.  One BFS from path[0], confined to the ball of
+    :func:`geodesy_limit`, decides every t.  ``dist_from(i)`` gives the
+    BFS distances from vertex index i, so callers can share passes; each
+    must cover that ball (a longer prefix, or the whole window, serves
+    as well, since distances confined to a larger ball lie between).
     """
     if not path:
         raise DomainError("path must be non-empty")
@@ -207,10 +235,14 @@ def verify_geodesic(window, path, dist_from=None):
     for a, b in zip(idxs, idxs[1:]):
         if b not in adjacency[a]:
             return False
+    limit = geodesy_limit(window, idxs)
     if dist_from is None:
-        d0 = _bfs_from_indices(window, [idxs[0]])
+        d0 = _bfs_from_indices(window, [idxs[0]], limit)
     else:
         d0 = dist_from(idxs[0])
+        if len(d0) < limit:
+            raise DomainError("dist_from does not cover the ball the "
+                              "geodesy check needs")
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
@@ -236,7 +268,7 @@ def busemann_anchors(window, ray, T, zone, dist_from=None):
             raise ZoneError(
                 f"anchor ray[{t}] too close to the window boundary "
                 f"(need d(base, anchor) + zone <= R)", parameter="radius",
-                witness=ray[t])
+                witness=ray[t], need=max(dist[a] for a in anchors) + zone)
     return anchors
 
 
@@ -283,7 +315,8 @@ def horofunction(window, points, zone, tail=None):
         if dist[i] + zone > window.radius:
             raise ZoneError("point too close to the window boundary "
                             "(need d(base, p) + zone <= R)",
-                            parameter="radius", witness=p)
+                            parameter="radius", witness=p,
+                            need=dist[i] + zone)
         idxs.append(i)
     if any(dist[j] <= dist[i] for i, j in zip(idxs, idxs[1:])):
         raise DomainError("d(base, p_n) must be strictly increasing")
@@ -317,7 +350,7 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
         if a + 2 * zone > window.radius:
             raise ZoneError("H_n too close to the window boundary "
                             "(need d(base, H_n) + 2*zone <= R)",
-                            parameter="radius")
+                            parameter="radius", need=a + 2 * zone)
         steps.append((a, idxs, cn, window.count_within(a + 2 * zone)))
     if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
         raise DomainError("d(base, H_n) must be strictly increasing "

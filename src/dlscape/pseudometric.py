@@ -174,7 +174,8 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
             if dmap[x][y] > zone:
                 raise ZoneError(
                     f"sample points {x!r},{y!r} are {dmap[x][y]} apart, "
-                    f"beyond zone {zone}", parameter="zone", witness=(x, y))
+                    f"beyond zone {zone}", parameter="zone", witness=(x, y),
+                    need=dmap[x][y])
     if fields is None:
         fields = point_assigned_family(window, sample, schedule, zone, tail)
     n = len(sample)
@@ -268,7 +269,7 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     eval_zone = zone - max_base_dist
     if eval_zone < 1:
         raise ZoneError("zone too small for a shared evaluation region",
-                        parameter="zone")
+                        parameter="zone", need=max_base_dist + 1)
     eval_vertices = window.vertices[:window.count_within(eval_zone)] + \
         list(sample)
 

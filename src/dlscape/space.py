@@ -145,11 +145,11 @@ class Window:
         if i is None:
             raise ZoneError(f"{what} vertex {vertex!r} not in window",
                             parameter="radius", witness=vertex)
-        if self.dist_from_base[i] > rho:
+        d = self.dist_from_base[i]
+        if d > rho:
             raise ZoneError(
-                f"{what} vertex {vertex!r} at distance "
-                f"{self.dist_from_base[i]} exceeds zone {rho}",
-                parameter="zone", witness=vertex)
+                f"{what} vertex {vertex!r} at distance {d} exceeds zone "
+                f"{rho}", parameter="zone", witness=vertex, need=d)
         return i
 
     def edge_list(self):
@@ -327,14 +327,18 @@ def _bfs_from_indices(window, seeds, limit=None):
     return dist
 
 
-def bfs_memo(window):
+def bfs_memo(window, limit=None):
     """``dist_from(i)``: BFS distances from vertex index i, one pass per
-    distinct i, for the ``dist_from`` arguments of the geodesy checks."""
+    distinct i, for the ``dist_from`` arguments of the geodesy checks.
+
+    Each pass is confined as ``_bfs_from_indices(..., limit)`` confines
+    it, so ``limit`` must cover the ball every caller of the memo needs.
+    """
     dists = {}
 
     def dist_from(i):
         if i not in dists:
-            dists[i] = _bfs_from_indices(window, [i])
+            dists[i] = _bfs_from_indices(window, [i], limit)
         return dists[i]
 
     return dist_from
@@ -344,7 +348,8 @@ def sphere(window, r):
     """All vertices at hop distance exactly ``r`` from the base."""
     if r < 0 or r > window.radius:
         raise ZoneError(f"sphere radius {r} outside window radius "
-                        f"{window.radius}", parameter="radius")
+                        f"{window.radius}", parameter="radius",
+                        need=r if r > 0 else None)
     members = window.vertices[window.count_within(r - 1):
                               window.count_within(r)]
     members.sort()

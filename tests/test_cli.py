@@ -181,7 +181,7 @@ def test_usage_errors(capsys):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "ZoneError"
-    assert payload["parameter"] == "radius"
+    assert payload["parameter"] == "radius" and payload["need"] == 20
     # argparse-level misuse
     assert main(["bogus"]) == 2
     assert main(["rho", "--space", "line"]) == 2
@@ -249,6 +249,7 @@ def test_rho_sample_beyond_zone(capsys):
                            "60", "--r-max", "40", "--sample", "0;19")
     assert payload["error"] == "ZoneError"
     assert "are 19 apart" in payload["message"]
+    assert payload["need"] == 19
 
 
 def test_field_schedule_up_to_the_radius(capsys):
@@ -263,17 +264,18 @@ def test_field_schedule_up_to_the_radius(capsys):
 
 def test_coray_shares_the_start_bfs(capsys, monkeypatch):
     """All traced co-rays start at --start, so verifying them takes one
-    BFS however many there are."""
-    from dlscape import corays, space
+    BFS however many there are, confined to a ball around the base."""
+    from dlscape import fields, space
     calls = []
     bfs = space._bfs_from_indices
 
     def counted(window, seeds, limit=None):
-        if limit is None:
-            calls.append(tuple(seeds))
+        # the sweep's passes start from spheres S_r, r >= 1, not the base
+        if tuple(seeds) == (0,):
+            calls.append((len(window), limit))
         return bfs(window, seeds, limit)
 
-    for module in (corays, space):
+    for module in (fields, space):
         monkeypatch.setattr(module, "_bfs_from_indices", counted)
     code, out, _ = run(capsys, "coray", "--space", "h_graph", "--radius",
                        "60", "--r-max", "48", "--zone", "10", "--start",
@@ -282,3 +284,35 @@ def test_coray_shares_the_start_bfs(capsys, monkeypatch):
     paths = json.loads(out)["paths"]
     assert len(paths) > 1 and all(p["gradient_ok"] for p in paths)
     assert len(calls) == 1
+    n, limit = calls[0]
+    assert limit < n
+
+
+def test_zone_error_names_the_need(capsys):
+    payload = _usage_error(capsys, "coray", "--space", "grid2d", "--radius",
+                           "20", "--r-max", "16", "--zone", "4", "--start",
+                           "3,3")
+    assert payload["error"] == "ZoneError"
+    assert payload["parameter"] == "zone" and payload["need"] == 6
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_coray_max_paths_below_one(capsys, value):
+    payload = _usage_error(capsys, "coray", "--space", "line", "--radius",
+                           "30", "--r-max", "20", "--zone", "6",
+                           "--max-paths", value)
+    assert payload["error"] == "DomainError"
+    assert "max_paths" in payload["message"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_check_trials_below_one(capsys, value):
+    payload = _usage_error(capsys, "check", "--suite", "coray", "--space",
+                           "line", "--radius", "12", "--trials", value)
+    assert payload["error"] == "DomainError" and "trials" in payload["message"]
+
+
+def test_r_step_above_r_max(capsys):
+    code, out, _ = run(capsys, "field", "--space", "line", "--radius", "30",
+                       "--r-max", "4", "--r-step", "10", "--zone", "3")
+    assert code == 0 and json.loads(out)["schedule"] == [4]

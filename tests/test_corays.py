@@ -43,6 +43,9 @@ def test_line_two_corays(line_field):
 def test_max_paths_cap(line_field):
     trace = trace_corays(line_field, 0, max_paths=1)
     assert not trace.exhausted and len(trace.paths) == 1
+    for cap in (0, -3):
+        with pytest.raises(DomainError):
+            trace_corays(line_field, 0, max_paths=cap)
 
 
 def test_every_zone_vertex_descends(h_field):

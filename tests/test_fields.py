@@ -236,6 +236,26 @@ def test_bounds_at_the_window_radius(line_window):
     assert all(fld.value_at(x) == -abs(x) for x in range(-60, 61))
 
 
+def test_zone_errors_name_the_need(line_window, halfline_window):
+    """``need`` is the smallest radius or zone that satisfies the bound."""
+    fld, _ = u_point_assigned(line_window, [20], 10)
+    cases = [
+        (lambda: u_r(line_window, 61, 10), "radius", 61),
+        (lambda: u_r(line_window, 20, 61), "radius", 61),
+        (lambda: u_point_assigned(line_window, [61], 10), "radius", 61),
+        (lambda: busemann(line_window, range(0, 56), 55, 12), "radius", 67),
+        (lambda: horofunction(line_window, [10, 50], 12), "radius", 62),
+        (lambda: dl_from_sets(halfline_window, [(30,), (55,)], [30, 55],
+                              10), "radius", 75),
+        (lambda: fld.value_at(-13), "zone", 13),
+        (lambda: u_r(line_window, 0, 10), "radius", None),
+    ]
+    for call, parameter, need in cases:
+        with pytest.raises(ZoneError) as exc:
+            call()
+        assert (exc.value.parameter, exc.value.need) == (parameter, need)
+
+
 def test_verify_geodesic(line_window):
     assert verify_geodesic(line_window, [0, 1, 2, 3])
     assert not verify_geodesic(line_window, [0, 1, 0])   # not distance-true

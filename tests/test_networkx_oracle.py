@@ -4,8 +4,12 @@ import random
 
 import pytest
 
-from dlscape import build, materialize_window, shortest_path
-from dlscape.space import _bfs_from_indices
+from dlscape import (CoRay, DescentError, DomainError, ScalarField,
+                     ZoneError, build, fields, materialize_window,
+                     representation_check, shortest_path, space,
+                     trace_corays, u_point_assigned, verify_geodesic,
+                     verify_gradient)
+from dlscape.space import _bfs_from_indices, bfs_memo
 
 nx = pytest.importorskip("networkx")
 
@@ -50,3 +54,183 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
             assert path[0] == w.vertices[s] and path[-1] == w.vertices[t]
             assert all(w.index[b] in w.adjacency[w.index[a]]
                        for a, b in zip(path, path[1:]))
+
+
+# -- co-ray and geodesy checks: confined passes against the whole window --
+
+def _whole_window(m):
+    """Make every BFS of the package run over the whole window, ignoring
+    ``limit``: the unconfined reference of the same code."""
+    bfs = space._bfs_from_indices
+
+    def whole(window, seeds, limit=None):
+        return bfs(window, seeds)
+
+    for module in (space, fields):
+        m.setattr(module, "_bfs_from_indices", whole)
+
+
+def _coray_case(name, params, radius):
+    gspace = build(name, params)
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    zone = max(2, radius // 4)
+    fld, _ = u_point_assigned(w, range(2, radius + 1, 2), zone)
+    traced = []
+    for i in fld.zone_indices():
+        try:
+            traced += trace_corays(fld, w.vertices[i], max_paths=4).paths
+        except DescentError:
+            pass
+    return w, fld, traced
+
+
+def _walk(w, rng, start, steps, avoid=None):
+    """A random walk of window neighbours; with ``avoid``, self-avoiding
+    and inside that index set."""
+    path = [start]
+    for _ in range(steps):
+        nxt = [j for j in w.adjacency[path[-1]]
+               if avoid is None or (j in avoid and j not in path)]
+        if not nxt:
+            break
+        path.append(rng.choice(nxt))
+    return [w.vertices[i] for i in path]
+
+
+def _geodesic_by_networkx(w, g, dists, path):
+    idxs = [w.index.get(v) for v in path]
+    if None in idxs:
+        return "ZoneError"
+    if any(not g.has_edge(a, b) for a, b in zip(idxs, idxs[1:])):
+        return False
+    if idxs[0] not in dists:
+        dists[idxs[0]] = nx.single_source_shortest_path_length(g, idxs[0])
+    d = dists[idxs[0]]
+    return all(d[i] == t for t, i in enumerate(idxs))
+
+
+def _gradient_by_networkx(w, g, dists, path, fld):
+    idxs = [w.index.get(v) for v in path]
+    if any(i not in fld.values for i in idxs):
+        return False
+    if any(fld.values[a] - fld.values[b] != 1
+           for a, b in zip(idxs, idxs[1:])):
+        return False
+    return _geodesic_by_networkx(w, g, dists, path)
+
+
+def _ray(vertices):
+    return CoRay(tuple(vertices), (1,) * (len(vertices) - 1), True)
+
+
+def _geodesy_verdict(w, path):
+    try:
+        return verify_geodesic(w, path)
+    except ZoneError:
+        return "ZoneError"
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_confined_geodesy_checks_match_whole_window_and_networkx(
+        name, params, radius, monkeypatch):
+    w, fld, traced = _coray_case(name, params, radius)
+    rng = random.Random(name)
+    n = len(w)
+    g = _graph(w, n)
+    shell = range(w.count_within(radius - 1), n)
+    zone_set = set(fld.values)
+    # gradient checks: traced co-rays, reversed, cut, rotated, pushed to
+    # the shell, and unit drops along walks that stop being geodesic
+    grads = [(p.vertices, fld) for p in traced]
+    for p in traced:
+        v = p.vertices
+        grads += [(v[::-1], fld), (v[:1] + v[2:], fld),
+                  (v[1:] + v[:1], fld), (v + (w.vertices[-1],), fld)]
+    for _ in range(30):
+        walk = _walk(w, rng, rng.choice(sorted(zone_set)),
+                     rng.randint(1, 3 * fld.zone), avoid=zone_set)
+        values = dict(fld.values)
+        for t, u in enumerate(walk):
+            values[w.index[u]] = 100 - t
+        bent = ScalarField(w, fld.kind, fld.zone, values, fld.report)
+        grads += [(walk[:k], bent) for k in range(1, len(walk) + 1)]
+    # geodesy checks: all of the above, walks anywhere in the window, and
+    # geodesics from the zone and along the shell to the shell
+    paths = [p for p, _ in grads]
+    paths += [_walk(w, rng, rng.randrange(n), rng.randint(1, 12))
+              for _ in range(60)]
+    paths += [_walk(w, rng, rng.choice(shell), rng.randint(1, 6))
+              for _ in range(20)]
+    for _ in range(10):
+        a, b = rng.choice(sorted(zone_set)), rng.choice(shell)
+        paths.append(shortest_path(w, w.vertices[a], w.vertices[b]))
+        paths.append(shortest_path(w, w.vertices[rng.choice(shell)],
+                                   w.vertices[b]))
+    paths.append([w.vertices[-1], w.space.neighbors(w.vertices[-1])[0]])
+    dists = {}
+    got = ([verify_gradient(_ray(p), f) for p, f in grads],
+           [_geodesy_verdict(w, p) for p in paths])
+    want = ([_gradient_by_networkx(w, g, dists, p, f) for p, f in grads],
+            [_geodesic_by_networkx(w, g, dists, p) for p in paths])
+    with monkeypatch.context() as m:
+        _whole_window(m)
+        whole = ([verify_gradient(_ray(p), f) for p, f in grads],
+                 [_geodesy_verdict(w, p) for p in paths])
+    assert got == whole == want
+    for verdicts in got:
+        assert True in verdicts and False in verdicts
+    # a shared pass must cover the ball the check needs
+    far = shortest_path(w, w.base, w.vertices[-1])
+    with pytest.raises(DomainError):
+        verify_geodesic(w, far, bfs_memo(w, w.count_within(radius - 1)))
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_confined_representation_matches_whole_window(name, params, radius,
+                                                      monkeypatch):
+    w, fld, traced = _coray_case(name, params, radius)
+    rng = random.Random(name)
+    zone_idx = fld.zone_indices()
+    shell = range(w.count_within(radius - 1), len(w))
+    rays = rng.sample(traced, min(len(traced), 12))
+    # geodesic rays from the zone: to the shell (anchors too far), to the
+    # zone and back, and long ones to anchors within R - zone, whose b_g(x)
+    # can be stable; every ray starts in the zone, where u is defined
+    anchored = w.count_within(radius - fld.zone)
+    for _ in range(12):
+        a, b = (w.vertices[rng.choice(zone_idx)] for _ in range(2))
+        geo = tuple(shortest_path(w, a, b))
+        far = w.vertices[rng.choice(shell)]
+        out = w.vertices[rng.randrange(anchored)]
+        rays += [_ray(shortest_path(w, a, far)), _ray(geo), _ray(geo[::-1]),
+                 _ray(geo + geo[-2::-1]), _ray(shortest_path(w, a, out))]
+    picks = rng.sample(zone_idx, min(6, len(zone_idx)))
+    xs = [w.base, w.vertices[zone_idx[-1]]] + [w.vertices[i] for i in picks]
+    # one call per ray, whose passes are confined to that ray's balls, and
+    # one call with all rays, whose passes share the union of the balls
+    calls = [(x, [r]) for x in xs for r in rays] + [(x, rays) for x in xs]
+    got = [representation_check(fld, x, rs) for x, rs in calls]
+    with monkeypatch.context() as m:
+        _whole_window(m)
+        whole = [representation_check(fld, x, rs) for x, rs in calls]
+    assert got == whole
+    assert any(r.entries for r in got) and any(r.inconclusive for r in got)
+
+
+def test_pass_at_x_reaches_past_the_anchors(monkeypatch):
+    """On the H-graph the only geodesic from x = (-6,1) to the anchor
+    (2,8) runs up the column at -8 and along the row at height 8 through
+    (0,8), 24 from the base: past the farthest anchor (22) and the ray's
+    geodesy ball (22), inside d(base, x) + 22 = 29.  A pass at x confined
+    to B_22 reads d(x, (2,8)) = 29 instead of 21 and reports a stable
+    b_g(x) = 12 where the sweep has not settled."""
+    w = materialize_window(build("h_graph"), (0, 0), 30)
+    fld, _ = u_point_assigned(w, range(2, 31, 2), 7)
+    ray = _ray(shortest_path(w, (5, 0), (2, 8)))
+    assert max(w.dist_from_base[w.index[v]] for v in ray.vertices) == 22
+    report = representation_check(fld, (-6, 1), [ray])
+    assert not report.entries
+    assert report.inconclusive == [((5, 0), "busemann value not stable")]
+    with monkeypatch.context() as m:
+        _whole_window(m)
+        assert representation_check(fld, (-6, 1), [ray]) == report

@@ -137,6 +137,9 @@ def test_require_zone(h_window):
     with pytest.raises(ZoneError) as exc:
         h_window.require_zone((50, 50), 5, what="probe")
     assert exc.value.parameter in ("zone", "radius")
+    with pytest.raises(ZoneError) as exc:
+        h_window.require_zone((3, 3), 5, what="probe")
+    assert exc.value.parameter == "zone" and exc.value.need == 6
 
 
 def test_window_to_json(line_window):
