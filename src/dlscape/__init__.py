@@ -12,7 +12,7 @@ from .fields import (ScalarField, busemann, default_t_samples, dl_from_sets,
                      horofunction, level_set, stability_check,
                      u_point_assigned, u_r, verify_geodesic)
 from .corays import (CoRay, representation_check, trace_corays,
-                     uniqueness_probe, verify_corays, verify_gradient)
+                     uniqueness_probe, verify_gradient)
 from .pseudometric import (RhoMatrix, anti_triangle_check,
                            base_lipschitz_check, equivalence_classes,
                            point_assigned_family, rho_matrix)

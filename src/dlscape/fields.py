@@ -241,8 +241,9 @@ def verify_geodesic(window, path, dist_from=None):
     else:
         d0 = dist_from(idxs[0])
         if len(d0) < limit:
-            raise DomainError("dist_from does not cover the ball the "
-                              "geodesy check needs")
+            # a caller's memo too small is a bug, not a refused input
+            raise AssertionError("dist_from does not cover the ball the "
+                                 "geodesy check needs")
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
@@ -312,12 +313,13 @@ def horofunction(window, points, zone, tail=None):
         if i is None:
             raise ZoneError(f"point {p!r} not in window", parameter="radius",
                             witness=p)
+        idxs.append(i)
+    for p, i in zip(points, idxs):
         if dist[i] + zone > window.radius:
             raise ZoneError("point too close to the window boundary "
                             "(need d(base, p) + zone <= R)",
                             parameter="radius", witness=p,
-                            need=dist[i] + zone)
-        idxs.append(i)
+                            need=max(dist[j] for j in idxs) + zone)
     if any(dist[j] <= dist[i] for i, j in zip(idxs, idxs[1:])):
         raise DomainError("d(base, p_n) must be strictly increasing")
     count = window.count_within
@@ -346,12 +348,14 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
         if not hn:
             raise DomainError("H_n must be non-empty")
         idxs = [window.require_zone(v, window.radius, what="H_n") for v in hn]
-        a = min(dist[i] for i in idxs)
-        if a + 2 * zone > window.radius:
-            raise ZoneError("H_n too close to the window boundary "
-                            "(need d(base, H_n) + 2*zone <= R)",
-                            parameter="radius", need=a + 2 * zone)
-        steps.append((a, idxs, cn, window.count_within(a + 2 * zone)))
+        steps.append((min(dist[i] for i in idxs), idxs, cn))
+    top = max(a for a, _, _ in steps) + 2 * zone
+    if top > window.radius:
+        raise ZoneError("H_n too close to the window boundary "
+                        "(need d(base, H_n) + 2*zone <= R)",
+                        parameter="radius", need=top)
+    steps = [(a, idxs, cn, window.count_within(a + 2 * zone))
+             for a, idxs, cn in steps]
     if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
         raise DomainError("d(base, H_n) must be strictly increasing "
                           "(diverging sets)")

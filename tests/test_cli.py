@@ -270,9 +270,7 @@ def test_coray_shares_the_start_bfs(capsys, monkeypatch):
     bfs = space._bfs_from_indices
 
     def counted(window, seeds, limit=None):
-        # the sweep's passes start from spheres S_r, r >= 1, not the base
-        if tuple(seeds) == (0,):
-            calls.append((len(window), limit))
+        calls.append((tuple(seeds), len(window), limit))
         return bfs(window, seeds, limit)
 
     for module in (fields, space):
@@ -283,8 +281,11 @@ def test_coray_shares_the_start_bfs(capsys, monkeypatch):
     assert code == 0
     paths = json.loads(out)["paths"]
     assert len(paths) > 1 and all(p["gradient_ok"] for p in paths)
-    assert len(calls) == 1
-    n, limit = calls[0]
+    # every pass is confined, the sweep's (from spheres S_r, r >= 1) too
+    assert all(limit is not None for _, _, limit in calls)
+    from_start = [(n, limit) for seeds, n, limit in calls if seeds == (0,)]
+    assert len(from_start) == 1
+    n, limit = from_start[0]
     assert limit < n
 
 

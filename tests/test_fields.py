@@ -245,8 +245,12 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
         (lambda: u_point_assigned(line_window, [61], 10), "radius", 61),
         (lambda: busemann(line_window, range(0, 56), 55, 12), "radius", 67),
         (lambda: horofunction(line_window, [10, 50], 12), "radius", 62),
+        # with two points past the bound, the farther one names the need
+        (lambda: horofunction(line_window, [50, 55], 12), "radius", 67),
         (lambda: dl_from_sets(halfline_window, [(30,), (55,)], [30, 55],
                               10), "radius", 75),
+        (lambda: dl_from_sets(halfline_window, [(45,), (50,)], [45, 50],
+                              10), "radius", 70),
         (lambda: fld.value_at(-13), "zone", 13),
         (lambda: u_r(line_window, 0, 10), "radius", None),
     ]
