@@ -182,8 +182,8 @@ def representation_check(field, x, corays):
 
     Each supplied co-ray contributes the bound u(g(0)) + b_g(x); the bound
     with the self-started co-ray is exact (b vanishes at its own origin).
-    Rays whose Busemann sweep has not stabilized at x are reported as
-    inconclusive, not as failures.
+    Rays whose Busemann sweep has not stabilized at x, or that start
+    outside the field zone, are reported as inconclusive, not as failures.
 
     b_g(x) is read from the sweep d(x, g(t)) - t, t = 1..T, the Busemann
     field of :func:`~dlscape.fields.busemann` at x alone, under the same
@@ -216,6 +216,7 @@ def representation_check(field, x, corays):
         try:
             anchors = busemann_anchors(window, coray.vertices, coray.length,
                                        zone, dist_from)
+            u_start = field.value_at(start)
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
             continue
@@ -233,8 +234,8 @@ def representation_check(field, x, corays):
         brep = ConvergenceReport.from_last_change(steps, 2 * zone,
                                                   {ix: change})
         stable = brep.stable[ix] or (start == x and bx == 0)
-        bound = field.value_at(start) + bx
-        entry = ReprEntry(start, bx, field.value_at(start), bound,
+        bound = u_start + bx
+        entry = ReprEntry(start, bx, u_start, bound,
                           equality=(ux == bound), stable=stable)
         if stable:
             report.entries.append(entry)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ZoneError
-from .space import dist_field, sphere, _bfs_from_indices
+from .space import _bfs_from_indices
 
 FIELD_KINDS = ("u_r", "point_assigned", "busemann", "horo", "set_limit")
 
@@ -140,13 +140,17 @@ def u_r(window, r, zone):
     from x to S_r meets S_r before it can leave B_r.  For x at distance
     s > r, every point of S_r is at least s - r from x, and the segment
     of a base-x geodesic from S_r to x has that length and stays in B_s.
-    Either way a shortest path lies in the window.
+    Either way a shortest path lies in the window, and for x in B_zone
+    it lies in B_{max(r, zone)}: the one BFS from S_r, an index range as
+    in :func:`u_point_assigned`, is confined to that ball.
     """
     _check_zone(window, zone)
     if r < 1 or r > window.radius:
         raise ZoneError(f"r={r} outside window radius", parameter="radius",
                         need=r if r > 0 else None)
-    df = dist_field(window, sphere(window, r))
+    count = window.count_within
+    df = _bfs_from_indices(window, range(count(r - 1), count(r)),
+                           count(max(r, zone)))
     zone_idx = window.indices_within(zone)
     values = {i: df[i] - r for i in zone_idx}
     report = ConvergenceReport((r,), 0, {i: True for i in zone_idx},
@@ -374,18 +378,8 @@ class GromovReport:
     def ok(self):
         return not self.violations
 
-    def to_json(self, window):
-        return {
-            "checked": {str(t): c for t, c in sorted(self.checked.items())},
-            "skipped": list(self.skipped),
-            "violations": [
-                {"t": t, "vertex": window.space.vertex_label(v),
-                 "value": u, "sublevel_distance": d}
-                for t, v, u, d in self.violations],
-        }
 
-
-def gromov_check(field, t_samples, stable_only=False):
+def gromov_check(field, t_samples):
     """Verify u(x) = t + d(x, {u <= t}) for sampled integer thresholds.
 
     ``{u <= t}`` is the integer rendering of the open sublevel set: along
@@ -397,7 +391,6 @@ def gromov_check(field, t_samples, stable_only=False):
     window = field.window
     dist = window.dist_from_base
     report = GromovReport()
-    stable = field.report.stable
     for t in t_samples:
         sub = [i for i, v in field.values.items() if v <= t]
         if not sub:
@@ -407,8 +400,6 @@ def gromov_check(field, t_samples, stable_only=False):
         count = 0
         for i, u in field.values.items():
             if u < t:
-                continue
-            if stable_only and not stable.get(i, False):
                 continue
             if dist[i] + (u - t) > field.zone:
                 continue

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, ZoneError
 from .fields import _check_schedule, u_point_assigned
-from .space import _bfs_from_indices, dist_field, materialize_window
+from .space import materialize_window, pairwise_dist
 
 
 def point_assigned_family(window, bases, schedule, zone, tail=None):
@@ -86,13 +86,12 @@ class RhoMatrix:
     def pair_stable(self, i, j):
         return self.stable[i][j] and self.stable[j][i]
 
-    def zero_blocks(self, require_stable=True):
+    def zero_blocks(self):
         """Connected components of the stable rho = 0 relation."""
         n = len(self.sample)
         return _blocks(self.sample, [
             (i, j) for i in range(n) for j in range(i + 1, n)
-            if self.two_rho[i][j] == 0
-            and (not require_stable or self.pair_stable(i, j))])
+            if self.two_rho[i][j] == 0 and self.pair_stable(i, j)])
 
     def to_json(self, space):
         n = len(self.sample)
@@ -124,31 +123,6 @@ def _blocks(sample, links):
     return sorted(sorted(b) for b in blocks.values())
 
 
-def _sample_distances(window, sample, zone):
-    """Window distances between sample points, by one BFS per point.
-
-    Each BFS is confined to the prefix B_{dmax+zone}, dmax the largest
-    d(base, s) over the sample.  That is exact wherever d_W(x, y) <= zone:
-    every vertex z of a window geodesic from x to y has
-    d(base, z) <= d(base, x) + d_W(x, z) <= dmax + zone.  A source with an
-    entry above zone, or unreached, is run again over the whole window,
-    so every entry is the whole-window distance.
-    """
-    idxs = [window.index[v] for v in sample]
-    dmax = max(window.dist_from_base[i] for i in idxs)
-    # a negative zone fails later; the limit still covers the sample
-    limit = window.count_within(dmax + max(zone, 0))
-    d = {}
-    for v, i in zip(sample, idxs):
-        df = _bfs_from_indices(window, [i], limit=limit)
-        row = [df[j] for j in idxs]
-        if any(e < 0 or e > zone for e in row):
-            df = _bfs_from_indices(window, [i])
-            row = [df[j] for j in idxs]
-        d[v] = dict(zip(sample, row))
-    return d
-
-
 def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     """Pseudo-metric matrix on a sample of base points.
 
@@ -159,23 +133,18 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     u_x(y) is read on x's own window B_m(x) of
     :func:`point_assigned_family`; it equals the value on B_R(x), so
     rho is the same as with windows of the caller's radius.  The sample
-    distances come from BFS passes confined to a ball around the base
-    (:func:`_sample_distances`), exact up to ``zone``; a pair further
-    apart raises ZoneError with its whole-window distance.
+    distances are those of :func:`~dlscape.space.pairwise_dist`; a pair
+    further apart than ``zone`` raises ZoneError with its distance.
     """
     sample = tuple(sample)
-    if not sample:
-        raise DomainError("sample must be non-empty")
-    for v in sample:
-        window.require_zone(v, window.radius // 3, what="sample")
-    dmap = _sample_distances(window, sample, zone)
-    for x in sample:
-        for y in sample:
-            if dmap[x][y] > zone:
+    dist = tuple(map(tuple, pairwise_dist(window, sample)))
+    for x, row in zip(sample, dist):
+        for y, d in zip(sample, row):
+            if d > zone:
                 raise ZoneError(
-                    f"sample points {x!r},{y!r} are {dmap[x][y]} apart, "
+                    f"sample points {x!r},{y!r} are {d} apart, "
                     f"beyond zone {zone}", parameter="zone", witness=(x, y),
-                    need=dmap[x][y])
+                    need=d)
     if fields is None:
         fields = point_assigned_family(window, sample, schedule, zone, tail)
     n = len(sample)
@@ -187,7 +156,6 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
             uy_x = fields[y].value_at(x)
             two_rho[i][j] = -(ux_y + uy_x)
             stable[i][j] = fields[x].stable_at(y) and fields[y].stable_at(x)
-    dist = tuple(tuple(dmap[x][y] for y in sample) for x in sample)
     return RhoMatrix(sample, tuple(map(tuple, two_rho)),
                      tuple(map(tuple, stable)), dist, window.space.scale)
 
@@ -199,27 +167,36 @@ def anti_triangle_check(field_x, field_y, z):
 
 
 def base_lipschitz_gap(field_a, field_b):
-    """(sup |u_a - u_b| over the shared zone, d(base_a, base_b))."""
+    """(sup |u_a - u_b|, d(base_a, base_b), skipped) over the zone
+    vertices the fields share.
+
+    The sup reads only vertices stable in both fields, since a truncated
+    value that has not settled can break the bound; ``skipped`` counts the
+    shared vertices left out, and sup is None when that is all of them.
+    d(base_a, base_b) is read off field_a's window, a ball around base_a.
+    """
     wa, wb = field_a.window, field_b.window
     if wa.space is not wb.space and \
             wa.space.spec_dict() != wb.space.spec_dict():
         raise DomainError("fields must live on the same space")
-    common = [wa.vertices[i] for i in field_a.zone_indices()
-              if wb.index.get(wa.vertices[i]) in field_b.values]
-    if not common:
+    shared = [(i, j) for i in field_a.zone_indices()
+              if (j := wb.index.get(wa.vertices[i])) in field_b.values]
+    if not shared:
         raise DomainError("fields share no zone vertices")
-    sup = max(abs(field_a.value_at(v) - field_b.value_at(v))
-              for v in common)
     if field_b.base not in wa.index:
         raise DomainError("base of the second field not in the first window")
-    d_ab = dist_field(wa, (field_b.base,))[wa.index[field_a.base]]
-    return sup, d_ab
+    stable_a, stable_b = field_a.report.stable, field_b.report.stable
+    gaps = [abs(field_a.values[i] - field_b.values[j]) for i, j in shared
+            if stable_a[i] and stable_b[j]]
+    d_ab = wa.dist_from_base[wa.index[field_b.base]]
+    return max(gaps, default=None), d_ab, len(shared) - len(gaps)
 
 
 def base_lipschitz_check(field_a, field_b):
-    """True iff sup |u_a - u_b| <= d(base_a, base_b) on the shared zone."""
-    sup, bound = base_lipschitz_gap(field_a, field_b)
-    return sup <= bound
+    """True iff sup |u_a - u_b| <= d(base_a, base_b) over the shared zone
+    vertices stable in both fields (vacuously, when there are none)."""
+    sup, bound, _ = base_lipschitz_gap(field_a, field_b)
+    return sup is None or sup <= bound
 
 
 @dataclass

@@ -90,20 +90,6 @@ class GraphSpace:
         return f"{self.generator_id}({ps})"
 
 
-def vertex_set(window, vertices):
-    """Sorted, duplicate-free tuple of vertex ids, all checked in-window."""
-    out = []
-    seen = set()
-    for v in vertices:
-        if v not in window.index:
-            raise DomainError(f"vertex {v!r} is not in the window")
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    out.sort()
-    return tuple(out)
-
-
 class Window:
     """Materialized ball ``B_R(base)`` of a graph space.
 
@@ -357,23 +343,25 @@ def sphere(window, r):
 
 
 def pairwise_dist(window, sample):
-    """Exact distance matrix on a sample inside the R/3 validity zone."""
+    """Exact distance matrix on a sample inside the R/3 validity zone.
+
+    One BFS per point, confined to B_{2 dmax}, dmax the largest
+    d(base, s) over the sample.  Let z lie on a window geodesic from x to
+    y.  Then d(base, z) <= d(base, x) + d(x, z) and d(base, z) <=
+    d(base, y) + d(z, y), so 2 d(base, z) <= d(base, x) + d(base, y) +
+    d(x, y) <= 4 dmax, as d(x, y) <= d(base, x) + d(base, y).  So every
+    entry is the whole-window distance, and 2 dmax <= R in the zone.
+    """
     if not sample:
         raise DomainError("sample must be non-empty")
     zone = window.radius // 3
     idxs = [window.require_zone(v, zone, what="sample") for v in sample]
-    n = len(idxs)
-    mat = [[0] * n for _ in range(n)]
-    for a in range(n):
-        d = _bfs_from_indices(window, [idxs[a]])
-        for b in range(n):
-            mat[a][b] = d[idxs[b]]
-    for a in range(n):
-        for b in range(n):
-            if mat[a][b] != mat[b][a]:
-                raise ZoneError("asymmetric in-window distances; enlarge the "
-                                "window", parameter="radius",
-                                witness=(sample[a], sample[b]))
+    limit = window.count_within(2 * max(window.dist_from_base[i]
+                                        for i in idxs))
+    mat = []
+    for i in idxs:
+        d = _bfs_from_indices(window, [i], limit)
+        mat.append([d[j] for j in idxs])
     return mat
 
 

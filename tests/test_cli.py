@@ -170,6 +170,17 @@ def test_check_suite(capsys):
     assert json.loads(out1)["ok"]
 
 
+def test_lipschitz_suite_reads_stable_values_only(capsys):
+    """At R = 14 the fields at (-1,0) and (-1,1) differ by 3 at vertices
+    where they have not settled; where both are stable the gap is 1."""
+    code, out, _ = run(capsys, "check", "--suite", "lipschitz", "--space",
+                       "h_graph", "--radius", "14", "--trials", "4",
+                       "--seed", "2")
+    result = json.loads(out)
+    assert code == 0 and result["ok"] and result["checked"] == 4
+    assert result["stats"]["skipped"] > 0
+
+
 def test_usage_errors(capsys):
     # unknown generator
     code, _, err = run(capsys, "field", "--space", "moebius", "--radius",

@@ -214,6 +214,19 @@ def test_representation_matches_busemann_sweeps(name):
             route(wide, x_out, rays)
 
 
+def test_representation_coray_from_outside_the_zone():
+    """A co-ray that starts outside the field zone has no value u(g(0)):
+    it is inconclusive, and the other co-rays still count."""
+    w = materialize_window(build("line"), 0, 40)
+    fld, _ = u_point_assigned(w, range(4, 33, 4), 10)
+    traced = trace_corays(fld, 0).paths
+    report = representation_check(fld, 0, [_ray(range(-12, -20, -1))]
+                                  + traced)
+    assert report.inconclusive == [(-12, "vertex -12 outside the field zone")]
+    assert report.entries == representation_check(fld, 0, traced).entries
+    assert report.entries and report.ok
+
+
 @pytest.mark.parametrize("name", sorted(DIFF_SPACES))
 def test_verify_gradient_matches_all_pairs(name):
     window, fld, traced, _ = _diff_case(name)

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from dlscape import (CoRay, DescentError, ScalarField, ZoneError, build,
-                     fields, materialize_window, representation_check,
-                     shortest_path, space, trace_corays, u_point_assigned,
-                     verify_geodesic, verify_gradient)
+                     dist_field, fields, materialize_window, pairwise_dist,
+                     representation_check, shortest_path, space, sphere,
+                     trace_corays, u_point_assigned, u_r, verify_geodesic,
+                     verify_gradient)
 from dlscape.space import _bfs_from_indices, bfs_memo
 
 nx = pytest.importorskip("networkx")
@@ -43,6 +44,9 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
         if limit < n:
             assert _bfs_from_indices(w, [0, n - 1], limit=limit) == \
                 _bfs_from_indices(w, [0], limit=limit)
+    # window adjacency is symmetric, so distance matrices are too
+    assert all(i in w.adjacency[j]
+               for i, row in enumerate(w.adjacency) for j in row)
     whole = _graph(w, n)
     for s in rng.sample(range(n), 6):
         want = nx.single_source_shortest_path_length(whole, s)
@@ -53,6 +57,29 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
             assert path[0] == w.vertices[s] and path[-1] == w.vertices[t]
             assert all(w.index[b] in w.adjacency[w.index[a]]
                        for a, b in zip(path, path[1:]))
+    # samples in B_{R/3}, and in B_2, where a geodesic between sample
+    # points can leave the ball that holds them
+    for rho in (2, radius // 3):
+        inner = w.count_within(rho)
+        for _ in range(4):
+            sample = [w.vertices[i] for i in rng.sample(range(inner),
+                                                        min(inner, 8))]
+            want = [[nx.shortest_path_length(whole, w.index[a], w.index[b])
+                     for b in sample] for a in sample]
+            assert pairwise_dist(w, sample) == want
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_u_r_matches_whole_window(name, params, radius):
+    """u_r's pass from S_r, confined to B_{max(r, zone)}, against a BFS
+    from sphere(window, r) over the whole window."""
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    for zone in (1, radius // 3, radius):
+        for r in sorted({1, 2, zone // 2 or 1, zone, radius // 2, radius}):
+            ref = dist_field(w, sphere(w, r))
+            want = {i: ref[i] - r for i in range(w.count_within(zone))}
+            assert u_r(w, r, zone).values == want, (zone, r)
 
 
 # -- co-ray and geodesy checks: confined passes against the whole window --

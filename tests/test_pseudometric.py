@@ -61,15 +61,29 @@ def test_anti_triangle_exhaustive(h_window):
 
 def test_base_lipschitz_line(line_window):
     fields = point_assigned_family(line_window, [0, 3], SCHED, 10)
-    sup, d = base_lipschitz_gap(fields[0], fields[3])
+    sup, d, _ = base_lipschitz_gap(fields[0], fields[3])
     assert (sup, d) == (3, 3)
     assert base_lipschitz_check(fields[0], fields[3])
 
 
 def test_base_lipschitz_h_graph(h_window):
     fields = point_assigned_family(h_window, [(0, 0), (1, 0)], SCHED, 10)
-    sup, d = base_lipschitz_gap(fields[(0, 0)], fields[(1, 0)])
+    sup, d, _ = base_lipschitz_gap(fields[(0, 0)], fields[(1, 0)])
     assert d == 1 and sup <= 1
+
+
+def test_base_lipschitz_reads_stable_vertices_only():
+    """On the H-graph at R = 14 the fields at (-1,0) and (-1,1) differ by 3
+    at vertices where they have not settled: 10 of their 13 shared zone
+    vertices are skipped, and the rest give sup 1 = d.  With a stability
+    tail past the schedule no vertex is stable, and there is no sup."""
+    w = materialize_window(build("h_graph"), (0, 0), 14)
+    bases = [(-1, 0), (-1, 1)]
+    fields = point_assigned_family(w, bases, range(2, 11), 4)
+    assert base_lipschitz_gap(*(fields[b] for b in bases)) == (1, 1, 10)
+    fields = point_assigned_family(w, bases, range(2, 11), 4, tail=100)
+    assert base_lipschitz_gap(*(fields[b] for b in bases)) == (None, 1, 13)
+    assert base_lipschitz_check(*(fields[b] for b in bases))
 
 
 def test_partition_halfline_single_block(halfline_window):
