@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .corays import trace_corays, verify_gradient
-from .errors import DomainError
+from .errors import DomainError, ZoneError
 from .fields import gromov_check, u_point_assigned, u_r
 from .pseudometric import (anti_triangle_check, base_lipschitz_gap,
                            point_assigned_family)
@@ -46,6 +46,20 @@ def _suite_schedule(radius):
     zone = max(4, radius // 5)
     hi = radius - zone
     return zone, list(range(max(2, hi // 6), hi + 1, max(1, hi // 6)))
+
+
+def _suite_settles(radius):
+    """Whether the suite schedule can mark a value stable.  The stability
+    rule (:meth:`~dlscape.fields.ConvergenceReport.from_last_change`, tail
+    2 * zone) needs two parameters above the cutoff max(schedule) -
+    2 * zone and one at or below it.  No value last changes before the
+    first parameter, and the base's value, 0 at every step, last changes
+    there, so this holds exactly when some value can be stable."""
+    zone, schedule = _suite_schedule(radius)
+    if not schedule:
+        return False
+    cutoff = schedule[-1] - 2 * zone
+    return schedule[0] <= cutoff and sum(p > cutoff for p in schedule) >= 2
 
 
 def _label(window, i):
@@ -88,8 +102,19 @@ def suite_monotone(space, radius, trials, seed):
 
 
 def _field_pool(space, radius, pool_size, rng):
-    """Point-assigned fields for a small random pool of nearby vertices."""
+    """Point-assigned fields for a small random pool of nearby vertices.
+
+    The suites that read the pool check stable values only, so a radius
+    whose schedule cannot mark any value stable raises ZoneError with the
+    smallest radius that can, rather than checking nothing."""
     window = _window(space, radius)
+    if not _suite_settles(radius):
+        need = radius + 1
+        while not _suite_settles(need):
+            need += 1
+        raise ZoneError(f"the suite schedule at radius {radius} cannot mark "
+                        "any field value stable", parameter="radius",
+                        need=need)
     zone, schedule = _suite_schedule(radius)
     inner = window.indices_within(zone // 2)
     picks = sorted(rng.sample(inner, min(pool_size, len(inner))))

@@ -8,6 +8,7 @@ limit; the zoo oracles pin exact thresholds where they are known.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ZoneError
@@ -106,6 +107,12 @@ def _check_zone(window, zone):
                         need=zone)
 
 
+# Kinds whose sweep entries are monotone along the schedule: u^r(x) is
+# non-decreasing in r (:func:`u_point_assigned`), d(x, ray[t]) - t is
+# non-increasing in t (:func:`busemann`).
+_MONOTONE_KINDS = ("point_assigned", "busemann")
+
+
 def _sweep(window, kind, zone, tail, steps):
     """The limit of d(., H_n) - c_n on B_zone(base), swept along a schedule.
 
@@ -116,19 +123,45 @@ def _sweep(window, kind, zone, tail, steps):
     the last value and the parameter of its last change are kept; the
     stability rule is :meth:`ConvergenceReport.from_last_change`, with
     tail 2 * zone by default.
+
+    The last step's pass runs first: entries form suffixes, so it gives
+    every vertex its final value.  The other steps then run in schedule
+    order, and each vertex is dated at the first parameter of its final
+    run of entries equal to its final value, which is the parameter of
+    its last change, the only one the stability rule reads.  For the
+    kinds in ``_MONOTONE_KINDS`` a vertex's entries e_1..e_k are monotone
+    and end at e_k, so once e_j = e_k every later entry lies between e_j
+    and e_k and equals it: the vertex is dated at the first such j and
+    leaves the pending list.  A step's pass runs only while a pending
+    vertex has an entry there (the pending list is sorted, so
+    ``pending[0] < limit``), and none runs once nothing is pending.  The
+    other kinds keep every vertex pending, so every pass runs.
     """
+    steps = list(steps)
     zone_n = window.count_within(zone)
-    values, changed, schedule = {}, {}, []
-    for param, sources, shift, limit in steps:
-        schedule.append(param)
+    last, sources, shift, limit = steps[-1]
+    d = _bfs_from_indices(window, sources, limit)
+    values = {i: d[i] - shift for i in range(min(zone_n, limit))}
+    monotone = kind in _MONOTONE_KINDS
+    changed, pending = {}, list(values)
+    for param, sources, shift, limit in steps[:-1]:
+        if not pending or pending[0] >= limit:
+            continue
         d = _bfs_from_indices(window, sources, limit)
-        for i in range(min(zone_n, limit)):
-            v = d[i] - shift
-            if values.get(i) != v:
-                values[i] = v
-                changed[i] = param
+        cut = bisect_left(pending, limit)
+        kept = []
+        for i in pending[:cut]:
+            if d[i] - shift != values[i]:
+                changed.pop(i, None)
+            else:
+                changed.setdefault(i, param)
+                if monotone:
+                    continue
+            kept.append(i)
+        pending = kept + pending[cut:]
     report = ConvergenceReport.from_last_change(
-        schedule, 2 * zone if tail is None else tail, changed)
+        [step[0] for step in steps], 2 * zone if tail is None else tail,
+        {i: changed.get(i, last) for i in values})
     return ScalarField(window, kind, zone, values, report), report
 
 
@@ -183,7 +216,9 @@ def u_point_assigned(window, schedule, zone, tail=None):
     Monotone: a path from x in B_r to S_r' (r' > r) crosses S_r, and from
     there needs r' - r more steps, so u^r'(x) >= u^r(x), in any window.
     The value at the base is d(base, S_r) - r = 0 for every r.  Neither
-    needs a run-time check.
+    needs a run-time check.  :func:`_sweep` relies on this monotonicity
+    to date each vertex and skip the passes after the last one a vertex
+    still needs.
 
     Needs max(schedule) <= R and zone <= R, nothing more: the values are
     then those of the infinite graph, so every window of radius at least
@@ -284,6 +319,8 @@ def busemann(window, ray, T, zone, tail=None):
     exact on the zone.  The sweep is monotone non-increasing in t, which
     drives the stabilization flags: ray[t] and ray[t+1] are adjacent, so
     d(y, ray[t+1]) <= d(y, ray[t]) + 1 in the window graph for every y.
+    :func:`_sweep` relies on this monotonicity to date each vertex and
+    skip the passes after the last one a vertex still needs.
 
     The BFS from an anchor a is confined to B_{d(base, a) + zone}.  A
     vertex z on a window geodesic from a zone vertex y to a has
@@ -387,6 +424,13 @@ def gromov_check(field, t_samples):
     exactly u(x) - t steps.  Only vertices whose full descent provably
     stays in the zone are checked (d(base, x) + u(x) - t <= zone), so the
     verdict is exact, never window-noise.
+
+    Stability evidence: none; every zone value is read, stable or not.
+    The identity is a property of the values, and a sweep's values are
+    its last entries d(., H_n) - c_n (u^r for :func:`u_r`), a distance
+    function shifted by a constant, which satisfies it wherever the
+    descent stays in the zone whether or not the sweep has settled.  A
+    violation therefore shows a wrong value, never an unsettled one.
     """
     window = field.window
     dist = window.dist_from_base
@@ -443,7 +487,14 @@ class StabilityReport:
 
 def stability_check(fields, limit, t_samples=None):
     """Check a field sequence converges to ``limit`` on the zone and the
-    limit still satisfies the sublevel identity."""
+    limit still satisfies the sublevel identity.
+
+    Stability evidence: the convergence verdict reads no stability flag.
+    Its evidence is the sequence's own last two fields, which must equal
+    ``limit`` at every zone vertex of ``limit``, whatever that vertex's
+    flag; a vertex where either differs is reported as nonconverged.
+    The sublevel verdict is :func:`gromov_check`'s, which needs none.
+    """
     fields = list(fields)
     if not fields:
         raise DomainError("need at least one field")

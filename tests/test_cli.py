@@ -181,6 +181,22 @@ def test_lipschitz_suite_reads_stable_values_only(capsys):
     assert result["stats"]["skipped"] > 0
 
 
+@pytest.mark.parametrize("suite", ["lipschitz", "anti-triangle"])
+def test_field_suites_refuse_a_radius_that_settles_nothing(capsys, suite):
+    """At R = 10 the suite schedule is 2..6 with zone 4, so its cutoff
+    6 - 2 * 4 lies below every entry and no value can be stable; R = 14
+    is the smallest radius whose schedule can mark one."""
+    payload = _usage_error(capsys, "check", "--suite", suite, "--space",
+                           "grid2d", "--radius", "10", "--trials", "20",
+                           "--seed", "3")
+    assert payload["error"] == "ZoneError"
+    assert payload["parameter"] == "radius" and payload["need"] == 14
+    code, out, _ = run(capsys, "check", "--suite", suite, "--space",
+                       "grid2d", "--radius", "14", "--trials", "20",
+                       "--seed", "3")
+    assert code == 0 and json.loads(out)["checked"] > 0
+
+
 def test_usage_errors(capsys):
     # unknown generator
     code, _, err = run(capsys, "field", "--space", "moebius", "--radius",

@@ -111,15 +111,23 @@ ALL_GENERATORS = [("line", {}, 60), ("halfline", {}, 60),
 def test_point_assigned_matches_whole_window_sweep(name, params, radius):
     space = build(name, params)
     w = materialize_window(space, space.default_base(), radius)
+    rng = random.Random(name)
     for zone in (2, radius // 4):
         hi = radius - zone
+        # seeded uneven gaps; two adjacent steps at the end; and a last
+        # step at the zone's edge, where S_zone has its only entry
+        uneven = sorted(rng.sample(range(1, hi), 4)) + [hi]
         for schedule in (range(1, hi + 1), range(zone + 1, hi + 1, 3),
-                         (1, hi // 2, hi)):
-            fld, rep = u_point_assigned(w, schedule, zone, tail=2 * zone)
-            values, ref = _point_assigned_by_whole_window(w, schedule,
-                                                          zone, 2 * zone)
-            assert fld.values == values
-            assert rep == ref
+                         (1, hi // 2, hi), uneven, (1, hi - 1, hi),
+                         (max(1, zone - 2), zone)):
+            for tail in (None, 0, 2 * zone):
+                fld, rep = u_point_assigned(w, schedule, zone, tail=tail)
+                values, ref = _point_assigned_by_whole_window(
+                    w, schedule, zone, 2 * zone if tail is None else tail)
+                assert fld.values == values
+                assert rep == ref
+                assert list(fld.values) == list(rep.last_change) == sorted(
+                    values)
 
 
 def _far_vertices(window, rng, lo, hi, k):
@@ -199,6 +207,35 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                 assert fld.kind == "set_limit"
                 assert (fld.values, rep) == _sweep_by_whole_window(
                     w, zone, ref_tail, steps)
+
+
+def test_monotone_sweeps_skip_settled_passes(monkeypatch):
+    """The point-assigned and Busemann sweeps run the last pass first and
+    stop once every zone vertex is dated: on the line and the grid every
+    u^r value is final from its first entry, so one more pass dates the
+    zone; along the line ray 0..40 the zone vertex x = 12 settles only at
+    t = 12, so the passes at t = 13..39 are skipped."""
+    from dlscape import fields, space
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        calls.append(limit)
+        return bfs(window, seeds, limit)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    for name in ("line", "grid2d"):
+        gspace = build(name)
+        w = materialize_window(gspace, gspace.default_base(), 60)
+        calls.clear()
+        u_point_assigned(w, range(12, 49, 6), 12)
+        assert len(calls) == 2, name
+    line = build("line")
+    w = materialize_window(line, 0, 60)
+    calls.clear()
+    fld, _ = busemann(w, list(range(41)), 40, 12)
+    assert len(calls) == 1 + 13      # the geodesy check, then the sweep
+    assert fld.report.last_change[w.index[12]] == 12
 
 
 def test_point_assigned_stick_tolerance():
