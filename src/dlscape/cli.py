@@ -81,8 +81,8 @@ def _vertex(space, text):
                           f"{space.generator_id}") from None
 
 
-def _window_for(args, space=None):
-    space = space if space is not None else load_space(args.space)
+def _window_for(args):
+    space = load_space(args.space)
     base = _vertex(space, args.base) if args.base is not None \
         else space.default_base()
     return space, materialize_window(space, base, args.radius)
@@ -101,7 +101,7 @@ def _schedule(args):
 
 
 def _zone(args):
-    return args.zone if args.zone else max(1, args.radius // 5)
+    return args.zone if args.zone is not None else max(1, args.radius // 5)
 
 
 def _emit(args, text):
@@ -135,8 +135,6 @@ def _point_assigned(args):
 
 
 def cmd_zoo(args):
-    if args.action != "list":
-        raise DlscapeError(f"unknown zoo action {args.action!r}")
     _emit(args, _canonical(zoo.catalog()))
     return 0
 
@@ -171,7 +169,7 @@ def _ray_from_args(args, space, window):
 def cmd_busemann(args):
     space, window = _window_for(args)
     ray = _ray_from_args(args, space, window)
-    T = args.T if args.T else len(ray) - 1
+    T = args.T if args.T is not None else len(ray) - 1
     fld, _ = fields.busemann(window, ray, T, _zone(args), args.tail)
     if args.csv:
         _emit(args, _field_csv(fld))
@@ -242,8 +240,6 @@ def cmd_gh(args):
 
 
 def cmd_experiment(args):
-    if args.kind != "pa-gh":
-        raise DlscapeError(f"unknown experiment {args.kind!r}")
     space_x = load_space(args.space_x)
     space_y = load_space(args.space_y)
     wx = materialize_window(space_x, space_x.default_base(), args.radius)

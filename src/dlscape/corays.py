@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import (ConvergenceReport, busemann_anchors, geodesy_limit,
-                     verify_geodesic)
+from .fields import ConvergenceReport, busemann_anchors, verify_geodesic
 from .space import bfs_memo
 
 
@@ -100,10 +99,8 @@ def verify_gradient(coray, field, dist_from=None):
     adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
     forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields.verify_geodesic`
-    decides them with one BFS from g_0, confined to the ball of
-    :func:`~dlscape.fields.geodesy_limit`; for a co-ray, a geodesic
-    between zone vertices, that ball lies in B_{2 zone}.  ``dist_from``
-    shares that BFS across calls and must cover the ball, as there.
+    decides them with one BFS from g_0, shared across calls through
+    ``dist_from`` as there.
     """
     try:
         idxs = [field.index_of(v) for v in coray.vertices]
@@ -115,32 +112,10 @@ def verify_gradient(coray, field, dist_from=None):
     return verify_geodesic(field.window, coray.vertices, dist_from)
 
 
-def _shared_bfs(field, corays, ix=None):
-    """One BFS memo for the geodesy checks of ``corays`` and, with ``ix``,
-    the pass at window index ix that reads b_g there, confined to the
-    union of the balls they need: :func:`~dlscape.fields.geodesy_limit`
-    for each co-ray, and B_{d(base, x) + max_t d(base, g(t))} at x (see
-    :func:`representation_check`).  Co-rays that leave the window are
-    refused before any pass and add nothing.
-    """
-    window = field.window
-    dist = window.dist_from_base
-    limit = 0
-    for coray in corays:
-        idxs = [window.index.get(v) for v in coray.vertices]
-        if not idxs or None in idxs:
-            continue
-        limit = max(limit, geodesy_limit(window, idxs))
-        if ix is not None:
-            top = dist[ix] + max(dist[i] for i in idxs)
-            limit = max(limit, window.count_within(top))
-    return bfs_memo(window, limit)
-
-
 def verify_corays(corays, field):
-    """:func:`verify_gradient` of each co-ray, with one shared BFS per
-    distinct start (one in all for the co-rays of a trace)."""
-    dist_from = _shared_bfs(field, corays)
+    """:func:`verify_gradient` of each co-ray, with one shared BFS memo:
+    a pass per distinct start, re-run only for a larger ball."""
+    dist_from = bfs_memo(field.window)
     return [verify_gradient(coray, field, dist_from) for coray in corays]
 
 
@@ -191,19 +166,22 @@ def representation_check(field, x, corays):
     co-ray, and the geodesy check makes one BFS per distinct start, all
     shared across the call (x is often a start itself).
 
-    The pass at x needs only B_{d(base, x) + max d(base, a)} over the
-    anchors a, by the proof in :func:`~dlscape.fields.busemann`: a vertex
-    z on a window geodesic from x to a has 2 d(base, z) <= (d(base, x) +
-    d(x, z)) + (d(base, a) + d(z, a)) <= 2 (d(base, x) + d(base, a)),
-    since d(x, a) <= d(base, x) + d(base, a).  The shared passes are
-    confined to the union of that ball and the geodesy balls.
+    The pass at x is confined to :meth:`~dlscape.space.Window.geodesic_ball`
+    (d(base, x), m, d(base, x) + m), m the largest d(base, v) over the
+    in-window co-ray vertices v.  It runs before the geodesy check of a
+    co-ray from x, whose smaller ball it covers.
     """
     window = field.window
+    dist = window.dist_from_base
     zone = field.zone
     ix = field.index_of(x)
     ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
-    dist_from = _shared_bfs(field, corays, ix)
+    index = window.index
+    m = max((dist[index[v]] for coray in corays for v in coray.vertices
+             if v in index), default=0)
+    x_ball = window.geodesic_ball(dist[ix], m, dist[ix] + m)
+    dist_from = bfs_memo(window)
     for coray in corays:
         start = coray.vertices[0]
         if coray.length == 0:
@@ -213,6 +191,8 @@ def representation_check(field, x, corays):
             else:
                 report.inconclusive.append((start, "zero-length co-ray"))
             continue
+        if start == x:
+            dist_from(ix, x_ball)
         try:
             anchors = busemann_anchors(window, coray.vertices, coray.length,
                                        zone, dist_from)
@@ -220,11 +200,10 @@ def representation_check(field, x, corays):
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
             continue
-        if window.dist_from_base[ix] > zone:
+        if dist[ix] > zone:
             raise ZoneError(f"vertex {x!r} outside the field zone",
-                            parameter="zone", witness=x,
-                            need=window.dist_from_base[ix])
-        dx = dist_from(ix)
+                            parameter="zone", witness=x, need=dist[ix])
+        dx = dist_from(ix, x_ball)
         steps = range(1, len(anchors))
         bx = change = None
         for t in steps:

@@ -99,12 +99,14 @@ class ScalarField:
         return bad
 
 
-def _check_zone(window, zone):
+def _check_zone(window, zone, need=None):
+    """1 <= zone <= R.  ``need``, the smallest radius that passes every
+    radius check of the caller (default the zone), is the ZoneError's."""
     if zone < 1:
         raise DomainError("zone must be >= 1")
     if zone > window.radius:
         raise ZoneError("zone exceeds the window radius", parameter="radius",
-                        need=zone)
+                        need=zone if need is None else need)
 
 
 # Kinds whose sweep entries are monotone along the schedule: u^r(x) is
@@ -177,7 +179,7 @@ def u_r(window, r, zone):
     it lies in B_{max(r, zone)}: the one BFS from S_r, an index range as
     in :func:`u_point_assigned`, is confined to that ball.
     """
-    _check_zone(window, zone)
+    _check_zone(window, zone, max(r, zone))
     if r < 1 or r > window.radius:
         raise ZoneError(f"r={r} outside window radius", parameter="radius",
                         need=r if r > 0 else None)
@@ -194,10 +196,10 @@ def u_r(window, r, zone):
 def _check_schedule(window, schedule, zone):
     """The preconditions of :func:`u_point_assigned`; returns the schedule
     as a tuple."""
-    _check_zone(window, zone)
     schedule = tuple(schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be non-empty strictly increasing")
+    _check_zone(window, zone, max(zone, schedule[-1]))
     if schedule[-1] > window.radius:
         raise ZoneError("need max(schedule) <= R", parameter="radius",
                         need=schedule[-1])
@@ -236,36 +238,16 @@ def u_point_assigned(window, schedule, zone, tail=None):
                    for r in schedule))
 
 
-def geodesy_limit(window, idxs):
-    """Prefix length of the ball B_L, L = floor((d(base, p_0) +
-    max_t d(base, p_t) + T) / 2), that decides the geodesy of a path
-    p_0..p_T of window neighbours (window indices ``idxs``); the whole
-    window when L >= R.
-
-    The path bounds the window distance d(p_0, p_t) by t.  Let z lie on
-    a window geodesic from p_0 to p_t, of length s <= t <= T.  Then
-    d(base, z) <= d(base, p_0) + d(p_0, z) and d(base, z) <=
-    d(base, p_t) + d(z, p_t), so 2 d(base, z) <= d(base, p_0) +
-    d(base, p_t) + s <= 2 L + 1, and z lies in B_L.  So the BFS from p_0
-    confined to B_L gives the window distance d(p_0, p_t) for every t.
-    The path lies in B_L as well: distance to the base changes by at
-    most one per step, so T >= max - d(base, p_0) and L >= max.
-    """
-    dist = window.dist_from_base
-    top = (dist[idxs[0]] + max(dist[i] for i in idxs) + len(idxs) - 1) // 2
-    return window.count_within(top)
-
-
 def verify_geodesic(window, path, dist_from=None):
     """Check d(path[0], path[t]) == t for every stored t.
 
     The equality test is exact despite truncation: the path itself bounds
     the in-window distance above by t, and any in-window distance is at
-    least the true one.  One BFS from path[0], confined to the ball of
-    :func:`geodesy_limit`, decides every t.  ``dist_from(i)`` gives the
-    BFS distances from vertex index i, so callers can share passes; each
-    must cover that ball (a longer prefix, or the whole window, serves
-    as well, since distances confined to a larger ball lie between).
+    least the true one.  One BFS from path[0] decides every t, confined
+    to :meth:`~dlscape.space.Window.geodesic_ball` (d(base, p_0),
+    max_t d(base, p_t), T), which holds the path as well.
+    ``dist_from(i, limit)`` (:func:`~dlscape.space.bfs_memo`) lets
+    callers share passes.
     """
     if not path:
         raise DomainError("path must be non-empty")
@@ -274,15 +256,13 @@ def verify_geodesic(window, path, dist_from=None):
     for a, b in zip(idxs, idxs[1:]):
         if b not in adjacency[a]:
             return False
-    limit = geodesy_limit(window, idxs)
+    dist = window.dist_from_base
+    limit = window.geodesic_ball(dist[idxs[0]], max(dist[i] for i in idxs),
+                                 len(idxs) - 1)
     if dist_from is None:
         d0 = _bfs_from_indices(window, [idxs[0]], limit)
     else:
-        d0 = dist_from(idxs[0])
-        if len(d0) < limit:
-            # a caller's memo too small is a bug, not a refused input
-            raise AssertionError("dist_from does not cover the ball the "
-                                 "geodesy check needs")
+        d0 = dist_from(idxs[0], limit)
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
@@ -295,7 +275,6 @@ def busemann_anchors(window, ray, T, zone, dist_from=None):
     d(base, ray[t]) + zone <= R for every anchor, so that the anchor
     distances are exact on the zone.
     """
-    _check_zone(window, zone)
     ray = list(ray)
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
@@ -309,6 +288,7 @@ def busemann_anchors(window, ray, T, zone, dist_from=None):
                 f"anchor ray[{t}] too close to the window boundary "
                 f"(need d(base, anchor) + zone <= R)", parameter="radius",
                 witness=ray[t], need=max(dist[a] for a in anchors) + zone)
+    _check_zone(window, zone)       # zone <= R passed the check above
     return anchors
 
 
@@ -322,16 +302,14 @@ def busemann(window, ray, T, zone, tail=None):
     :func:`_sweep` relies on this monotonicity to date each vertex and
     skip the passes after the last one a vertex still needs.
 
-    The BFS from an anchor a is confined to B_{d(base, a) + zone}.  A
-    vertex z on a window geodesic from a zone vertex y to a has
-    d(base, z) <= zone + d(y, z) and d(base, z) <= d(base, a) + d(a, z),
-    and d(y, z) + d(z, a) = d(y, a) <= zone + d(base, a), so
-    2 d(base, z) <= 2 (zone + d(base, a)).
+    The BFS from an anchor a is confined to
+    :meth:`~dlscape.space.Window.geodesic_ball` (zone, d(base, a),
+    zone + d(base, a)), which holds a geodesic from each zone vertex.
     """
     anchors = busemann_anchors(window, ray, T, zone)
-    dist, count = window.dist_from_base, window.count_within
+    dist, ball = window.dist_from_base, window.geodesic_ball
     return _sweep(window, "busemann", zone, tail,
-                  ((t, (a,), t, count(dist[a] + zone))
+                  ((t, (a,), t, ball(zone, dist[a], zone + dist[a]))
                    for t, a in enumerate(anchors) if t))
 
 
@@ -340,10 +318,9 @@ def horofunction(window, points, zone, tail=None):
     vertex sequence.  Sequences need not be monotone; the stability flags
     say where the sweep has settled, not that it converges.
 
-    The BFS from p_n is confined to B_{d(base, p_n) + zone}, by the proof
-    in :func:`busemann` with p_n for the anchor.
+    The BFS from p_n is confined to the ball of :func:`busemann`, with
+    p_n for the anchor.
     """
-    _check_zone(window, zone)
     points = list(points)
     if len(points) < 2:
         raise DomainError("need at least two points")
@@ -361,24 +338,24 @@ def horofunction(window, points, zone, tail=None):
                             "(need d(base, p) + zone <= R)",
                             parameter="radius", witness=p,
                             need=max(dist[j] for j in idxs) + zone)
+    _check_zone(window, zone)       # zone <= R passed the check above
     if any(dist[j] <= dist[i] for i, j in zip(idxs, idxs[1:])):
         raise DomainError("d(base, p_n) must be strictly increasing")
-    count = window.count_within
+    ball = window.geodesic_ball
     return _sweep(window, "horo", zone, tail,
-                  ((dist[i], (i,), dist[i], count(dist[i] + zone))
-                   for i in idxs))
+                  ((dist[i], (i,), dist[i],
+                    ball(zone, dist[i], zone + dist[i])) for i in idxs))
 
 
 def dl_from_sets(window, sets, shifts, zone, tail=None):
     """General set-sequence field d(., H_n) - c_n.
 
-    Exactness needs a + 2*zone <= R, a = d(base, H_n), so the realizing
-    shortest path from any zone vertex stays inside the window: it has
-    length at most zone + a (through the base), so its vertices, its
-    nearest member of H_n included, lie in B_{a + 2*zone}.  The BFS from
-    H_n is confined to that ball; members past it are skipped.
+    Exactness needs a + 2*zone <= R, a = d(base, H_n).  The nearest
+    member h to a zone vertex is at most zone + a away, through the base,
+    so d(base, h) <= a + 2*zone.  The BFS from H_n is confined to
+    :meth:`~dlscape.space.Window.geodesic_ball` (zone, a + 2*zone,
+    a + zone) = B_{a + 2*zone}; members past it are skipped.
     """
-    _check_zone(window, zone)
     sets = [tuple(s) for s in sets]
     shifts = list(shifts)
     if len(sets) != len(shifts) or len(sets) < 2:
@@ -395,7 +372,9 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
         raise ZoneError("H_n too close to the window boundary "
                         "(need d(base, H_n) + 2*zone <= R)",
                         parameter="radius", need=top)
-    steps = [(a, idxs, cn, window.count_within(a + 2 * zone))
+    _check_zone(window, zone)       # zone <= R passed the check above
+    steps = [(a, idxs, cn,
+              window.geodesic_ball(zone, a + 2 * zone, a + zone))
              for a, idxs, cn in steps]
     if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
         raise DomainError("d(base, H_n) must be strictly increasing "
@@ -431,16 +410,23 @@ def gromov_check(field, t_samples):
     function shifted by a constant, which satisfies it wherever the
     descent stays in the zone whether or not the sweep has settled.  A
     violation therefore shows a wrong value, never an unsettled one.
+
+    The BFS from {u <= t}, in B_zone, is confined to
+    :meth:`~dlscape.space.Window.geodesic_ball` (d(base, x), zone,
+    zone - d(base, x)) = B_zone: a checked x with a right value has
+    d(base, x) + d(x, {u <= t}) <= zone, and confinement cannot shorten
+    a distance.  A violation reports the distance in B_zone (-1: none).
     """
     window = field.window
     dist = window.dist_from_base
+    limit = window.geodesic_ball(0, field.zone, field.zone)
     report = GromovReport()
     for t in t_samples:
         sub = [i for i, v in field.values.items() if v <= t]
         if not sub:
             report.skipped.append(t)
             continue
-        d = _bfs_from_indices(window, sub)
+        d = _bfs_from_indices(window, sub, limit)
         count = 0
         for i, u in field.values.items():
             if u < t:

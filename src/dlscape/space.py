@@ -123,6 +123,17 @@ class Window:
         """Size of ``B_rho(base)``, i.e. the length of its index prefix."""
         return bisect_right(self.dist_from_base, rho)
 
+    def geodesic_ball(self, da, db, dab):
+        """Size of the ball that holds every window geodesic from a to b,
+        given d(base, a) <= da, d(base, b) <= db and d(a, b) <= dab.
+
+        A vertex z on one has 2 d(base, z) <= (da + d(a, z)) + (db +
+        d(z, b)) <= da + db + dab.  So a BFS confined to that ball gives
+        the window distance d(a, b), from a or from a source set whose
+        nearest member to b is a.
+        """
+        return self.count_within((da + db + dab) // 2)
+
     def indices_within(self, rho):
         return list(range(self.count_within(rho)))
 
@@ -313,19 +324,19 @@ def _bfs_from_indices(window, seeds, limit=None):
     return dist
 
 
-def bfs_memo(window, limit=None):
-    """``dist_from(i)``: BFS distances from vertex index i, one pass per
-    distinct i, for the ``dist_from`` arguments of the geodesy checks.
-
-    Each pass is confined as ``_bfs_from_indices(..., limit)`` confines
-    it, so ``limit`` must cover the ball every caller of the memo needs.
+def bfs_memo(window):
+    """``dist_from(i, limit)``: BFS distances from vertex index i confined
+    to the first ``limit`` indices, for the geodesy checks' ``dist_from``.
+    A pass is re-run only for a larger ball; a larger ball's distances
+    serve a smaller one, as they lie between its and the whole window's.
     """
     dists = {}
 
-    def dist_from(i):
-        if i not in dists:
-            dists[i] = _bfs_from_indices(window, [i], limit)
-        return dists[i]
+    def dist_from(i, limit):
+        d = dists.get(i)
+        if d is None or len(d) < limit:
+            d = dists[i] = _bfs_from_indices(window, [i], limit)
+        return d
 
     return dist_from
 
@@ -345,19 +356,16 @@ def sphere(window, r):
 def pairwise_dist(window, sample):
     """Exact distance matrix on a sample inside the R/3 validity zone.
 
-    One BFS per point, confined to B_{2 dmax}, dmax the largest
-    d(base, s) over the sample.  Let z lie on a window geodesic from x to
-    y.  Then d(base, z) <= d(base, x) + d(x, z) and d(base, z) <=
-    d(base, y) + d(z, y), so 2 d(base, z) <= d(base, x) + d(base, y) +
-    d(x, y) <= 4 dmax, as d(x, y) <= d(base, x) + d(base, y).  So every
-    entry is the whole-window distance, and 2 dmax <= R in the zone.
+    One BFS per point, confined to :meth:`Window.geodesic_ball` (dmax,
+    dmax, 2 dmax), dmax the largest d(base, s) over the sample: two
+    sample points are at most 2 dmax <= R apart, through the base.
     """
     if not sample:
         raise DomainError("sample must be non-empty")
     zone = window.radius // 3
     idxs = [window.require_zone(v, zone, what="sample") for v in sample]
-    limit = window.count_within(2 * max(window.dist_from_base[i]
-                                        for i in idxs))
+    dmax = max(window.dist_from_base[i] for i in idxs)
+    limit = window.geodesic_ball(dmax, dmax, 2 * dmax)
     mat = []
     for i in idxs:
         d = _bfs_from_indices(window, [i], limit)

@@ -412,11 +412,7 @@ def _h_graph_u(space, base, vertex):
     if base != (0, 0):
         raise DomainError("h_graph oracle only knows the base (0,0)")
     x, y = vertex
-    if y == 0:
-        return -abs(x)
-    if abs(x) <= y:      # row point: reach the axis over a corner
-        return y - abs(x)
-    return y - abs(x)    # column point: same closed form
+    return y - abs(x)    # axis, row and column points alike
 
 
 def _tree_u(space, base, vertex):
@@ -424,7 +420,6 @@ def _tree_u(space, base, vertex):
     # the same formula only when the base is the root.
     if space.b == 1 and base != ():
         raise DomainError("tree(1) oracle only supports the root base")
-    n = 0
     common = 0
     for a, b in zip(base, vertex):
         if a == b:

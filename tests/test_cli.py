@@ -135,6 +135,23 @@ def test_schedule_values_below_one(capsys, flag, value):
     assert payload["error"] == "DomainError" and flag in payload["message"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["field", "--space", "line", "--radius", "40", "--r-max", "30",
+      "--zone", "0"], "zone must be >= 1"),
+    (["busemann", "--space", "line", "--radius", "40", "--ray-target", "30",
+      "--zone", "8", "--T", "0"], "need 1 <= T < len(ray)"),
+    (["experiment", "pa-gh", "--space-x", "line", "--space-y", "line",
+      "--eps", "1", "--radius", "40", "--r-max", "32", "--zone", "0"],
+     "zone must be >= 1"),
+], ids=["field-zone", "busemann-T", "experiment-zone"])
+def test_zero_is_refused_not_read_as_the_default(capsys, argv, message):
+    """--zone 0 and --T 0 are values below 1, not requests for the
+    default (R // 5, the ray length)."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
 def test_gh_command(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

@@ -1,5 +1,7 @@
 """The CLI contract on random small argv: exit 0, 1 or 2; exit 1 only with
-a witness on stdout; exit 2 with JSON on stderr; never a traceback."""
+a witness on stdout; exit 2 with JSON on stderr; never a traceback.  With
+an explicit zone and schedule, a larger window changes no answer, and at
+a radius ZoneError's ``need`` no radius check with a need fails."""
 
 import contextlib
 import io
@@ -113,16 +115,20 @@ def _has_witness(command, payload):
     return False
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_cli_contract(argv):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     # A small vertex budget turns exponential windows into exit 2 quickly.
     with mock.patch.dict(os.environ, {"DLSCAPE_MAX_VERTICES": "20000"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_contract(argv):
+    code, out, err = _run(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out + err, argv
     if code == 1:
@@ -131,3 +137,79 @@ def test_cli_contract(argv):
         assert "error" in json.loads(err), (argv, err)
     else:
         json.loads(out)
+
+
+@st.composite
+def explicit_argvs(draw):
+    """argv of field, coray, busemann, horo or rho with --zone and --r-max
+    set; most vertices lie on a ray from the base, near enough to pass."""
+    command = draw(st.sampled_from(["field", "coray", "busemann", "horo",
+                                    "rho"]))
+    space = draw(st.sampled_from(SPACES))
+    kind = space.partition(":")[0]
+    near = st.integers(0, 8).map(lambda n: _axis(kind, n))
+    label = st.one_of(near, near, labels(space))
+    argv = [command, f"--space={space}",
+            f"--radius={draw(st.integers(1, 28))}",
+            f"--zone={draw(st.integers(1, 8))}"]
+    if command in ("field", "coray", "rho"):
+        argv.append(f"--r-max={draw(st.integers(1, 24))}")
+    if command == "coray" and draw(st.booleans()):
+        argv.append(f"--start={draw(label)}")
+    elif command == "busemann":
+        argv.append(f"--ray-target={draw(label)}")
+    elif command == "horo":
+        steps = st.lists(st.integers(0, 12), min_size=2, max_size=4,
+                         unique=True)
+        points = draw(st.one_of(
+            steps.map(lambda ns: [_axis(kind, n) for n in sorted(ns)]),
+            st.lists(label, min_size=1, max_size=3)))
+        argv.append(f"--points={';'.join(points)}")
+    elif command == "rho":
+        sample = draw(st.lists(label, min_size=1, max_size=3))
+        argv.append(f"--sample={';'.join(sample)}")
+    return argv
+
+
+def _at(argv, radius):
+    return argv[:2] + [f"--radius={radius}"] + argv[3:]
+
+
+def _over_budget(code, err):
+    return code == 2 and json.loads(err)["error"] == "ResourceLimitError"
+
+
+def _answer(out):
+    payload = json.loads(out)
+    payload.pop("radius", None)
+    return payload
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(explicit_argvs())
+def test_a_larger_window_changes_no_answer(argv):
+    radius = int(argv[2].partition("=")[2])
+    code, out, err = _run(argv)
+    if code == 0:
+        for k in range(1, 5):
+            code_k, out_k, err_k = _run(_at(argv, radius + k))
+            if _over_budget(code_k, err_k):
+                break
+            assert code_k == 0, (argv, k, err_k)
+            assert _answer(out_k) == _answer(out), (argv, k)
+    elif code == 2:
+        payload = json.loads(err)
+        if (payload["error"], payload.get("parameter")) != \
+                ("ZoneError", "radius") or "need" not in payload:
+            return
+        need = payload["need"]
+        assert need > radius, (argv, payload)
+        # At the need no radius check with a need fails; one without (a
+        # vertex outside the window, whose distance it cannot know) may.
+        code_n, _, err_n = _run(_at(argv, need))
+        if code_n == 2 and not _over_budget(code_n, err_n):
+            again = json.loads(err_n)
+            assert (again["error"], again.get("parameter")) != \
+                ("ZoneError", "radius") or "need" not in again, \
+                (argv, payload, again)

@@ -81,6 +81,30 @@ def test_representation_equality(h_field):
         assert report.ok and report.equality_achieved
 
 
+def test_representation_shares_the_pass_at_x(monkeypatch):
+    """The co-rays of a trace from x need one BFS in all, from x: the
+    pass that reads b_g(x) also settles their geodesy checks."""
+    from dlscape import fields, space
+    fld = _fresh_h_field()
+    w = fld.window
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        calls.append((tuple(seeds), limit))
+        return bfs(window, seeds, limit)
+
+    for module in (fields, space):
+        monkeypatch.setattr(module, "_bfs_from_indices", counted)
+    for x in ((0, 0), (2, 2), (-3, 0)):
+        paths = trace_corays(fld, x).paths
+        calls.clear()
+        report = representation_check(fld, x, paths)
+        assert report.entries and not report.inconclusive
+        assert [seeds for seeds, _ in calls] == [(w.index[x],)], x
+        assert calls[0][1] < len(w)
+
+
 def test_representation_bounds_other_vertices(line_field):
     # co-rays from 5 bound the value at 0 from above
     trace = trace_corays(line_field, 5)

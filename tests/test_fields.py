@@ -177,12 +177,14 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                 points = _far_vertices(w, rng, 1, far, k)
                 if points is None:
                     continue
-                fld, rep = horofunction(w, points, zone, tail)
-                assert fld.kind == "horo"
-                steps = [(dist[w.index[p]], (p,), dist[w.index[p]], zone)
-                         for p in points]
-                assert (fld.values, rep) == _sweep_by_whole_window(
-                    w, zone, ref_tail, steps)
+                # the same sequence, and one that starts at the base
+                for seq in (points, [w.base] + points[1:]):
+                    fld, rep = horofunction(w, seq, zone, tail)
+                    assert fld.kind == "horo"
+                    steps = [(dist[w.index[p]], (p,), dist[w.index[p]],
+                              zone) for p in seq]
+                    assert (fld.values, rep) == _sweep_by_whole_window(
+                        w, zone, ref_tail, steps)
             # H_n: a nearest member at distance a <= R - 2*zone, either
             # anywhere (shifted at random) or on a ray from the base
             # (shifted by a, a Busemann-like limit), plus members farther

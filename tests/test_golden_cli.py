@@ -3,7 +3,9 @@
 The digests were captured from the code before the field sweeps were
 merged into one kernel; a refactor that changes any byte of these outputs,
 or an exit code, fails here.  ``gh`` runs on the two finite spaces below
-instead of the README's placeholder files.
+instead of the README's placeholder files.  Two suites whose passes run in
+the balls of ``Window.geodesic_ball`` are gated too, with digests captured
+before ``gromov_check`` was confined and the BFS memo made to grow.
 """
 
 import hashlib
@@ -52,6 +54,15 @@ GOLDEN = [
 ]
 
 
+# (argv, exit code, sha256 of stdout) of check suites that confine passes.
+SUITES = [
+    (["check", "--suite", "gromov", "--space", "h_graph"], 0,
+     "17ab1392d1552202437f5e799da3b04d1fe009b0a3a4e2d00bc4ba52c3aa11d1"),
+    (["check", "--suite", "coray", "--space", "grid2d"], 0,
+     "f6e0c8bb8c50fc9c5582a26fe215670e007399cc948c401be73607900cea8062"),
+]
+
+
 def _run(capsys, tmp_path, argv):
     x, y = tmp_path / "x.json", tmp_path / "y.json"
     x.write_text(json.dumps(GH_X))
@@ -65,5 +76,12 @@ def _run(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
                          ids=[g[0][0] for g in GOLDEN])
 def test_readme_example_output_is_unchanged(capsys, tmp_path, argv, code,
+                                            digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", SUITES,
+                         ids=[f"{g[0][2]}-{g[0][4]}" for g in SUITES])
+def test_confined_suite_output_is_unchanged(capsys, tmp_path, argv, code,
                                             digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)

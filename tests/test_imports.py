@@ -1,12 +1,18 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+top-level function and class is named somewhere outside its definition."""
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dlscape"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dlscape"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Where a definition may be named: the package, its tests, the benchmark.
+SOURCES = sorted(p for d in ("src", "tests", "dlbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(source):
@@ -33,3 +39,52 @@ def test_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _mentions(nodes):
+    """Identifiers the AST nodes name: variables, attributes, imported
+    names, and identifier strings (``__all__``, and the benchmark's tracer
+    names the entry points it rebinds by string)."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _file_mentions(path):
+    return frozenset(_mentions([ast.parse(path.read_text())]))
+
+
+def _dead_definitions(source, elsewhere):
+    """Top-level functions and classes of ``source`` named neither in the
+    rest of it nor in ``elsewhere``, a set of identifiers."""
+    body = ast.parse(source).body
+    return [node.name for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in elsewhere
+            and node.name not in _mentions(n for n in body if n is not node)]
+
+
+def test_dead_definition_detector():
+    source = ("def used():\n    return kept()\n\ndef kept():\n    pass\n\n"
+              "def dead():\n    return dead()\n\nclass Named:\n    pass\n"
+              "\n__all__ = ['Named']\n")
+    assert _dead_definitions(source, set()) == ["used", "dead"]
+    assert _dead_definitions(source, {"used"}) == ["dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_nothing_unused(path):
+    elsewhere = set().union(*(_file_mentions(p) for p in SOURCES
+                              if p != path))
+    assert _dead_definitions(path.read_text(), elsewhere) == []

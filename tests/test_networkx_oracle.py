@@ -5,7 +5,8 @@ import random
 import pytest
 
 from dlscape import (CoRay, DescentError, ScalarField, ZoneError, build,
-                     dist_field, fields, materialize_window, pairwise_dist,
+                     busemann, dist_field, fields, gromov_check,
+                     materialize_window, pairwise_dist,
                      representation_check, shortest_path, space, sphere,
                      trace_corays, u_point_assigned, u_r, verify_geodesic,
                      verify_gradient)
@@ -67,6 +68,53 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
             want = [[nx.shortest_path_length(whole, w.index[a], w.index[b])
                      for b in sample] for a in sample]
             assert pairwise_dist(w, sample) == want
+    assert pairwise_dist(w, [w.base]) == [[0]]
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_geodesic_ball_holds_the_distance(name, params, radius):
+    """A BFS from a confined to geodesic_ball(d(base, a), d(base, b),
+    d(a, b)) gives d(a, b), for random pairs anywhere in the window."""
+    gspace = build(name, params)
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    n = len(w)
+    g = _graph(w, n)
+    dist = w.dist_from_base
+    rng = random.Random(name)
+    for a in rng.sample(range(n), min(n, 12)):
+        want = nx.single_source_shortest_path_length(g, a)
+        for b in rng.sample(range(n), min(n, 12)):
+            limit = w.geodesic_ball(dist[a], dist[b], want[b])
+            assert b < limit and \
+                _bfs_from_indices(w, [a], limit)[b] == want[b], (a, b)
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_memo_reruns_a_pass_only_for_a_larger_ball(name, params, radius,
+                                                   monkeypatch):
+    gspace = build(name, params)
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def recorded(window, seeds, limit=None):
+        calls.append((tuple(seeds), limit))
+        return bfs(window, seeds, limit)
+
+    monkeypatch.setattr(space, "_bfs_from_indices", recorded)
+    dist_from = bfs_memo(w)
+    i = w.count_within(1) - 1
+    small, n = w.count_within(radius // 2), len(w)
+    d = dist_from(i, small)
+    assert calls == [((i,), small)] and d == bfs(w, [i], small)
+    assert dist_from(i, small) is d and len(calls) == 1
+    whole = dist_from(i, n)
+    assert calls[-1] == ((i,), n) and whole == bfs(w, [i])
+    # a smaller ball afterwards reads the larger pass
+    assert dist_from(i, small) is whole and dist_from(i, 1) is whole
+    assert len(calls) == 2
+    dist_from(0, small)
+    assert calls[-1] == ((0,), small) and len(calls) == 3
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
@@ -205,10 +253,6 @@ def test_confined_geodesy_checks_match_whole_window_and_networkx(
     assert got == whole == want
     for verdicts in got:
         assert True in verdicts and False in verdicts
-    # a shared pass must cover the ball the check needs
-    far = shortest_path(w, w.base, w.vertices[-1])
-    with pytest.raises(AssertionError):
-        verify_geodesic(w, far, bfs_memo(w, w.count_within(radius - 1)))
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
@@ -260,3 +304,44 @@ def test_pass_at_x_reaches_past_the_anchors(monkeypatch):
     with monkeypatch.context() as m:
         _whole_window(m)
         assert representation_check(fld, (-6, 1), [ray]) == report
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_confined_gromov_check_matches_whole_window(name, params, radius,
+                                                    monkeypatch):
+    """gromov_check's passes, confined to B_zone, against the same check
+    over the whole window: equal reports on point-assigned, u_r and
+    Busemann fields, and equal verdicts on fields with wrong values."""
+    gspace = build(name, params)
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    zone = max(2, radius // 4)
+    rng = random.Random(name)
+    far = w.vertices[w.count_within(radius - zone) - 1]
+    ray = shortest_path(w, w.base, far)
+    flds = [u_point_assigned(w, range(2, radius + 1, 2), zone)[0],
+            u_r(w, radius // 2, zone), busemann(w, ray, len(ray) - 1,
+                                                zone)[0]]
+    bent = []
+    for fld in flds:
+        values = dict(fld.values)
+        for i in rng.sample(sorted(values), min(len(values), 3)):
+            values[i] += rng.choice((-3, -1, 1, 3))
+        bent.append(ScalarField(w, fld.kind, zone, values, fld.report))
+
+    def reports():
+        return [gromov_check(f, range(min(f.values.values()) - 1,
+                                      max(f.values.values()) + 1))
+                for f in flds + bent]
+
+    got = reports()
+    with monkeypatch.context() as m:
+        _whole_window(m)
+        whole = reports()
+    assert got[:len(flds)] == whole[:len(flds)]
+    assert all(r.ok and sum(r.checked.values()) for r in got[:len(flds)])
+
+    def verdict(r):
+        return r.checked, r.skipped, [v[:3] for v in r.violations]
+
+    assert list(map(verdict, got)) == list(map(verdict, whole))
+    assert not all(r.ok for r in got[len(flds):])
