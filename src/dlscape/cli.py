@@ -121,8 +121,8 @@ def _field_csv(field):
     space = window.space
     for i in field.zone_indices():
         rep = field.report
-        writer.writerow([space.vertex_label(window.vertices[i]),
-                         window.dist_from_base[i], field.values[i],
+        writer.writerow([space.vertex_label(window._vertices[i]),
+                         window._dist[i], field.values[i],
                          rep.stable[i], rep.last_change[i]])
     return buf.getvalue()
 
@@ -214,6 +214,8 @@ def cmd_rho(args):
     space, window = _window_for(args)
     sample = [_vertex(space, t) for t in args.sample.split(";")]
     sched, zone = _schedule(args), _zone(args)
+    # The sample's radius check first: its need covers the schedule's.
+    window.require_sample(sample, max([zone, *sched]))
     flds = pseudometric.point_assigned_family(window, sample, sched, zone,
                                               args.tail)
     rho = pseudometric.rho_matrix(window, sample, sched, zone, args.tail,

@@ -38,7 +38,7 @@ def _descending(field, i):
     """In-zone neighbors one below, in generator order."""
     values = field.values
     target = values[i] - 1
-    return [j for j in field.window.adjacency[i]
+    return [j for j in field.window._adjacency[i]
             if values.get(j) == target]
 
 
@@ -54,7 +54,7 @@ def trace_corays(field, start, max_paths=64):
         raise DomainError(f"max_paths must be >= 1, got {max_paths}")
     window = field.window
     i0 = field.index_of(start)
-    dist = window.dist_from_base
+    dist = window._dist
     zone = field.zone
     values = field.values
     paths = []
@@ -76,11 +76,11 @@ def trace_corays(field, start, max_paths=64):
             raise DescentError(
                 "no descending neighbor strictly inside the zone; field is "
                 "not distance-like there",
-                vertex=window.vertices[tip])
+                vertex=window._vertices[tip])
         if len(path) == 1 and dist[tip] < zone:
             raise DescentError("no descending neighbor at start",
                                vertex=start)
-        verts = tuple(window.vertices[i] for i in path)
+        verts = tuple(window._vertices[i] for i in path)
         decs = tuple(values[a] - values[b] for a, b in zip(path, path[1:]))
         paths.append(CoRay(verts, decs, truncated=True))
     return CoRayTrace(paths, exhausted)
@@ -172,14 +172,13 @@ def representation_check(field, x, corays):
     co-ray from x, whose smaller ball it covers.
     """
     window = field.window
-    dist = window.dist_from_base
+    dist = window._dist
     zone = field.zone
     ix = field.index_of(x)
     ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
-    index = window.index
-    m = max((dist[index[v]] for coray in corays for v in coray.vertices
-             if v in index), default=0)
+    m = max((dist[i] for coray in corays for v in coray.vertices
+             if (i := window.find(v)) is not None), default=0)
     x_ball = window.geodesic_ball(dist[ix], m, dist[ix] + m)
     dist_from = bfs_memo(window)
     for coray in corays:

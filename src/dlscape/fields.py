@@ -65,12 +65,16 @@ class ScalarField:
         return self.window.base_index
 
     def index_of(self, vertex):
-        i = self.window.index.get(vertex)
+        """Index of a vertex with a value.  A vertex of the zone without
+        one lies past B_max(schedule) of a point-assigned sweep, so the
+        error names ``r-max``."""
+        i = self.window.find(vertex)
         if i is None or i not in self.values:
+            d = None if i is None else self.window._dist[i]
             raise ZoneError(f"vertex {vertex!r} outside the field zone",
-                            parameter="zone", witness=vertex,
-                            need=None if i is None
-                            else self.window.dist_from_base[i])
+                            parameter="r-max" if d is not None and
+                            d <= self.zone else "zone",
+                            witness=vertex, need=d)
         return i
 
     def value_at(self, vertex):
@@ -233,6 +237,7 @@ def u_point_assigned(window, schedule, zone, tail=None):
     """
     schedule = _check_schedule(window, schedule, zone)
     count = window.count_within
+    count(schedule[-1])      # one growth, to the ball the sweep reads
     return _sweep(window, "point_assigned", zone, tail,
                   ((r, range(count(r - 1), count(r)), r, count(r))
                    for r in schedule))
@@ -252,11 +257,11 @@ def verify_geodesic(window, path, dist_from=None):
     if not path:
         raise DomainError("path must be non-empty")
     idxs = [window.require_zone(v, window.radius, what="path") for v in path]
-    adjacency = window.adjacency
+    adjacency = window._adjacency
     for a, b in zip(idxs, idxs[1:]):
         if b not in adjacency[a]:
             return False
-    dist = window.dist_from_base
+    dist = window._dist
     limit = window.geodesic_ball(dist[idxs[0]], max(dist[i] for i in idxs),
                                  len(idxs) - 1)
     if dist_from is None:
@@ -280,8 +285,8 @@ def busemann_anchors(window, ray, T, zone, dist_from=None):
         raise DomainError("need 1 <= T < len(ray)")
     if not verify_geodesic(window, ray[:T + 1], dist_from):
         raise DomainError("ray is not a geodesic vertex path")
-    dist = window.dist_from_base
-    anchors = [window.index[v] for v in ray[:T + 1]]
+    dist = window._dist
+    anchors = [window._index[v] for v in ray[:T + 1]]
     for t, i in enumerate(anchors):
         if dist[i] + zone > window.radius:
             raise ZoneError(
@@ -455,7 +460,7 @@ def default_t_samples(field, count=5):
 def level_set(field, c):
     """In-zone vertices where the field equals c exactly."""
     window = field.window
-    out = [window.vertices[i] for i, v in field.values.items() if v == c]
+    out = [window._vertices[i] for i, v in field.values.items() if v == c]
     out.sort()
     return tuple(out)
 
@@ -509,8 +514,8 @@ def field_to_json(field):
     rows = []
     for i in field.zone_indices():
         rows.append({
-            "vertex": space.vertex_label(window.vertices[i]),
-            "dist_from_base": window.dist_from_base[i],
+            "vertex": space.vertex_label(window._vertices[i]),
+            "dist_from_base": window._dist[i],
             "value": field.values[i],
             "stable": rep.stable[i],
             "last_change": rep.last_change[i],

@@ -137,7 +137,8 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     further apart than ``zone`` raises ZoneError with its distance.
     """
     sample = tuple(sample)
-    dist = tuple(map(tuple, pairwise_dist(window, sample)))
+    dist = tuple(map(tuple, pairwise_dist(window, sample,
+                                          max([zone, *schedule]))))
     for x, row in zip(sample, dist):
         for y, d in zip(sample, row):
             if d > zone:
@@ -241,14 +242,13 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     if rho.sample != sample:
         raise DomainError("rho must be computed on the same sample")
 
-    max_base_dist = max(window.dist_from_base[window.index[v]]
-                        for v in sample)
+    max_base_dist = max(window._dist[window.find(v)] for v in sample)
     eval_zone = zone - max_base_dist
     if eval_zone < 1:
         raise ZoneError("zone too small for a shared evaluation region",
                         parameter="zone", need=max_base_dist + 1)
-    eval_vertices = window.vertices[:window.count_within(eval_zone)] + \
-        list(sample)
+    eval_n = window.count_within(eval_zone)
+    eval_vertices = window._vertices[:eval_n] + list(sample)
 
     n = len(sample)
     offsets = {}

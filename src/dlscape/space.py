@@ -10,7 +10,7 @@ corrupts a value.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -70,6 +70,12 @@ class GraphSpace:
     def params(self):
         return {}
 
+    def ball_size_bound(self, base, radius):
+        """A proven upper bound on |B_radius(base)|, or None when none is
+        known; :func:`materialize_window` builds a window on demand only
+        under a bound."""
+        return None
+
     # -----------------------------------------------------------------------
     def spec_dict(self):
         return {
@@ -91,26 +97,112 @@ class GraphSpace:
 
 
 class Window:
-    """Materialized ball ``B_R(base)`` of a graph space.
+    """Ball ``B_R(base)`` of a graph space, materialized shell by shell.
 
-    Immutable after construction.  ``vertices`` is in breadth-first order
-    with the generator's neighbor ordering, so two materializations of the
-    same (space, base, R) are identical.  Breadth-first order makes
-    ``dist_from_base`` non-decreasing: every ball ``B_rho(base)`` is a
-    prefix of ``vertices`` and every sphere a contiguous index range.
+    ``vertices`` is in breadth-first order with the generator's neighbor
+    ordering, so two materializations of the same (space, base, R) are
+    identical.  Breadth-first order makes ``dist_from_base``
+    non-decreasing: every ball ``B_rho(base)`` is a prefix of ``vertices``
+    and every sphere a contiguous index range.
+
+    State.  A window in state r = ``grown`` (0 <= r <= R) is exactly the
+    window ``materialize_window(space, base, r)``, held in the lists
+    ``_vertices``, ``_index``, ``_dist`` and ``_adjacency``.  Its vertices,
+    index order and distances are a prefix of those of B_R, its rows of
+    B_{r-1} are B_R's, and its rows of the sphere S_r are B_R's filtered to
+    B_r.  Growing to a state r' > r rebuilds the rows of S_r through the
+    generator and continues the same breadth-first loop (:meth:`_grow`);
+    entries already held never move.
+
+    Completion.  :meth:`count_within` grows the window to min(rho, R); a
+    lookup through :meth:`find` grows it until the vertex is found, and
+    to R before it answers "not in window"; every read of the whole
+    window (``len``, the ``vertices``, ``index``, ``dist_from_base`` and
+    ``adjacency`` properties, :meth:`edge_list`, :meth:`to_json`) grows
+    it to R first.  So those reads see B_R; code in this package that has
+    called ``count_within(rho)`` may read the underscore lists at indices
+    below it without growing the window.
+
+    Budget.  :func:`materialize_window` builds a window on demand only when
+    the space's :meth:`GraphSpace.ball_size_bound` proves B_R fits the
+    vertex budget; otherwise it grows it to R at once, so
+    :class:`ResourceLimitError` is raised at construction.
     """
 
-    __slots__ = ("space", "base", "radius", "vertices", "index",
-                 "dist_from_base", "adjacency")
+    __slots__ = ("space", "base", "radius", "grown", "_budget", "_vertices",
+                 "_index", "_dist", "_adjacency")
 
-    def __init__(self, space, base, radius, vertices, index, dist, adjacency):
+    def __init__(self, space, base, radius, vertices, index, dist, adjacency,
+                 grown=None, budget=None):
         self.space = space
         self.base = base
         self.radius = radius
-        self.vertices = vertices
-        self.index = index
-        self.dist_from_base = dist
-        self.adjacency = adjacency
+        self.grown = radius if grown is None else grown
+        self._budget = budget
+        self._vertices = vertices
+        self._index = index
+        self._dist = dist
+        self._adjacency = adjacency
+
+    def _grow(self, rho):
+        """Grow to state min(rho, R) by the breadth-first generator loop,
+        resumed at the sphere S_grown, whose rows it rebuilds.  Rows of
+        the sphere at the new state keep the in-window neighbors only:
+        each of them has already been discovered, so filtering by the
+        index is exact."""
+        radius = min(rho, self.radius)
+        if radius <= self.grown:
+            return
+        vertices, index, dist = self._vertices, self._index, self._dist
+        adjacency, budget = self._adjacency, self._budget
+        head = bisect_left(dist, self.grown)
+        del adjacency[head:]
+        nbr = self.space.neighbors
+        get = index.get
+        while head < len(vertices):
+            v = vertices[head]
+            dv = dist[head]
+            row = []
+            if dv < radius:
+                for w in nbr(v):
+                    j = get(w)
+                    if j is None:
+                        j = len(vertices)
+                        if j >= budget:
+                            raise _over_budget(self.space, self.base,
+                                               self.radius, budget)
+                        index[w] = j
+                        vertices.append(w)
+                        dist.append(dv + 1)
+                    row.append(j)
+            else:
+                for w in nbr(v):
+                    j = get(w)
+                    if j is not None:
+                        row.append(j)
+            adjacency.append(row)
+            head += 1
+        self.grown = radius
+
+    @property
+    def vertices(self):
+        self._grow(self.radius)
+        return self._vertices
+
+    @property
+    def index(self):
+        self._grow(self.radius)
+        return self._index
+
+    @property
+    def dist_from_base(self):
+        self._grow(self.radius)
+        return self._dist
+
+    @property
+    def adjacency(self):
+        self._grow(self.radius)
+        return self._adjacency
 
     def __len__(self):
         return len(self.vertices)
@@ -119,35 +211,76 @@ class Window:
     def base_index(self):
         return 0
 
+    def find(self, vertex):
+        """Index of ``vertex``, or None when it is not in B_R(base).  A
+        miss doubles the state until the vertex is held or the window is
+        whole, so a vertex near the base is found without growing the
+        window to R."""
+        i = self._index.get(vertex)
+        while i is None and self.grown < self.radius:
+            self._grow(max(1, 2 * self.grown))
+            i = self._index.get(vertex)
+        return i
+
     def count_within(self, rho):
         """Size of ``B_rho(base)``, i.e. the length of its index prefix."""
-        return bisect_right(self.dist_from_base, rho)
+        if rho > self.grown:
+            self._grow(rho)
+        return bisect_right(self._dist, rho)
 
     def geodesic_ball(self, da, db, dab):
-        """Size of the ball that holds every window geodesic from a to b,
-        given d(base, a) <= da, d(base, b) <= db and d(a, b) <= dab.
+        """Size of a ball that holds a window geodesic from a to b, given
+        d(base, a) <= da, d(base, b) <= db and d(a, b) <= dab; a BFS
+        confined to it gives the window distance d(a, b), from a or from a
+        source set whose nearest member to b is a.
 
-        A vertex z on one has 2 d(base, z) <= (da + d(a, z)) + (db +
-        d(z, b)) <= da + db + dab.  So a BFS confined to that ball gives
-        the window distance d(a, b), from a or from a source set whose
-        nearest member to b is a.
+        The ball is B_m, m = (da + db + dab') // 2, where dab' = dab, or
+        min(dab, da + db - 1) when min(da, db) >= 1.  If d(a, b) <= dab',
+        a vertex z on any geodesic has 2 d(base, z) <= (d(base, a) +
+        d(a, z)) + (d(base, b) + d(z, b)) <= da + db + dab'.  Otherwise
+        d(a, b) = da + db, as d(a, b) <= d(base, a) + d(base, b) <= da + db
+        and dab' = da + db - 1 < d(a, b).  Then d(base, a) = da, d(base, b)
+        = db, and a geodesic from a to the base followed by one from the
+        base to b is a geodesic from a to b inside B_max(da, db), a subset
+        of B_m, m = da + db - 1 >= max(da, db) when min(da, db) >= 1.
         """
+        if da >= 1 and db >= 1:
+            dab = min(dab, da + db - 1)
         return self.count_within((da + db + dab) // 2)
 
     def indices_within(self, rho):
         return list(range(self.count_within(rho)))
 
     def require_zone(self, vertex, rho, what="query"):
-        i = self.index.get(vertex)
+        i = self.find(vertex)
         if i is None:
             raise ZoneError(f"{what} vertex {vertex!r} not in window",
                             parameter="radius", witness=vertex)
-        d = self.dist_from_base[i]
+        d = self._dist[i]
         if d > rho:
             raise ZoneError(
                 f"{what} vertex {vertex!r} at distance {d} exceeds zone "
                 f"{rho}", parameter="zone", witness=vertex, need=d)
         return i
+
+    def require_sample(self, sample, need=0):
+        """Indices of a non-empty sample inside the R // 3 zone.  A point
+        past it raises a radius ZoneError whose ``need``, max(3 dmax,
+        ``need``), dmax the largest d(base, s), also clears ``need``, the
+        radius the caller's other radius checks need."""
+        if not sample:
+            raise DomainError("sample must be non-empty")
+        idxs = [self.require_zone(v, self.radius, what="sample")
+                for v in sample]
+        dist = self._dist
+        zone = self.radius // 3
+        for v, i in zip(sample, idxs):
+            if dist[i] > zone:
+                raise ZoneError(
+                    f"sample vertex {v!r} at distance {dist[i]} exceeds "
+                    f"zone {zone}", parameter="radius", witness=v,
+                    need=max(3 * max(dist[j] for j in idxs), need))
+        return idxs
 
     def edge_list(self):
         """Edges as (i, j) index pairs with i < j, in row order."""
@@ -176,6 +309,9 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     Adjacency rows keep the generator's neighbor order, restricted to
     in-window vertices.  Raises :class:`ResourceLimitError` when the vertex
     budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded.
+    The window grows on demand (see :class:`Window`) when
+    ``space.ball_size_bound(base, radius)`` is at most the budget, and is
+    grown to ``radius`` here otherwise.
 
     ``known`` is an optional window of the same space.  When it contains
     B_radius(base) the window is read off its rows (:func:`_sub_window`)
@@ -186,45 +322,19 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     space.check_vertex(base)
     budget = max_vertices if max_vertices is not None else vertex_budget()
     if known is not None:
-        k = known.index.get(base)
-        if k is not None and known.dist_from_base[k] + radius <= known.radius:
+        k = known.find(base)
+        if k is not None and known._dist[k] + radius <= known.radius:
             window = _sub_window(known, k, radius)
             if len(window) > budget:
                 raise _over_budget(space, base, radius, budget)
             return window
 
-    index = {base: 0}
-    vertices = [base]
-    dist = [0]
-    adjacency = []
-    nbr = space.neighbors
-    get = index.get
-    head = 0
-    while head < len(vertices):
-        v = vertices[head]
-        dv = dist[head]
-        row = []
-        if dv < radius:
-            for w in nbr(v):
-                j = get(w)
-                if j is None:
-                    j = len(vertices)
-                    if j >= budget:
-                        raise _over_budget(space, base, radius, budget)
-                    index[w] = j
-                    vertices.append(w)
-                    dist.append(dv + 1)
-                row.append(j)
-        else:
-            # Peripheral shell: every in-window neighbor (dist <= R) has
-            # already been discovered, so filtering by the index is exact.
-            for w in nbr(v):
-                j = get(w)
-                if j is not None:
-                    row.append(j)
-        adjacency.append(row)
-        head += 1
-    return Window(space, base, radius, vertices, index, dist, adjacency)
+    window = Window(space, base, radius, [base], {base: 0}, [0], [[]],
+                    grown=0, budget=budget)
+    bound = space.ball_size_bound(base, radius)
+    if bound is None or bound > budget:
+        window._grow(radius)
+    return window
 
 
 def _over_budget(space, base, radius, budget):
@@ -236,15 +346,16 @@ def _sub_window(known, k, radius):
     """B_radius(v) for v = known.vertices[k], by a BFS over the rows of
     ``known``, which must contain that ball.
 
-    A vertex u at distance below ``radius`` from v is within
-    d(known.base, v) + radius - 1 < known.radius of the base, so its row
-    in ``known`` lists every generator neighbor in generator order.  A
-    vertex u at distance ``radius`` is in ``known``, and so is each of its
+    ``known`` is first grown to s = d(known.base, v) + radius.  A vertex u
+    at distance below ``radius`` from v is within s - 1 of the base, so its
+    row in ``known`` lists every generator neighbor in generator order.  A
+    vertex u at distance ``radius`` is in B_s, and so is each of its
     neighbors in B_radius(v); its row keeps those, in generator order.  So
     the BFS discovers vertices in the order of the generator loop and
     gives the same rows.
     """
-    kadj = known.adjacency
+    known.count_within(known._dist[k] + radius)
+    kadj = known._adjacency
     remap = [-1] * len(kadj)      # index here of known vertex j, or -1
     remap[k] = 0
     order = [k]                   # index in known of each vertex here
@@ -266,7 +377,7 @@ def _sub_window(known, k, radius):
         adjacency.append(row)
         head += 1
     # The index keeps remap's int objects, which the rows share.
-    kverts = known.vertices
+    kverts = known._vertices
     index = {kverts[j]: remap[j] for j in order}
     return Window(known.space, kverts[k], radius, list(index), index, dist,
                   adjacency)
@@ -294,14 +405,15 @@ def _bfs_from_indices(window, seeds, limit=None):
     """Multi-source BFS over the window graph, from vertex indices.
 
     With ``limit`` the search is confined to the vertices of index below
-    ``limit`` (a ball around the base, when ``limit`` comes from
-    :meth:`Window.count_within`); seeds at or past it are skipped and the
-    result has ``limit`` entries.
+    ``limit``, a ball around the base that comes from
+    :meth:`Window.count_within`, and reads only their rows; seeds at or
+    past it are skipped and the result has ``limit`` entries.  Without it
+    the window is grown to its radius first.
     """
-    adjacency = window.adjacency
-    n = len(adjacency)
     if limit is None:
-        limit = n
+        limit = len(window)
+    adjacency = window._adjacency
+    n = len(adjacency)
     # Indices past the limit start out settled, so the inner loop skips
     # them without a bound test on every edge; they are cut off below.
     dist = [-1] * limit
@@ -353,18 +465,16 @@ def sphere(window, r):
     return tuple(members)
 
 
-def pairwise_dist(window, sample):
-    """Exact distance matrix on a sample inside the R/3 validity zone.
+def pairwise_dist(window, sample, need=0):
+    """Exact distance matrix on a sample inside the R/3 validity zone
+    (:meth:`Window.require_sample`, with the caller's ``need``).
 
     One BFS per point, confined to :meth:`Window.geodesic_ball` (dmax,
     dmax, 2 dmax), dmax the largest d(base, s) over the sample: two
     sample points are at most 2 dmax <= R apart, through the base.
     """
-    if not sample:
-        raise DomainError("sample must be non-empty")
-    zone = window.radius // 3
-    idxs = [window.require_zone(v, zone, what="sample") for v in sample]
-    dmax = max(window.dist_from_base[i] for i in idxs)
+    idxs = window.require_sample(sample, need)
+    dmax = max(window._dist[i] for i in idxs)
     limit = window.geodesic_ball(dmax, dmax, 2 * dmax)
     mat = []
     for i in idxs:

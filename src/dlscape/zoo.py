@@ -27,6 +27,9 @@ class Line(GraphSpace):
     generator_id = "line"
     degree_bound = 2
 
+    def ball_size_bound(self, base, radius):
+        return 2 * radius + 1
+
     def neighbors(self, v):
         return (v - 1, v + 1)
 
@@ -48,6 +51,9 @@ class HalfLine(GraphSpace):
 
     generator_id = "halfline"
     degree_bound = 2
+
+    def ball_size_bound(self, base, radius):
+        return radius + min(base, radius) + 1
 
     def neighbors(self, v):
         if v == 0:
@@ -120,6 +126,9 @@ class Grid2D(GraphSpace):
     generator_id = "grid2d"
     degree_bound = 4
 
+    def ball_size_bound(self, base, radius):
+        return 2 * radius * radius + 2 * radius + 1
+
     def neighbors(self, v):
         x, y = v
         return ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
@@ -149,6 +158,15 @@ class HGraph(GraphSpace):
 
     generator_id = "h_graph"
     degree_bound = 4
+
+    def ball_size_bound(self, base, radius):
+        """The graph is a subgraph of Z^2 with unit lattice edges in y >= 0,
+        so d((a, b), (x, y)) >= |x - a| + |y - b|: B_R lies in the lattice
+        diamond of radius R, 2R^2 + 2R + 1 points, and around (0, 0) in its
+        half y >= 0, (R + 1)^2 points."""
+        if base == (0, 0):
+            return (radius + 1) ** 2
+        return 2 * radius * radius + 2 * radius + 1
 
     def neighbors(self, v):
         x, y = v

@@ -1,5 +1,7 @@
 """Co-ray tracing, gradient verification, and the representation bound."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from dlscape import (CoRay, DescentError, DomainError, ScalarField,
@@ -7,7 +9,9 @@ from dlscape import (CoRay, DescentError, DomainError, ScalarField,
                      materialize_window, representation_check,
                      shortest_path, trace_corays, u_point_assigned,
                      uniqueness_probe, verify_gradient)
-from dlscape.corays import ReprEntry
+from dlscape.cli import _schedule
+from dlscape.corays import ReprEntry, verify_corays
+from dlscape.fields import field_to_json, level_set
 
 
 def _fresh_h_field():
@@ -276,3 +280,24 @@ def test_verify_gradient_matches_all_pairs(name):
         assert got == _gradient_all_pairs(p, f), p.vertices
         verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_coray_job_grows_its_window_only_to_the_balls_it_reads():
+    """A coray job on the H-graph (R 120, r-max 96, zone 20) reads B_96
+    for its field and B_40 for the co-ray checks: its window holds at most
+    B_97 of the 9,801 vertices of B_120, and the answers are those of the
+    whole window."""
+    space = build("h_graph")
+    w = materialize_window(space, (0, 0), 120)
+    fld, _ = u_point_assigned(w, _schedule(SimpleNamespace(r_max=96,
+                                                           r_step=None)), 20)
+    for start in [(0, 0), (2, 2), (-7, 3), (12, 0), (-19, 0), (1, 4)]:
+        trace = trace_corays(fld, start, max_paths=8)
+        assert all(verify_corays(trace.paths, fld))
+        assert representation_check(fld, start, trace.paths).ok
+        uniqueness_probe(fld, start)
+    export = field_to_json(fld), level_set(fld, -3)
+    held = len(w._vertices)
+    assert held <= len(materialize_window(space, (0, 0), 97)) < 9801
+    assert (field_to_json(fld), level_set(fld, -3)) == export
+    assert len(w) == 9801 and held < len(w)

@@ -13,6 +13,8 @@ from dlscape import (DomainError, ZoneError, build, busemann,
                      shortest_path, sphere, stability_check,
                      u_point_assigned, u_r, verify_geodesic)
 from dlscape.fields import ConvergenceReport
+from dlscape.pseudometric import rho_matrix
+from dlscape.space import pairwise_dist
 
 
 def test_u_r_closed_form_on_line(line_window):
@@ -291,7 +293,15 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
         (lambda: dl_from_sets(halfline_window, [(45,), (50,)], [45, 50],
                               10), "radius", 70),
         (lambda: fld.value_at(-13), "zone", 13),
+        # a zone vertex past B_max(schedule) has no value until r-max grows
+        (lambda: u_point_assigned(line_window, [3], 8)[0].value_at(4),
+         "r-max", 4),
         (lambda: u_r(line_window, 0, 10), "radius", None),
+        # a sample point past R // 3 needs 3 d(base, s), and the radius of
+        # rho's other checks (max(schedule) = 70) when that is larger
+        (lambda: pairwise_dist(line_window, [0, 25]), "radius", 75),
+        (lambda: rho_matrix(line_window, [0, 21], [3, 70], 8), "radius",
+         70),
     ]
     for call, parameter, need in cases:
         with pytest.raises(ZoneError) as exc:

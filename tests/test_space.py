@@ -1,10 +1,12 @@
 """Window materialization, BFS distances, and zone bookkeeping."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlscape import (DomainError, ResourceLimitError, ZoneError, build,
-                     dist_field, materialize_window, pairwise_dist,
+from dlscape import (DomainError, ResourceLimitError, Window, ZoneError,
+                     build, dist_field, materialize_window, pairwise_dist,
                      shortest_path, sphere, vertex_budget)
 from dlscape.space import _bfs_from_indices
 
@@ -146,3 +148,110 @@ def test_window_to_json(line_window):
     data = line_window.to_json()
     assert data["base"] == "0" and data["radius"] == 60
     assert len(data["vertices"]) == len(line_window.vertices)
+
+
+def _held(w):
+    """The window's lists as held, without growing it."""
+    return (w.grown, w._vertices, list(w._index.items()), w._dist,
+            w._adjacency)
+
+
+def _eager(space, base, radius):
+    w = materialize_window(space, base, radius)
+    len(w)
+    return _held(w)
+
+
+def _on_demand(space, base, radius):
+    """A window that grows on demand, whatever bound the space proves."""
+    space.ball_size_bound = lambda base, radius: 1
+    try:
+        w = materialize_window(space, base, radius)
+    finally:
+        del space.ball_size_bound
+    assert w.grown == 0
+    return w
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
+    """Grown in seeded random steps, through count_within, geodesic_ball
+    and lookups, a window in state r holds the window of radius r."""
+    space = build(name, params)
+    base = space.default_base()
+    whole = materialize_window(space, base, radius)
+    rng = random.Random(name)
+    for _ in range(3):
+        w = _on_demand(space, base, radius)
+        r = 0
+        while r < radius:
+            r = min(radius, r + rng.randint(1, 4))
+            op = rng.randrange(3)
+            if op == 0:
+                assert w.count_within(r) == len(w._vertices)
+            elif op == 1:
+                assert w.geodesic_ball(0, r, r) == len(w._vertices)
+            else:
+                i = whole.count_within(r) - 1
+                assert w.find(whole.vertices[i]) == i
+                assert r <= w.grown <= max(1, 2 * r)
+                r = w.grown
+            assert w.grown == r
+            assert _held(w) == _eager(space, base, r)
+        assert w.count_within(radius + 5) == len(w._vertices)
+        assert w.grown == radius
+
+
+def _miss(w):
+    return w.find(w.space.default_base()) == 0 and \
+        w.find(("not", "a", "vertex")) is None
+
+
+PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.index,
+                lambda w: w.dist_from_base, lambda w: w.adjacency,
+                Window.edge_list, Window.to_json, _miss,
+                lambda w: dist_field(w, [w.base]),
+                lambda w: shortest_path(w, w.base, w.base),
+                lambda w: _bfs_from_indices(w, [0])]
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_whole_window_reads_grow_to_the_radius(name, params, radius):
+    space = build(name, params)
+    base = space.default_base()
+    want = _eager(space, base, radius)
+    for read in PUBLIC_READS:
+        w = _on_demand(space, base, radius)
+        w.count_within(radius // 2)
+        read(w)
+        assert _held(w) == want
+
+
+def test_windows_grow_on_demand_only_under_the_vertex_budget():
+    """The budget rule: a window is built on demand only when the space's
+    bound on |B_R| fits the budget, so ResourceLimitError still comes at
+    construction, on the inputs it always came on."""
+    line, tree = build("line"), build("tree", {"b": 2})
+    assert materialize_window(line, 0, 30, max_vertices=61).grown == 0
+    with pytest.raises(ResourceLimitError):
+        materialize_window(line, 0, 30, max_vertices=60)
+    assert materialize_window(tree, (), 6).grown == 6
+    with pytest.raises(ResourceLimitError):
+        materialize_window(tree, (), 6, max_vertices=126)
+
+
+BOUNDED = [("line", 0, True), ("line", 17, True), ("halfline", 0, True),
+           ("halfline", 9, True), ("grid2d", (0, 0), True),
+           ("grid2d", (4, -3), True), ("h_graph", (0, 0), False),
+           ("h_graph", (-5, 2), False), ("h_graph", (3, 9), False)]
+
+
+@pytest.mark.parametrize("name,base,exact", BOUNDED)
+def test_ball_size_bound(name, base, exact):
+    """ball_size_bound(base, R) >= |B_R(base)| for R <= 150; it is |B_R|
+    on the line, halfline and grid."""
+    space = build(name)
+    w = materialize_window(space, base, 150)
+    for r in range(151):
+        bound, size = space.ball_size_bound(base, r), w.count_within(r)
+        assert bound == size if exact else bound >= size, (r, bound, size)
