@@ -117,11 +117,9 @@ def _field_csv(field):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["vertex", "dist_from_base", "value", "stable",
                      "last_change"])
-    window = field.window
-    space = window.space
+    window, rep = field.window, field.report
     for i in field.zone_indices():
-        rep = field.report
-        writer.writerow([space.vertex_label(window._vertices[i]),
+        writer.writerow([window.space.vertex_label(window._vertices[i]),
                          window._dist[i], field.values[i],
                          rep.stable[i], rep.last_change[i]])
     return buf.getvalue()
@@ -139,13 +137,14 @@ def cmd_zoo(args):
     return 0
 
 
-def cmd_field(args):
-    _, _, fld = _point_assigned(args)
-    if args.csv:
-        _emit(args, _field_csv(fld))
-    else:
-        _emit(args, _canonical(fields.field_to_json(fld)))
+def _emit_field(args, fld):
+    _emit(args, _field_csv(fld) if args.csv else
+          _canonical(fields.field_to_json(fld)))
     return 0
+
+
+def cmd_field(args):
+    return _emit_field(args, _point_assigned(args)[2])
 
 
 def cmd_level_set(args):
@@ -171,22 +170,14 @@ def cmd_busemann(args):
     ray = _ray_from_args(args, space, window)
     T = args.T if args.T is not None else len(ray) - 1
     fld, _ = fields.busemann(window, ray, T, _zone(args), args.tail)
-    if args.csv:
-        _emit(args, _field_csv(fld))
-    else:
-        _emit(args, _canonical(fields.field_to_json(fld)))
-    return 0
+    return _emit_field(args, fld)
 
 
 def cmd_horo(args):
     space, window = _window_for(args)
     points = [_vertex(space, t) for t in args.points.split(";")]
     fld, _ = fields.horofunction(window, points, _zone(args), args.tail)
-    if args.csv:
-        _emit(args, _field_csv(fld))
-    else:
-        _emit(args, _canonical(fields.field_to_json(fld)))
-    return 0
+    return _emit_field(args, fld)
 
 
 def cmd_coray(args):

@@ -119,16 +119,17 @@ def _check_zone(window, zone, need=None):
 _MONOTONE_KINDS = ("point_assigned", "busemann")
 
 
-def _sweep(window, kind, zone, tail, steps):
+def _sweep(window, kind, zone, tail, steps, on=None):
     """The limit of d(., H_n) - c_n on B_zone(base), swept along a schedule.
 
-    Each step is (parameter, source indices of H_n, shift c_n, limit): one
-    BFS from the sources confined to the first ``limit`` indices (a ball
-    around the base) gives the values of the zone vertices below
-    ``limit``, so a vertex's entries form a suffix of the schedule.  Only
-    the last value and the parameter of its last change are kept; the
-    stability rule is :meth:`ConvergenceReport.from_last_change`, with
-    tail 2 * zone by default.
+    Each step is (parameter, source indices of H_n, shift c_n, limit,
+    reach): one BFS from the sources, confined to the first ``limit``
+    indices of ``on`` (a ball around its base; default ``window``), gives
+    the values of the zone vertices within ``reach`` of the base, read at
+    their indices in ``on``.  Reaches do not decrease, so a vertex's
+    entries form a suffix of the schedule.  Only the last value and the
+    parameter of its last change are kept, for the stability rule of
+    :meth:`ConvergenceReport.from_last_change` (tail 2 * zone by default).
 
     The last step's pass runs first: entries form suffixes, so it gives
     every vertex its final value.  The other steps then run in schedule
@@ -140,21 +141,33 @@ def _sweep(window, kind, zone, tail, steps):
     and e_k and equals it: the vertex is dated at the first such j and
     leaves the pending list.  A step's pass runs only while a pending
     vertex has an entry there (the pending list is sorted, so
-    ``pending[0] < limit``), and none runs once nothing is pending.  The
-    other kinds keep every vertex pending, so every pass runs.
+    ``pending[0] < n``, n the number of zone vertices within its reach),
+    and none runs once nothing is pending.  The other kinds keep every
+    vertex pending, so every pass runs.
     """
     steps = list(steps)
-    zone_n = window.count_within(zone)
-    last, sources, shift, limit = steps[-1]
-    d = _bfs_from_indices(window, sources, limit)
-    values = {i: d[i] - shift for i in range(min(zone_n, limit))}
+    count = window.count_within
+    zone_n = count(zone)
+    on = window if on is None else on
+    at = None if on is window else \
+        [on._index[v] for v in window._vertices[:zone_n]]
+
+    def bfs(sources, limit, n):     # the pass, at the first n zone vertices
+        d = _bfs_from_indices(on, sources, limit)
+        return d if at is None else [d[j] for j in at[:n]]
+
+    last, sources, shift, limit, reach = steps[-1]
+    n = count(min(reach, zone))
+    d = bfs(sources, limit, n)
+    values = {i: d[i] - shift for i in range(n)}
     monotone = kind in _MONOTONE_KINDS
     changed, pending = {}, list(values)
-    for param, sources, shift, limit in steps[:-1]:
-        if not pending or pending[0] >= limit:
+    for param, sources, shift, limit, reach in steps[:-1]:
+        n = count(min(reach, zone))
+        if not pending or pending[0] >= n:
             continue
-        d = _bfs_from_indices(window, sources, limit)
-        cut = bisect_left(pending, limit)
+        d = bfs(sources, limit, n)
+        cut = bisect_left(pending, n)
         kept = []
         for i in pending[:cut]:
             if d[i] - shift != values[i]:
@@ -234,13 +247,30 @@ def u_point_assigned(window, schedule, zone, tail=None):
     distance to the base changes by at most one per step, so a shortest
     path from such an x meets S_r before it can leave B_r, a subset of
     B_R.
+
+    The passes run on W, this window or the ``known`` window it grows from
+    (:func:`~dlscape.space.materialize_window`), base o, delta = d(o, b)
+    for b the base here, delta + R <= R_W.  S_r(b) is W's S_r if delta =
+    0, else a level set, in |d(o, .) - r| <= delta, of one BFS from b in
+    :meth:`~dlscape.space.Window.geodesic_ball` (delta, delta + s, s), s =
+    max(schedule).  The pass for r runs in B_{delta + r}(o), holding B_r(b).
     """
     schedule = _check_schedule(window, schedule, zone)
-    count = window.count_within
-    count(schedule[-1])      # one growth, to the ball the sweep reads
+    w = window if window.known is None else window.known
+    k = w._index[window.base]
+    delta, top, count = w._dist[k], schedule[-1], w.count_within
+    ball = w.geodesic_ball(delta, delta + top, top)   # one growth
+    db = _bfs_from_indices(w, [k], ball) if delta else None
+
+    def sphere(r):          # read only if the pass for r runs
+        if not delta:
+            return range(count(r - 1), count(r))
+        return (j for j in range(count(r - delta - 1), count(r + delta))
+                if db[j] == r)
+
     return _sweep(window, "point_assigned", zone, tail,
-                  ((r, range(count(r - 1), count(r)), r, count(r))
-                   for r in schedule))
+                  ((r, sphere(r), r, count(delta + r), r) for r in schedule),
+                  on=w)
 
 
 def verify_geodesic(window, path, dist_from=None):
@@ -314,7 +344,7 @@ def busemann(window, ray, T, zone, tail=None):
     anchors = busemann_anchors(window, ray, T, zone)
     dist, ball = window.dist_from_base, window.geodesic_ball
     return _sweep(window, "busemann", zone, tail,
-                  ((t, (a,), t, ball(zone, dist[a], zone + dist[a]))
+                  ((t, (a,), t, ball(zone, dist[a], zone + dist[a]), zone)
                    for t, a in enumerate(anchors) if t))
 
 
@@ -349,17 +379,21 @@ def horofunction(window, points, zone, tail=None):
     ball = window.geodesic_ball
     return _sweep(window, "horo", zone, tail,
                   ((dist[i], (i,), dist[i],
-                    ball(zone, dist[i], zone + dist[i])) for i in idxs))
+                    ball(zone, dist[i], zone + dist[i]), zone) for i in idxs))
 
 
 def dl_from_sets(window, sets, shifts, zone, tail=None):
     """General set-sequence field d(., H_n) - c_n.
 
-    Exactness needs a + 2*zone <= R, a = d(base, H_n).  The nearest
-    member h to a zone vertex is at most zone + a away, through the base,
-    so d(base, h) <= a + 2*zone.  The BFS from H_n is confined to
-    :meth:`~dlscape.space.Window.geodesic_ball` (zone, a + 2*zone,
-    a + zone) = B_{a + 2*zone}; members past it are skipped.
+    Exactness needs a + 2*zone <= R, a = d(base, H_n).  The BFS from H_n
+    is confined to :meth:`~dlscape.space.Window.geodesic_ball` (zone,
+    a + 2*zone - 1, a + zone - 1) = B_{a + 2*zone - 1}; members past it
+    are skipped.  A zone vertex y is at most zone + a from H_n, through
+    the base.  If a nearest member h is nearer, d(y, h) <= a + zone - 1
+    and d(base, h) <= a + 2*zone - 1, and that ball holds a geodesic from
+    y to h.  Otherwise d(y, H_n) = zone + a, and a geodesic from y to the
+    base followed by one from the base to a member at distance a is a
+    geodesic to H_n inside B_max(zone, a), a subset of that ball.
     """
     sets = [tuple(s) for s in sets]
     shifts = list(shifts)
@@ -379,7 +413,8 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
                         parameter="radius", need=top)
     _check_zone(window, zone)       # zone <= R passed the check above
     steps = [(a, idxs, cn,
-              window.geodesic_ball(zone, a + 2 * zone, a + zone))
+              window.geodesic_ball(zone, a + 2 * zone - 1, a + zone - 1),
+              zone)
              for a, idxs, cn in steps]
     if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
         raise DomainError("d(base, H_n) must be strictly increasing "
@@ -493,12 +528,8 @@ def stability_check(fields, limit, t_samples=None):
         if f.window is not limit.window or f.zone != limit.zone:
             raise DomainError("all fields must share window and zone")
     nonconverged = []
-    last = fields[-1]
     for i, v in limit.values.items():
-        tail_ok = last.values.get(i) == v
-        if len(fields) >= 2:
-            tail_ok = tail_ok and fields[-2].values.get(i) == v
-        if not tail_ok:
+        if any(f.values.get(i) != v for f in fields[-2:]):
             nonconverged.append(limit.window.vertices[i])
     if t_samples is None:
         t_samples = default_t_samples(limit)

@@ -22,13 +22,13 @@ def point_assigned_family(window, bases, schedule, zone, tail=None):
     The schedule and zone are checked against the caller's window first,
     so this accepts the inputs :func:`u_point_assigned` accepts there.
     The caller's window serves its own base.  Every other base b gets
-    B_m(b) with m = max(max(schedule), zone), read off the caller's
-    window's rows when it contains B_m(b) (``materialize_window(...,
-    known=window)``), else from the generator.  That gives the
-    field of a window B_R(b): u_point_assigned is exact on any window of
-    radius at least max(schedule) and zone (the proof is in its
-    docstring), and B_m(b) is a prefix of B_R(b) in breadth-first order,
-    so the vertex indices agree too.
+    B_m(b), m = max(max(schedule), zone), grown from the caller's rows
+    when they hold it (``materialize_window(..., known=window)``; the
+    sweep then runs there, and it, rho and the classes grow B_m(b) only
+    to B_zone(b)), else from the generator.  That is the field of a window
+    B_R(b): u_point_assigned is exact on any window of radius at least
+    max(schedule) and zone (see its docstring), and B_m(b) is a prefix of
+    B_R(b) in breadth-first order, so the vertex indices agree too.
     """
     schedule = _check_schedule(window, schedule, zone)
     radius = max(schedule[-1], zone)
@@ -148,17 +148,11 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
                     need=d)
     if fields is None:
         fields = point_assigned_family(window, sample, schedule, zone, tail)
-    n = len(sample)
-    two_rho = [[0] * n for _ in range(n)]
-    stable = [[True] * n for _ in range(n)]
-    for i, x in enumerate(sample):
-        for j, y in enumerate(sample):
-            ux_y = fields[x].value_at(y)
-            uy_x = fields[y].value_at(x)
-            two_rho[i][j] = -(ux_y + uy_x)
-            stable[i][j] = fields[x].stable_at(y) and fields[y].stable_at(x)
-    return RhoMatrix(sample, tuple(map(tuple, two_rho)),
-                     tuple(map(tuple, stable)), dist, window.space.scale)
+    two_rho = tuple(tuple(-(fields[x].value_at(y) + fields[y].value_at(x))
+                          for y in sample) for x in sample)
+    stable = tuple(tuple(fields[x].stable_at(y) and fields[y].stable_at(x)
+                         for y in sample) for x in sample)
+    return RhoMatrix(sample, two_rho, stable, dist, window.space.scale)
 
 
 def anti_triangle_check(field_x, field_y, z):

@@ -110,9 +110,9 @@ class Window:
     ``_vertices``, ``_index``, ``_dist`` and ``_adjacency``.  Its vertices,
     index order and distances are a prefix of those of B_R, its rows of
     B_{r-1} are B_R's, and its rows of the sphere S_r are B_R's filtered to
-    B_r.  Growing to a state r' > r rebuilds the rows of S_r through the
-    generator and continues the same breadth-first loop (:meth:`_grow`);
-    entries already held never move.
+    B_r.  Growing to a state r' > r rebuilds the rows of S_r from the
+    neighbor source and continues the same breadth-first loop
+    (:meth:`_grow`); entries already held never move.
 
     Completion.  :meth:`count_within` grows the window to min(rho, R); a
     lookup through :meth:`find` grows it until the vertex is found, and
@@ -124,41 +124,47 @@ class Window:
     below it without growing the window.
 
     Budget.  :func:`materialize_window` builds a window on demand only when
-    the space's :meth:`GraphSpace.ball_size_bound` proves B_R fits the
-    vertex budget; otherwise it grows it to R at once, so
-    :class:`ResourceLimitError` is raised at construction.
+    the space's :meth:`GraphSpace.ball_size_bound`, or the ``known`` window
+    it grows from, proves B_R fits the vertex budget; otherwise it grows it
+    to R at once, so :class:`ResourceLimitError` is raised at construction.
     """
 
-    __slots__ = ("space", "base", "radius", "grown", "_budget", "_vertices",
-                 "_index", "_dist", "_adjacency")
+    __slots__ = ("space", "base", "radius", "grown", "known", "_budget",
+                 "_vertices", "_index", "_dist", "_adjacency")
 
-    def __init__(self, space, base, radius, vertices, index, dist, adjacency,
-                 grown=None, budget=None):
-        self.space = space
-        self.base = base
-        self.radius = radius
-        self.grown = radius if grown is None else grown
-        self._budget = budget
-        self._vertices = vertices
-        self._index = index
-        self._dist = dist
-        self._adjacency = adjacency
+    def __init__(self, space, base, radius, budget, known=None):
+        self.space, self.base, self.radius = space, base, radius
+        self.grown, self.known, self._budget = 0, known, budget
+        self._vertices, self._index = [base], {base: 0}
+        self._dist, self._adjacency = [0], [[]]
 
     def _grow(self, rho):
-        """Grow to state min(rho, R) by the breadth-first generator loop,
-        resumed at the sphere S_grown, whose rows it rebuilds.  Rows of
-        the sphere at the new state keep the in-window neighbors only:
-        each of them has already been discovered, so filtering by the
-        index is exact."""
+        """Grow to state min(rho, R) by the breadth-first loop, resumed at
+        the sphere S_grown, whose rows it rebuilds.  Rows of the sphere at
+        the new state keep the in-window neighbors only: each of them has
+        already been discovered, so filtering by the index is exact.
+
+        Neighbors come from the generator, or from the rows of ``known``,
+        a window holding B_R(base), grown first to s = d(known.base, base)
+        + rho.  A vertex at distance below rho from the base is within s - 1
+        of known's base, so its row there lists every generator neighbor
+        in generator order.  A vertex at distance rho is in B_s, and so is
+        each of its neighbors in B_rho(base); its row there keeps those, in
+        generator order.  So both sources give the same window.
+        """
         radius = min(rho, self.radius)
         if radius <= self.grown:
             return
         vertices, index, dist = self._vertices, self._index, self._dist
-        adjacency, budget = self._adjacency, self._budget
+        adjacency, budget, known = self._adjacency, self._budget, self.known
         head = bisect_left(dist, self.grown)
         del adjacency[head:]
         nbr = self.space.neighbors
         get = index.get
+        if known is not None:
+            kv, kadj, kindex = known._vertices, known._adjacency, known._index
+            known.count_within(known._dist[kindex[self.base]] + radius)
+            nbr = lambda v: map(kv.__getitem__, kadj[kindex[v]])  # noqa: E731
         while head < len(vertices):
             v = vertices[head]
             dv = dist[head]
@@ -169,8 +175,10 @@ class Window:
                     if j is None:
                         j = len(vertices)
                         if j >= budget:
-                            raise _over_budget(self.space, self.base,
-                                               self.radius, budget)
+                            raise ResourceLimitError(
+                                f"window ({self.space!r}, base={self.base!r}"
+                                f", R={self.radius}) exceeds vertex budget "
+                                f"{budget}")
                         index[w] = j
                         vertices.append(w)
                         dist.append(dv + 1)
@@ -313,9 +321,11 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     ``space.ball_size_bound(base, radius)`` is at most the budget, and is
     grown to ``radius`` here otherwise.
 
-    ``known`` is an optional window of the same space.  When it contains
-    B_radius(base) the window is read off its rows (:func:`_sub_window`)
-    instead of the generator; it is the same window either way.
+    ``known`` is an optional window of the same space.  When it holds
+    B_radius(base), s + radius <= its radius for s = d(known.base, base),
+    the same window grows from its rows (:meth:`Window._grow`), on demand
+    when known's B_{s + radius} fits the budget, and
+    :func:`~dlscape.fields.u_point_assigned` runs its passes there.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -323,64 +333,14 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     budget = max_vertices if max_vertices is not None else vertex_budget()
     if known is not None:
         k = known.find(base)
-        if k is not None and known._dist[k] + radius <= known.radius:
-            window = _sub_window(known, k, radius)
-            if len(window) > budget:
-                raise _over_budget(space, base, radius, budget)
-            return window
-
-    window = Window(space, base, radius, [base], {base: 0}, [0], [[]],
-                    grown=0, budget=budget)
-    bound = space.ball_size_bound(base, radius)
+        if k is None or known._dist[k] + radius > known.radius:
+            known = None
+    window = Window(space, base, radius, budget, known)
+    bound = space.ball_size_bound(base, radius) if known is None else \
+        known.count_within(known._dist[k] + radius)
     if bound is None or bound > budget:
         window._grow(radius)
     return window
-
-
-def _over_budget(space, base, radius, budget):
-    return ResourceLimitError(f"window ({space!r}, base={base!r}, "
-                              f"R={radius}) exceeds vertex budget {budget}")
-
-
-def _sub_window(known, k, radius):
-    """B_radius(v) for v = known.vertices[k], by a BFS over the rows of
-    ``known``, which must contain that ball.
-
-    ``known`` is first grown to s = d(known.base, v) + radius.  A vertex u
-    at distance below ``radius`` from v is within s - 1 of the base, so its
-    row in ``known`` lists every generator neighbor in generator order.  A
-    vertex u at distance ``radius`` is in B_s, and so is each of its
-    neighbors in B_radius(v); its row keeps those, in generator order.  So
-    the BFS discovers vertices in the order of the generator loop and
-    gives the same rows.
-    """
-    known.count_within(known._dist[k] + radius)
-    kadj = known._adjacency
-    remap = [-1] * len(kadj)      # index here of known vertex j, or -1
-    remap[k] = 0
-    order = [k]                   # index in known of each vertex here
-    dist = [0]
-    adjacency = []
-    head = 0
-    while head < len(order):
-        dv = dist[head]
-        row = []
-        for j in kadj[order[head]]:
-            i = remap[j]
-            if i < 0:
-                if dv == radius:
-                    continue
-                i = remap[j] = len(order)
-                order.append(j)
-                dist.append(dv + 1)
-            row.append(i)
-        adjacency.append(row)
-        head += 1
-    # The index keeps remap's int objects, which the rows share.
-    kverts = known._vertices
-    index = {kverts[j]: remap[j] for j in order}
-    return Window(known.space, kverts[k], radius, list(index), index, dist,
-                  adjacency)
 
 
 def dist_field(window, sources):

@@ -96,6 +96,15 @@ class Tree(GraphSpace):
     def params(self):
         return {"b": self.b}
 
+    def ball_size_bound(self, base, radius):
+        """B_R(base) lies in B_n(root), n = depth(base) + R: n + 1 vertices
+        when b = 1, else (b^(n+1) - 1)/(b - 1), which past n = 62 exceeds
+        2^63, more than any window holds, so no bound is given."""
+        n = len(base) + radius
+        if self.b == 1:
+            return n + 1
+        return (self.b ** (n + 1) - 1) // (self.b - 1) if n <= 62 else None
+
     def neighbors(self, v):
         children = tuple(v + (i,) for i in range(self.b))
         if v:
@@ -236,6 +245,11 @@ class Stick(GraphSpace):
     def params(self):
         return {"m": self.m, "h": self.h}
 
+    def ball_size_bound(self, base, radius):
+        """A step changes the distance to the apex by at most one, and each
+        distance holds at most m vertices, so B_R has at most m (2R + 1)."""
+        return self.m * (2 * radius + 1)
+
     def neighbors(self, v):
         m, h = self.m, self.h
         kind = v[0]
@@ -306,6 +320,11 @@ class PendantLine(GraphSpace):
     generator_id = "pendant_line"
     degree_bound = 3
 
+    def ball_size_bound(self, base, radius):
+        """A step changes n by at most one, so B_R((a, k)) lies in the
+        2 (2R + 1) vertices (n, 0), (n, 1) with |n - a| <= R."""
+        return 2 * (2 * radius + 1)
+
     def neighbors(self, v):
         n, k = v
         if k == 0:
@@ -343,6 +362,11 @@ class Cylinder(GraphSpace):
     @property
     def params(self):
         return {"m": self.m}
+
+    def ball_size_bound(self, base, radius):
+        """A step changes x by at most one, so B_R((a, j)) lies in the
+        m (2R + 1) vertices with |x - a| <= R."""
+        return self.m * (2 * radius + 1)
 
     def neighbors(self, v):
         x, j = v

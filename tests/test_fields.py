@@ -213,6 +213,21 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                     w, zone, ref_tail, steps)
 
 
+def test_set_limit_ball_is_tight():
+    """The set-limit pass needs the shell a + 2*zone - 1 and no more: on
+    the line, zone vertex y = zone is a + zone from the member -a nearest
+    the base and one hop nearer to the member a + 2*zone - 1."""
+    w = materialize_window(build("line"), 0, 80)
+    zone = 6
+    sets = [(-a, a + 2 * zone - 1) for a in (10, 20, 30)]
+    shifts = [10, 20, 30]
+    fld, rep = dl_from_sets(w, sets, shifts, zone)
+    assert fld.value_at(zone) == zone - 1
+    assert (fld.values, rep) == _sweep_by_whole_window(
+        w, zone, 2 * zone, [(a, hn, a, zone)
+                            for a, hn in zip(shifts, sets)])
+
+
 def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     """The point-assigned and Busemann sweeps run the last pass first and
     stop once every zone vertex is dated: on the line and the grid every

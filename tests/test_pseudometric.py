@@ -195,6 +195,21 @@ def test_family_rho_and_classes_match_caller_radius_windows(
                                        fields=ref, rho=rho_ref)
         assert (part.blocks, part.offsets, part.evaluation_zone) == \
             (part_ref.blocks, part_ref.offsets, part_ref.evaluation_zone)
+    # bases b with d(base, b) + m <= R are swept on the caller's rows, the
+    # others on windows from the generator; the first shell past R - m
+    # and the window's edge take the second route
+    m = max(max(schedule), zone)
+    edge = [w.vertices[i] for d in (radius - m, radius - m + 1, radius)
+            for i in (w.count_within(d - 1), w.count_within(d) - 1)]
+    fields = point_assigned_family(w, edge, schedule, zone)
+    ref = _family_on_caller_radius(w, edge, schedule, zone)
+    for b in edge:
+        wb = fields[b].window
+        assert wb.known is (w if w.dist_from_base[w.index[b]] + m <= radius
+                            else None)
+        assert (wb.radius, wb.base) == (m, b)
+        assert fields[b].values == ref[b].values
+        assert fields[b].report == ref[b].report
 
 
 def test_family_checks_the_callers_window(line_window):
@@ -203,3 +218,21 @@ def test_family_checks_the_callers_window(line_window):
         point_assigned_family(line_window, [3], range(8, 65, 4), 10)
     with pytest.raises(ZoneError, match="zone exceeds"):
         point_assigned_family(line_window, [3], SCHED, 61)
+
+
+def test_family_windows_grow_only_to_the_zone():
+    """On the rho benchmark's shape the family fields are swept on the
+    caller's rows, and rho and the classes read each family window only
+    as far as B_zone(b)."""
+    space = build("grid2d")
+    w = materialize_window(space, (0, 0), 80)
+    schedule, zone = list(range(6, 61, 6)) + [64], 16
+    sample = [(0, 0), (3, 5), (-8, 0), (0, -7), (2, -2), (-4, 4), (1, 0),
+              (5, -3)]
+    fields = point_assigned_family(w, sample, schedule, zone)
+    rho = rho_matrix(w, sample, schedule, zone, fields=fields)
+    equivalence_classes(w, sample, schedule, zone, fields=fields, rho=rho)
+    for b in sample[1:]:
+        assert fields[b].window.known is w
+        assert fields[b].window.grown <= zone
+    assert rho.two_rho == tuple(tuple(2 * d for d in row) for row in rho.dist)

@@ -235,9 +235,12 @@ def test_windows_grow_on_demand_only_under_the_vertex_budget():
     assert materialize_window(line, 0, 30, max_vertices=61).grown == 0
     with pytest.raises(ResourceLimitError):
         materialize_window(line, 0, 30, max_vertices=60)
-    assert materialize_window(tree, (), 6).grown == 6
+    assert materialize_window(tree, (), 6).grown == 0
     with pytest.raises(ResourceLimitError):
         materialize_window(tree, (), 6, max_vertices=126)
+    # a space that proves no bound builds at once
+    tree.ball_size_bound = lambda base, radius: None
+    assert materialize_window(tree, (), 6).grown == 6
 
 
 BOUNDED = [("line", 0, True), ("line", 17, True), ("halfline", 0, True),
@@ -255,3 +258,33 @@ def test_ball_size_bound(name, base, exact):
     for r in range(151):
         bound, size = space.ball_size_bound(base, r), w.count_within(r)
         assert bound == size if exact else bound >= size, (r, bound, size)
+
+
+# (generator, params, radius, bases): the tree bound is exact at the root
+BOUNDED_MORE = [
+    ("tree", {"b": 2}, 7, [(), (1,), (0, 1, 1)]),
+    ("tree", {"b": 3}, 5, [(), (2, 0)]),
+    ("tree", {"b": 1}, 20, [(), (0, 0, 0)]),
+    ("cylinder", {"m": 5}, 30, [(0, 0), (-7, 3)]),
+    ("pendant_line", {}, 40, [(0, 0), (3, 1)]),
+    ("stick", {"m": 5, "h": 2}, 30, [("apex",), ("spoke", 1, 2),
+                                     ("cycle", 4), ("ray", 2, 6)])]
+
+
+@pytest.mark.parametrize("name,params,radius,bases", BOUNDED_MORE)
+def test_ball_size_bound_more_generators(name, params, radius, bases):
+    """ball_size_bound(base, R) >= |B_R(base)| from several bases; a window
+    past the budget still raises at construction, and one inside the
+    bound grows on demand."""
+    space = build(name, params)
+    for base in bases:
+        w = materialize_window(space, base, radius)
+        for r in range(radius + 1):
+            bound, size = space.ball_size_bound(base, r), w.count_within(r)
+            assert bound >= size, (base, r, bound, size)
+            if name == "tree" and base == ():
+                assert bound == size
+        assert materialize_window(space, base, radius,
+                                  max_vertices=bound).grown == 0
+        with pytest.raises(ResourceLimitError):
+            materialize_window(space, base, radius, max_vertices=size - 1)
