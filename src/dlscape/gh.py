@@ -80,12 +80,23 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data):
+        """Read ``n``, ``base``, the scale's ``num`` and ``den`` and every
+        distance as JSON integers: a float, bool or non-finite value is
+        refused, never rounded, so the space searched is the one given."""
         try:
-            scale = Fraction(data["scale"]["num"], data["scale"]["den"])
-            dist = tuple(tuple(int(v) for v in row) for row in data["dist"])
-            return cls(int(data["n"]), dist, int(data["base"]), scale)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            scale = Fraction(_json_int(data["scale"]["num"]),
+                             _json_int(data["scale"]["den"]))
+            dist = tuple(tuple(map(_json_int, row)) for row in data["dist"])
+            return cls(_json_int(data["n"]), dist, _json_int(data["base"]),
+                       scale)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed finite-space JSON: {exc}") from exc
+
+
+def _json_int(value):
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def distortion(pairs, X, Y):
@@ -205,8 +216,11 @@ def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET,
     """Minimum-distortion pointed correspondence, exact within budget.
 
     Beyond the budget the search is capped and the best correspondence
-    found is returned with ``proved_optimal=False``.
+    found is returned with ``proved_optimal=False``.  ``budget`` must be at
+    least 1.
     """
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
     cap = node_cap if max(X.n, Y.n) <= budget else min(node_cap, 50_000)
     pairs, dis, proved = _search_union(X, Y, cap)
     if pairs is None:

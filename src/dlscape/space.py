@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from collections import deque
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, ZoneError
@@ -136,7 +135,7 @@ class Window:
         self.space, self.base, self.radius = space, base, radius
         self.grown, self.known, self._budget = 0, known, budget
         self._vertices, self._index = [base], {base: 0}
-        self._dist, self._adjacency = [0], [[]]
+        self._dist, self._adjacency = [0], [()]
 
     def _grow(self, rho):
         """Grow to state min(rho, R) by the breadth-first loop, resumed at
@@ -188,7 +187,7 @@ class Window:
                     j = get(w)
                     if j is not None:
                         row.append(j)
-            adjacency.append(row)
+            adjacency.append(tuple(row))
             head += 1
         self.grown = radius
 
@@ -378,15 +377,14 @@ def _bfs_from_indices(window, seeds, limit=None):
     # them without a bound test on every edge; they are cut off below.
     dist = [-1] * limit
     dist += [0] * (n - limit)
-    queue = deque()
+    queue = []
+    push = queue.append
     for i in seeds:
         if dist[i] != 0:
             dist[i] = 0
-            queue.append(i)
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        v = pop()
+            push(i)
+    # The loop appends to the list it walks: a FIFO queue without pops.
+    for v in queue:
         dv = dist[v] + 1
         for w in adjacency[v]:
             if dist[w] < 0:
@@ -454,22 +452,20 @@ def shortest_path(window, start, goal):
     if s is None or g is None:
         raise DomainError("endpoints must lie in the window")
     adjacency = window.adjacency
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
+    parent = [-1] * len(adjacency)
+    parent[s] = s
+    queue = [s]
+    for v in queue:
         if v == g:
             break
         for w in adjacency[v]:
-            if w not in parent:
+            if parent[w] < 0:
                 parent[w] = v
                 queue.append(w)
-    if g not in parent:
+    if parent[g] < 0:
         raise DomainError("goal not reachable inside the window")
-    path = []
-    v = g
-    while v is not None:
-        path.append(window.vertices[v])
-        v = parent[v]
-    path.reverse()
-    return path
+    path = [g]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    vertices = window.vertices
+    return [vertices[i] for i in reversed(path)]

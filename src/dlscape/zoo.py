@@ -21,6 +21,11 @@ def _parse_int_pair(text):
     return (int(parts[0]), int(parts[1]))
 
 
+def _is_int(value):
+    """An int that is not a bool: JSON's true and false load as bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Line(GraphSpace):
     """The integer line; contains a geodesic line through every vertex."""
 
@@ -34,7 +39,7 @@ class Line(GraphSpace):
         return (v - 1, v + 1)
 
     def contains(self, v):
-        return isinstance(v, int) and not isinstance(v, bool)
+        return _is_int(v)
 
     def default_base(self):
         return 0
@@ -61,7 +66,7 @@ class HalfLine(GraphSpace):
         return (v - 1, v + 1)
 
     def contains(self, v):
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+        return _is_int(v) and v >= 0
 
     def default_base(self):
         return 0
@@ -86,8 +91,9 @@ class Tree(GraphSpace):
     generator_id = "tree"
 
     def __init__(self, b, scale=Fraction(1)):
-        if not isinstance(b, int) or b < 1:
-            raise GeneratorParamError("tree branching factor b must be >= 1")
+        if not _is_int(b) or b < 1:
+            raise GeneratorParamError(
+                "tree branching factor b must be an integer >= 1")
         super().__init__(scale)
         self.b = b
         self.degree_bound = b + 1
@@ -178,24 +184,21 @@ class HGraph(GraphSpace):
         return 2 * radius * radius + 2 * radius + 1
 
     def neighbors(self, v):
+        """Sorted neighbors, case by case: the axis, the inside of a row
+        (|x| < y), the inside of a column (|x| > y) and the corners
+        (x = +-y), where the row meets the column."""
         x, y = v
         if y == 0:
             if x == 0:
                 return ((-1, 0), (1, 0))
-            return tuple(sorted(((x - 1, 0), (x + 1, 0), (x, 1))))
-        out = []
-        ax = abs(x)
-        if ax <= y:                       # on the row at height y
-            if abs(x - 1) <= y:
-                out.append((x - 1, y))
-            if abs(x + 1) <= y:
-                out.append((x + 1, y))
-        if x != 0 and y <= ax:            # on the column at x
-            out.append((x, y - 1))
-            if y + 1 <= ax:
-                out.append((x, y + 1))
-        out.sort()
-        return tuple(out)
+            return ((x - 1, 0), (x, 1), (x + 1, 0))
+        if -y < x < y:
+            return ((x - 1, y), (x + 1, y))
+        if x > y or x < -y:
+            return ((x, y - 1), (x, y + 1))
+        if x > 0:
+            return ((x - 1, y), (x, y - 1))
+        return ((x, y - 1), (x + 1, y))
 
     def contains(self, v):
         if not (isinstance(v, tuple) and len(v) == 2
@@ -232,10 +235,12 @@ class Stick(GraphSpace):
     generator_id = "stick"
 
     def __init__(self, m, h, scale=Fraction(1)):
-        if not isinstance(m, int) or m < 3:
-            raise GeneratorParamError("stick needs m >= 3 cycle vertices")
-        if not isinstance(h, int) or h < 0:
-            raise GeneratorParamError("stick spoke length h must be >= 0")
+        if not _is_int(m) or m < 3:
+            raise GeneratorParamError(
+                "stick needs an integer m >= 3 cycle vertices")
+        if not _is_int(h) or h < 0:
+            raise GeneratorParamError(
+                "stick spoke length h must be an integer >= 0")
         super().__init__(scale)
         self.m = m
         self.h = h
@@ -354,8 +359,8 @@ class Cylinder(GraphSpace):
     degree_bound = 4
 
     def __init__(self, m, scale=Fraction(1)):
-        if not isinstance(m, int) or m < 3:
-            raise GeneratorParamError("cylinder needs m >= 3")
+        if not _is_int(m) or m < 3:
+            raise GeneratorParamError("cylinder needs an integer m >= 3")
         super().__init__(scale)
         self.m = m
 

@@ -167,6 +167,42 @@ def test_gh_command(tmp_path, capsys):
     assert data["lower"] == "1/2" and data["upper"] == "1"
 
 
+GOOD_SPACE = {"n": 3, "base": 0, "scale": {"num": 1, "den": 1},
+              "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+
+
+@pytest.mark.parametrize("text", [
+    # a distance of 1.5 was read as 1, and the search proved a wrong space
+    json.dumps(dict(GOOD_SPACE, dist=[[0, 1.5, 2], [1.5, 0, 1],
+                                      [2, 1, 0]])),
+    json.dumps(dict(GOOD_SPACE, n=2.7)),
+    json.dumps(dict(GOOD_SPACE, base=True)),
+    json.dumps(dict(GOOD_SPACE, scale={"num": 1, "den": True})),
+    # JSON reads 1e400 as infinity, which int() refused with a traceback
+    json.dumps(GOOD_SPACE).replace("[0, 1, 2]", "[0, 1, 1e400]"),
+], ids=["float-distance", "float-n", "bool-base", "bool-den",
+        "infinite-distance"])
+def test_gh_refuses_a_space_it_was_not_given(tmp_path, capsys, text):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(GOOD_SPACE))
+    bad.write_text(text)
+    code, out, _ = run(capsys, "gh", "--x", str(good), "--y", str(good))
+    assert code == 0 and json.loads(out)["correspondence"]["proved_optimal"]
+    payload = _usage_error(capsys, "gh", "--x", str(good), "--y", str(bad))
+    assert payload["error"] == "DomainError"
+    assert "expected an integer" in payload["message"]
+
+
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_gh_budget_below_one(tmp_path, capsys, budget):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(GOOD_SPACE))
+    payload = _usage_error(capsys, "gh", "--x", str(path), "--y", str(path),
+                           "--budget", budget)
+    assert payload["error"] == "DomainError"
+    assert "budget must be >= 1" in payload["message"]
+
+
 def test_experiment_pass_and_fail(capsys):
     base = ["experiment", "pa-gh", "--space-x", "pendant_line", "--space-y",
             "line", "--map", "nearest_spine", "--radius", "40", "--r-max",
@@ -246,6 +282,27 @@ def test_non_integer_space_parameter(capsys):
                            "--radius", "5", "--r-max", "3")
     assert payload["error"] == "GeneratorParamError"
     assert "'x'" in payload["message"]
+
+
+@pytest.mark.parametrize("generator,params", [
+    ("tree", {"b": True}), ("stick", {"m": 3, "h": True}),
+    ("stick", {"m": True, "h": 1}), ("cylinder", {"m": True}),
+    ("tree", {"b": 2.0})])
+def test_space_file_parameters_are_integers(tmp_path, capsys, generator,
+                                            params):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"generator": generator, "params": params}))
+    payload = _usage_error(capsys, "field", "--space", str(path),
+                           "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "GeneratorParamError"
+    assert "integer" in payload["message"]
+
+
+def test_boolean_shorthand_parameter(capsys):
+    payload = _usage_error(capsys, "field", "--space", "tree:b=true",
+                           "--radius", "5", "--r-max", "3")
+    assert payload["error"] == "GeneratorParamError"
+    assert "'true'" in payload["message"]
 
 
 def test_zero_denominator_scale(capsys):

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -52,10 +53,59 @@ def labels(draw, space):
     return draw(st.one_of(st.just(good), st.just(good), garbage))
 
 
+# Entries a finite-space file may hold in place of an integer.
+NOT_INTS = st.sampled_from([1.5, 2.0, 0.9, True, False, None, "1",
+                            float("nan"), float("inf"), -float("inf"),
+                            "1e400"])
+
+
+@st.composite
+def finite_space_json(draw):
+    """Finite-space JSON text, n <= 5: a metric (weights closed under
+    shortest paths) that is then often broken by a float, bool, NaN or
+    infinity entry, a ragged row, or a wrong n, base or scale."""
+    n = draw(st.integers(1, 5))
+    d = [[0 if i == j else draw(st.integers(1, 4)) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    data = {"n": n, "base": draw(st.integers(0, n - 1)),
+            "scale": {"num": draw(st.integers(1, 3)), "den": 1},
+            "dist": d}
+    flaw = draw(st.sampled_from(["none", "none", "entry", "ragged", "n",
+                                 "base", "scale", "shape"]))
+    if flaw == "entry":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i][j] = draw(NOT_INTS)
+    elif flaw == "ragged":
+        d[draw(st.integers(0, n - 1))].pop()
+    elif flaw in ("n", "base"):
+        data[flaw] = draw(st.one_of(NOT_INTS, st.integers(-1, 6)))
+    elif flaw == "scale":
+        data["scale"][draw(st.sampled_from(["num", "den"]))] = \
+            draw(st.one_of(NOT_INTS, st.integers(-1, 0)))
+    elif flaw == "shape":
+        data = draw(st.sampled_from([[], d, None, 3, {"n": n}]))
+    # "1e400" goes in as a number token, which JSON reads as infinity.
+    return json.dumps(data).replace('"1e400"', "1e400")
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(
-        ["field", "coray", "busemann", "horo", "rho", "check"]))
+        ["field", "coray", "busemann", "horo", "rho", "check", "gh"]))
+    if command == "gh":
+        argv = ["gh", f"--x={draw(finite_space_json())}",
+                f"--y={draw(finite_space_json())}"]
+        budget = draw(st.one_of(st.none(), st.integers(-2, 6)))
+        if budget is not None:
+            argv.append(f"--budget={budget}")
+        return argv
     space = draw(st.sampled_from(SPACES))
     radius = draw(small)
     if command == "check":
@@ -124,11 +174,29 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _with_files(argv, tmp):
+    """gh argv carry each space's JSON text in --x and --y; write the text
+    to a file under ``tmp`` and pass its path instead."""
+    if argv[0] != "gh":
+        return argv
+    out = []
+    for arg in argv:
+        flag, _, text = arg.partition("=")
+        if flag in ("--x", "--y"):
+            path = os.path.join(tmp, flag[2:] + ".json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            arg = f"{flag}={path}"
+        out.append(arg)
+    return out
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_cli_contract(argv):
-    code, out, err = _run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run(_with_files(argv, tmp))
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out + err, argv
     if code == 1:

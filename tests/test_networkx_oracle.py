@@ -1,6 +1,7 @@
 """Window BFS distances against networkx, an independent implementation."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -69,6 +70,72 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
                      for b in sample] for a in sample]
             assert pairwise_dist(w, sample) == want
     assert pairwise_dist(w, [w.base]) == [[0]]
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_bfs_kernel_matches_networkx_on_partial_windows(name, params,
+                                                        radius):
+    """Multi-source passes over a window grown only part way, with
+    duplicate seeds and seeds past the limit, against networkx on the
+    graph induced by the indices below the limit; no pass grows the
+    window."""
+    space = build(name, params)
+    rng = random.Random(name)
+    for grown in (1, radius // 2, radius - 1):
+        w = materialize_window(space, space.default_base(), radius)
+        held = w.count_within(grown)
+        assert w.grown == grown < w.radius
+        for rho in sorted({0, grown // 2, grown}):
+            limit = w.count_within(rho)
+            g = nx.Graph()
+            g.add_nodes_from(range(limit))
+            g.add_edges_from((i, j) for i in range(limit)
+                             for j in w._adjacency[i] if j < limit)
+            for _ in range(4):
+                seeds = rng.choices(range(held), k=rng.randint(1, 5))
+                seeds += seeds[:2]
+                inside = {i for i in seeds if i < limit}
+                want = nx.multi_source_dijkstra_path_length(g, inside) \
+                    if inside else {}
+                got = _bfs_from_indices(w, seeds, limit)
+                assert got == [want.get(i, -1) for i in range(limit)], \
+                    (grown, rho, seeds)
+        assert w.grown == grown
+
+
+def _deque_shortest_path(window, start, goal):
+    """The BFS that shortest_path runs, written with a deque and a parent
+    dict: the spec its list-walking loop must reproduce."""
+    s, g = window.index[start], window.index[goal]
+    parent = {s: None}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        if v == g:
+            break
+        for w in window.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = []
+    v = g
+    while v is not None:
+        path.append(window.vertices[v])
+        v = parent[v]
+    return path[::-1]
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_shortest_path_matches_the_deque_spec(name, params, radius):
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    rng = random.Random(name)
+    n = len(w)
+    pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
+    for s, t in pairs:
+        a, b = w.vertices[s], w.vertices[t]
+        assert shortest_path(w, a, b) == _deque_shortest_path(w, a, b)
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)

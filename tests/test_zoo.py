@@ -66,6 +66,36 @@ def test_tree1_is_halfline():
     assert wt.dist_from_base == wh.dist_from_base
 
 
+def _h_graph_rule(v):
+    """The H-graph neighbor rule as the row and column segments give it,
+    sorted: the spec for HGraph.neighbors."""
+    x, y = v
+    if y == 0:
+        out = [(x - 1, 0), (x + 1, 0)] + ([(x, 1)] if x else [])
+        return tuple(sorted(out))
+    out = []
+    if abs(x) <= y:
+        out += [(u, y) for u in (x - 1, x + 1) if abs(u) <= y]
+    if x != 0 and y <= abs(x):
+        out += [(x, t) for t in (y - 1, y + 1) if t <= abs(x)]
+    return tuple(sorted(out))
+
+
+def test_h_graph_neighbors_match_the_sorted_rule():
+    space = build("h_graph")
+    seen = 0
+    for x in range(-60, 61):
+        for y in range(61):
+            v = (x, y)
+            if not space.contains(v):
+                continue
+            seen += 1
+            nbrs = space.neighbors(v)
+            assert nbrs == _h_graph_rule(v), v
+            assert all(v in space.neighbors(u) for u in nbrs), v
+    assert seen == 7381
+
+
 def test_h_graph_axis_distance(h_window):
     # reaching (0,k) needs the arm through (k,0) or (-k,0): 3k hops
     df = dist_field(h_window, [(0, 0)])
