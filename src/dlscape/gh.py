@@ -11,6 +11,7 @@ epsilon-isometry and (eps, delta)-approximation certificates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,57 +159,153 @@ def brute_force_min_distortion(X, Y):
     return best
 
 
+def _int_matrix(space, unit):
+    """Distances in units of 1/unit: entry / scale = entry * den / num,
+    and num divides unit."""
+    k = space.scale.denominator * (unit // space.scale.numerator)
+    return [[e * k for e in row] for row in space.dist]
+
+
+class _NodeCap(Exception):
+    """The search used up its node cap."""
+
+
 def _search_union(X, Y, node_cap):
-    """Branch and bound over unions graph(f) | graph(g) with the bases
-    pinned.  Every pointed correspondence contains such a union and
+    """Integer branch and bound over unions graph(f) | graph(g) with the
+    bases pinned.  Every pointed correspondence contains such a union and
     distortion only grows under inclusion, so the minimum over unions is
-    the minimum over all pointed correspondences.
+    the minimum D* over all pointed correspondences.
 
-    Returns (pairs, distortion, proved) with deterministic tie-breaking:
-    slots in fixed order, candidates by index, first strict improvement
-    kept.
+    A slot is a non-base point awaiting its correspondent: x_i's image
+    f(i), then y_j's g(j), in index order.  Both matrices are rescaled to
+    one integer unit, so every gap is an int; ``cost[s][t]`` is the
+    largest gap from slot s's pair with candidate t to the pairs already
+    placed.  A leaf's distortion is the largest cost it chose, and any
+    completion puts some t in each open slot s, so no completion stays
+    below a limit once some open slot has every cost at or above it.
+
+    ``descend`` finds a completion below a limit whenever one exists:
+    most constrained slot first (fewest candidates below the limit),
+    candidates by cost, pruned by that bound.  A placed pair (a, b) also
+    covers its other point, so that point's slot, if open, closes on
+    (a, b) itself at no cost: any other partner there only adds a pair,
+    every point keeps its own slot's pair, and distortion grows under
+    inclusion.
+
+    Phase 1 finds D*: a first descent with no limit seeds the incumbent
+    greedily, and each further descent must beat it; a descent that
+    finds nothing, or an incumbent of 0, proves it optimal.  Past
+    ``node_cap`` nodes the incumbent is returned with proved False.
+
+    Phase 2 finds the canonical witness: the first leaf L*, in slot order
+    and candidate-index order, whose distortion is D*.  Slot by slot it
+    keeps the smallest candidate whose prefix has a completion within D*,
+    which spells out L*.  The last witness found extends the prefix
+    within D*, so its own candidate qualifies and only smaller ones need a
+    descent.  L* is the leaf the plain DFS over the same order returns
+    when it finishes, keeping a leaf only on a strict improvement: every
+    leaf before L* has distortion > D*, so no prefix of L* is pruned
+    before L* is kept, and no later leaf improves on D*.  Past the node
+    cap, the last witness is returned.
+
+    Returns (pairs, distortion, proved); pairs is None when the cap came
+    before any leaf.
     """
-    dX, dY = X.real_matrix(), Y.real_matrix()
-    slots = [("f", i) for i in range(X.n) if i != X.base] + \
-            [("g", j) for j in range(Y.n) if j != Y.base]
-    base_pair = (X.base, Y.base)
-    best_pairs, best_dis = None, None
+    unit = math.lcm(X.scale.numerator, Y.scale.numerator)
+    dX, dY = _int_matrix(X, unit), _int_matrix(Y, unit)
+    slots = [(True, i) for i in range(X.n) if i != X.base] + \
+            [(False, j) for j in range(Y.n) if j != Y.base]
+    owner = ({k: s for s, (side, k) in enumerate(slots) if side},
+             {k: s for s, (side, k) in enumerate(slots) if not side})
+
+    def pair(s, t):
+        side, k = slots[s]
+        return (k, t) if side else (t, k)
+
+    def place(open_, rows, a, b):
+        """Cost rows of the open slots once (a, b) is placed."""
+        out = []
+        for s, row in zip(open_, rows):
+            side, k = slots[s]
+            fixed, line = (dX[k][a], dY[b]) if side else (dY[k][b], dX[a])
+            out.append([g if (g := abs(fixed - e)) > c else c
+                        for c, e in zip(row, line)])
+        return out
+
+    def settle(open_, rows, s, t, picked):
+        """Open slots and rows once slot s takes t; the slot of the pair's
+        other point, if open, closes on the same pair."""
+        side, k = slots[s]
+        o = owner[side].get(t)
+        picked[s] = t
+        if o in open_:
+            picked[o] = k
+        kept = [(u, row) for u, row in zip(open_, rows) if u != s and u != o]
+        rest = [u for u, _ in kept]
+        return rest, place(rest, [row for _, row in kept], *pair(s, t))
+
     nodes = 0
-    proved = True
 
-    def gap(p, q):
-        return abs(dX[p[0]][q[0]] - dY[p[1]][q[1]])
-
-    stack = [([base_pair], Fraction(0), 0)]
-    while stack:
-        pairs, dis, depth = stack.pop()
+    def descend(dis, open_, rows, limit, picked):
+        """Distortion of a completion with every cost below ``limit``,
+        filling ``picked``, or None when there is none."""
+        nonlocal nodes
         nodes += 1
         if nodes > node_cap:
-            proved = False
-            break
-        if best_dis is not None and dis >= best_dis:
-            continue
-        if depth == len(slots):
-            best_pairs, best_dis = pairs, dis
-            continue
-        side, k = slots[depth]
-        rng = range(Y.n) if side == "f" else range(X.n)
-        children = []
-        for t in rng:
-            p = (k, t) if side == "f" else (t, k)
-            new_dis = dis
-            ok = True
-            for q in pairs:
-                g = gap(p, q)
-                if g > new_dis:
-                    new_dis = g
-                if best_dis is not None and new_dis >= best_dis:
-                    ok = False
-                    break
-            if ok:
-                children.append((pairs + [p], new_dis, depth + 1))
-        stack.extend(reversed(children))
-    return best_pairs, best_dis, proved
+            raise _NodeCap
+        if not open_:
+            return dis
+        pick, fewest = 0, None
+        for i, row in enumerate(rows):
+            below = sum(c < limit for c in row)
+            if not below:
+                return None
+            if fewest is None or below < fewest:
+                pick, fewest = i, below
+        s = open_[pick]
+        for c, t in sorted((c, t) for t, c in enumerate(rows[pick])):
+            if c >= limit:
+                break
+            found = descend(max(dis, c), *settle(open_, rows, s, t, picked),
+                            limit, picked)
+            if found is not None:
+                return found
+        return None
+
+    every = list(range(len(slots)))
+    start = place(every, [[0] * (Y.n if side else X.n) for side, _ in slots],
+                  X.base, Y.base)
+    best = choice = None
+    proved = False
+    try:
+        # Phase 1: D*.
+        limit = math.inf
+        while limit > 0:
+            picked = [None] * len(slots)
+            found = descend(0, every, start, limit, picked)
+            if found is None:
+                break
+            best, choice, limit = found, picked, found
+        proved = True
+        # Phase 2: L*, slot by slot.
+        rows = start
+        for s in every:
+            rest = every[s + 1:]
+            for t, c in enumerate(rows[0]):
+                if c <= best:
+                    nxt = place(rest, rows[1:], *pair(s, t))
+                    if t == choice[s]:
+                        break
+                    trial = choice[:s] + [t] + [None] * len(rest)
+                    if descend(0, rest, nxt, best + 1, trial) is not None:
+                        choice = trial
+                        break
+            rows = nxt
+    except _NodeCap:
+        if choice is None:
+            return None, None, False
+    pairs = [(X.base, Y.base)] + [pair(s, t) for s, t in enumerate(choice)]
+    return pairs, Fraction(best, unit), proved
 
 
 def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET,

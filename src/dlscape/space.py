@@ -75,6 +75,11 @@ class GraphSpace:
         under a bound."""
         return None
 
+    def distance(self, a, b):
+        """Closed-form graph distance d(a, b) between two vertices, or None
+        where the generator gives none."""
+        return None
+
     # -----------------------------------------------------------------------
     def spec_dict(self):
         return {
@@ -274,11 +279,19 @@ class Window:
         """Indices of a non-empty sample inside the R // 3 zone.  A point
         past it raises a radius ZoneError whose ``need``, max(3 dmax,
         ``need``), dmax the largest d(base, s), also clears ``need``, the
-        radius the caller's other radius checks need."""
+        radius the caller's other radius checks need.  For a point outside
+        the window that need is named only where ``space.distance`` gives
+        every d(base, s) in closed form."""
         if not sample:
             raise DomainError("sample must be non-empty")
-        idxs = [self.require_zone(v, self.radius, what="sample")
-                for v in sample]
+        try:
+            idxs = [self.require_zone(v, self.radius, what="sample")
+                    for v in sample]
+        except ZoneError as exc:
+            far = [self.space.distance(self.base, v) for v in sample]
+            if None not in far:
+                exc.need = max(3 * max(far), need)
+            raise
         dist = self._dist
         zone = self.radius // 3
         for v, i in zip(sample, idxs):

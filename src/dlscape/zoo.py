@@ -44,6 +44,9 @@ class Line(GraphSpace):
     def default_base(self):
         return 0
 
+    def distance(self, a, b):
+        return abs(a - b)
+
     def parse_vertex(self, text):
         return int(text)
 
@@ -70,6 +73,9 @@ class HalfLine(GraphSpace):
 
     def default_base(self):
         return 0
+
+    def distance(self, a, b):
+        return abs(a - b)
 
     def parse_vertex(self, text):
         v = int(text)
@@ -155,6 +161,9 @@ class Grid2D(GraphSpace):
     def default_base(self):
         return (0, 0)
 
+    def distance(self, a, b):
+        return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
     def parse_vertex(self, text):
         return _parse_int_pair(text)
 
@@ -213,6 +222,16 @@ class HGraph(GraphSpace):
 
     def default_base(self):
         return (0, 0)
+
+    def distance(self, a, b):
+        """From (0, 0) only: the axis point (x, 0) is |x| away, a column
+        point (x, y), 1 <= y <= |x|, is reached up its column from the
+        axis, |x| + y, and a row point, |x| <= y, only through a corner
+        (+-y, y), 2y + y - |x|."""
+        if a != (0, 0):
+            return None
+        x, y = b
+        return abs(x) + y if y <= abs(x) else 3 * y - abs(x)
 
     def parse_vertex(self, text):
         v = _parse_int_pair(text)
@@ -433,7 +452,10 @@ def build_from_dict(spec):
         raise DomainError("space spec needs a 'generator' key")
     scale = spec.get("scale", {"num": 1, "den": 1})
     try:
-        scale = Fraction(scale["num"], scale["den"])
+        num, den = scale["num"], scale["den"]
+        if not (_is_int(num) and _is_int(den)):
+            raise TypeError(f"expected integers, got {num!r}/{den!r}")
+        scale = Fraction(num, den)
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise DomainError(f"space scale must be {{num, den}} integers with "
                           f"den != 0: {exc!r}") from None

@@ -353,6 +353,36 @@ def test_rho_sample_beyond_zone(capsys):
     assert payload["need"] == 19
 
 
+@pytest.mark.parametrize("space,sample,need", [
+    ("line", "0;-4;3", 18), ("halfline", "0;9", 27),
+    ("grid2d", "0,0;3,-4", 21), ("h_graph", "0,0;2,5", 39)])
+def test_rho_sample_outside_the_window_names_its_need(capsys, space, sample,
+                                                       need):
+    """A sample point outside the window: its closed-form distance names
+    the radius, max(3 d(base, s), the schedule's need 18)."""
+    payload = _usage_error(capsys, "rho", "--space", space, "--radius", "2",
+                           "--zone", "5", "--r-max", "18", "--sample", sample)
+    assert payload["error"] == "ZoneError"
+    assert payload["parameter"] == "radius" and payload["need"] == need
+
+
+def test_rho_sample_outside_the_window_without_a_closed_form(capsys):
+    payload = _usage_error(capsys, "rho", "--space", "tree:b=2", "--radius",
+                           "2", "--r-max", "2", "--sample", "root;0.0.0")
+    assert payload["error"] == "ZoneError" and "need" not in payload
+
+
+@pytest.mark.parametrize("scale", [{"num": True, "den": 1},
+                                   {"num": 1, "den": False}])
+def test_space_file_scale_is_integers(tmp_path, capsys, scale):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"generator": "line", "scale": scale}))
+    payload = _usage_error(capsys, "field", "--space", str(path),
+                           "--radius", "4", "--r-max", "2", "--zone", "1")
+    assert payload["error"] == "DomainError"
+    assert "integers" in payload["message"]
+
+
 def test_field_schedule_up_to_the_radius(capsys):
     # max(schedule) = 55 and zone 10 on R = 60: exact, though 55 + 10 > R
     code, out, err = run(capsys, "field", "--space", "line", "--radius",

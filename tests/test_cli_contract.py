@@ -61,10 +61,10 @@ NOT_INTS = st.sampled_from([1.5, 2.0, 0.9, True, False, None, "1",
 
 @st.composite
 def finite_space_json(draw):
-    """Finite-space JSON text, n <= 5: a metric (weights closed under
+    """Finite-space JSON text, n <= 8: a metric (weights closed under
     shortest paths) that is then often broken by a float, bool, NaN or
     infinity entry, a ragged row, or a wrong n, base or scale."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
     d = [[0 if i == j else draw(st.integers(1, 4)) for j in range(n)]
          for i in range(n)]
     for i in range(n):
@@ -85,7 +85,7 @@ def finite_space_json(draw):
     elif flaw == "ragged":
         d[draw(st.integers(0, n - 1))].pop()
     elif flaw in ("n", "base"):
-        data[flaw] = draw(st.one_of(NOT_INTS, st.integers(-1, 6)))
+        data[flaw] = draw(st.one_of(NOT_INTS, st.integers(-1, 9)))
     elif flaw == "scale":
         data["scale"][draw(st.sampled_from(["num", "den"]))] = \
             draw(st.one_of(NOT_INTS, st.integers(-1, 0)))
@@ -98,11 +98,14 @@ def finite_space_json(draw):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(
-        ["field", "coray", "busemann", "horo", "rho", "check", "gh"]))
+        ["field", "level-set", "coray", "busemann", "horo", "rho", "check",
+         "gh", "zoo"]))
+    if command == "zoo":
+        return ["zoo", "list"]
     if command == "gh":
         argv = ["gh", f"--x={draw(finite_space_json())}",
                 f"--y={draw(finite_space_json())}"]
-        budget = draw(st.one_of(st.none(), st.integers(-2, 6)))
+        budget = draw(st.one_of(st.none(), st.integers(-2, 9)))
         if budget is not None:
             argv.append(f"--budget={budget}")
         return argv
@@ -120,12 +123,14 @@ def argvs(draw):
         argv.append(f"--zone={zone}")
     label = labels(space)
     kind = space.partition(":")[0]
-    if command in ("field", "coray", "rho"):
+    if command in ("field", "level-set", "coray", "rho"):
         argv.append(f"--r-max={draw(small)}")
         step = draw(st.one_of(st.none(), st.integers(-1, 8)))
         if step is not None:
             argv.append(f"--r-step={step}")
-    if command == "coray":
+    if command == "level-set":
+        argv.append(f"--level={draw(st.integers(-30, 4))}")
+    elif command == "coray":
         if draw(st.booleans()):
             argv.append(f"--start={draw(label)}")
         paths = draw(st.one_of(st.none(), st.integers(-3, 4)))

@@ -3,10 +3,14 @@
 The key soundness facts are checked against independent oracles: the
 branch-and-bound reduction against a full-relation brute force, and the
 sandwich bounds against a grid search over admissible metrics on the
-disjoint union (the definition itself), on tiny instances.
+disjoint union (the definition itself), on tiny instances.  Past
+brute-force sizes the search is checked against a plain DFS spec and by
+metamorphic relations.
 """
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -18,7 +22,9 @@ from dlscape import (DomainError, FiniteMetricSpace, MetricError, build,
                      corr_from_isometry, eps_delta_certificate, gh_bounds,
                      materialize_window, min_distortion_correspondence,
                      pa_gh_experiment, u_point_assigned)
-from dlscape.gh import MAPPINGS, Correspondence, distortion
+from dlscape.gh import NODE_CAP, MAPPINGS, Correspondence, distortion
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def metric_from_weights(n, weights, base=0):
@@ -38,9 +44,9 @@ def metric_from_weights(n, weights, base=0):
     return FiniteMetricSpace(n, tuple(map(tuple, d)), base)
 
 
-def rand_space(rng, n_max=6):
-    n = rng.randint(1, n_max)
-    weights = [rng.randint(1, 9) for _ in range(n * (n - 1) // 2)]
+def rand_space(rng, n_max=6, n_min=1, w_max=9):
+    n = rng.randint(n_min, n_max)
+    weights = [rng.randint(1, w_max) for _ in range(n * (n - 1) // 2)]
     return metric_from_weights(n, weights)
 
 
@@ -263,3 +269,137 @@ def test_experiment_map_out_of_zone(line_field):
     fy, _ = u_point_assigned(hw, range(8, 49, 8), 10)
     with pytest.raises(DomainError):
         pa_gh_experiment(line_field, fy, MAPPINGS["identity"], 1)
+
+
+def spec_search_union(X, Y, node_cap=NODE_CAP):
+    """The plain DFS the integer search replaced, kept as its spec: slots
+    in fixed order, candidates by index, Fraction gaps, a node pruned once
+    its distortion reaches the best leaf, and a leaf kept only on a strict
+    improvement.  Returns (pairs, distortion, proved)."""
+    dX, dY = X.real_matrix(), Y.real_matrix()
+    slots = [("f", i) for i in range(X.n) if i != X.base] + \
+            [("g", j) for j in range(Y.n) if j != Y.base]
+    best_pairs, best_dis = None, None
+    nodes = 0
+    stack = [([(X.base, Y.base)], Fraction(0), 0)]
+    while stack:
+        pairs, dis, depth = stack.pop()
+        nodes += 1
+        if nodes > node_cap:
+            return best_pairs, best_dis, False
+        if best_dis is not None and dis >= best_dis:
+            continue
+        if depth == len(slots):
+            best_pairs, best_dis = pairs, dis
+            continue
+        side, k = slots[depth]
+        children = []
+        for t in range(Y.n if side == "f" else X.n):
+            p = (k, t) if side == "f" else (t, k)
+            new_dis = max([dis] + [abs(dX[p[0]][q[0]] - dY[p[1]][q[1]])
+                                   for q in pairs])
+            if best_dis is None or new_dis < best_dis:
+                children.append((pairs + [p], new_dis, depth + 1))
+        stack.extend(reversed(children))
+    return best_pairs, best_dis, True
+
+
+def _scaled_space(rng, n_max):
+    X = rand_space(rng, n_max)
+    scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+    return FiniteMetricSpace(X.n, X.dist, rng.randrange(X.n), scale)
+
+
+def test_search_matches_the_plain_dfs_spec():
+    """Same pairs, distortion and flag as the spec on random pairs of up to
+    5 points, with random bases and scales."""
+    rng = random.Random(12)
+    for _ in range(150):
+        X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
+        pairs, dis, proved = spec_search_union(X, Y)
+        assert proved
+        corr = min_distortion_correspondence(X, Y)
+        assert (sorted(corr.pairs), corr.distortion, corr.proved_optimal) \
+            == (sorted(set(pairs)), dis, proved), (X, Y)
+
+
+def _relabel(X, perm):
+    """X with point i renamed perm[i]."""
+    d = [[0] * X.n for _ in range(X.n)]
+    for i in range(X.n):
+        for j in range(X.n):
+            d[perm[i]][perm[j]] = X.dist[i][j]
+    return FiniteMetricSpace(X.n, tuple(map(tuple, d)), perm[X.base],
+                             X.scale)
+
+
+def _times(X, k, scale=None):
+    return FiniteMetricSpace(X.n, tuple(tuple(k * e for e in row)
+                                        for row in X.dist), X.base,
+                             X.scale if scale is None else scale)
+
+
+def _d_star(X, Y):
+    corr = min_distortion_correspondence(X, Y)
+    assert corr.proved_optimal
+    return corr.distortion
+
+
+def _big_pairs(seed, count=8):
+    rng = random.Random(seed)
+    return [(rand_space(rng, 8, 6, 6), rand_space(rng, 8, 6, 6))
+            for _ in range(count)]
+
+
+def test_relabeling_non_base_points_keeps_d_star():
+    rng = random.Random(21)
+    for X, Y in _big_pairs(21):
+        perm = list(range(X.n))
+        rest = perm[1:]
+        rng.shuffle(rest)
+        X2 = _relabel(X, [0] + rest)
+        perm = list(range(1, Y.n))
+        rng.shuffle(perm)
+        Y2 = _relabel(Y, [0] + perm)
+        assert _d_star(X2, Y2) == _d_star(X, Y), (X, Y)
+
+
+def test_swapping_the_spaces_keeps_d_star():
+    for X, Y in _big_pairs(22):
+        assert _d_star(Y, X) == _d_star(X, Y), (X, Y)
+
+
+def test_scaling_both_matrices_scales_d_star():
+    for k, (X, Y) in zip(itertools.cycle((2, 3, 7)), _big_pairs(23)):
+        assert _d_star(_times(X, k), _times(Y, k)) == k * _d_star(X, Y)
+
+
+def test_a_scale_is_a_matrix_rescaled_by_hand():
+    """X at scale p/q reads entry * q / p: multiplying X's matrix by q and
+    Y's by p, both at scale 1, multiplies every distance and so D* by p."""
+    rng = random.Random(24)
+    for X, Y in _big_pairs(24):
+        p, q = rng.randint(1, 5), rng.randint(1, 5)
+        scaled = _times(X, 1, Fraction(p, q))
+        assert _d_star(_times(X, q), _times(Y, p)) == \
+            p * _d_star(scaled, Y), (X, Y, p, q)
+
+
+def test_a_hard_eight_point_pair_is_proved():
+    """Pair 7 of 30 pairs of 8-point spaces (random.Random(11); for each
+    pair X then Y, 28 weights in 1..6 closed under shortest paths, base
+    0) comes back proved within NODE_CAP.  The plain DFS spends its whole
+    NODE_CAP on it and leaves it unproved; with no cap it returns the
+    same correspondence, after minutes."""
+    rng = random.Random(11)
+    pairs = [tuple(metric_from_weights(8, [rng.randint(1, 6)
+                                           for _ in range(28)])
+                   for _ in "xy") for _ in range(30)]
+    X, Y = (FiniteMetricSpace.from_json(json.loads(
+        (DATA / f"gh_8pt_{side}.json").read_text())) for side in "xy")
+    assert (X, Y) == pairs[7]
+    corr = min_distortion_correspondence(X, Y)
+    assert corr.proved_optimal and corr.distortion == 3
+    assert sorted(corr.pairs) == [
+        (0, 0), (0, 1), (0, 3), (0, 7), (1, 0), (1, 2), (2, 1), (3, 1),
+        (3, 6), (4, 3), (4, 5), (5, 1), (6, 4), (7, 0)]

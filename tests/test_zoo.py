@@ -47,6 +47,10 @@ def test_build_from_dict_scale():
     assert space.scale == Fraction(3, 2)
     with pytest.raises(DomainError):
         build_from_dict({"params": {}})
+    for scale in ({"num": True, "den": 1}, {"num": 1, "den": True},
+                  {"num": 1.0, "den": 1}):
+        with pytest.raises(DomainError):
+            build_from_dict({"generator": "line", "scale": scale})
 
 
 def test_catalog_lists_all():
@@ -101,6 +105,20 @@ def test_h_graph_axis_distance(h_window):
     df = dist_field(h_window, [(0, 0)])
     for k in range(1, 16):
         assert df[h_window.index[(0, k)]] == 3 * k
+
+
+@pytest.mark.parametrize("name,params,radius", ALL)
+def test_closed_form_distance_is_the_window_distance(name, params, radius):
+    """Where a generator gives d(base, v) in closed form, it is the BFS
+    distance of every window vertex; elsewhere it gives None."""
+    space = build(name, params)
+    base = space.default_base()
+    w = materialize_window(space, base, radius)
+    known = name in ("line", "halfline", "grid2d", "h_graph")
+    for v, d in zip(w.vertices, w.dist_from_base):
+        assert space.distance(base, v) == (d if known else None), v
+    if name == "h_graph":
+        assert space.distance((1, 0), (0, 0)) is None
 
 
 def test_stick_apex_distance():
