@@ -63,7 +63,7 @@ def _suite_settles(radius):
 
 
 def _label(window, i):
-    return window.space.vertex_label(window.vertices[i])
+    return window.space.vertex_label(window._vertices[i])
 
 
 def suite_monotone(space, radius, trials, seed):
@@ -74,7 +74,7 @@ def suite_monotone(space, radius, trials, seed):
     draws fixed."""
     window = _window(space, radius)
     rng = random.Random(seed)
-    dist = window.dist_from_base
+    dist = window._dist
     inner = window.indices_within(radius // 3)
     zone = max(1, radius // 3)
     cache = {}
@@ -118,7 +118,7 @@ def _field_pool(space, radius, pool_size, rng):
     zone, schedule = _suite_schedule(radius)
     inner = window.indices_within(zone // 2)
     picks = sorted(rng.sample(inner, min(pool_size, len(inner))))
-    bases = [window.vertices[i] for i in picks]
+    bases = [window._vertices[i] for i in picks]
     fields = point_assigned_family(window, bases, schedule, zone)
     return window, bases, fields
 
@@ -201,7 +201,7 @@ def suite_coray(space, radius, trials, seed):
     traced = 0
     for _ in range(trials):
         i = rng.choice(starts)
-        trace = trace_corays(fld, window.vertices[i], max_paths=16)
+        trace = trace_corays(fld, window._vertices[i], max_paths=16)
         if not trace.paths:
             result.violations.append({"start": _label(window, i),
                                       "reason": "no co-ray traced"})
@@ -227,14 +227,14 @@ def suite_sphere(space, radius, trials, seed):
         raise DomainError(f"the sphere suite needs radius >= 1, "
                           f"got {radius}")
     rng = random.Random(seed)
-    dist = window.dist_from_base
+    dist, index, adjacency = window._dist, window._index, window._adjacency
     result = SuiteResult("sphere", trials, 0)
     for _ in range(trials):
         r = rng.randint(1, radius)
-        for v in sphere(window, r):
-            i = window.index[v]
+        for v in sphere(window, r):      # grows the window to r
+            i = index[v]
             result.checked += 1
-            if not any(dist[j] == r - 1 for j in window.adjacency[i]):
+            if not any(dist[j] == r - 1 for j in adjacency[i]):
                 result.violations.append({"r": r,
                                           "vertex": _label(window, i)})
     return result

@@ -284,8 +284,17 @@ def _add_schedule_args(p):
                    help="schedule step (default r-max//10)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Misuse exits 2 with canonical JSON on stderr; subparsers inherit."""
+
+    def error(self, message):
+        sys.stderr.write(_canonical({"error": "UsageError",
+                                     "message": f"{self.prog}: {message}"}))
+        self.exit(2)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlscape",
         description="Distance-like functions, co-rays, the pseudo-metric "
                     "rho, and pointed GH bounds on graph windows.")
@@ -380,11 +389,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # --help, or misuse (see _Parser)
+        return exc.code or 0
     try:
         return args.fn(args)
     except DlscapeError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import ConvergenceReport, busemann_anchors, verify_geodesic
+from .fields import ConvergenceReport, _geodesic, busemann_anchors
 from .space import bfs_memo
 
 
@@ -100,7 +100,7 @@ def verify_gradient(coray, field, dist_from=None):
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
     forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields.verify_geodesic`
     decides them with one BFS from g_0, shared across calls through
-    ``dist_from`` as there.
+    ``dist_from`` as there, on the indices found here.
     """
     try:
         idxs = [field.index_of(v) for v in coray.vertices]
@@ -109,7 +109,7 @@ def verify_gradient(coray, field, dist_from=None):
     values = field.values
     if any(values[a] - values[b] != 1 for a, b in zip(idxs, idxs[1:])):
         return False
-    return verify_geodesic(field.window, coray.vertices, dist_from)
+    return _geodesic(field.window, idxs, dist_from)
 
 
 def verify_corays(corays, field):

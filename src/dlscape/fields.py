@@ -92,14 +92,12 @@ class ScalarField:
 
     def lipschitz_violations(self):
         """Edges inside the zone across which the value jumps by > 1."""
-        adjacency = self.window.adjacency
-        values = self.values
+        window, values = self.window, self.values
         bad = []
         for i, vi in values.items():
-            for j in adjacency[i]:
+            for j in window._adjacency[i]:
                 if j in values and abs(vi - values[j]) > 1:
-                    bad.append((self.window.vertices[i],
-                                self.window.vertices[j]))
+                    bad.append((window._vertices[i], window._vertices[j]))
         return bad
 
 
@@ -284,9 +282,14 @@ def verify_geodesic(window, path, dist_from=None):
     ``dist_from(i, limit)`` (:func:`~dlscape.space.bfs_memo`) lets
     callers share passes.
     """
-    if not path:
+    return _geodesic(window, [window.require_zone(v, window.radius, "path")
+                              for v in path], dist_from)
+
+
+def _geodesic(window, idxs, dist_from):
+    """:func:`verify_geodesic` on the window indices of a path."""
+    if not idxs:
         raise DomainError("path must be non-empty")
-    idxs = [window.require_zone(v, window.radius, what="path") for v in path]
     adjacency = window._adjacency
     for a, b in zip(idxs, idxs[1:]):
         if b not in adjacency[a]:
@@ -301,30 +304,48 @@ def verify_geodesic(window, path, dist_from=None):
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def busemann_anchors(window, ray, T, zone, dist_from=None):
-    """Validate a ray for a Busemann sweep; return the indices of
-    ray[0..T].
-
-    Needs 1 <= T < len(ray), a geodesic ray[0..T] (one BFS from ray[0],
-    through ``dist_from`` as in :func:`verify_geodesic`), and
-    d(base, ray[t]) + zone <= R for every anchor, so that the anchor
-    distances are exact on the zone.
+def _anchor_sets(window, sets, zone, margin, what, ray=False,
+                 dist_from=None):
+    """(d(base, H_n), indices of H_n) per anchor set of a Busemann
+    (``ray``), horofunction or set-limit sweep, after these checks in
+    order: each H_n is non-empty and in the window (found through
+    :meth:`~dlscape.space.Window.require_zone`); a ray is a geodesic;
+    d(base, H_n) + margin <= R, so the sweep is exact on the zone (the
+    ZoneError names the first failing set's nearest member and the need
+    max d(base, H_n) + margin); 1 <= zone; a sequence's d(base, H_n)
+    strictly increases.
     """
+    require, radius, dist = window.require_zone, window.radius, window._dist
+    found = []
+    for h in sets:
+        if not h:
+            raise DomainError(f"{what} must be non-empty")
+        idxs = [require(v, radius, what) for v in h]
+        found.append((min(map(dist.__getitem__, idxs)), idxs))
+    if ray and not _geodesic(window, [i for _, (i,) in found], dist_from):
+        raise DomainError("ray is not a geodesic vertex path")
+    for a, idxs in found:
+        if a + margin > radius:
+            near = min(idxs, key=dist.__getitem__)
+            raise ZoneError(f"{what} too close to the window boundary",
+                            parameter="radius", witness=window._vertices[near],
+                            need=max(b for b, _ in found) + margin)
+    _check_zone(window, zone)
+    if not ray and any(b <= a for (a, _), (b, _) in zip(found, found[1:])):
+        raise DomainError(f"d(base, {what}) must be strictly increasing")
+    return found
+
+
+def busemann_anchors(window, ray, T, zone, dist_from=None):
+    """Indices of ray[0..T], 1 <= T < len(ray), once they pass the checks
+    of :func:`_anchor_sets` for a Busemann sweep, the geodesy check
+    through ``dist_from``."""
     ray = list(ray)
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
-    if not verify_geodesic(window, ray[:T + 1], dist_from):
-        raise DomainError("ray is not a geodesic vertex path")
-    dist = window._dist
-    anchors = [window._index[v] for v in ray[:T + 1]]
-    for t, i in enumerate(anchors):
-        if dist[i] + zone > window.radius:
-            raise ZoneError(
-                f"anchor ray[{t}] too close to the window boundary "
-                f"(need d(base, anchor) + zone <= R)", parameter="radius",
-                witness=ray[t], need=max(dist[a] for a in anchors) + zone)
-    _check_zone(window, zone)       # zone <= R passed the check above
-    return anchors
+    found = _anchor_sets(window, [(v,) for v in ray[:T + 1]], zone, zone,
+                         "path", ray=True, dist_from=dist_from)
+    return [i for _, (i,) in found]
 
 
 def busemann(window, ray, T, zone, tail=None):
@@ -342,7 +363,7 @@ def busemann(window, ray, T, zone, tail=None):
     zone + d(base, a)), which holds a geodesic from each zone vertex.
     """
     anchors = busemann_anchors(window, ray, T, zone)
-    dist, ball = window.dist_from_base, window.geodesic_ball
+    dist, ball = window._dist, window.geodesic_ball
     return _sweep(window, "busemann", zone, tail,
                   ((t, (a,), t, ball(zone, dist[a], zone + dist[a]), zone)
                    for t, a in enumerate(anchors) if t))
@@ -359,27 +380,11 @@ def horofunction(window, points, zone, tail=None):
     points = list(points)
     if len(points) < 2:
         raise DomainError("need at least two points")
-    dist = window.dist_from_base
-    idxs = []
-    for p in points:
-        i = window.index.get(p)
-        if i is None:
-            raise ZoneError(f"point {p!r} not in window", parameter="radius",
-                            witness=p)
-        idxs.append(i)
-    for p, i in zip(points, idxs):
-        if dist[i] + zone > window.radius:
-            raise ZoneError("point too close to the window boundary "
-                            "(need d(base, p) + zone <= R)",
-                            parameter="radius", witness=p,
-                            need=max(dist[j] for j in idxs) + zone)
-    _check_zone(window, zone)       # zone <= R passed the check above
-    if any(dist[j] <= dist[i] for i, j in zip(idxs, idxs[1:])):
-        raise DomainError("d(base, p_n) must be strictly increasing")
+    found = _anchor_sets(window, [(p,) for p in points], zone, zone, "p_n")
     ball = window.geodesic_ball
     return _sweep(window, "horo", zone, tail,
-                  ((dist[i], (i,), dist[i],
-                    ball(zone, dist[i], zone + dist[i]), zone) for i in idxs))
+                  ((a, idxs, a, ball(zone, a, zone + a), zone)
+                   for a, idxs in found))
 
 
 def dl_from_sets(window, sets, shifts, zone, tail=None):
@@ -399,27 +404,11 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     shifts = list(shifts)
     if len(sets) != len(shifts) or len(sets) < 2:
         raise DomainError("need matching sets/shifts lists of length >= 2")
-    dist = window.dist_from_base
-    steps = []
-    for hn, cn in zip(sets, shifts):
-        if not hn:
-            raise DomainError("H_n must be non-empty")
-        idxs = [window.require_zone(v, window.radius, what="H_n") for v in hn]
-        steps.append((min(dist[i] for i in idxs), idxs, cn))
-    top = max(a for a, _, _ in steps) + 2 * zone
-    if top > window.radius:
-        raise ZoneError("H_n too close to the window boundary "
-                        "(need d(base, H_n) + 2*zone <= R)",
-                        parameter="radius", need=top)
-    _check_zone(window, zone)       # zone <= R passed the check above
-    steps = [(a, idxs, cn,
-              window.geodesic_ball(zone, a + 2 * zone - 1, a + zone - 1),
-              zone)
-             for a, idxs, cn in steps]
-    if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
-        raise DomainError("d(base, H_n) must be strictly increasing "
-                          "(diverging sets)")
-    return _sweep(window, "set_limit", zone, tail, steps)
+    found = _anchor_sets(window, sets, zone, 2 * zone, "H_n")
+    ball = window.geodesic_ball
+    return _sweep(window, "set_limit", zone, tail,
+                  [(a, idxs, cn, ball(zone, a + 2 * zone - 1, a + zone - 1),
+                    zone) for (a, idxs), cn in zip(found, shifts)])
 
 
 @dataclass
@@ -458,7 +447,7 @@ def gromov_check(field, t_samples):
     a distance.  A violation reports the distance in B_zone (-1: none).
     """
     window = field.window
-    dist = window.dist_from_base
+    dist = window._dist
     limit = window.geodesic_ball(0, field.zone, field.zone)
     report = GromovReport()
     for t in t_samples:
@@ -475,7 +464,7 @@ def gromov_check(field, t_samples):
                 continue
             count += 1
             if u != t + d[i]:
-                report.violations.append((t, window.vertices[i], u, d[i]))
+                report.violations.append((t, window._vertices[i], u, d[i]))
         report.checked[t] = count
     return report
 
@@ -530,7 +519,7 @@ def stability_check(fields, limit, t_samples=None):
     nonconverged = []
     for i, v in limit.values.items():
         if any(f.values.get(i) != v for f in fields[-2:]):
-            nonconverged.append(limit.window.vertices[i])
+            nonconverged.append(limit.window._vertices[i])
     if t_samples is None:
         t_samples = default_t_samples(limit)
     grom = gromov_check(limit, t_samples)
@@ -570,8 +559,7 @@ def field_from_json(data, window):
     space = window.space
     values, stable, last_change = {}, {}, {}
     for row in data["values"]:
-        v = space.parse_vertex(row["vertex"])
-        i = window.index.get(v)
+        i = window.find(space.parse_vertex(row["vertex"]))
         if i is None:
             raise DomainError(f"exported vertex {row['vertex']} not in the "
                               "rematerialized window")

@@ -505,26 +505,24 @@ def pa_gh_experiment(field_x, field_y, mapping, eps):
     Deviations are in real units (hops / scale) so two spaces of
     different scale compare exactly.  Vertices whose value is not flagged
     stable on either side are skipped and listed; the verdict is
-    inconclusive unless that list is empty.
+    inconclusive unless that list is empty.  A map that fails on a source
+    vertex, or sends one outside the target zone, raises DomainError.
     """
     eps = Fraction(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    if callable(mapping):
-        fmap = mapping
-    else:
-        fmap = mapping.__getitem__
-    sx = field_x.window.space.scale
-    sy = field_y.window.space.scale
+    fmap = mapping if callable(mapping) else mapping.__getitem__
+    wx, wy = field_x.window, field_y.window
+    sx, sy = wx.space.scale, wy.space.scale
     checked, unstable = 0, []
-    max_abs = Fraction(0)
-    max_one = None
-    witness = None
-    wy = field_y.window
+    max_abs, max_one, witness = Fraction(0), None, None
     for i in sorted(field_x.values):
-        vx = field_x.window.vertices[i]
-        vy = fmap(vx)
-        j = wy.index.get(vy)
+        vx = wx._vertices[i]
+        try:
+            vy = fmap(vx)
+        except (TypeError, IndexError, KeyError):
+            raise DomainError(f"map cannot take vertex {vx!r}") from None
+        j = wy._index.get(vy)
         if j is None or j not in field_y.values:
             raise DomainError(f"map sends {vx!r} outside the target zone")
         if not field_x.report.stable[i] or not field_y.report.stable[j]:

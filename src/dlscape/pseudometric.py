@@ -175,16 +175,16 @@ def base_lipschitz_gap(field_a, field_b):
             wa.space.spec_dict() != wb.space.spec_dict():
         raise DomainError("fields must live on the same space")
     shared = [(i, j) for i in field_a.zone_indices()
-              if (j := wb.index.get(wa.vertices[i])) in field_b.values]
+              if (j := wb._index.get(wa._vertices[i])) in field_b.values]
     if not shared:
         raise DomainError("fields share no zone vertices")
-    if field_b.base not in wa.index:
+    k = wa.find(field_b.base)
+    if k is None:
         raise DomainError("base of the second field not in the first window")
     stable_a, stable_b = field_a.report.stable, field_b.report.stable
     gaps = [abs(field_a.values[i] - field_b.values[j]) for i, j in shared
             if stable_a[i] and stable_b[j]]
-    d_ab = wa.dist_from_base[wa.index[field_b.base]]
-    return max(gaps, default=None), d_ab, len(shared) - len(gaps)
+    return max(gaps, default=None), wa._dist[k], len(shared) - len(gaps)
 
 
 def base_lipschitz_check(field_a, field_b):

@@ -123,9 +123,9 @@ class Window:
     to R before it answers "not in window"; every read of the whole
     window (``len``, the ``vertices``, ``index``, ``dist_from_base`` and
     ``adjacency`` properties, :meth:`edge_list`, :meth:`to_json`) grows
-    it to R first.  So those reads see B_R; code in this package that has
-    called ``count_within(rho)`` may read the underscore lists at indices
-    below it without growing the window.
+    it to R first, so those reads see B_R.  Other readers in this package
+    read the underscore lists below a ``count_within`` or ``find`` they
+    have called; a held row lists every held neighbor.
 
     Budget.  :func:`materialize_window` builds a window on demand only when
     the space's :meth:`GraphSpace.ball_size_bound`, or the ``known`` window
@@ -430,10 +430,8 @@ def sphere(window, r):
         raise ZoneError(f"sphere radius {r} outside window radius "
                         f"{window.radius}", parameter="radius",
                         need=r if r > 0 else None)
-    members = window.vertices[window.count_within(r - 1):
-                              window.count_within(r)]
-    members.sort()
-    return tuple(members)
+    hi = window.count_within(r)
+    return tuple(sorted(window._vertices[window.count_within(r - 1):hi]))
 
 
 def pairwise_dist(window, sample, need=0):
@@ -455,17 +453,26 @@ def pairwise_dist(window, sample, need=0):
 
 
 def shortest_path(window, start, goal):
-    """One shortest vertex path start..goal, deterministic.
+    """One shortest vertex path start..goal, deterministic: BFS parents
+    follow the generator's neighbor order.  It is a geodesic of the window.
 
-    BFS parents follow the generator's neighbor order, so the returned
-    path is reproducible.  The path is a geodesic of the window.
+    The BFS from s = start runs in B_L, L = 2 d(base, s) + d(base, goal),
+    indices past it pre-settled as in :func:`_bfs_from_indices`.  Through
+    the base, D = d_W(s, goal) <= d(base, s) + d(base, goal), d_W the
+    window distance, so every w with d_W(s, w) <= D, a window geodesic
+    from s to w included, has d(base, w) <= d(base, s) + d_W(s, w) <= L.
+    The search reads rows at levels up to D only, and stops when it takes
+    the goal from the queue; a neighbor past L that it skips is at level
+    D + 1, queued after the goal by a BFS of the whole window.  So both
+    find the same parents and path.  s..base..goal lies in B_L: the goal
+    is reached.
     """
-    s = window.index.get(start)
-    g = window.index.get(goal)
+    s, g = window.find(start), window.find(goal)
     if s is None or g is None:
         raise DomainError("endpoints must lie in the window")
-    adjacency = window.adjacency
-    parent = [-1] * len(adjacency)
+    limit = window.count_within(2 * window._dist[s] + window._dist[g])
+    adjacency = window._adjacency
+    parent = [-1] * limit + [0] * (len(adjacency) - limit)
     parent[s] = s
     queue = [s]
     for v in queue:
@@ -475,10 +482,7 @@ def shortest_path(window, start, goal):
             if parent[w] < 0:
                 parent[w] = v
                 queue.append(w)
-    if parent[g] < 0:
-        raise DomainError("goal not reachable inside the window")
     path = [g]
     while path[-1] != s:
         path.append(parent[path[-1]])
-    vertices = window.vertices
-    return [vertices[i] for i in reversed(path)]
+    return [window._vertices[i] for i in reversed(path)]

@@ -214,6 +214,32 @@ def test_experiment_pass_and_fail(capsys):
     assert code == 1 and not json.loads(out)["abs_bound_8eps_ok"]
 
 
+@pytest.mark.parametrize("space_y", ["line", "pendant_line"])
+def test_experiment_map_that_cannot_take_a_source_vertex(capsys, space_y):
+    """nearest_spine reads a pendant-line vertex (n, k); a line vertex n
+    is refused with exit 2, not a traceback."""
+    payload = _usage_error(capsys, "experiment", "pa-gh", "--space-x",
+                           "line", "--space-y", space_y, "--map",
+                           "nearest_spine", "--eps", "1", "--radius", "40",
+                           "--r-max", "32", "--zone", "8")
+    assert payload["error"] == "DomainError"
+    assert "map cannot take vertex" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "show"], ["bogus"], [], ["rho", "--space", "line"],
+    ["field", "--space", "line", "--radius", "x", "--r-max", "3"],
+    ["field", "--space", "line", "--radius", "9", "--r-max", "3", "--bad"]])
+def test_argparse_misuse_gives_json(capsys, argv):
+    payload = _usage_error(capsys, *argv)
+    assert payload["error"] == "UsageError" and payload["message"]
+
+
+def test_help_still_exits_0(capsys):
+    code, out, _ = run(capsys, "busemann", "--help")
+    assert code == 0 and "--ray-target" in out
+
+
 def test_check_suite(capsys):
     args = ["check", "--suite", "monotone", "--space", "h_graph",
             "--radius", "36", "--trials", "50", "--seed", "7"]

@@ -1,7 +1,8 @@
-"""The CLI contract on random small argv: exit 0, 1 or 2; exit 1 only with
-a witness on stdout; exit 2 with JSON on stderr; never a traceback.  With
-an explicit zone and schedule, a larger window changes no answer, and at
-a radius ZoneError's ``need`` no radius check with a need fails."""
+"""The CLI contract on random small argv, argparse misuse included: exit
+0, 1 or 2; exit 1 only with a witness on stdout; exit 2 with JSON on
+stderr; never a traceback.  With an explicit zone and schedule, a larger
+window changes no answer, and at a radius ZoneError's ``need`` no radius
+check with a need fails."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dlscape import checks
+from dlscape import checks, gh
 from dlscape.cli import main
 
 SPACES = ["line", "halfline", "tree:b=2", "grid2d", "h_graph",
@@ -95,11 +96,59 @@ def finite_space_json(draw):
     return json.dumps(data).replace('"1e400"', "1e400")
 
 
+# (space-x, space-y, map): the spaces each map is made for, then the same
+# pairs in the other order, then any two spaces with any map or one that
+# does not exist.
+MADE_FOR = [("pendant_line", "line", "nearest_spine"),
+            ("line", "pendant_line", "spine"), ("line", "line", "identity"),
+            ("h_graph", "h_graph", "identity")]
+PLANS = st.one_of(
+    st.sampled_from(MADE_FOR),
+    st.sampled_from(MADE_FOR).map(lambda p: (p[1], p[0], p[2])),
+    st.tuples(st.sampled_from(SPACES), st.sampled_from(SPACES),
+              st.sampled_from([*gh.MAPPINGS, "fold"])))
+
+
+@st.composite
+def experiment_argv(draw, radius, zone, r_max, plans=PLANS,
+                    eps=("1", "0", "1/2", "-1", "e")):
+    """``experiment pa-gh`` argv; the radius comes third, as in the other
+    commands' argv."""
+    x, y, fmap = draw(plans)
+    return ["experiment", "pa-gh", f"--radius={radius}", f"--space-x={x}",
+            f"--space-y={y}", f"--map={fmap}",
+            f"--eps={draw(st.sampled_from(eps))}", f"--zone={zone}",
+            f"--r-max={r_max}"]
+
+
+@st.composite
+def misuse(draw, argv):
+    """``argv`` broken the ways argparse refuses: an unknown command or
+    choice, a missing required flag, a non-integer radius, a stray flag."""
+    how = draw(st.sampled_from(["command", "choice", "drop", "radius",
+                                "stray"]))
+    if how == "command":
+        return ["bogus"] + argv[1:]
+    if how == "choice":
+        return ["zoo", draw(st.sampled_from(["show", "", "List"]))]
+    if how == "drop":
+        return [a for a in argv if not a.startswith(("--space", "--x="))]
+    if how == "radius":     # the last --radius counts
+        return argv + [f"--radius={draw(st.sampled_from(['1.5', 'x']))}"]
+    return argv + ["--no-such-flag"]
+
+
 @st.composite
 def argvs(draw):
+    argv = draw(valid_argvs())
+    return draw(misuse(argv)) if draw(st.integers(0, 9)) == 5 else argv
+
+
+@st.composite
+def valid_argvs(draw):
     command = draw(st.sampled_from(
         ["field", "level-set", "coray", "busemann", "horo", "rho", "check",
-         "gh", "zoo"]))
+         "gh", "zoo", "experiment"]))
     if command == "zoo":
         return ["zoo", "list"]
     if command == "gh":
@@ -109,6 +158,9 @@ def argvs(draw):
         if budget is not None:
             argv.append(f"--budget={budget}")
         return argv
+    if command == "experiment":
+        zone = draw(st.one_of(st.integers(1, 8), small))
+        return draw(experiment_argv(draw(small), zone, draw(small)))
     space = draw(st.sampled_from(SPACES))
     radius = draw(small)
     if command == "check":
@@ -167,6 +219,8 @@ def _has_witness(command, payload):
         return bool(payload["axiom_violations"])
     if command == "check":
         return not payload["ok"] and bool(payload["violations"])
+    if command == "experiment":
+        return payload["conclusive"] and payload["witness_abs"] is not None
     return False
 
 
@@ -214,10 +268,16 @@ def test_cli_contract(argv):
 
 @st.composite
 def explicit_argvs(draw):
-    """argv of field, coray, busemann, horo or rho with --zone and --r-max
-    set; most vertices lie on a ray from the base, near enough to pass."""
-    command = draw(st.sampled_from(["field", "coray", "busemann", "horo",
-                                    "rho"]))
+    """argv of field, level-set, coray, busemann, horo, rho or experiment
+    with --zone and --r-max set; most vertices lie on a ray from the base,
+    near enough to pass."""
+    command = draw(st.sampled_from(["field", "level-set", "coray",
+                                    "busemann", "horo", "rho",
+                                    "experiment"]))
+    if command == "experiment":
+        return draw(experiment_argv(
+            draw(st.integers(1, 28)), draw(st.integers(1, 8)),
+            draw(st.integers(1, 24)), st.sampled_from(MADE_FOR), ("1", "2")))
     space = draw(st.sampled_from(SPACES))
     kind = space.partition(":")[0]
     near = st.integers(0, 8).map(lambda n: _axis(kind, n))
@@ -225,9 +285,11 @@ def explicit_argvs(draw):
     argv = [command, f"--space={space}",
             f"--radius={draw(st.integers(1, 28))}",
             f"--zone={draw(st.integers(1, 8))}"]
-    if command in ("field", "coray", "rho"):
+    if command in ("field", "level-set", "coray", "rho"):
         argv.append(f"--r-max={draw(st.integers(1, 24))}")
-    if command == "coray" and draw(st.booleans()):
+    if command == "level-set":
+        argv.append(f"--level={draw(st.integers(-8, 2))}")
+    elif command == "coray" and draw(st.booleans()):
         argv.append(f"--start={draw(label)}")
     elif command == "busemann":
         argv.append(f"--ray-target={draw(label)}")

@@ -324,6 +324,78 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
         assert (exc.value.parameter, exc.value.need) == (parameter, need)
 
 
+# One input per anchor check of the Busemann, horofunction and set-limit
+# front ends on grid2d, R = 10: the error class, parameter, need and
+# witness.  Where two checks fail, the one that comes first names the
+# error.  The checks, in order: the argument shapes, each anchor set
+# non-empty and in the window, a ray a geodesic, d(base, H_n) + margin
+# <= R (margin zone, 2 zone for sets), 1 <= zone, a sequence diverging.
+ANCHOR_CHECKS = [
+    ("busemann", ([(0, 0), (1, 0)], 2, 3), ("DomainError", None, None, None)),
+    ("busemann", ([(0, 0), (11, 0)], 1, 3),
+     ("ZoneError", "radius", None, (11, 0))),
+    ("busemann", ([(0, 0), (2, 0)], 1, 3), ("DomainError", None, None, None)),
+    # not a geodesic and too far out: the geodesy check comes first
+    ("busemann", ([(9, 0), (8, 0), (9, 0)], 2, 3),
+     ("DomainError", None, None, None)),
+    ("busemann", ([(6, 0), (7, 0), (8, 0)], 2, 3),
+     ("ZoneError", "radius", 11, (8, 0))),
+    ("busemann", ([(0, 0), (1, 0)], 1, 0), ("DomainError", None, None, None)),
+    ("horo", ([(1, 0)], 3), ("DomainError", None, None, None)),
+    ("horo", ([(1, 0), (12, 0)], 3), ("ZoneError", "radius", None, (12, 0))),
+    ("horo", ([(1, 0), (8, 0), (9, 0)], 3),
+     ("ZoneError", "radius", 12, (8, 0))),
+    ("horo", ([(1, 0), (2, 0)], 0), ("DomainError", None, None, None)),
+    ("horo", ([(2, 0), (1, 0)], 3), ("DomainError", None, None, None)),
+    ("horo", ([(1, 0), (0, 1)], 3), ("DomainError", None, None, None)),
+    # not diverging and too far out: the radius check comes first
+    ("horo", ([(9, 0), (8, 0)], 3), ("ZoneError", "radius", 12, (9, 0))),
+    ("sets", ([[(1, 0)], [(2, 0)]], [1], 2), ("DomainError", None, None,
+                                             None)),
+    ("sets", ([[(1, 0)], []], [1, 2], 2), ("DomainError", None, None, None)),
+    # a set outside the window before an empty one: sets are checked in turn
+    ("sets", ([[(12, 0)], []], [1, 2], 2),
+     ("ZoneError", "radius", None, (12, 0))),
+    ("sets", ([[(1, 0)], [(2, 0), (12, 0)]], [1, 2], 2),
+     ("ZoneError", "radius", None, (12, 0))),
+    ("sets", ([[(1, 0)], [(6, 0), (5, 0), (4, 1)]], [1, 5], 3),
+     ("ZoneError", "radius", 11, (5, 0))),
+    ("sets", ([[(1, 0)], [(2, 0)]], [1, 2], 0),
+     ("DomainError", None, None, None)),
+    ("sets", ([[(2, 0)], [(1, 0), (3, 0)]], [2, 1], 2),
+     ("DomainError", None, None, None)),
+]
+
+
+@pytest.mark.parametrize("front,args,want", ANCHOR_CHECKS)
+def test_anchor_checks(front, args, want):
+    fn = {"busemann": busemann, "horo": horofunction,
+          "sets": dl_from_sets}[front]
+    w = materialize_window(build("grid2d"), (0, 0), 10)
+    with pytest.raises(DomainError) as exc:
+        fn(w, *args)
+    e = exc.value
+    assert (type(e).__name__, getattr(e, "parameter", None),
+            getattr(e, "need", None), getattr(e, "witness", None)) == want
+
+
+def test_lipschitz_violations_read_the_held_rows():
+    """Jumps across zone edges are found on the rows the sweep grew, as
+    on the whole window, and the window grows no further."""
+    space = build("grid2d")
+    w = materialize_window(space, (0, 0), 40)
+    fld, _ = u_point_assigned(w, [6, 8], 4)
+    grown = w.grown
+    fld.values[fld.index_of((1, 0))] += 1
+    whole = materialize_window(space, (0, 0), 40)
+    values = fld.values
+    want = [(whole.vertices[i], whole.vertices[j])
+            for i, vi in values.items() for j in whole.adjacency[i]
+            if j in values and abs(vi - values[j]) > 1]
+    assert len(want) == 6 and fld.lipschitz_violations() == want
+    assert w.grown == grown < 40
+
+
 def test_verify_geodesic(line_window):
     assert verify_geodesic(line_window, [0, 1, 2, 3])
     assert not verify_geodesic(line_window, [0, 1, 0])   # not distance-true

@@ -139,6 +139,25 @@ def test_shortest_path_matches_the_deque_spec(name, params, radius):
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_shortest_path_on_part_grown_windows_matches_the_deque_spec(
+        name, params, radius):
+    """From starts off the base, on windows grown part way, the BFS
+    confined to its ball B_L gives the whole window's path."""
+    space = build(name, params)
+    base = space.default_base()
+    whole = materialize_window(space, base, radius)
+    n = len(whole)
+    rng = random.Random(name)
+    for _ in range(30):
+        a = whole.vertices[rng.randrange(1, n)]
+        b = whole.vertices[rng.randrange(n)]
+        w = materialize_window(space, base, radius)
+        assert w.grown == 0
+        w.count_within(rng.randint(0, radius))
+        assert shortest_path(w, a, b) == _deque_shortest_path(whole, a, b)
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
 def test_geodesic_ball_holds_the_distance(name, params, radius):
     """A BFS from a confined to geodesic_ball(d(base, a), d(base, b),
     d(a, b)) gives d(a, b), for random pairs anywhere in the window."""

@@ -211,7 +211,6 @@ PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.index,
                 lambda w: w.dist_from_base, lambda w: w.adjacency,
                 Window.edge_list, Window.to_json, _miss,
                 lambda w: dist_field(w, [w.base]),
-                lambda w: shortest_path(w, w.base, w.base),
                 lambda w: _bfs_from_indices(w, [0])]
 
 
@@ -225,6 +224,26 @@ def test_whole_window_reads_grow_to_the_radius(name, params, radius):
         w.count_within(radius // 2)
         read(w)
         assert _held(w) == want
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_shortest_path_stops_at_its_ball(name, params, radius):
+    """From s to g, a window held to max(d(base, s), d(base, g)) grows to
+    L = 2 d(base, s) + d(base, g), or R when L > R, and no further; the
+    path is the one the whole window gives."""
+    space = build(name, params)
+    base = space.default_base()
+    whole = materialize_window(space, base, radius)
+    n, dist = len(whole), whole.dist_from_base
+    rng = random.Random(name)
+    pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    for s, g in pairs:
+        a, b = whole.vertices[s], whole.vertices[g]
+        w = _on_demand(space, base, radius)
+        w.count_within(max(dist[s], dist[g]))
+        assert shortest_path(w, a, b) == shortest_path(whole, a, b)
+        assert w.grown == min(radius, 2 * dist[s] + dist[g]), (a, b)
 
 
 def test_windows_grow_on_demand_only_under_the_vertex_budget():
