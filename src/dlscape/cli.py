@@ -185,7 +185,7 @@ def cmd_coray(args):
     start = _vertex(space, args.start) if args.start is not None \
         else window.base
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
-    oks = corays.verify_corays(trace.paths, fld)
+    oks = [corays.verify_gradient(cr, fld) for cr in trace.paths]
     out_paths = []
     for cr, ok in zip(trace.paths, oks):
         out_paths.append({
@@ -240,11 +240,8 @@ def cmd_experiment(args):
     sched, zone = _schedule(args), _zone(args)
     fx, _ = fields.u_point_assigned(wx, sched, zone, args.tail)
     fy, _ = fields.u_point_assigned(wy, sched, zone, args.tail)
-    mapping = gh.MAPPINGS.get(args.map)
-    if mapping is None:
-        raise DlscapeError(f"unknown map {args.map!r}; "
-                           f"choose from {sorted(gh.MAPPINGS)}")
-    report = gh.pa_gh_experiment(fx, fy, mapping, _parse_fraction(args.eps))
+    report = gh.pa_gh_experiment(fx, fy, gh.MAPPINGS[args.map],
+                                 _parse_fraction(args.eps))
     payload = report.to_json(space_x)
     payload["conclusive"] = report.conclusive
     _emit(args, _canonical(payload))
@@ -366,8 +363,8 @@ def build_parser():
     p.add_argument("--space-x", required=True)
     p.add_argument("--space-y", required=True)
     p.add_argument("--eps", required=True, help="epsilon, int or p/q")
-    p.add_argument("--map", default="identity",
-                   help=f"named map, one of {sorted(gh.MAPPINGS)}")
+    p.add_argument("--map", default="identity", choices=sorted(gh.MAPPINGS),
+                   help="named map")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--zone", type=int)
     p.add_argument("--tail", type=int)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
 from .fields import ConvergenceReport, _geodesic, busemann_anchors
-from .space import bfs_memo
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def trace_corays(field, start, max_paths=64):
     return CoRayTrace(paths, exhausted)
 
 
-def verify_gradient(coray, field, dist_from=None):
+def verify_gradient(coray, field):
     """Independent re-check of the gradient identity and geodesy.
 
     True iff every vertex lies in the field's zone, the field drops by
@@ -99,8 +98,8 @@ def verify_gradient(coray, field, dist_from=None):
     adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
     forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields.verify_geodesic`
-    decides them with one BFS from g_0, shared across calls through
-    ``dist_from`` as there, on the indices found here.
+    decides them with one BFS from g_0, on the indices found here: the
+    window's held pass, so co-rays from one start share it.
     """
     try:
         idxs = [field.index_of(v) for v in coray.vertices]
@@ -109,14 +108,7 @@ def verify_gradient(coray, field, dist_from=None):
     values = field.values
     if any(values[a] - values[b] != 1 for a, b in zip(idxs, idxs[1:])):
         return False
-    return _geodesic(field.window, idxs, dist_from)
-
-
-def verify_corays(corays, field):
-    """:func:`verify_gradient` of each co-ray, with one shared BFS memo:
-    a pass per distinct start, re-run only for a larger ball."""
-    dist_from = bfs_memo(field.window)
-    return [verify_gradient(coray, field, dist_from) for coray in corays]
+    return _geodesic(field.window, idxs)
 
 
 def uniqueness_probe(field, start):
@@ -164,7 +156,8 @@ def representation_check(field, x, corays):
     field of :func:`~dlscape.fields.busemann` at x alone, under the same
     stability rule: one BFS at x gives d(x, g(t)) for the anchors of every
     co-ray, and the geodesy check makes one BFS per distinct start, all
-    shared across the call (x is often a start itself).
+    held on the window (:meth:`~dlscape.space.Window.distances_from`;
+    x is often a start itself).
 
     The pass at x is confined to :meth:`~dlscape.space.Window.geodesic_ball`
     (d(base, x), m, d(base, x) + m), m the largest d(base, v) over the
@@ -180,7 +173,6 @@ def representation_check(field, x, corays):
     m = max((dist[i] for coray in corays for v in coray.vertices
              if (i := window.find(v)) is not None), default=0)
     x_ball = window.geodesic_ball(dist[ix], m, dist[ix] + m)
-    dist_from = bfs_memo(window)
     for coray in corays:
         start = coray.vertices[0]
         if coray.length == 0:
@@ -191,10 +183,10 @@ def representation_check(field, x, corays):
                 report.inconclusive.append((start, "zero-length co-ray"))
             continue
         if start == x:
-            dist_from(ix, x_ball)
+            window.distances_from(ix, x_ball)
         try:
             anchors = busemann_anchors(window, coray.vertices, coray.length,
-                                       zone, dist_from)
+                                       zone)
             u_start = field.value_at(start)
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
@@ -202,7 +194,7 @@ def representation_check(field, x, corays):
         if dist[ix] > zone:
             raise ZoneError(f"vertex {x!r} outside the field zone",
                             parameter="zone", witness=x, need=dist[ix])
-        dx = dist_from(ix, x_ball)
+        dx = window.distances_from(ix, x_ball)
         steps = range(1, len(anchors))
         bx = change = None
         for t in steps:

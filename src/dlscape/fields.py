@@ -271,22 +271,21 @@ def u_point_assigned(window, schedule, zone, tail=None):
                   on=w)
 
 
-def verify_geodesic(window, path, dist_from=None):
+def verify_geodesic(window, path):
     """Check d(path[0], path[t]) == t for every stored t.
 
     The equality test is exact despite truncation: the path itself bounds
     the in-window distance above by t, and any in-window distance is at
     least the true one.  One BFS from path[0] decides every t, confined
     to :meth:`~dlscape.space.Window.geodesic_ball` (d(base, p_0),
-    max_t d(base, p_t), T), which holds the path as well.
-    ``dist_from(i, limit)`` (:func:`~dlscape.space.bfs_memo`) lets
-    callers share passes.
+    max_t d(base, p_t), T), which holds the path as well; it is the
+    window's held pass (:meth:`~dlscape.space.Window.distances_from`).
     """
     return _geodesic(window, [window.require_zone(v, window.radius, "path")
-                              for v in path], dist_from)
+                              for v in path])
 
 
-def _geodesic(window, idxs, dist_from):
+def _geodesic(window, idxs):
     """:func:`verify_geodesic` on the window indices of a path."""
     if not idxs:
         raise DomainError("path must be non-empty")
@@ -297,15 +296,11 @@ def _geodesic(window, idxs, dist_from):
     dist = window._dist
     limit = window.geodesic_ball(dist[idxs[0]], max(dist[i] for i in idxs),
                                  len(idxs) - 1)
-    if dist_from is None:
-        d0 = _bfs_from_indices(window, [idxs[0]], limit)
-    else:
-        d0 = dist_from(idxs[0], limit)
+    d0 = window.distances_from(idxs[0], limit)
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def _anchor_sets(window, sets, zone, margin, what, ray=False,
-                 dist_from=None):
+def _anchor_sets(window, sets, zone, margin, what, ray=False):
     """(d(base, H_n), indices of H_n) per anchor set of a Busemann
     (``ray``), horofunction or set-limit sweep, after these checks in
     order: each H_n is non-empty and in the window (found through
@@ -322,7 +317,7 @@ def _anchor_sets(window, sets, zone, margin, what, ray=False,
             raise DomainError(f"{what} must be non-empty")
         idxs = [require(v, radius, what) for v in h]
         found.append((min(map(dist.__getitem__, idxs)), idxs))
-    if ray and not _geodesic(window, [i for _, (i,) in found], dist_from):
+    if ray and not _geodesic(window, [i for _, (i,) in found]):
         raise DomainError("ray is not a geodesic vertex path")
     for a, idxs in found:
         if a + margin > radius:
@@ -336,15 +331,14 @@ def _anchor_sets(window, sets, zone, margin, what, ray=False,
     return found
 
 
-def busemann_anchors(window, ray, T, zone, dist_from=None):
+def busemann_anchors(window, ray, T, zone):
     """Indices of ray[0..T], 1 <= T < len(ray), once they pass the checks
-    of :func:`_anchor_sets` for a Busemann sweep, the geodesy check
-    through ``dist_from``."""
+    of :func:`_anchor_sets` for a Busemann sweep."""
     ray = list(ray)
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
     found = _anchor_sets(window, [(v,) for v in ray[:T + 1]], zone, zone,
-                         "path", ray=True, dist_from=dist_from)
+                         "path", ray=True)
     return [i for _, (i,) in found]
 
 

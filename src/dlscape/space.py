@@ -127,6 +127,10 @@ class Window:
     read the underscore lists below a ``count_within`` or ``find`` they
     have called; a held row lists every held neighbor.
 
+    Passes.  :meth:`distances_from` holds one single-source BFS per start
+    index, re-run only for a larger ball, so every exact-distance check on
+    the window shares it.
+
     Budget.  :func:`materialize_window` builds a window on demand only when
     the space's :meth:`GraphSpace.ball_size_bound`, or the ``known`` window
     it grows from, proves B_R fits the vertex budget; otherwise it grows it
@@ -134,13 +138,14 @@ class Window:
     """
 
     __slots__ = ("space", "base", "radius", "grown", "known", "_budget",
-                 "_vertices", "_index", "_dist", "_adjacency")
+                 "_vertices", "_index", "_dist", "_adjacency", "_passes")
 
     def __init__(self, space, base, radius, budget, known=None):
         self.space, self.base, self.radius = space, base, radius
         self.grown, self.known, self._budget = 0, known, budget
         self._vertices, self._index = [base], {base: 0}
         self._dist, self._adjacency = [0], [()]
+        self._passes = {}
 
     def _grow(self, rho):
         """Grow to state min(rho, R) by the breadth-first loop, resumed at
@@ -225,10 +230,17 @@ class Window:
 
     def find(self, vertex):
         """Index of ``vertex``, or None when it is not in B_R(base).  A
-        miss doubles the state until the vertex is held or the window is
-        whole, so a vertex near the base is found without growing the
-        window to R."""
+        miss grows the state to d(base, vertex) where the generator gives
+        it in closed form, then doubles it until the vertex is held or the
+        window is whole, so a vertex near the base is found without
+        growing the window to R."""
         i = self._index.get(vertex)
+        if i is None and self.grown < self.radius and \
+                self.space.contains(vertex):
+            d = self.space.distance(self.base, vertex)
+            if d is not None:
+                self._grow(d)
+                i = self._index.get(vertex)
         while i is None and self.grown < self.radius:
             self._grow(max(1, 2 * self.grown))
             i = self._index.get(vertex)
@@ -259,6 +271,27 @@ class Window:
         if da >= 1 and db >= 1:
             dab = min(dab, da + db - 1)
         return self.count_within((da + db + dab) // 2)
+
+    def distances_from(self, i, limit):
+        """BFS distances from index i confined to the first ``limit``
+        indices, ``limit`` the size of a ball B_rho around the base (from
+        :meth:`count_within` or :meth:`geodesic_ball`); the list may be
+        longer, and callers only read it.  A pass is held per i and re-run
+        only for a larger ball.
+
+        A larger ball's distances serve a smaller one, as they lie between
+        its and the whole window's: every index a caller reads is one its
+        ball proves exact, and there all three agree.  A held pass stays
+        exact after the window grows.  It was taken with rho <= grown, and
+        growth rebuilds only the rows of the sphere S_grown: past ``limit``
+        when rho < grown, and otherwise gaining only neighbors at distance
+        grown + 1, at or past ``limit``, which the pass pre-settles.  So a
+        pass run now reads the same rows and gives the same list.
+        """
+        d = self._passes.get(i)
+        if d is None or len(d) < limit:
+            d = self._passes[i] = _bfs_from_indices(self, [i], limit)
+        return d
 
     def indices_within(self, rho):
         return list(range(self.count_within(rho)))
@@ -407,23 +440,6 @@ def _bfs_from_indices(window, seeds, limit=None):
     return dist
 
 
-def bfs_memo(window):
-    """``dist_from(i, limit)``: BFS distances from vertex index i confined
-    to the first ``limit`` indices, for the geodesy checks' ``dist_from``.
-    A pass is re-run only for a larger ball; a larger ball's distances
-    serve a smaller one, as they lie between its and the whole window's.
-    """
-    dists = {}
-
-    def dist_from(i, limit):
-        d = dists.get(i)
-        if d is None or len(d) < limit:
-            d = dists[i] = _bfs_from_indices(window, [i], limit)
-        return d
-
-    return dist_from
-
-
 def sphere(window, r):
     """All vertices at hop distance exactly ``r`` from the base."""
     if r < 0 or r > window.radius:
@@ -438,18 +454,16 @@ def pairwise_dist(window, sample, need=0):
     """Exact distance matrix on a sample inside the R/3 validity zone
     (:meth:`Window.require_sample`, with the caller's ``need``).
 
-    One BFS per point, confined to :meth:`Window.geodesic_ball` (dmax,
-    dmax, 2 dmax), dmax the largest d(base, s) over the sample: two
-    sample points are at most 2 dmax <= R apart, through the base.
+    One BFS per point (:meth:`Window.distances_from`), confined to
+    :meth:`Window.geodesic_ball` (dmax, dmax, 2 dmax), dmax the largest
+    d(base, s) over the sample: two sample points are at most 2 dmax <= R
+    apart, through the base.
     """
     idxs = window.require_sample(sample, need)
     dmax = max(window._dist[i] for i in idxs)
     limit = window.geodesic_ball(dmax, dmax, 2 * dmax)
-    mat = []
-    for i in idxs:
-        d = _bfs_from_indices(window, [i], limit)
-        mat.append([d[j] for j in idxs])
-    return mat
+    rows = [window.distances_from(i, limit) for i in idxs]
+    return [[d[j] for j in idxs] for d in rows]
 
 
 def shortest_path(window, start, goal):

@@ -226,6 +226,16 @@ def test_experiment_map_that_cannot_take_a_source_vertex(capsys, space_y):
     assert "map cannot take vertex" in payload["message"]
 
 
+def test_experiment_unknown_map_is_refused_before_any_window(capsys):
+    """--map is a parser choice: an unknown map exits 2 as a UsageError,
+    reported ahead of a zone past the radius."""
+    payload = _usage_error(capsys, "experiment", "pa-gh", "--space-x",
+                           "line", "--space-y", "line", "--map", "fold",
+                           "--eps", "1", "--radius", "40", "--r-max", "32",
+                           "--zone", "41")
+    assert payload["error"] == "UsageError" and "fold" in payload["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["zoo", "show"], ["bogus"], [], ["rho", "--space", "line"],
     ["field", "--space", "line", "--radius", "x", "--r-max", "3"],

@@ -10,7 +10,7 @@ from dlscape import (CoRay, DescentError, DomainError, ScalarField,
                      shortest_path, trace_corays, u_point_assigned,
                      uniqueness_probe, verify_gradient)
 from dlscape.cli import _schedule
-from dlscape.corays import ReprEntry, verify_corays
+from dlscape.corays import ReprEntry
 from dlscape.fields import field_to_json, level_set
 
 
@@ -293,7 +293,7 @@ def test_coray_job_grows_its_window_only_to_the_balls_it_reads():
                                                            r_step=None)), 20)
     for start in [(0, 0), (2, 2), (-7, 3), (12, 0), (-19, 0), (1, 4)]:
         trace = trace_corays(fld, start, max_paths=8)
-        assert all(verify_corays(trace.paths, fld))
+        assert all(verify_gradient(cr, fld) for cr in trace.paths)
         assert representation_check(fld, start, trace.paths).ok
         uniqueness_probe(fld, start)
     export = field_to_json(fld), level_set(fld, -3)
@@ -301,3 +301,30 @@ def test_coray_job_grows_its_window_only_to_the_balls_it_reads():
     assert held <= len(materialize_window(space, (0, 0), 97)) < 9801
     assert (field_to_json(fld), level_set(fld, -3)) == export
     assert len(w) == 9801 and held < len(w)
+
+
+@pytest.mark.parametrize("name,starts", [
+    ("h_graph", [(0, 0), (2, 2), (-7, 3), (8, 0), (1, 3)]),
+    ("grid2d", [(0, 0), (2, -3), (5, 1)])])
+def test_corays_share_one_pass_per_start(monkeypatch, name, starts):
+    """verify_gradient once per co-ray, with no pass handed in, makes one
+    BFS per distinct start, held on the window; a representation check
+    after them makes at most one more, a larger pass at x."""
+    from dlscape import space
+    w = materialize_window(build(name), (0, 0), 60)
+    fld, _ = u_point_assigned(w, range(6, 49, 6), 10)
+    paths = [p for s in starts for p in trace_corays(fld, s, 8).paths]
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        calls.append(w._vertices[seeds[0]])
+        return bfs(window, seeds, limit)
+
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
+    assert all(verify_gradient(p, fld) for p in paths)
+    assert sorted(calls) == sorted(starts)
+    for x in starts:
+        del calls[:]
+        assert representation_check(fld, x, paths).ok
+        assert calls in ([], [x])

@@ -242,7 +242,9 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
         calls.append(limit)
         return bfs(window, seeds, limit)
 
+    # the sweeps' passes run in fields, the geodesy check's in space
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
     for name in ("line", "grid2d"):
         gspace = build(name)
         w = materialize_window(gspace, gspace.default_base(), 60)

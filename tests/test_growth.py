@@ -62,6 +62,17 @@ def test_schedule_reads_grow_to_the_schedule(monkeypatch, argv, want):
     assert _grown(monkeypatch, argv) == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["busemann", "--space", "grid2d", "--radius", "600", "--ray-target",
+     "33,0", "--zone", "1"],
+    ["horo", "--space", "grid2d", "--radius", "600", "--points",
+     "31,0;33,0", "--zone", "1"]], ids=["busemann", "horo"])
+def test_find_grows_straight_to_the_closed_form_distance(monkeypatch, argv):
+    """A lookup of (33, 0) grows the window to B_33, which the path and
+    the sweep need, not to the next power of two, B_64."""
+    assert _grown(monkeypatch, argv) == [33]
+
+
 def test_lipschitz_family_windows_stay_at_the_zone(monkeypatch):
     """The suite's zone at R = 48 is 9: each pool field's own window holds
     B_9, and the base window the schedule's passes (max 36, from bases

@@ -11,7 +11,7 @@ from dlscape import (CoRay, DescentError, ScalarField, ZoneError, build,
                      representation_check, shortest_path, space, sphere,
                      trace_corays, u_point_assigned, u_r, verify_geodesic,
                      verify_gradient)
-from dlscape.space import _bfs_from_indices, bfs_memo
+from dlscape.space import _bfs_from_indices
 
 nx = pytest.importorskip("networkx")
 
@@ -188,19 +188,42 @@ def test_memo_reruns_a_pass_only_for_a_larger_ball(name, params, radius,
         return bfs(window, seeds, limit)
 
     monkeypatch.setattr(space, "_bfs_from_indices", recorded)
-    dist_from = bfs_memo(w)
     i = w.count_within(1) - 1
     small, n = w.count_within(radius // 2), len(w)
-    d = dist_from(i, small)
+    d = w.distances_from(i, small)
     assert calls == [((i,), small)] and d == bfs(w, [i], small)
-    assert dist_from(i, small) is d and len(calls) == 1
-    whole = dist_from(i, n)
+    assert w.distances_from(i, small) is d and len(calls) == 1
+    whole = w.distances_from(i, n)
     assert calls[-1] == ((i,), n) and whole == bfs(w, [i])
     # a smaller ball afterwards reads the larger pass
-    assert dist_from(i, small) is whole and dist_from(i, 1) is whole
+    assert w.distances_from(i, small) is whole
+    assert w.distances_from(i, 1) is whole
     assert len(calls) == 2
-    dist_from(0, small)
+    w.distances_from(0, small)
     assert calls[-1] == ((0,), small) and len(calls) == 3
+
+
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_held_pass_stays_exact_as_the_window_grows(name, params, radius):
+    """Passes held while the window is at state radius // 2, or at the
+    state below it, equal BFS distances on the same ball of the whole
+    window, after the window has grown to R: by networkx on the induced
+    graph and by a confined pass over the grown rows."""
+    gspace = build(name, params)
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    rng = random.Random(name)
+    held = []
+    for rho in (radius // 2 - 1, radius // 2):
+        limit = w.count_within(rho)
+        for i in rng.sample(range(limit), min(limit, 4)):
+            held.append((i, limit, list(w.distances_from(i, limit))))
+    assert w.grown == radius // 2
+    assert len(w) > limit and w.grown == radius
+    for i, limit, got in held:
+        want = nx.single_source_shortest_path_length(_graph(w, limit), i)
+        assert got == [want.get(j, -1) for j in range(limit)], (i, limit)
+        assert got == _bfs_from_indices(w, [i], limit)
+        assert w.distances_from(i, limit)[:limit] == got
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
