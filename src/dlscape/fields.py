@@ -248,23 +248,36 @@ def u_point_assigned(window, schedule, zone, tail=None):
 
     The passes run on W, this window or the ``known`` window it grows from
     (:func:`~dlscape.space.materialize_window`), base o, delta = d(o, b)
-    for b the base here, delta + R <= R_W.  S_r(b) is W's S_r if delta =
-    0, else a level set, in |d(o, .) - r| <= delta, of one BFS from b in
+    for b the base here, delta + R <= R_W.  The pass for r runs in
+    B_{delta + r}(o), holding B_r(b), from S_r(b): W's S_r if delta = 0.
+    Else S_r(b) lies in the annulus |d(o, .) - r| <= delta (triangle
+    inequality) and is the set of annulus vertices v with d(b, v) = r.
+    d(b, v) is read from ``space.distance(b, .)`` where the generator
+    gives it, else from one BFS from b confined to
     :meth:`~dlscape.space.Window.geodesic_ball` (delta, delta + s, s), s =
-    max(schedule).  The pass for r runs in B_{delta + r}(o), holding B_r(b).
+    max(schedule).  Both select the same set, in index order: the closed
+    form is exact, and the confined pass is exact at each annulus vertex v
+    with d(b, v) <= s, as that ball holds a geodesic from b to v, so it
+    gives r on S_r(b); elsewhere in the annulus d(b, v) > s >= r, and a
+    confined distance is never shorter (-1, unreached, is not r either).
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
     k = w._index[window.base]
     delta, top, count = w._dist[k], schedule[-1], w.count_within
-    ball = w.geodesic_ball(delta, delta + top, top)   # one growth
-    db = _bfs_from_indices(w, [k], ball) if delta else None
+    ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
+    if delta:               # d(b, .) at window index j, from one source
+        space, b, vertices = w.space, window.base, w._vertices
+        if space.distance(b, b) is None:
+            dist_b = _bfs_from_indices(w, [k], ball).__getitem__
+        else:
+            dist_b = lambda j: space.distance(b, vertices[j])  # noqa: E731
 
     def sphere(r):          # read only if the pass for r runs
         if not delta:
             return range(count(r - 1), count(r))
         return (j for j in range(count(r - delta - 1), count(r + delta))
-                if db[j] == r)
+                if dist_b(j) == r)
 
     return _sweep(window, "point_assigned", zone, tail,
                   ((r, sphere(r), r, count(delta + r), r) for r in schedule),

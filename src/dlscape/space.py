@@ -77,7 +77,8 @@ class GraphSpace:
 
     def distance(self, a, b):
         """Closed-form graph distance d(a, b) between two vertices, or None
-        where the generator gives none."""
+        where the generator gives none.  For a given a it is None for every
+        b or exact for every b, so one call from a tells a caller which."""
         return None
 
     # -----------------------------------------------------------------------

@@ -5,7 +5,9 @@ merged into one kernel; a refactor that changes any byte of these outputs,
 or an exit code, fails here.  ``gh`` runs on the two finite spaces below
 instead of the README's placeholder files.  Two suites whose passes run in
 the balls of ``Window.geodesic_ball`` are gated too, with digests captured
-before ``gromov_check`` was confined and the BFS memo made to grow.
+before ``gromov_check`` was confined and the BFS memo made to grow, and
+the family runs below, with digests captured before a family field read
+its spheres from the closed-form distance.
 """
 
 import hashlib
@@ -63,6 +65,24 @@ SUITES = [
 ]
 
 
+# (argv, exit code, sha256 of stdout) of runs whose point-assigned family
+# reads S_r(b) from the closed-form d(b, .) (grid2d, halfline, and the
+# h_graph's (0, 0)) or from one BFS from b (the other h_graph bases).
+FAMILY = [
+    (["rho", "--space", "grid2d", "--radius", "60", "--r-max", "48",
+      "--zone", "20", "--sample", "0,0;3,-2;-4,1"], 0,
+     "b595b7be429b151ee3c1d39c34743425153b98e364a19c845cd8f9c3a6fb22f9"),
+    (["rho", "--space", "halfline", "--radius", "60", "--r-max", "48",
+      "--zone", "20", "--sample", "0;7;12"], 0,
+     "380a88612d2e718f6e3b6254dd51002ec2c08f2fa749c3897f4fe4b4a5afe853"),
+    (["rho", "--space", "h_graph", "--base", "3,3", "--radius", "30",
+      "--r-max", "20", "--zone", "10", "--sample", "3,3;0,0;3,0"], 0,
+     "3ab94873c687e258c02dc3287261a7a2aa9aaba06cb5538e3b6f13b37dc99f4f"),
+    (["check", "--suite", "lipschitz", "--space", "grid2d"], 0,
+     "63e4d627cdeea380c0c25cbe47f9889c41817692535a0a98360ced7c4b12c8d8"),
+]
+
+
 def _run(capsys, tmp_path, argv):
     x, y = tmp_path / "x.json", tmp_path / "y.json"
     x.write_text(json.dumps(GH_X))
@@ -84,4 +104,11 @@ def test_readme_example_output_is_unchanged(capsys, tmp_path, argv, code,
                          ids=[f"{g[0][2]}-{g[0][4]}" for g in SUITES])
 def test_confined_suite_output_is_unchanged(capsys, tmp_path, argv, code,
                                             digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", FAMILY,
+                         ids=[f"{g[0][0]}-{g[0][2]}" for g in FAMILY])
+def test_family_route_output_is_unchanged(capsys, tmp_path, argv, code,
+                                          digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)

@@ -236,3 +236,85 @@ def test_family_windows_grow_only_to_the_zone():
         assert fields[b].window.known is w
         assert fields[b].window.grown <= zone
     assert rho.two_rho == tuple(tuple(2 * d for d in row) for row in rho.dist)
+
+
+# (generator, window base, R, schedule, zone).  Every family base b lies
+# within R // 3 of the window base o, so each field is swept on the
+# caller's rows with delta = d(o, b) > 0 off o.  The schedules starting at
+# 1 or 2 step below delta, so their first annuli |d(o, .) - r| <= delta
+# are whole balls B_{r + delta}(o).
+ROUTE_SPACES = [("line", 0, 60, range(8, 41, 4), 10),
+                ("line", 7, 60, range(1, 41), 10),
+                ("halfline", 0, 60, range(8, 41, 8), 10),
+                ("halfline", 9, 60, range(1, 41), 12),
+                ("grid2d", (0, 0), 24, range(2, 17, 2), 8),
+                ("grid2d", (2, -3), 24, range(1, 17), 6),
+                ("h_graph", (3, 3), 30, range(2, 21, 2), 8)]
+
+
+def _family_fields(space, base, radius, schedule, zone):
+    w = materialize_window(space, base, radius)
+    bases = w.vertices[:w.count_within(radius // 3)]
+    fields = point_assigned_family(w, bases, schedule, zone)
+    return {b: (f.values, f.report.stable, f.report.last_change)
+            for b, f in fields.items()}
+
+
+@pytest.mark.parametrize("name,base,radius,schedule,zone", ROUTE_SPACES)
+def test_family_spheres_agree_on_both_distance_routes(
+        monkeypatch, name, base, radius, schedule, zone):
+    """A family field reads S_r(b) from ``space.distance(b, .)`` where the
+    generator gives it, else from one confined BFS from b: with the
+    closed form patched away every field takes the pass and comes out the
+    same.  On the h_graph window at (3, 3) the base (0, 0) takes the
+    closed form and the other bases the pass."""
+    space = build(name)
+    closed = _family_fields(space, base, radius, schedule, zone)
+    with monkeypatch.context() as m:
+        m.setattr(type(space), "distance", lambda self, a, b: None)
+        assert _family_fields(space, base, radius, schedule, zone) == closed
+
+
+# (generator, window base, R, sample, fields that take the d(b, .) pass)
+PASS_COUNTS = [("line", 0, 60, [0, -5, 3, 20, -20], 0),
+               ("halfline", 0, 60, [0, 1, 7, 12, 20], 0),
+               ("grid2d", (0, 0), 80, [(0, 0), (3, 5), (-8, 0), (0, -7),
+                                       (2, -2), (-4, 4), (1, 0), (5, -3)],
+                0),
+               ("h_graph", (0, 0), 60, [(0, 0), (2, 0), (-1, 0), (1, 1),
+                                        (2, 2), (0, 5)], 5),
+               ("h_graph", (3, 3), 30, [(3, 3), (0, 0), (3, 0), (-2, 3)], 2)]
+
+
+@pytest.mark.parametrize("name,base,radius,sample,passes", PASS_COUNTS)
+def test_family_runs_no_pass_from_a_closed_form_base(
+        monkeypatch, name, base, radius, sample, passes):
+    """A family field runs a BFS seeded at its own base b only where the
+    generator gives no closed-form d(b, .): none on the line, halfline
+    and grid, one per non-base point on the h_graph, except from (0, 0).
+    A sweep pass starts from a sphere S_r(b), r >= 1, which never holds
+    b."""
+    from dlscape import fields, pseudometric, space
+    bfs, sweep = space._bfs_from_indices, fields.u_point_assigned
+    seeded, current = [], []
+
+    def counted(window, seeds, limit=None):
+        seeds = list(seeds)
+        if seeds == [window._index.get(current[-1])]:
+            seeded.append(current[-1])
+        return bfs(window, seeds, limit)
+
+    def point_assigned(window, *args):
+        current.append(window.base)
+        return sweep(window, *args)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
+    monkeypatch.setattr(pseudometric, "u_point_assigned", point_assigned)
+    gspace = build(name)
+    w = materialize_window(gspace, base, radius)
+    schedule = list(range(6, radius - radius // 3 + 1, 6))
+    point_assigned_family(w, sample, schedule, radius // 5)
+    assert current == sample
+    assert len(seeded) == passes == len(set(seeded))
+    assert base not in seeded
