@@ -6,6 +6,13 @@ pointed GH distance itself is never computed; only the sandwich
   D*/2 <= d_pGH <= D*
 for D* the minimal distortion over pointed correspondences, plus the
 epsilon-isometry and (eps, delta)-approximation certificates.
+
+The search and the certification (the eps-isometry and the
+correspondence back from it) compare ints in one unit shared by both
+spaces (``_int_view``) and turn a result into a Fraction once.  The
+re-check, ``distortion`` and ``Correspondence.validate``, stays in
+Fraction arithmetic, as does ``brute_force_min_distortion``, so the
+integer route is checked by one that shares none of its arithmetic.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class FiniteMetricSpace:
         return Fraction(self.dist[i][j]) / self.scale
 
     def real_matrix(self):
+        """Every distance in real units, as exact Fractions."""
         return [[self.real(i, j) for j in range(self.n)]
                 for i in range(self.n)]
 
@@ -101,12 +109,16 @@ def _json_int(value):
 
 
 def distortion(pairs, X, Y):
-    """max |d_X(x,x') - d_Y(y,y')| over pairs of pairs, exact Fraction."""
-    pairs = sorted(pairs)
+    """max |d_X(x,x') - d_Y(y,y')| over pairs of pairs, exact Fraction.
+
+    The independent re-check of the integer search and certification: it
+    reads each space's own ``real_matrix`` and subtracts Fractions, with
+    no shared unit."""
+    dX, dY = X.real_matrix(), Y.real_matrix()
     best = Fraction(0)
     for (i1, j1), (i2, j2) in \
             itertools.combinations_with_replacement(pairs, 2):
-        gap = abs(X.real(i1, i2) - Y.real(j1, j2))
+        gap = abs(dX[i1][i2] - dY[j1][j2])
         if gap > best:
             best = gap
     return best
@@ -121,6 +133,9 @@ class Correspondence:
     proved_optimal: bool = True
 
     def validate(self, X, Y):
+        """Raise DomainError unless the pairs relate the bases, cover both
+        spaces and have the stored distortion, recomputed in Fraction
+        arithmetic by ``distortion``."""
         if (X.base, Y.base) not in self.pairs:
             raise DomainError("correspondence does not relate the bases")
         if {i for i, _ in self.pairs} != set(range(X.n)) or \
@@ -159,11 +174,22 @@ def brute_force_min_distortion(X, Y):
     return best
 
 
-def _int_matrix(space, unit):
-    """Distances in units of 1/unit: entry / scale = entry * den / num,
-    and num divides unit."""
-    k = space.scale.denominator * (unit // space.scale.numerator)
-    return [[e * k for e in row] for row in space.dist]
+def _int_view(X, Y):
+    """(unit, dX, dY): both distance matrices as ints in units of 1/unit,
+    for unit = lcm(X.scale.numerator, Y.scale.numerator).
+
+    Exact: an entry e at scale num/den is the real distance
+    e*den/num = e*den*(unit/num)/unit, and num divides unit, so
+    e*den*(unit//num) is that distance in units of 1/unit.  An int
+    result r in this unit is the real value Fraction(r, unit).
+    """
+    unit = math.lcm(X.scale.numerator, Y.scale.numerator)
+
+    def ints(space):
+        k = space.scale.denominator * (unit // space.scale.numerator)
+        return [[e * k for e in row] for row in space.dist]
+
+    return unit, ints(X), ints(Y)
 
 
 class _NodeCap(Exception):
@@ -211,8 +237,7 @@ def _search_union(X, Y, node_cap):
     Returns (pairs, distortion, proved); pairs is None when the cap came
     before any leaf.
     """
-    unit = math.lcm(X.scale.numerator, Y.scale.numerator)
-    dX, dY = _int_matrix(X, unit), _int_matrix(Y, unit)
+    unit, dX, dY = _int_view(X, Y)
     slots = [(True, i) for i in range(X.n) if i != X.base] + \
             [(False, j) for j in range(Y.n) if j != Y.base]
     owner = ({k: s for s, (side, k) in enumerate(slots) if side},
@@ -350,20 +375,34 @@ class EpsIsometry:
 
 
 def map_distortion(mapping, X, Y):
-    return max((abs(X.real(i, k) - Y.real(mapping[i], mapping[k]))
-                for i in range(X.n) for k in range(i, X.n)),
-               default=Fraction(0))
+    """max |d_X(x,x') - d_Y(f(x),f(x'))|, compared as ints in the unit
+    of ``_int_view``."""
+    unit, dX, dY = _int_view(X, Y)
+    best = 0
+    for i in range(X.n):
+        row, image = dX[i], dY[mapping[i]]
+        for k in range(i + 1, X.n):
+            gap = abs(row[k] - image[mapping[k]])
+            if gap > best:
+                best = gap
+    return Fraction(best, unit)
 
 
 def map_net_eps(mapping, Y):
+    """Smallest eps for which f(X) is an eps-net of Y.  Y's own entries
+    are ints in units of 1/scale, and scaling keeps min and max, so they
+    are compared as they are and divided once."""
     image = set(mapping)
-    return max(min(Y.real(j, m) for m in image) for j in range(Y.n))
+    return Fraction(max(min(row[m] for m in image) for row in Y.dist)) \
+        / Y.scale
 
 
 def build_eps_isometry(corr, X, Y):
     """Pick the smallest-index correspondent per point (base pinned).
 
-    Guarantees dis f <= dis corr and the image is a (dis corr)-net.
+    Guarantees dis f <= dis corr and the image is a (dis corr)-net.  The
+    correspondence is first re-checked by ``validate`` (Fraction); the
+    map's distortion and net radius are then compared as ints.
     """
     corr.validate(X, Y)
     mapping = []
@@ -381,16 +420,25 @@ def corr_from_isometry(iso, X, Y, eps):
     """Correspondence {(x, y) : d_Y(f(x), y) <= eps} from an eps-isometry.
 
     Its distortion is at most 3*eps (checked exactly), so it certifies
-    pointed GH <= 3*eps.
+    pointed GH <= 3*eps.  The pairs and their distortion are found with
+    ints in the unit of ``_int_view``: with eps = p/q, d_Y(f(x), y) <= eps
+    is dY[f(x)][y] * q <= p * unit.  ``validate`` then recomputes the
+    distortion in Fraction arithmetic, the one re-check of that route.
     """
     eps = Fraction(eps)
     if iso.dis > eps or iso.net_eps > eps:
         raise DomainError(f"map is not an {eps}-isometry "
                           f"(dis={iso.dis}, net_eps={iso.net_eps})")
-    pairs = {(i, j) for i in range(X.n) for j in range(Y.n)
-             if Y.real(iso.mapping[i], j) <= eps}
+    unit, dX, dY = _int_view(X, Y)
+    reach = eps.numerator * unit
+    pairs = {(i, j) for i in range(X.n)
+             for j, e in enumerate(dY[iso.mapping[i]])
+             if e * eps.denominator <= reach}
     pairs.add((X.base, Y.base))
-    dis = distortion(pairs, X, Y)
+    dis = Fraction(max(abs(dX[i1][i2] - dY[j1][j2])
+                       for (i1, j1), (i2, j2) in
+                       itertools.combinations_with_replacement(pairs, 2)),
+                   unit)
     corr = Correspondence(frozenset(pairs), dis, proved_optimal=False)
     corr.validate(X, Y)
     if dis > 3 * eps:
@@ -422,6 +470,11 @@ def eps_delta_certificate(X, Y, net_x, net_y, eps, delta):
     net_x, net_y = list(net_x), list(net_y)
     if len(net_x) != len(net_y) or not net_x:
         raise DomainError("nets must be non-empty and aligned by position")
+    for space, net, name in ((X, net_x, "X"), (Y, net_y, "Y")):
+        for m in net:
+            if type(m) is not int or not 0 <= m < space.n:
+                raise DomainError(f"net entry {m!r} is not a point index "
+                                  f"of {name} (0..{space.n - 1})")
     if X.base not in net_x or Y.base not in net_y:
         raise DomainError("nets must contain the base points")
     for space, net, name in ((X, net_x, "X"), (Y, net_y, "Y")):

@@ -10,7 +10,9 @@ metamorphic relations.
 
 import itertools
 import json
+import math
 import pathlib
+import re
 import random
 
 import pytest
@@ -22,7 +24,8 @@ from dlscape import (DomainError, FiniteMetricSpace, MetricError, build,
                      corr_from_isometry, eps_delta_certificate, gh_bounds,
                      materialize_window, min_distortion_correspondence,
                      pa_gh_experiment, u_point_assigned)
-from dlscape.gh import NODE_CAP, MAPPINGS, Correspondence, distortion
+from dlscape.gh import (NODE_CAP, MAPPINGS, Correspondence, distortion,
+                        map_distortion, map_net_eps)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -237,6 +240,20 @@ def test_eps_delta_pendant_line():
     assert cert.ok and cert.bound == 3
 
 
+@pytest.mark.parametrize("entry", [5, -1, True],
+                         ids=["past_n", "negative", "bool"])
+def test_eps_delta_certificate_refuses_a_bad_net_entry(entry):
+    """Past the end used to raise IndexError, -1 certified the last point
+    and True was read as index 1; each is now refused by name, on either
+    side."""
+    Z = metric_from_weights(4, [1, 2, 3, 2, 1, 2])
+    named = re.escape(f"net entry {entry!r} ")
+    with pytest.raises(DomainError, match=named):
+        eps_delta_certificate(Z, Z, [0, entry], [0, 1], 1, 1)
+    with pytest.raises(DomainError, match=named):
+        eps_delta_certificate(Z, Z, [0, 1], [0, entry], 1, 1)
+
+
 @given(weights=st.lists(st.integers(1, 9), min_size=6, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_distortion_monotone_under_inclusion(weights):
@@ -403,3 +420,106 @@ def test_a_hard_eight_point_pair_is_proved():
     assert sorted(corr.pairs) == [
         (0, 0), (0, 1), (0, 3), (0, 7), (1, 0), (1, 2), (2, 1), (3, 1),
         (3, 6), (4, 3), (4, 5), (5, 1), (6, 4), (7, 0)]
+
+
+# The Fraction bodies the integer certification replaced, kept as its spec.
+
+def spec_distortion(pairs, X, Y):
+    pairs = sorted(pairs)
+    best = Fraction(0)
+    for (i1, j1), (i2, j2) in \
+            itertools.combinations_with_replacement(pairs, 2):
+        gap = abs(X.real(i1, i2) - Y.real(j1, j2))
+        if gap > best:
+            best = gap
+    return best
+
+
+def spec_map_distortion(mapping, X, Y):
+    return max((abs(X.real(i, k) - Y.real(mapping[i], mapping[k]))
+                for i in range(X.n) for k in range(i, X.n)),
+               default=Fraction(0))
+
+
+def spec_map_net_eps(mapping, Y):
+    image = set(mapping)
+    return max(min(Y.real(j, m) for m in image) for j in range(Y.n))
+
+
+def spec_corr_from_isometry(iso, X, Y, eps):
+    """(pairs, distortion), or None where the map is no eps-isometry."""
+    if iso.dis > eps or iso.net_eps > eps:
+        return None
+    pairs = {(i, j) for i in range(X.n) for j in range(Y.n)
+             if Y.real(iso.mapping[i], j) <= eps}
+    pairs.add((X.base, Y.base))
+    return pairs, spec_distortion(pairs, X, Y)
+
+
+def _back(iso, X, Y, eps):
+    try:
+        back = corr_from_isometry(iso, X, Y, eps)
+    except DomainError:
+        return None
+    return set(back.pairs), back.distortion
+
+
+def test_certification_matches_the_fraction_spec():
+    """Same mapping, dis, net_eps, back pairs and back distortion as the
+    Fraction spec on random pairs with different scales.  The eps values
+    are max(dis, net_eps, 1/2), the smallest d_Y(f(x), y) at or above
+    max(dis, net_eps), where the pair sits on the <= boundary, and one
+    just below max(dis, net_eps), which both refuse."""
+    rng = random.Random(16)
+    on_boundary = 0
+    for _ in range(200):
+        X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
+        corr = min_distortion_correspondence(X, Y)
+        iso = build_eps_isometry(corr, X, Y)
+        mapping = tuple(Y.base if i == X.base else
+                        min(j for a, j in corr.pairs if a == i)
+                        for i in range(X.n))
+        assert (iso.mapping, iso.dis, iso.net_eps) == \
+            (mapping, spec_map_distortion(mapping, X, Y),
+             spec_map_net_eps(mapping, Y)), (X, Y)
+        f = [rng.randrange(Y.n) for _ in range(X.n)]
+        assert map_distortion(f, X, Y) == spec_map_distortion(f, X, Y)
+        assert map_net_eps(f, Y) == spec_map_net_eps(f, Y)
+        least = max(iso.dis, iso.net_eps)
+        eps_values = [max(least, Fraction(1, 2))]
+        reached = [Y.real(m, j) for m in mapping for j in range(Y.n)
+                   if Y.real(m, j) >= least]
+        if reached:
+            eps_values.append(min(reached))
+            on_boundary += 1
+        if least > 0:
+            eps_values.append(least - Fraction(1, 97))
+        for eps in eps_values:
+            assert _back(iso, X, Y, eps) == \
+                spec_corr_from_isometry(iso, X, Y, eps), (X, Y, eps)
+    assert on_boundary >= 100
+
+
+def test_distortion_matches_the_per_pair_body():
+    """``distortion`` through ``real_matrix`` equals the per-pair real()
+    body on random relations between scaled spaces of up to 6 points."""
+    rng = random.Random(17)
+    for _ in range(200):
+        X, Y = _scaled_space(rng, 6), _scaled_space(rng, 6)
+        every = [(i, j) for i in range(X.n) for j in range(Y.n)]
+        pairs = rng.sample(every, rng.randint(1, len(every)))
+        assert distortion(pairs, X, Y) == spec_distortion(pairs, X, Y)
+
+
+def test_validate_rejects_a_distortion_off_by_one_unit():
+    """The Fraction re-check tells apart distortions one step of the
+    search's integer unit apart, either way."""
+    rng = random.Random(18)
+    for _ in range(50):
+        X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
+        corr = min_distortion_correspondence(X, Y)
+        step = Fraction(1, math.lcm(X.scale.numerator, Y.scale.numerator))
+        for off in (step, -step):
+            bad = Correspondence(corr.pairs, corr.distortion + off)
+            with pytest.raises(DomainError, match="stored distortion"):
+                bad.validate(X, Y)
