@@ -113,15 +113,13 @@ def _emit(args, text):
 
 
 def _field_csv(field):
+    """The rows of ``fields.field_to_json``, one CSV line each."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vertex", "dist_from_base", "value", "stable",
-                     "last_change"])
-    window, rep = field.window, field.report
-    for i in field.zone_indices():
-        writer.writerow([window.space.vertex_label(window._vertices[i]),
-                         window._dist[i], field.values[i],
-                         rep.stable[i], rep.last_change[i]])
+    writer = csv.DictWriter(buf, ["vertex", "dist_from_base", "value",
+                                  "stable", "last_change"],
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(fields.field_to_json(field)["values"])
     return buf.getvalue()
 
 

@@ -496,43 +496,6 @@ def level_set(field, c):
     return tuple(out)
 
 
-@dataclass
-class StabilityReport:
-    converged: bool
-    nonconverged: list
-    gromov: GromovReport
-
-    @property
-    def ok(self):
-        return self.converged and self.gromov.ok
-
-
-def stability_check(fields, limit, t_samples=None):
-    """Check a field sequence converges to ``limit`` on the zone and the
-    limit still satisfies the sublevel identity.
-
-    Stability evidence: the convergence verdict reads no stability flag.
-    Its evidence is the sequence's own last two fields, which must equal
-    ``limit`` at every zone vertex of ``limit``, whatever that vertex's
-    flag; a vertex where either differs is reported as nonconverged.
-    The sublevel verdict is :func:`gromov_check`'s, which needs none.
-    """
-    fields = list(fields)
-    if not fields:
-        raise DomainError("need at least one field")
-    for f in fields:
-        if f.window is not limit.window or f.zone != limit.zone:
-            raise DomainError("all fields must share window and zone")
-    nonconverged = []
-    for i, v in limit.values.items():
-        if any(f.values.get(i) != v for f in fields[-2:]):
-            nonconverged.append(limit.window._vertices[i])
-    if t_samples is None:
-        t_samples = default_t_samples(limit)
-    grom = gromov_check(limit, t_samples)
-    return StabilityReport(not nonconverged, nonconverged, grom)
-
-
 def field_to_json(field):
     """Export schema: one record per zone vertex plus window provenance."""
     window = field.window
@@ -559,20 +522,3 @@ def field_to_json(field):
                   "den": space.scale.denominator},
         "values": rows,
     }
-
-
-def field_from_json(data, window):
-    """Rebuild a field from its export, on a freshly materialized window."""
-    space = window.space
-    values, stable, last_change = {}, {}, {}
-    for row in data["values"]:
-        i = window.find(space.parse_vertex(row["vertex"]))
-        if i is None:
-            raise DomainError(f"exported vertex {row['vertex']} not in the "
-                              "rematerialized window")
-        values[i] = row["value"]
-        stable[i] = row["stable"]
-        last_change[i] = row["last_change"]
-    report = ConvergenceReport(tuple(data["schedule"]), data["tail"],
-                               stable, last_change)
-    return ScalarField(window, data["kind"], data["zone"], values, report)

@@ -5,7 +5,7 @@ distortion, bound, and certificate below is an exact Fraction.  The
 pointed GH distance itself is never computed; only the sandwich
   D*/2 <= d_pGH <= D*
 for D* the minimal distortion over pointed correspondences, plus the
-epsilon-isometry and (eps, delta)-approximation certificates.
+epsilon-isometry certificate.
 
 The search and the certification (the eps-isometry and the
 correspondence back from it) compare ints in one unit shared by both
@@ -424,7 +424,16 @@ def corr_from_isometry(iso, X, Y, eps):
     ints in the unit of ``_int_view``: with eps = p/q, d_Y(f(x), y) <= eps
     is dY[f(x)][y] * q <= p * unit.  ``validate`` then recomputes the
     distortion in Fraction arithmetic, the one re-check of that route.
+    A mapping that is not X.n point indices of Y (non-bool ints in
+    range(Y.n)) is refused, since Y's rows are indexed by its entries.
     """
+    if len(iso.mapping) != X.n:
+        raise DomainError(f"mapping of length {len(iso.mapping)} does not "
+                          f"cover the {X.n} points of X")
+    for m in iso.mapping:
+        if type(m) is not int or not 0 <= m < Y.n:
+            raise DomainError(f"mapping entry {m!r} is not a point index "
+                              f"of Y (0..{Y.n - 1})")
     eps = Fraction(eps)
     if iso.dis > eps or iso.net_eps > eps:
         raise DomainError(f"map is not an {eps}-isometry "
@@ -445,53 +454,6 @@ def corr_from_isometry(iso, X, Y, eps):
         raise DomainError(f"induced correspondence has distortion {dis} "
                           f"> 3*eps = {3 * eps}")
     return corr
-
-
-@dataclass
-class Certificate:
-    ok: bool
-    bound: Fraction | None
-    witness: tuple | None
-    reason: str = ""
-
-    def to_json(self):
-        return {"ok": self.ok,
-                "bound": None if self.bound is None else str(self.bound),
-                "witness": list(self.witness) if self.witness else None,
-                "reason": self.reason}
-
-
-def eps_delta_certificate(X, Y, net_x, net_y, eps, delta):
-    """Aligned eps-nets with distances within delta certify
-    pointed GH < 2*eps + delta."""
-    eps, delta = Fraction(eps), Fraction(delta)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    net_x, net_y = list(net_x), list(net_y)
-    if len(net_x) != len(net_y) or not net_x:
-        raise DomainError("nets must be non-empty and aligned by position")
-    for space, net, name in ((X, net_x, "X"), (Y, net_y, "Y")):
-        for m in net:
-            if type(m) is not int or not 0 <= m < space.n:
-                raise DomainError(f"net entry {m!r} is not a point index "
-                                  f"of {name} (0..{space.n - 1})")
-    if X.base not in net_x or Y.base not in net_y:
-        raise DomainError("nets must contain the base points")
-    for space, net, name in ((X, net_x, "X"), (Y, net_y, "Y")):
-        for j in range(space.n):
-            if min(space.real(j, m) for m in net) > eps:
-                return Certificate(False, None, (name, j),
-                                   f"point {j} of {name} is farther than "
-                                   f"eps from the net")
-    for a in range(len(net_x)):
-        for b in range(len(net_x)):
-            gap = abs(X.real(net_x[a], net_x[b]) -
-                      Y.real(net_y[a], net_y[b]))
-            if gap >= delta:
-                return Certificate(False, None, (net_x[a], net_x[b]),
-                                   f"net distances differ by {gap} >= delta")
-    return Certificate(True, 2 * eps + delta, None,
-                       "aligned eps-nets with distance gap < delta")
 
 
 def identity_map(v):

@@ -187,13 +187,6 @@ def base_lipschitz_gap(field_a, field_b):
     return max(gaps, default=None), wa._dist[k], len(shared) - len(gaps)
 
 
-def base_lipschitz_check(field_a, field_b):
-    """True iff sup |u_a - u_b| <= d(base_a, base_b) over the shared zone
-    vertices stable in both fields (vacuously, when there are none)."""
-    sup, bound, _ = base_lipschitz_gap(field_a, field_b)
-    return sup is None or sup <= bound
-
-
 @dataclass
 class ClassPartition:
     """Blocks of sample points whose fields differ by an exact constant

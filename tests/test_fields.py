@@ -1,6 +1,5 @@
 """Distance-like fields: approximants, limits, and the sublevel identity."""
 
-import json
 import random
 
 import pytest
@@ -8,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dlscape import (DomainError, ZoneError, build, busemann,
                      default_t_samples, dist_field, dl_from_sets,
-                     field_from_json, field_to_json, gromov_check,
-                     horofunction, level_set, materialize_window, oracle,
-                     shortest_path, sphere, stability_check,
+                     field_to_json, gromov_check, horofunction, level_set,
+                     materialize_window, oracle, shortest_path, sphere,
                      u_point_assigned, u_r, verify_geodesic)
 from dlscape.fields import ConvergenceReport
 from dlscape.pseudometric import rho_matrix
@@ -486,20 +484,6 @@ def test_level_set_h_graph(h_field):
     zero = level_set(h_field, 0)
     # u = y - |x| vanishes exactly on the corner diagonals and the origin
     assert set(zero) == {(k, abs(k)) for k in range(-5, 6)}
-
-
-def test_stability_check(h_window, h_field):
-    approx = [u_r(h_window, r, 10) for r in (36, 42, 48)]
-    assert stability_check(approx, h_field).ok
-    bad = [u_r(h_window, r, 10) for r in (6, 12)]
-    assert not stability_check(bad, h_field).converged
-
-
-def test_field_json_roundtrip(h_window, h_field):
-    data = json.loads(json.dumps(field_to_json(h_field)))
-    rebuilt = field_from_json(data, h_window)
-    assert rebuilt.values == h_field.values
-    assert rebuilt.report == h_field.report
 
 
 def _big_and_small_windows(name, params, radius):

@@ -19,11 +19,12 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from dlscape import (DomainError, FiniteMetricSpace, MetricError, build,
+from dlscape import (DomainError, EpsIsometry, FiniteMetricSpace,
+                     MetricError, ZoneError, build,
                      brute_force_min_distortion, build_eps_isometry,
-                     corr_from_isometry, eps_delta_certificate, gh_bounds,
-                     materialize_window, min_distortion_correspondence,
-                     pa_gh_experiment, u_point_assigned)
+                     corr_from_isometry, gh_bounds, materialize_window,
+                     min_distortion_correspondence, pa_gh_experiment,
+                     pairwise_dist, u_point_assigned)
 from dlscape.gh import (NODE_CAP, MAPPINGS, Correspondence, distortion,
                         map_distortion, map_net_eps)
 
@@ -214,44 +215,40 @@ def test_correspondence_validate():
         bad.validate(X, X)
 
 
-def test_eps_delta_certificate_trivial():
-    Z = metric_from_weights(4, [1, 2, 3, 2, 1, 2])
-    cert = eps_delta_certificate(Z, Z, range(4), range(4), 1, Fraction(1, 2))
-    assert cert.ok and cert.bound == 2 + Fraction(1, 2)
-
-
-def test_eps_delta_certificate_witness():
+@pytest.mark.parametrize("mapping,named", [
+    ((0, 3), "mapping entry 3 "), ((0, -2), "mapping entry -2 "),
+    ((0, True), "mapping entry True "), ((0,), "mapping of length 1 ")],
+    ids=["past_n", "negative", "bool", "too_short"])
+def test_corr_from_isometry_refuses_a_bad_mapping(mapping, named):
+    """Past the end and a short mapping used to raise IndexError, -2 was
+    read as Y's point 1 and True as point 1; each is now refused by name."""
     X = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
-    Y = FiniteMetricSpace(2, ((0, 5), (5, 0)), 0)
-    cert = eps_delta_certificate(X, Y, [0, 1], [0, 1], 1, 1)
-    assert not cert.ok and cert.witness is not None
+    Y = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    iso = EpsIsometry(mapping, Fraction(0), Fraction(1))
+    with pytest.raises(DomainError, match=re.escape(named)):
+        corr_from_isometry(iso, X, Y, 1)
 
 
-def test_eps_delta_pendant_line():
-    pw = materialize_window(build("pendant_line"), (0, 0), 12)
-    lw = materialize_window(build("line"), 0, 12)
-    sample_p = [(n, k) for n in range(-3, 4) for k in (0, 1)]
-    sample_l = list(range(-4, 5))
-    P = FiniteMetricSpace.from_window_sample(pw, sample_p)
-    L = FiniteMetricSpace.from_window_sample(lw, sample_l, base=0)
-    net_p = [sample_p.index((n, 0)) for n in range(-3, 4)]
-    net_l = [sample_l.index(n) for n in range(-3, 4)]
-    cert = eps_delta_certificate(P, L, net_p, net_l, 1, 1)
-    assert cert.ok and cert.bound == 3
-
-
-@pytest.mark.parametrize("entry", [5, -1, True],
-                         ids=["past_n", "negative", "bool"])
-def test_eps_delta_certificate_refuses_a_bad_net_entry(entry):
-    """Past the end used to raise IndexError, -1 certified the last point
-    and True was read as index 1; each is now refused by name, on either
-    side."""
-    Z = metric_from_weights(4, [1, 2, 3, 2, 1, 2])
-    named = re.escape(f"net entry {entry!r} ")
-    with pytest.raises(DomainError, match=named):
-        eps_delta_certificate(Z, Z, [0, entry], [0, 1], 1, 1)
-    with pytest.raises(DomainError, match=named):
-        eps_delta_certificate(Z, Z, [0, 1], [0, entry], 1, 1)
+@pytest.mark.parametrize("name,base,sample,far", [
+    ("pendant_line", (0, 0),
+     [(n, k) for n in range(-3, 4) for k in (0, 1)], (5, 0)),
+    ("line", 0, list(range(-4, 5)), 5)], ids=["pendant_line", "line"])
+def test_from_window_sample(name, base, sample, far):
+    """The sampled space is ``pairwise_dist`` on the sample, pointed at
+    the window base; a base outside the sample is refused, and a point
+    past R // 3 = 4 raises a ZoneError naming the radius it needs."""
+    w = materialize_window(build(name), base, 12)
+    Z = FiniteMetricSpace.from_window_sample(w, sample)
+    assert Z.dist == tuple(map(tuple, pairwise_dist(w, sample)))
+    assert (Z.base, Z.scale) == (sample.index(base), w.space.scale)
+    with pytest.raises(DomainError):
+        FiniteMetricSpace.from_window_sample(w, [v for v in sample
+                                                 if v != base])
+    with pytest.raises(DomainError):
+        FiniteMetricSpace.from_window_sample(w, sample, base=far)
+    with pytest.raises(ZoneError) as exc:
+        FiniteMetricSpace.from_window_sample(w, sample + [far])
+    assert exc.value.need == 15
 
 
 @given(weights=st.lists(st.integers(1, 9), min_size=6, max_size=6))

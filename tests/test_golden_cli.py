@@ -7,7 +7,8 @@ instead of the README's placeholder files.  Two suites whose passes run in
 the balls of ``Window.geodesic_ball`` are gated too, with digests captured
 before ``gromov_check`` was confined and the BFS memo made to grow, and
 the family runs below, with digests captured before a family field read
-its spheres from the closed-form distance.
+its spheres from the closed-form distance.  The ``field --csv`` digest
+was captured before the CSV rows were read from the JSON export.
 """
 
 import hashlib
@@ -29,6 +30,9 @@ GOLDEN = [
     (["field", "--space", "h_graph", "--radius", "120", "--r-max", "96",
       "--zone", "20"], 0,
      "66bb4af91be9046ac0c68274b772d1493f2dce5d620eedd75ef4a02119484e79"),
+    (["field", "--space", "h_graph", "--radius", "120", "--r-max", "96",
+      "--zone", "20", "--csv"], 0,
+     "f24960f22b86b4e5b1de4c6c5b1d7f137856fbfbe72e3bc4136f4e88230b5117"),
     (["level-set", "--space", "h_graph", "--radius", "60", "--r-max", "48",
       "--zone", "10", "--level", "0"], 0,
      "e2d8be172e0b8e9d475e004dc3290abd7a3e42e763d8015b15d576fce252688d"),
@@ -94,7 +98,8 @@ def _run(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
-                         ids=[g[0][0] for g in GOLDEN])
+                         ids=[g[0][0] + "-csv" * ("--csv" in g[0])
+                              for g in GOLDEN])
 def test_readme_example_output_is_unchanged(capsys, tmp_path, argv, code,
                                             digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)

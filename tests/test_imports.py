@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-top-level function and class is named somewhere outside its definition."""
+"""Every module of the package uses each name it imports, every
+top-level function and class is named somewhere outside its definition,
+and the public names only code outside the package calls are listed."""
 
 import ast
 from functools import lru_cache
@@ -88,3 +89,50 @@ def test_module_defines_nothing_unused(path):
     elsewhere = set().union(*(_file_mentions(p) for p in SOURCES
                               if p != path))
     assert _dead_definitions(path.read_text(), elsewhere) == []
+
+
+def _dead_methods(source, elsewhere):
+    """Methods of the top-level classes of ``source`` named neither in the
+    rest of it nor in ``elsewhere``, a set of identifiers."""
+    body = ast.parse(source).body
+    out = []
+    for cls in body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        rest = [n for n in body if n is not cls]
+        out += [m.name for m in cls.body
+                if isinstance(m, ast.FunctionDef) and m.name not in elsewhere
+                and m.name not in _mentions(rest + [n for n in cls.body
+                                                    if n is not m])]
+    return out
+
+
+def test_dead_method_detector():
+    source = ("class A:\n    def used(self):\n        return self.kept()\n"
+              "\n    def kept(self):\n        pass\n\n"
+              "    def dead(self):\n        pass\n\nA().used()\n")
+    assert _dead_methods(source, set()) == ["dead"]
+    assert _dead_methods(source, {"dead"}) == []
+
+
+# Public definitions that no other code in the package names: the tests,
+# the benchmark and the acceptance gate are their only callers.  A name
+# joins this list only as a deliberate public API.
+PACKAGE_UNCALLED = {
+    "brute_force_min_distortion", "corr_from_isometry", "default_t_samples",
+    "dist_field", "dl_from_sets", "equality_achieved", "from_window_sample",
+    "lipschitz_violations", "normalized_value", "oracle",
+    "representation_check", "verify_geodesic",
+}
+
+
+def test_public_api_the_package_never_calls_is_listed():
+    found = set()
+    for path in MODULES:
+        source = path.read_text()
+        elsewhere = set().union(*(_file_mentions(p) for p in MODULES
+                                  if p != path))
+        found.update(name for name in _dead_definitions(source, elsewhere)
+                     + _dead_methods(source, elsewhere)
+                     if not name.startswith("_"))
+    assert sorted(found) == sorted(PACKAGE_UNCALLED)
