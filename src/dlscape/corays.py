@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import ConvergenceReport, _geodesic, busemann_anchors
+from .fields import (ConvergenceReport, _anchor_sets, _geodesic,
+                     _resolve_sets)
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,13 @@ def representation_check(field, x, corays):
     held on the window (:meth:`~dlscape.space.Window.distances_from`;
     x is often a start itself).
 
-    The pass at x is confined to :meth:`~dlscape.space.Window.geodesic_ball`
+    Each co-ray's vertices are resolved once, through
+    :func:`~dlscape.fields._resolve_sets`, before any geodesy check.  The
+    pass at x is confined to :meth:`~dlscape.space.Window.geodesic_ball`
     (d(base, x), m, d(base, x) + m), m the largest d(base, v) over the
-    in-window co-ray vertices v.  It runs before the geodesy check of a
-    co-ray from x, whose smaller ball it covers.
+    vertices of the co-rays resolved in the window, which holds every
+    anchor read.  It runs before the geodesy check of a co-ray from x,
+    whose smaller ball it covers.
     """
     window = field.window
     dist = window._dist
@@ -170,10 +174,21 @@ def representation_check(field, x, corays):
     ix = field.index_of(x)
     ux = field.values[ix]
     report = ReprReport(x=x, value=ux)
-    m = max((dist[i] for coray in corays for v in coray.vertices
-             if (i := window.find(v)) is not None), default=0)
-    x_ball = window.geodesic_ball(dist[ix], m, dist[ix] + m)
+    resolved = []
     for coray in corays:
+        try:
+            found = _resolve_sets(window, [(v,) for v in coray.vertices],
+                                  "path") if coray.length else None
+        except DomainError as exc:
+            found = str(exc)
+        resolved.append(found)
+    in_window = [(coray, found) for coray, found in zip(corays, resolved)
+                 if isinstance(found, list)]
+    m = max((d for _, found in in_window for d, _ in found), default=0)
+    x_ball = window.geodesic_ball(dist[ix], m, dist[ix] + m)
+    if any(coray.vertices[0] == x for coray, _ in in_window):
+        window.distances_from(ix, x_ball)
+    for coray, found in zip(corays, resolved):
         start = coray.vertices[0]
         if coray.length == 0:
             if start == x:
@@ -182,12 +197,13 @@ def representation_check(field, x, corays):
             else:
                 report.inconclusive.append((start, "zero-length co-ray"))
             continue
-        if start == x:
-            window.distances_from(ix, x_ball)
+        if isinstance(found, str):
+            report.inconclusive.append((start, found))
+            continue
         try:
-            anchors = busemann_anchors(window, coray.vertices, coray.length,
-                                       zone)
-            u_start = field.value_at(start)
+            anchors = [i for _, (i,) in _anchor_sets(
+                window, found, zone, zone, "path", ray=True)]
+            u_start = field.values[field._valued(anchors[0], start)]
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
             continue

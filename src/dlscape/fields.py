@@ -8,7 +8,7 @@ limit; the zoo oracles pin exact thresholds where they are known.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ZoneError
@@ -17,29 +17,77 @@ from .space import _bfs_from_indices
 FIELD_KINDS = ("u_r", "point_assigned", "busemann", "horo", "set_limit")
 
 
-@dataclass
-class ConvergenceReport:
-    """Truncation certificate for a limit taken along a schedule."""
+def _stable_from(schedule, tail, last_change):
+    """The stability rule on dated vertices.  A vertex's sweep entries are
+    a suffix of the schedule; it is stable when its value last changed at
+    or before cutoff = max(schedule) - tail and at least two schedule
+    parameters exceed the cutoff.  Such a vertex has an entry at each of
+    those parameters and the value held across all of them.
+    """
+    cutoff = schedule[-1] - tail
+    settled = sum(p > cutoff for p in schedule) >= 2
+    return {i: settled and c <= cutoff for i, c in last_change.items()}
 
-    schedule: tuple
-    tail: int
-    stable: dict
-    last_change: dict
+
+class ConvergenceReport:
+    """Truncation certificate for a limit taken along a schedule.
+
+    ``stable`` and ``last_change`` map each valued zone vertex index to
+    its stability flag and to the parameter of its value's last change,
+    under the rule of :meth:`from_last_change`.  Either may be given as a
+    dict or as a function of no arguments that returns one, called on
+    the first read of its attribute.  A sweep (:func:`_sweep`) gives
+    functions, so a certificate no caller reads costs no pass:
+
+    - ``stable`` of a monotone sweep needs no dates.  With p* the largest
+      schedule parameter at or below the cutoff, a vertex is stable iff
+      the schedule is settled and its entry at p* equals its final value:
+      its entries are monotone and end at that value, so its last change
+      is at or before p* exactly then.  A point-assigned vertex whose
+      final value is -d(base, x) is dated with no pass at all.
+    - ``last_change`` is the ascending scan, which reuses every pass the
+      ``stable`` read already ran; ``stable`` read after it needs none.
+
+    Reports compare equal when their schedules, tails and resolved dicts
+    do.  A report built from plain dicts behaves as a plain record.
+    """
+
+    def __init__(self, schedule, tail, stable, last_change):
+        self.schedule, self.tail = schedule, tail
+        self._stable, self._last_change = stable, last_change
+
+    @property
+    def stable(self):
+        if callable(self._stable):
+            self._stable = self._stable()
+        return self._stable
+
+    @property
+    def last_change(self):
+        if callable(self._last_change):
+            self._last_change = self._last_change()
+        return self._last_change
+
+    def _key(self):
+        return self.schedule, self.tail, self.stable, self.last_change
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("ConvergenceReport(schedule=%r, tail=%r, stable=%r, "
+                "last_change=%r)" % self._key())
 
     @classmethod
     def from_last_change(cls, schedule, tail, last_change):
-        """The stability rule.  A vertex's sweep entries are a suffix of the
-        schedule; it is stable when its value last changed at or before
-        cutoff = max(schedule) - tail and at least two schedule parameters
-        exceed the cutoff.  Such a vertex has an entry at each of those
-        parameters and the value held across all of them.
-        """
+        """The report of dated vertices, stable by :func:`_stable_from`."""
         schedule = tuple(schedule)
-        cutoff = schedule[-1] - tail
-        settled = sum(p > cutoff for p in schedule) >= 2
-        return cls(schedule, tail,
-                   {i: settled and c <= cutoff
-                    for i, c in last_change.items()}, last_change)
+        return cls(schedule, tail, _stable_from(schedule, tail, last_change),
+                   last_change)
 
 
 @dataclass
@@ -68,7 +116,11 @@ class ScalarField:
         """Index of a vertex with a value.  A vertex of the zone without
         one lies past B_max(schedule) of a point-assigned sweep, so the
         error names ``r-max``."""
-        i = self.window.find(vertex)
+        return self._valued(self.window.find(vertex), vertex)
+
+    def _valued(self, i, vertex):
+        """:meth:`index_of` for ``vertex`` found at window index ``i``
+        (None: not in the window)."""
         if i is None or i not in self.values:
             d = None if i is None else self.window._dist[i]
             raise ZoneError(f"vertex {vertex!r} outside the field zone",
@@ -123,25 +175,45 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     Each step is (parameter, source indices of H_n, shift c_n, limit,
     reach): one BFS from the sources, confined to the first ``limit``
     indices of ``on`` (a ball around its base; default ``window``), gives
-    the values of the zone vertices within ``reach`` of the base, read at
-    their indices in ``on``.  Reaches do not decrease, so a vertex's
-    entries form a suffix of the schedule.  Only the last value and the
-    parameter of its last change are kept, for the stability rule of
-    :meth:`ConvergenceReport.from_last_change` (tail 2 * zone by default).
+    the entries d(., H_n) - c_n of the zone vertices within ``reach`` of
+    the base, read at their indices in ``on``.  Reaches do not decrease,
+    so a vertex's entries form a suffix of the schedule, and the last
+    step's pass, run here, gives every vertex its final value.
 
-    The last step's pass runs first: entries form suffixes, so it gives
-    every vertex its final value.  The other steps then run in schedule
-    order, and each vertex is dated at the first parameter of its final
-    run of entries equal to its final value, which is the parameter of
-    its last change, the only one the stability rule reads.  For the
-    kinds in ``_MONOTONE_KINDS`` a vertex's entries e_1..e_k are monotone
-    and end at e_k, so once e_j = e_k every later entry lies between e_j
-    and e_k and equals it: the vertex is dated at the first such j and
-    leaves the pending list.  A step's pass runs only while a pending
-    vertex has an entry there (the pending list is sorted, so
-    ``pending[0] < n``, n the number of zone vertices within its reach),
-    and none runs once nothing is pending.  The other kinds keep every
-    vertex pending, so every pass runs.
+    The certificate (:class:`ConvergenceReport`, tail 2 * zone by default)
+    runs its passes when first read, each step's at most once: a step's
+    sources may be a one-shot iterator.  Only zone entries are held.  A
+    confined pass gives the same list before and after the windows grow
+    (:meth:`~dlscape.space.Window.distances_from`), so the read may come
+    late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's entries are
+    monotone and end at its final value, so once an entry equals that
+    value every later one does, and the certificate runs these passes:
+
+    - Free dates (``point_assigned``).  For r >= d(base, x) a point of
+      S_r is r from the base, so d(x, S_r) >= r - d(base, x) and u^r(x)
+      >= -d(base, x).  A vertex whose final value is -d(base, x) has that
+      entry at every step: its last change is its first entry, at the
+      first parameter >= d(base, x), and no pass dates it.
+    - ``stable``.  With cutoff = max(schedule) - tail, no pass runs when
+      fewer than two parameters exceed it: every vertex is unstable.
+      Otherwise let p* be the largest parameter at or below it.  A vertex
+      is stable iff its entry at p* equals its final value; one with no
+      entry there has its first entry, so its last change, past p*.  The
+      vertices not dated free take at most two passes: the one at the
+      smallest parameter where one of them has an entry, which proves
+      stable those whose entry there equals their final value, then the
+      one at p* for the rest.
+    - ``last_change``.  Each vertex is dated at the first parameter of its
+      final run of entries equal to its final value, its last change.
+      After the free dates the other steps run in schedule order, and a
+      vertex leaves the pending list at its first entry equal to its
+      final value.  A step's pass runs only while a pending vertex has an
+      entry there (the list is sorted, so ``pending[0] < n``, n the number
+      of zone vertices within its reach).  ``stable`` read afterwards
+      needs no pass, and the held passes are dropped.
+
+    The other kinds keep every vertex pending, so the scan runs every
+    pass, and ``stable`` reads the dates.
     """
     steps = list(steps)
     count = window.count_within
@@ -149,37 +221,109 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     on = window if on is None else on
     at = None if on is window else \
         [on._index[v] for v in window._vertices[:zone_n]]
+    ns = [count(min(step[4], zone)) for step in steps]
 
-    def bfs(sources, limit, n):     # the pass, at the first n zone vertices
+    def run(k):             # step k's entries, at its first ns[k] vertices
+        _, sources, shift, limit, _ = steps[k]
         d = _bfs_from_indices(on, sources, limit)
-        return d if at is None else [d[j] for j in at[:n]]
+        idx = range(ns[k]) if at is None else at[:ns[k]]
+        return [d[j] - shift for j in idx]
 
-    last, sources, shift, limit, reach = steps[-1]
-    n = count(min(reach, zone))
-    d = bfs(sources, limit, n)
-    values = {i: d[i] - shift for i in range(n)}
-    monotone = kind in _MONOTONE_KINDS
-    changed, pending = {}, list(values)
-    for param, sources, shift, limit, reach in steps[:-1]:
-        n = count(min(reach, zone))
-        if not pending or pending[0] >= n:
-            continue
-        d = bfs(sources, limit, n)
-        cut = bisect_left(pending, n)
-        kept = []
-        for i in pending[:cut]:
-            if d[i] - shift != values[i]:
-                changed.pop(i, None)
-            else:
-                changed.setdefault(i, param)
-                if monotone:
-                    continue
-            kept.append(i)
-        pending = kept + pending[cut:]
-    report = ConvergenceReport.from_last_change(
-        [step[0] for step in steps], 2 * zone if tail is None else tail,
-        {i: changed.get(i, last) for i in values})
-    return ScalarField(window, kind, zone, values, report), report
+    final = run(-1)
+    schedule = tuple(step[0] for step in steps)
+    tail = 2 * zone if tail is None else tail
+    cert = _Certificate(kind, schedule, tail, ns, final, run,
+                        window._dist if kind == "point_assigned" else None)
+    report = ConvergenceReport(schedule, tail, cert.stable, cert.last_change)
+    return ScalarField(window, kind, zone, dict(enumerate(final)),
+                       report), report
+
+
+class _Certificate:
+    """The deferred passes of one :func:`_sweep`, each step's run at most
+    once and held until the dates are known.  ``dist`` (point-assigned
+    only) gives d(base, x) for the free dates."""
+
+    def __init__(self, kind, schedule, tail, ns, final, run, dist):
+        self.schedule, self.tail, self.ns, self.final = \
+            schedule, tail, ns, final
+        self.monotone = kind in _MONOTONE_KINDS
+        self.run, self.dist, self.held, self.dated = run, dist, {}, None
+
+    def entries(self, k):
+        e = self.held.get(k)
+        if e is None:
+            e = self.held[k] = self.run(k)
+        return e
+
+    def free_steps(self):
+        """Vertex -> the step of its first entry, for the vertices dated
+        with no pass."""
+        ns, dist = self.ns, self.dist
+        if dist is None:
+            return {}
+        return {i: bisect_right(ns, i) for i, u in enumerate(self.final)
+                if u == -dist[i]}
+
+    def stable(self):
+        schedule, ns, final = self.schedule, self.ns, self.final
+        if self.dated is not None or not self.monotone:
+            return _stable_from(schedule, self.tail, self.last_change())
+        cutoff = schedule[-1] - self.tail
+        flags = dict.fromkeys(range(len(final)), False)
+        if sum(p > cutoff for p in schedule) < 2:
+            return flags
+        top = bisect_right(schedule, cutoff) - 1        # the step of p*
+        free = self.free_steps()
+        pending = []
+        for i in flags:
+            k = free.get(i)
+            if k is not None:
+                flags[i] = k <= top
+            elif bisect_right(ns, i) <= top:
+                pending.append(i)
+        for k in sorted({bisect_right(ns, pending[0]), top}) \
+                if pending else ():
+            e, n = self.entries(k), ns[k]
+            rest = []
+            for i in pending:
+                if i < n and e[i] == final[i]:
+                    flags[i] = True
+                else:
+                    rest.append(i)
+            pending = rest
+            if not pending:
+                break
+        return flags
+
+    def last_change(self):
+        if self.dated is not None:
+            return self.dated
+        schedule, ns, final = self.schedule, self.ns, self.final
+        changed = {i: schedule[k] for i, k in self.free_steps().items()}
+        pending = [i for i in range(len(final)) if i not in changed]
+        for k, param in enumerate(schedule[:-1]):
+            if not pending:
+                break
+            n = ns[k]
+            if pending[0] >= n:
+                continue
+            e = self.entries(k)
+            cut = bisect_left(pending, n)
+            kept = []
+            for i in pending[:cut]:
+                if e[i] != final[i]:
+                    changed.pop(i, None)
+                else:
+                    changed.setdefault(i, param)
+                    if self.monotone:
+                        continue
+                kept.append(i)
+            pending = kept + pending[cut:]
+        self.dated = {i: changed.get(i, schedule[-1])
+                      for i in range(len(final))}
+        self.run = self.held = None
+        return self.dated
 
 
 def u_r(window, r, zone):
@@ -233,9 +377,9 @@ def u_point_assigned(window, schedule, zone, tail=None):
     Monotone: a path from x in B_r to S_r' (r' > r) crosses S_r, and from
     there needs r' - r more steps, so u^r'(x) >= u^r(x), in any window.
     The value at the base is d(base, S_r) - r = 0 for every r.  Neither
-    needs a run-time check.  :func:`_sweep` relies on this monotonicity
-    to date each vertex and skip the passes after the last one a vertex
-    still needs.
+    needs a run-time check.  :func:`_sweep` relies on this monotonicity,
+    and on the bound u^r(x) >= -d(base, x), to date each vertex and skip
+    the passes its certificate does not need.
 
     Needs max(schedule) <= R and zone <= R, nothing more: the values are
     then those of the infinite graph, so every window of radius at least
@@ -313,16 +457,10 @@ def _geodesic(window, idxs):
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def _anchor_sets(window, sets, zone, margin, what, ray=False):
-    """(d(base, H_n), indices of H_n) per anchor set of a Busemann
-    (``ray``), horofunction or set-limit sweep, after these checks in
-    order: each H_n is non-empty and in the window (found through
-    :meth:`~dlscape.space.Window.require_zone`); a ray is a geodesic;
-    d(base, H_n) + margin <= R, so the sweep is exact on the zone (the
-    ZoneError names the first failing set's nearest member and the need
-    max d(base, H_n) + margin); 1 <= zone; a sequence's d(base, H_n)
-    strictly increases.
-    """
+def _resolve_sets(window, sets, what):
+    """(d(base, H_n), indices of H_n) per anchor set, each checked in turn
+    to be non-empty and found through
+    :meth:`~dlscape.space.Window.require_zone`, so in the window."""
     require, radius, dist = window.require_zone, window.radius, window._dist
     found = []
     for h in sets:
@@ -330,6 +468,18 @@ def _anchor_sets(window, sets, zone, margin, what, ray=False):
             raise DomainError(f"{what} must be non-empty")
         idxs = [require(v, radius, what) for v in h]
         found.append((min(map(dist.__getitem__, idxs)), idxs))
+    return found
+
+
+def _anchor_sets(window, found, zone, margin, what, ray=False):
+    """``found``, the :func:`_resolve_sets` result for the anchor sets of
+    a Busemann (``ray``), horofunction or set-limit sweep, once it passes
+    these checks in order: a ray is a geodesic; d(base, H_n) + margin <=
+    R, so the sweep is exact on the zone (the ZoneError names the first
+    failing set's nearest member and the need max d(base, H_n) + margin);
+    1 <= zone; a sequence's d(base, H_n) strictly increases.
+    """
+    radius, dist = window.radius, window._dist
     if ray and not _geodesic(window, [i for _, (i,) in found]):
         raise DomainError("ray is not a geodesic vertex path")
     for a, idxs in found:
@@ -350,8 +500,9 @@ def busemann_anchors(window, ray, T, zone):
     ray = list(ray)
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
-    found = _anchor_sets(window, [(v,) for v in ray[:T + 1]], zone, zone,
-                         "path", ray=True)
+    found = _anchor_sets(
+        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path"),
+        zone, zone, "path", ray=True)
     return [i for _, (i,) in found]
 
 
@@ -363,7 +514,7 @@ def busemann(window, ray, T, zone, tail=None):
     drives the stabilization flags: ray[t] and ray[t+1] are adjacent, so
     d(y, ray[t+1]) <= d(y, ray[t]) + 1 in the window graph for every y.
     :func:`_sweep` relies on this monotonicity to date each vertex and
-    skip the passes after the last one a vertex still needs.
+    skip the passes its certificate does not need.
 
     The BFS from an anchor a is confined to
     :meth:`~dlscape.space.Window.geodesic_ball` (zone, d(base, a),
@@ -387,7 +538,8 @@ def horofunction(window, points, zone, tail=None):
     points = list(points)
     if len(points) < 2:
         raise DomainError("need at least two points")
-    found = _anchor_sets(window, [(p,) for p in points], zone, zone, "p_n")
+    found = _anchor_sets(window, _resolve_sets(
+        window, [(p,) for p in points], "p_n"), zone, zone, "p_n")
     ball = window.geodesic_ball
     return _sweep(window, "horo", zone, tail,
                   ((a, idxs, a, ball(zone, a, zone + a), zone)
@@ -411,7 +563,8 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     shifts = list(shifts)
     if len(sets) != len(shifts) or len(sets) < 2:
         raise DomainError("need matching sets/shifts lists of length >= 2")
-    found = _anchor_sets(window, sets, zone, 2 * zone, "H_n")
+    found = _anchor_sets(window, _resolve_sets(window, sets, "H_n"), zone,
+                         2 * zone, "H_n")
     ball = window.geodesic_ball
     return _sweep(window, "set_limit", zone, tail,
                   [(a, idxs, cn, ball(zone, a + 2 * zone - 1, a + zone - 1),
@@ -501,14 +654,16 @@ def field_to_json(field):
     window = field.window
     space = window.space
     rep = field.report
+    last_change = rep.last_change       # first, so ``stable`` runs no pass
+    stable = rep.stable
     rows = []
     for i in field.zone_indices():
         rows.append({
             "vertex": space.vertex_label(window._vertices[i]),
             "dist_from_base": window._dist[i],
             "value": field.values[i],
-            "stable": rep.stable[i],
-            "last_change": rep.last_change[i],
+            "stable": stable[i],
+            "last_change": last_change[i],
         })
     return {
         "space": space.spec_dict(),

@@ -287,7 +287,12 @@ class Window:
         growth rebuilds only the rows of the sphere S_grown: past ``limit``
         when rho < grown, and otherwise gaining only neighbors at distance
         grown + 1, at or past ``limit``, which the pass pre-settles.  So a
-        pass run now reads the same rows and gives the same list.
+        pass run now reads the same rows and gives the same list.  The
+        same holds for any pass of :func:`_bfs_from_indices` confined to
+        a ball B_rho, rho <= grown, from the same seed indices: run after
+        any growth, it reads the same rows and gives the same list, so
+        :func:`~dlscape.fields._sweep` may run a certificate's passes
+        when it is first read.
         """
         d = self._passes.get(i)
         if d is None or len(d) < limit:

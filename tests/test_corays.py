@@ -109,6 +109,28 @@ def test_representation_shares_the_pass_at_x(monkeypatch):
         assert calls[0][1] < len(w)
 
 
+def test_representation_resolves_each_vertex_once(monkeypatch):
+    """16 co-rays of length 7 from (2, -3) on the grid: one ``find`` per
+    co-ray vertex, 128, and one for x; the anchors' distances size the
+    pass at x, and u(g(0)) is read at the start's resolved index."""
+    from dlscape.space import Window
+    w = materialize_window(build("grid2d"), (0, 0), 60)
+    fld, _ = u_point_assigned(w, range(6, 49, 6), 12)
+    paths = trace_corays(fld, (2, -3), max_paths=16).paths
+    assert [p.length for p in paths] == [7] * 16
+    found = []
+    find = Window.find
+
+    def counted(self, vertex):
+        found.append(vertex)
+        return find(self, vertex)
+
+    monkeypatch.setattr(Window, "find", counted)
+    report = representation_check(fld, (2, -3), paths)
+    assert len(found) == 1 + 16 * 8
+    assert report.ok and len(report.entries) == 16
+
+
 def test_representation_bounds_other_vertices(line_field):
     # co-rays from 5 bound the value at 0 from above
     trace = trace_corays(line_field, 5)
@@ -301,6 +323,36 @@ def test_coray_job_grows_its_window_only_to_the_balls_it_reads():
     assert held <= len(materialize_window(space, (0, 0), 97)) < 9801
     assert (field_to_json(fld), level_set(fld, -3)) == export
     assert len(w) == 9801 and held < len(w)
+
+
+@pytest.mark.parametrize("name,radius,r_max,zone,starts", [
+    ("h_graph", 120, 96, 20, [(0, 0), (2, 2), (-7, 3), (12, 0), (1, 4)]),
+    ("grid2d", 60, 48, 10, [(0, 0), (2, -3), (-4, 5), (9, 1)])])
+def test_coray_job_runs_one_field_pass(monkeypatch, name, radius, r_max,
+                                       zone, starts):
+    """The coray benchmark's shapes: the field, its co-rays, their checks,
+    the representation check and the descent probe read no certificate,
+    so the sweep runs its last pass and no other."""
+    from dlscape import fields
+    calls = []
+    bfs = fields._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        calls.append(limit)
+        return bfs(window, seeds, limit)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    space = build(name)
+    w = materialize_window(space, space.default_base(), radius)
+    fld, _ = u_point_assigned(
+        w, _schedule(SimpleNamespace(r_max=r_max, r_step=None)), zone)
+    for start in starts:
+        trace = trace_corays(fld, start, max_paths=8)
+        assert all(verify_gradient(cr, fld) for cr in trace.paths)
+        report = representation_check(fld, start, trace.paths)
+        assert report.ok and report.equality_achieved
+        uniqueness_probe(fld, start)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,starts", [

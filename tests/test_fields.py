@@ -11,7 +11,7 @@ from dlscape import (DomainError, ZoneError, build, busemann,
                      materialize_window, oracle, shortest_path, sphere,
                      u_point_assigned, u_r, verify_geodesic)
 from dlscape.fields import ConvergenceReport
-from dlscape.pseudometric import rho_matrix
+from dlscape.pseudometric import point_assigned_family, rho_matrix
 from dlscape.space import pairwise_dist
 
 
@@ -130,6 +130,76 @@ def test_point_assigned_matches_whole_window_sweep(name, params, radius):
                     values)
 
 
+def _read_in_order(rep, ref, first):
+    """Read ``first`` of the report's two dicts before anything else reads
+    it, then the other; each must equal the reference's."""
+    other = "last_change" if first == "stable" else "stable"
+    assert getattr(rep, first) == getattr(ref, first)
+    assert getattr(rep, other) == getattr(ref, other)
+    assert rep == ref
+
+
+@pytest.mark.parametrize("first", ["stable", "last_change"])
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_lazy_report_matches_whole_window_sweep(name, params, radius, first):
+    """The certificate, run on first read in either order, equals the
+    sweep by definition: point-assigned fields with the free dates and
+    the p* pass, and a Busemann field, whose entries fall."""
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), radius)
+    rng = random.Random(name)
+    zone = radius // 4
+    hi = radius - zone
+    for schedule in (range(1, hi + 1), range(zone + 1, hi + 1, 3),
+                     (1, hi // 2, hi)):
+        for tail in (None, zone):
+            ref_tail = 2 * zone if tail is None else tail
+            fld, rep = u_point_assigned(w, schedule, zone, tail)
+            values, ref = _point_assigned_by_whole_window(w, schedule, zone,
+                                                          ref_tail)
+            assert fld.values == values
+            _read_in_order(rep, ref, first)
+            ray = shortest_path(w, w.base, rng.choice(sphere(w, hi)))
+            T = len(ray) - 1
+            fld, rep = busemann(w, ray, T, zone, tail)
+            values, ref = _sweep_by_whole_window(
+                w, zone, ref_tail,
+                [(k, (ray[k],), k, zone) for k in range(1, T + 1)])
+            assert fld.values == values
+            _read_in_order(rep, ref, first)
+
+
+@pytest.mark.parametrize("first", ["stable", "last_change"])
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_lazy_family_report_after_the_callers_window_grew(
+        name, params, radius, first):
+    """A family field off the caller's base reads its certificate after a
+    later base has grown the caller's window, on whose rows its passes
+    run, and after its one-shot sphere sources were read for its last
+    pass; read in either order it equals the sweep by definition on
+    B_m(b)."""
+    space = build(name, params)
+    m = radius // 2
+    zone = max(1, m // 2)
+    schedule = list(range(1, m, max(1, m // 6))) + [m]
+    # tail zone: on halfline, h_graph, stick and pendant_line ``stable``
+    # runs passes that the dates then reuse
+    for tail in (None, zone):
+        w = materialize_window(space, space.default_base(), radius)
+        near = w.vertices[w.count_within(1) - 1]
+        far = w.vertices[w.count_within(radius - m) - 1]
+        fields = point_assigned_family(w, [near, far], schedule, zone, tail)
+        # the near field's passes need B_{1 + m}; the far base grew it to R
+        assert 1 + m < w.grown == radius
+        fld = fields[near]
+        assert fld.window.known is w
+        values, ref = _point_assigned_by_whole_window(
+            materialize_window(space, near, m), schedule, zone,
+            2 * zone if tail is None else tail)
+        assert fld.values == values
+        _read_in_order(fld.report, ref, first)
+
+
 def _far_vertices(window, rng, lo, hi, k):
     """k seeded vertices at distances from lo to hi, by increasing
     distance; None when the range is too short."""
@@ -227,11 +297,14 @@ def test_set_limit_ball_is_tight():
 
 
 def test_monotone_sweeps_skip_settled_passes(monkeypatch):
-    """The point-assigned and Busemann sweeps run the last pass first and
-    stop once every zone vertex is dated: on the line and the grid every
-    u^r value is final from its first entry, so one more pass dates the
-    zone; along the line ray 0..40 the zone vertex x = 12 settles only at
-    t = 12, so the passes at t = 13..39 are skipped."""
+    """The point-assigned and Busemann sweeps run only the last pass until
+    their certificate is read.  On the line and the grid every u^r value
+    is -d(base, x), so every zone vertex is dated with no pass.  Along the
+    line ray 0..40 (zone 12, tail 24, p* = 16) ``stable`` takes the passes
+    at t = 1, which settles x <= 1, and at p* for the rest.  The dates
+    take the passes at t = 1..12, as x = 12 settles only at t = 12; read
+    first, they leave ``stable`` no pass, and read second they reuse the
+    pass at t = 1."""
     from dlscape import fields, space
     calls = []
     bfs = space._bfs_from_indices
@@ -247,14 +320,27 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
         gspace = build(name)
         w = materialize_window(gspace, gspace.default_base(), 60)
         calls.clear()
-        u_point_assigned(w, range(12, 49, 6), 12)
-        assert len(calls) == 2, name
+        _, rep = u_point_assigned(w, range(12, 49, 6), 12)
+        counts = [len(calls)]
+        assert all(rep.stable.values())
+        counts.append(len(calls))
+        assert max(rep.last_change.values()) == 12
+        counts.append(len(calls))
+        assert counts == [1, 1, 1], name
     line = build("line")
-    w = materialize_window(line, 0, 60)
-    calls.clear()
-    fld, _ = busemann(w, list(range(41)), 40, 12)
-    assert len(calls) == 1 + 13      # the geodesy check, then the sweep
-    assert fld.report.last_change[w.index[12]] == 12
+    for first, second, counts in (("stable", "last_change", [2, 4, 15]),
+                                  ("last_change", "stable", [2, 14, 14])):
+        w = materialize_window(line, 0, 60)
+        calls.clear()
+        fld, rep = busemann(w, list(range(41)), 40, 12)
+        seen = [len(calls)]         # the geodesy check, then the last pass
+        getattr(rep, first)
+        seen.append(len(calls))
+        getattr(rep, second)
+        seen.append(len(calls))
+        assert seen == counts, first
+        assert rep.last_change[w.index[12]] == 12
+        assert all(rep.stable.values())
 
 
 def test_point_assigned_stick_tolerance():

@@ -213,6 +213,33 @@ def test_family_rho_and_classes_match_caller_radius_windows(
         assert fields[b].report == ref[b].report
 
 
+def test_rho_h_graph_family_passes(monkeypatch):
+    """The rho benchmark's h_graph shape (R 120, r-max 96, zone 16): a
+    family field runs its last pass, after one BFS from its base where
+    that is off (0, 0), and ``stable`` adds exactly two: the pass at the
+    first parameter, 9, and the one at p* = 63, the largest parameter at
+    or below the cutoff 96 - 32."""
+    from dlscape import fields
+    calls = []
+    bfs = fields._bfs_from_indices
+
+    def counted(window, seeds, limit=None):
+        calls.append(limit)
+        return bfs(window, seeds, limit)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    w = materialize_window(build("h_graph"), (0, 0), 120)
+    schedule = list(range(9, 91, 9)) + [96]
+    for b, built in (((0, 0), 1), ((3, 1), 2), ((-7, 0), 2), ((-2, 3), 2)):
+        calls.clear()
+        fld = point_assigned_family(w, [b], schedule, 16)[b]
+        assert len(calls) == built, b
+        stable = fld.report.stable
+        assert len(calls) == built + 2, b
+        assert sum(stable.values()) > 0
+        assert fld.report.stable is stable and len(calls) == built + 2
+
+
 def test_family_checks_the_callers_window(line_window):
     """A base other than the caller's may not slip past its bounds."""
     with pytest.raises(ZoneError, match="max.schedule. <= R"):
