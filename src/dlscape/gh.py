@@ -13,6 +13,10 @@ spaces (``_int_view``) and turn a result into a Fraction once.  The
 re-check, ``distortion`` and ``Correspondence.validate``, stays in
 Fraction arithmetic, as does ``brute_force_min_distortion``, so the
 integer route is checked by one that shares none of its arithmetic.
+The re-check reads each space's real-unit Fractions from
+``FiniteMetricSpace.real_matrix``, which a space builds once and holds;
+only where the Fractions come from is shared between calls, not how
+they are compared.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ NODE_CAP = 500_000
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Pointed metric space given by a scaled-integer distance matrix."""
+    """Pointed metric space given by a scaled-integer distance matrix.
+
+    ``dist`` is kept as a tuple of tuples and ``scale`` as a Fraction (an
+    int scale is converted), so the space is immutable and hashable and a
+    caller's list cannot change it later.  ``n``, ``base`` and every entry
+    must be non-bool ints and ``scale`` a positive Fraction or int, as
+    ``from_json`` asks of its input.
+    """
 
     n: int
     dist: tuple            # n x n tuple of tuples, integer entries
@@ -39,13 +50,28 @@ class FiniteMetricSpace:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        n, d = self.n, self.dist
+        n, scale = self.n, self.scale
+        if type(n) is not int or type(self.base) is not int:
+            raise MetricError("n and base must be integers")
+        if type(scale) is int:
+            scale = Fraction(scale)
+        elif type(scale) is not Fraction:
+            raise MetricError(f"scale must be a Fraction or an integer, "
+                              f"got {scale!r}")
+        try:
+            d = tuple(map(tuple, self.dist))
+        except TypeError:
+            raise MetricError("dist must be a matrix of integers") from None
+        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "scale", scale)
         if n < 1 or len(d) != n or any(len(row) != n for row in d):
             raise MetricError(f"matrix shape does not match n={n}")
         if not 0 <= self.base < n:
             raise MetricError(f"base index {self.base} out of range")
-        if self.scale <= 0:
+        if scale <= 0:
             raise MetricError("scale must be positive")
+        if any(type(e) is not int for row in d for e in row):
+            raise MetricError("every distance must be an integer")
         for i in range(n):
             if d[i][i] != 0:
                 raise MetricError("nonzero diagonal", witness=(i, i, i))
@@ -61,13 +87,21 @@ class FiniteMetricSpace:
                                           witness=(i, k, j))
 
     def real(self, i, j):
-        """Distance in real (unscaled) units, exact."""
-        return Fraction(self.dist[i][j]) / self.scale
+        """Distance in real (unscaled) units, exact: an entry of
+        ``real_matrix``."""
+        return self.real_matrix()[i][j]
 
     def real_matrix(self):
-        """Every distance in real units, as exact Fractions."""
-        return [[self.real(i, j) for j in range(self.n)]
-                for i in range(self.n)]
+        """Every distance in real units, as exact Fractions: a tuple of
+        tuples of ``Fraction(e) / scale``, built on first read and held
+        by the space, outside its fields, so ``==``, ``hash`` and ``repr``
+        ignore it.  The space is frozen, so the matrix never goes stale;
+        ``dataclasses.replace`` makes a new space, which builds its own."""
+        held = self.__dict__.get("_real")
+        if held is None:
+            held = _real_rows(self.dist, self.scale)
+            object.__setattr__(self, "_real", held)
+        return held
 
     @classmethod
     def from_window_sample(cls, window, sample, base=None):
@@ -102,6 +136,11 @@ class FiniteMetricSpace:
             raise DomainError(f"malformed finite-space JSON: {exc}") from exc
 
 
+def _real_rows(dist, scale):
+    """``dist`` in real units: each entry ``Fraction(e) / scale``."""
+    return tuple(tuple(Fraction(e) / scale for e in row) for row in dist)
+
+
 def _json_int(value):
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
@@ -113,7 +152,9 @@ def distortion(pairs, X, Y):
 
     The independent re-check of the integer search and certification: it
     reads each space's own ``real_matrix`` and subtracts Fractions, with
-    no shared unit."""
+    no shared unit.  The matrices are held by the spaces, so a call
+    builds no Fractions from ``dist``; the arithmetic is the same as
+    with a matrix built afresh."""
     dX, dY = X.real_matrix(), Y.real_matrix()
     best = Fraction(0)
     for (i1, j1), (i2, j2) in \
@@ -374,9 +415,24 @@ class EpsIsometry:
                 "net_eps": str(self.net_eps)}
 
 
+def _check_mapping(mapping, Y, n=None):
+    """Refuse a mapping that is not point indices of Y (non-bool ints in
+    range(Y.n)), since Y's rows are indexed by its entries, or, given
+    ``n``, not n of them."""
+    if n is not None and len(mapping) != n:
+        raise DomainError(f"mapping of length {len(mapping)} does not "
+                          f"cover the {n} points of X")
+    for m in mapping:
+        if type(m) is not int or not 0 <= m < Y.n:
+            raise DomainError(f"mapping entry {m!r} is not a point index "
+                              f"of Y (0..{Y.n - 1})")
+
+
 def map_distortion(mapping, X, Y):
     """max |d_X(x,x') - d_Y(f(x),f(x'))|, compared as ints in the unit
-    of ``_int_view``."""
+    of ``_int_view``.  A mapping that is not X.n point indices of Y is
+    refused."""
+    _check_mapping(mapping, Y, X.n)
     unit, dX, dY = _int_view(X, Y)
     best = 0
     for i in range(X.n):
@@ -391,7 +447,9 @@ def map_distortion(mapping, X, Y):
 def map_net_eps(mapping, Y):
     """Smallest eps for which f(X) is an eps-net of Y.  Y's own entries
     are ints in units of 1/scale, and scaling keeps min and max, so they
-    are compared as they are and divided once."""
+    are compared as they are and divided once.  An entry that is not a
+    point index of Y is refused."""
+    _check_mapping(mapping, Y)
     image = set(mapping)
     return Fraction(max(min(row[m] for m in image) for row in Y.dist)) \
         / Y.scale
@@ -424,16 +482,9 @@ def corr_from_isometry(iso, X, Y, eps):
     ints in the unit of ``_int_view``: with eps = p/q, d_Y(f(x), y) <= eps
     is dY[f(x)][y] * q <= p * unit.  ``validate`` then recomputes the
     distortion in Fraction arithmetic, the one re-check of that route.
-    A mapping that is not X.n point indices of Y (non-bool ints in
-    range(Y.n)) is refused, since Y's rows are indexed by its entries.
+    A mapping that is not X.n point indices of Y is refused.
     """
-    if len(iso.mapping) != X.n:
-        raise DomainError(f"mapping of length {len(iso.mapping)} does not "
-                          f"cover the {X.n} points of X")
-    for m in iso.mapping:
-        if type(m) is not int or not 0 <= m < Y.n:
-            raise DomainError(f"mapping entry {m!r} is not a point index "
-                              f"of Y (0..{Y.n - 1})")
+    _check_mapping(iso.mapping, Y, X.n)
     eps = Fraction(eps)
     if iso.dis > eps or iso.net_eps > eps:
         raise DomainError(f"map is not an {eps}-isometry "

@@ -8,6 +8,7 @@ brute-force sizes the search is checked against a plain DFS spec and by
 metamorphic relations.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from dlscape import (DomainError, EpsIsometry, FiniteMetricSpace,
                      corr_from_isometry, gh_bounds, materialize_window,
                      min_distortion_correspondence, pa_gh_experiment,
                      pairwise_dist, u_point_assigned)
+from dlscape import gh
 from dlscape.gh import (NODE_CAP, MAPPINGS, Correspondence, distortion,
                         map_distortion, map_net_eps)
 
@@ -64,6 +66,17 @@ def test_metric_validation():
     with pytest.raises(MetricError) as exc:
         FiniteMetricSpace(3, ((0, 1, 9), (1, 0, 1), (9, 1, 0)), 0)
     assert exc.value.witness is not None                     # triangle
+    # What from_json refuses: a float or bool scale, a float or bool
+    # entry, a bool n or base.  A float scale used to give float distances.
+    unit = ((0, 1), (1, 0))
+    for args in [(2, unit, 0, 0.5), (2, unit, 0, True),
+                 (2, ((0, 1.0), (1.0, 0)), 0), (2, ((0, True), (True, 0)), 0),
+                 (True, ((0,),), 0), (2, unit, False)]:
+        with pytest.raises(MetricError):
+            FiniteMetricSpace(*args)
+    two = FiniteMetricSpace(2, unit, 0, 2)                   # int scale
+    assert two.scale == Fraction(2) and type(two.scale) is Fraction
+    assert two.real(0, 1) == Fraction(1, 2)
 
 
 def test_from_json_malformed():
@@ -227,6 +240,20 @@ def test_corr_from_isometry_refuses_a_bad_mapping(mapping, named):
     iso = EpsIsometry(mapping, Fraction(0), Fraction(1))
     with pytest.raises(DomainError, match=re.escape(named)):
         corr_from_isometry(iso, X, Y, 1)
+
+
+@pytest.mark.parametrize("mapping", [(0, -2), (0, True), (0, 5)],
+                         ids=["negative", "bool", "past_n"])
+def test_map_readers_refuse_a_bad_entry(mapping):
+    """-2 used to be read as Y's point 1, True as point 1, and 5 raised a
+    bare IndexError; each is refused by name, as by corr_from_isometry."""
+    X = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
+    Y = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    named = re.escape(f"mapping entry {mapping[1]!r} ")
+    with pytest.raises(DomainError, match=named):
+        map_distortion(mapping, X, Y)
+    with pytest.raises(DomainError, match=named):
+        map_net_eps(mapping, Y)
 
 
 @pytest.mark.parametrize("name,base,sample,far", [
@@ -520,3 +547,94 @@ def test_validate_rejects_a_distortion_off_by_one_unit():
             bad = Correspondence(corr.pairs, corr.distortion + off)
             with pytest.raises(DomainError, match="stored distortion"):
                 bad.validate(X, Y)
+
+
+# The real-unit matrix: built once per space, on first read, and held
+# outside the fields.
+
+def _count_builds(monkeypatch):
+    """The ``dist`` of each real-unit matrix built from here on."""
+    built = []
+    real_rows = gh._real_rows
+
+    def counting(dist, scale):
+        built.append(dist)
+        return real_rows(dist, scale)
+
+    monkeypatch.setattr(gh, "_real_rows", counting)
+    return built
+
+
+def test_a_gh_job_builds_one_matrix_per_space(monkeypatch):
+    """The CLI's gh job and the back correspondence re-check three
+    correspondences by ``validate`` and build each space's matrix once
+    (they built six before the matrix was held)."""
+    rng = random.Random(19)
+    for _ in range(20):
+        X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
+        X, Y = (FiniteMetricSpace.from_json(Z.to_json()) for Z in (X, Y))
+        built = _count_builds(monkeypatch)
+        _, _, corr = gh_bounds(X, Y)
+        iso = build_eps_isometry(corr, X, Y)
+        corr_from_isometry(iso, X, Y, max(iso.dis, iso.net_eps))
+        assert built == [X.dist, Y.dist]
+        assert X.real_matrix() is X.real_matrix()
+
+
+def test_brute_force_builds_one_matrix_per_space(monkeypatch):
+    """322 builds for this 3 x 3 pair before the matrix was held: two per
+    covering mask."""
+    X = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    Y = FiniteMetricSpace(3, ((0, 2, 3), (2, 0, 2), (3, 2, 0)), 1,
+                          Fraction(1, 2))
+    built = _count_builds(monkeypatch)
+    assert brute_force_min_distortion(X, Y).distortion == \
+        min_distortion_correspondence(X, Y).distortion
+    assert built == [X.dist, Y.dist]
+
+
+def test_a_held_matrix_leaves_eq_hash_and_repr():
+    args = (3, ((0, 2, 3), (2, 0, 1), (3, 1, 0)), 1, Fraction(3, 2))
+    X, twin = FiniteMetricSpace(*args), FiniteMetricSpace(*args)
+    before = (hash(X), repr(X))
+    X.real_matrix()
+    assert X == twin and twin == X
+    assert (hash(X), repr(X)) == before == (hash(twin), repr(twin))
+    assert [f.name for f in dataclasses.fields(X)] == \
+        ["n", "dist", "base", "scale"]
+    assert X.real_matrix() == ((0, Fraction(4, 3), 2),
+                               (Fraction(4, 3), 0, Fraction(2, 3)),
+                               (2, Fraction(2, 3), 0))
+
+
+def test_replace_builds_the_new_scales_matrix():
+    X = FiniteMetricSpace(2, ((0, 3), (3, 0)), 0)
+    assert X.real(0, 1) == 3
+    half = dataclasses.replace(X, scale=Fraction(1, 2))
+    assert half.real_matrix() == ((0, 6), (6, 0))
+    assert X.real_matrix() == ((0, 3), (3, 0))
+
+
+def test_a_space_keeps_its_values_when_the_callers_list_changes():
+    """A list matrix used to be kept as given: changing it later changed
+    the space, and hash raised TypeError."""
+    rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    X = FiniteMetricSpace(3, rows, 0)
+    rows[0][2] = rows[2][0] = 5
+    rows[1] = [9, 9, 9]
+    assert X.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert X.real(0, 2) == 2 and X.real(1, 0) == 1
+    assert hash(X) == hash(FiniteMetricSpace(3, X.dist, 0))
+
+
+def test_spaces_of_one_size_hold_their_own_matrices():
+    rng = random.Random(20)
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            Z = metric_from_weights(n, [rng.randint(1, 9)
+                                        for _ in range(n * (n - 1) // 2)])
+            Z = FiniteMetricSpace(n, Z.dist, 0,
+                                  Fraction(rng.randint(1, 4),
+                                           rng.randint(1, 4)))
+            assert Z.real_matrix() == tuple(
+                tuple(Fraction(e) / Z.scale for e in row) for row in Z.dist)

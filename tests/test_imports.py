@@ -121,7 +121,7 @@ def test_dead_method_detector():
 PACKAGE_UNCALLED = {
     "brute_force_min_distortion", "corr_from_isometry", "default_t_samples",
     "dist_field", "dl_from_sets", "equality_achieved", "from_window_sample",
-    "lipschitz_violations", "normalized_value", "oracle",
+    "lipschitz_violations", "normalized_value", "oracle", "real",
     "representation_check", "verify_geodesic",
 }
 
