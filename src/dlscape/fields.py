@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .errors import DomainError, ZoneError
 from .space import _bfs_from_indices
@@ -132,6 +133,19 @@ class ScalarField:
     def value_at(self, vertex):
         return self.values[self.index_of(vertex)]
 
+    def values_at(self, vertices):
+        """:meth:`value_at` at each of ``vertices``, in order, refusing the
+        first vertex without a value as it does."""
+        window, values = self.window, self.values
+        get, find = window._index.get, window.find
+        out = []
+        for v in vertices:
+            i = get(v)
+            if i not in values:
+                i = self._valued(find(v), v)
+            out.append(values[i])
+        return out
+
     def stable_at(self, vertex):
         return self.report.stable[self.index_of(vertex)]
 
@@ -176,7 +190,12 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     reach): one BFS from the sources, confined to the first ``limit``
     indices of ``on`` (a ball around its base; default ``window``), gives
     the entries d(., H_n) - c_n of the zone vertices within ``reach`` of
-    the base, read at their indices in ``on``.  Reaches do not decrease,
+    the base, read at their indices in ``on``.  The sources may also be
+    given as a function of no arguments that returns (sources, settled),
+    called only when the step's pass runs; the pass then leaves out the
+    indices ``settled`` as well (:func:`~dlscape.space._bfs_from_indices`),
+    which the caller proves no shortest path from a read vertex to H_n
+    enters.  Reaches do not decrease,
     so a vertex's entries form a suffix of the schedule, and the last
     step's pass, run here, gives every vertex its final value.
 
@@ -225,7 +244,10 @@ def _sweep(window, kind, zone, tail, steps, on=None):
 
     def run(k):             # step k's entries, at its first ns[k] vertices
         _, sources, shift, limit, _ = steps[k]
-        d = _bfs_from_indices(on, sources, limit)
+        settled = ()
+        if callable(sources):
+            sources, settled = sources()
+        d = _bfs_from_indices(on, sources, limit, settled)
         idx = range(ns[k]) if at is None else at[:ns[k]]
         return [d[j] - shift for j in idx]
 
@@ -392,40 +414,55 @@ def u_point_assigned(window, schedule, zone, tail=None):
 
     The passes run on W, this window or the ``known`` window it grows from
     (:func:`~dlscape.space.materialize_window`), base o, delta = d(o, b)
-    for b the base here, delta + R <= R_W.  The pass for r runs in
-    B_{delta + r}(o), holding B_r(b), from S_r(b): W's S_r if delta = 0.
-    Else S_r(b) lies in the annulus |d(o, .) - r| <= delta (triangle
-    inequality) and is the set of annulus vertices v with d(b, v) = r.
-    d(b, v) is read from ``space.distance(b, .)`` where the generator
-    gives it, else from one BFS from b confined to
-    :meth:`~dlscape.space.Window.geodesic_ball` (delta, delta + s, s), s =
-    max(schedule).  Both select the same set, in index order: the closed
-    form is exact, and the confined pass is exact at each annulus vertex v
-    with d(b, v) <= s, as that ball holds a geodesic from b to v, so it
-    gives r on S_r(b); elsewhere in the annulus d(b, v) > s >= r, and a
-    confined distance is never shorter (-1, unreached, is not r either).
+    for b the base here, delta + R <= R_W.  The pass for r runs from
+    S_r(b) over B_r(b), which holds every such shortest path: W's S_r
+    and B_r if delta = 0.  Else, by the triangle inequality, B_r(b) lies
+    in B_{delta + r}(o), the pass's limit, and every vertex v of that
+    ball outside B_r(b) lies in the annulus |d(o, v) - r| <= delta, since
+    d(o, v) < r - delta gives d(b, v) < r.  One scan of the annulus
+    reads d(b, v) at each of its vertices: those with d(b, v) = r are
+    S_r(b), those with d(b, v) > r are the rest of the ball outside
+    B_r(b), which the pass leaves out (``settled`` of :func:`_sweep`).
+    So the pass enters no vertex outside B_r(b), and it reaches all of
+    B_r(b), which a geodesic through b joins to S_r(b) inside it.  The
+    scan runs only when that step's pass runs.  d(b, v) is read from
+    ``space.distance(b, .)`` where the generator gives it, else from one
+    BFS from b confined to :meth:`~dlscape.space.Window.geodesic_ball`
+    (delta, delta + s, s) = B_{delta + s}(o), s = max(schedule).  Both
+    select the same two sets, in index order: the closed form is exact,
+    and the confined pass is exact at each annulus vertex v with d(b, v)
+    <= s, as that ball holds a geodesic from b to v.  Elsewhere in the
+    annulus d(b, v) > s >= r, and there a confined distance is never
+    shorter, so it is > r too.  It is never -1: the ball holds b and a
+    geodesic from each of its vertices to o, so the pass reaches all of
+    it.
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
     k = w._index[window.base]
     delta, top, count = w._dist[k], schedule[-1], w.count_within
     ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
-    if delta:               # d(b, .) at window index j, from one source
+    if delta:               # d(b, .) in closed form, or from one source
         space, b, vertices = w.space, window.base, w._vertices
-        if space.distance(b, b) is None:
-            dist_b = _bfs_from_indices(w, [k], ball).__getitem__
-        else:
-            dist_b = lambda j: space.distance(b, vertices[j])  # noqa: E731
+        dist_b = None if space.distance(b, b) is not None else \
+            _bfs_from_indices(w, [k], ball)
 
-    def sphere(r):          # read only if the pass for r runs
-        if not delta:
-            return range(count(r - 1), count(r))
-        return (j for j in range(count(r - delta - 1), count(r + delta))
-                if dist_b(j) == r)
+    def scan(r):            # (S_r(b), the annulus outside B_r(b))
+        lo, hi = count(r - delta - 1), count(r + delta)
+        ds = map(partial(space.distance, b), vertices[lo:hi]) \
+            if dist_b is None else dist_b[lo:hi]
+        near, far = [], []
+        for j, d in enumerate(ds, lo):
+            if d == r:
+                near.append(j)
+            elif d > r:
+                far.append(j)
+        return near, far
 
     return _sweep(window, "point_assigned", zone, tail,
-                  ((r, sphere(r), r, count(delta + r), r) for r in schedule),
-                  on=w)
+                  ((r, partial(scan, r) if delta else
+                    range(count(r - 1), count(r)), r, count(delta + r), r)
+                   for r in schedule), on=w)
 
 
 def verify_geodesic(window, path):

@@ -416,9 +416,11 @@ class EpsIsometry:
 
 
 def _check_mapping(mapping, Y, n=None):
-    """Refuse a mapping that is not point indices of Y (non-bool ints in
-    range(Y.n)), since Y's rows are indexed by its entries, or, given
-    ``n``, not n of them."""
+    """Refuse a mapping that is empty, not point indices of Y (non-bool
+    ints in range(Y.n)), since Y's rows are indexed by its entries, or,
+    given ``n``, not n of them."""
+    if not mapping:
+        raise DomainError("mapping is empty: it maps no point of X")
     if n is not None and len(mapping) != n:
         raise DomainError(f"mapping of length {len(mapping)} does not "
                           f"cover the {n} points of X")

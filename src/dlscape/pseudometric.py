@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import ConsistencyError, DomainError, ZoneError
 from .fields import _check_schedule, u_point_assigned
@@ -56,31 +57,31 @@ class RhoMatrix:
         return Fraction(self.two_rho[i][j], 2) / self.scale
 
     def axiom_violations(self, stable_only=True):
-        """Witnesses against the pseudo-metric axioms, exact integers."""
+        """Witnesses against the pseudo-metric axioms, exact integers.
+        With ``stable_only`` an entry tested must be stable, and so must
+        both entries it is compared with in a triangle."""
         n = len(self.sample)
-        tr = self.two_rho
-        ok = (lambda *ij: all(self.stable[a][b] for a, b in
-                              zip(ij[::2], ij[1::2]))) \
-            if stable_only else (lambda *ij: True)
+        sample, tr, dist = self.sample, self.two_rho, self.dist
+        st = self.stable if stable_only else ((True,) * n,) * n
         bad = []
         for i in range(n):
-            if tr[i][i] != 0:
-                bad.append(("diagonal", self.sample[i], tr[i][i]))
+            ti, si = tr[i], st[i]
+            if ti[i] != 0:
+                bad.append(("diagonal", sample[i], ti[i]))
             for j in range(n):
-                if not ok(i, j):
+                if not si[j]:
                     continue
-                if tr[i][j] != tr[j][i]:
-                    bad.append(("symmetry", self.sample[i], self.sample[j]))
-                if tr[i][j] < 0:
-                    bad.append(("nonnegative", self.sample[i],
-                                self.sample[j]))
-                if tr[i][j] > 2 * self.dist[i][j]:
-                    bad.append(("rho<=d", self.sample[i], self.sample[j]))
+                tij = ti[j]
+                if tij != tr[j][i]:
+                    bad.append(("symmetry", sample[i], sample[j]))
+                if tij < 0:
+                    bad.append(("nonnegative", sample[i], sample[j]))
+                if tij > 2 * dist[i][j]:
+                    bad.append(("rho<=d", sample[i], sample[j]))
                 for k in range(n):
-                    if ok(i, k) and ok(k, j) and \
-                            tr[i][j] > tr[i][k] + tr[k][j]:
-                        bad.append(("triangle", self.sample[i],
-                                    self.sample[k], self.sample[j]))
+                    if si[k] and st[k][j] and tij > ti[k] + tr[k][j]:
+                        bad.append(("triangle", sample[i], sample[k],
+                                    sample[j]))
         return bad
 
     def pair_stable(self, i, j):
@@ -220,6 +221,10 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     difference c on a set holding x and y gives c = u_x(x) - u_y(x) =
     -u_y(x) and c = u_x(y) - u_y(y) = u_x(y), so u_x(y) + u_y(x) = 0:
     this route joins only pairs with rho = 0.
+
+    Each field is read once over the evaluation vertices, when the first
+    stable pair that holds its base is compared, so a vertex it has no
+    value at raises its ZoneError at that pair.
     """
     sample = tuple(sample)
     if fields is None:
@@ -237,6 +242,14 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     eval_n = window.count_within(eval_zone)
     eval_vertices = window._vertices[:eval_n] + list(sample)
 
+    rows = {}
+
+    def row(x):             # x's field at the evaluation vertices, read once
+        r = rows.get(x)
+        if r is None:
+            r = rows[x] = fields[x].values_at(eval_vertices)
+        return r
+
     n = len(sample)
     offsets = {}
     links = []
@@ -244,8 +257,7 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
         for j in range(i + 1, n):
             if not rho.pair_stable(i, j):
                 continue
-            fx, fy = fields[sample[i]], fields[sample[j]]
-            diffs = {fx.value_at(v) - fy.value_at(v) for v in eval_vertices}
+            diffs = set(map(sub, row(sample[i]), row(sample[j])))
             if len(diffs) == 1:
                 links.append((i, j))
                 offsets[(sample[i], sample[j])] = diffs.pop()

@@ -161,20 +161,30 @@ class Window:
         in generator order.  A vertex at distance rho is in B_s, and so is
         each of its neighbors in B_rho(base); its row there keeps those, in
         generator order.  So both sources give the same window.
+
+        Known's rows name vertices by known's indices, and the loop reads
+        them so (:meth:`_grow_from_known`): it hashes a vertex of the
+        shells it resumes from once, and each vertex it finds once, to
+        enter it in the index, not each neighbor of each row.
         """
         radius = min(rho, self.radius)
         if radius <= self.grown:
             return
+        head = bisect_left(self._dist, self.grown)
+        del self._adjacency[head:]
+        if self.known is None:
+            self._grow_from_space(head, radius)
+        else:
+            self._grow_from_known(head, radius)
+        self.grown = radius
+
+    def _grow_from_space(self, head, radius):
+        """The loop of :meth:`_grow` from index ``head``, the first of
+        S_grown, on the generator's neighbors."""
         vertices, index, dist = self._vertices, self._index, self._dist
-        adjacency, budget, known = self._adjacency, self._budget, self.known
-        head = bisect_left(dist, self.grown)
-        del adjacency[head:]
+        adjacency, budget = self._adjacency, self._budget
         nbr = self.space.neighbors
         get = index.get
-        if known is not None:
-            kv, kadj, kindex = known._vertices, known._adjacency, known._index
-            known.count_within(known._dist[kindex[self.base]] + radius)
-            nbr = lambda v: map(kv.__getitem__, kadj[kindex[v]])  # noqa: E731
         while head < len(vertices):
             v = vertices[head]
             dv = dist[head]
@@ -185,10 +195,7 @@ class Window:
                     if j is None:
                         j = len(vertices)
                         if j >= budget:
-                            raise ResourceLimitError(
-                                f"window ({self.space!r}, base={self.base!r}"
-                                f", R={self.radius}) exceeds vertex budget "
-                                f"{budget}")
+                            raise self._over_budget()
                         index[w] = j
                         vertices.append(w)
                         dist.append(dv + 1)
@@ -200,7 +207,67 @@ class Window:
                         row.append(j)
             adjacency.append(tuple(row))
             head += 1
-        self.grown = radius
+
+    def _grow_from_known(self, head, radius):
+        """The loop of :meth:`_grow` from index ``head``, the first of
+        S_grown, on known's rows read by index, one shell at a time.
+
+        ``own`` maps a known index to the index here, for every held vertex
+        a row read next can name.  A row of a vertex of the shell S_d names
+        only vertices of S_{d - 1}, S_d and S_{d + 1}, as an edge changes
+        the distance to the base by at most one.  So ``own`` holds the
+        shells ``prev``, ``cur`` and the one being found, ``nxt`` (lists of
+        known indices), starting with S_{grown - 1} and S_grown, and drops
+        ``prev`` before the loop moves one shell out.  A known index
+        missing from it is then a vertex not held here, which the
+        generator route's index lookup would miss too, and both routes
+        build the same rows.  Nothing outlives the call, and what it holds
+        is three shells, not the window.
+        """
+        known = self.known
+        vertices, index, dist = self._vertices, self._index, self._dist
+        adjacency, budget = self._adjacency, self._budget
+        kv, kadj, kindex = known._vertices, known._adjacency, known._index
+        known.count_within(known._dist[kindex[self.base]] + radius)
+        d = self.grown
+        first = bisect_left(dist, d - 1)
+        prev = [kindex[v] for v in vertices[first:head]]
+        cur = [kindex[v] for v in vertices[head:]]
+        own = dict(zip(prev, range(first, head)))
+        own.update(zip(cur, range(head, len(vertices))))
+        get = own.get
+        while cur:
+            nxt = []
+            for k in cur:
+                row = []
+                if d < radius:
+                    for kw in kadj[k]:
+                        j = get(kw)
+                        if j is None:
+                            j = len(vertices)
+                            if j >= budget:
+                                raise self._over_budget()
+                            own[kw] = j
+                            nxt.append(kw)
+                            w = kv[kw]
+                            index[w] = j
+                            vertices.append(w)
+                            dist.append(d + 1)
+                        row.append(j)
+                else:
+                    for kw in kadj[k]:
+                        j = get(kw)
+                        if j is not None:
+                            row.append(j)
+                adjacency.append(tuple(row))
+            for k in prev:
+                del own[k]
+            prev, cur, d = cur, nxt, d + 1
+
+    def _over_budget(self):
+        return ResourceLimitError(
+            f"window ({self.space!r}, base={self.base!r}, R={self.radius}) "
+            f"exceeds vertex budget {self._budget}")
 
     @property
     def vertices(self):
@@ -412,7 +479,7 @@ def dist_field(window, sources):
     return _bfs_from_indices(window, seeds)
 
 
-def _bfs_from_indices(window, seeds, limit=None):
+def _bfs_from_indices(window, seeds, limit=None, settled=()):
     """Multi-source BFS over the window graph, from vertex indices.
 
     With ``limit`` the search is confined to the vertices of index below
@@ -420,6 +487,13 @@ def _bfs_from_indices(window, seeds, limit=None):
     :meth:`Window.count_within`, and reads only their rows; seeds at or
     past it are skipped and the result has ``limit`` entries.  Without it
     the window is grown to its radius first.
+
+    ``settled``, a sequence of indices below the limit, are left out of
+    the search as well: they start out settled, as the indices past the
+    limit do, so the search neither enters nor leaves from them, and they
+    read -1 (unreached) in the result.  The result is then the BFS of the
+    graph induced on the other indices below the limit, exact wherever a
+    caller proves a shortest path avoids the settled vertices.
     """
     if limit is None:
         limit = len(window)
@@ -429,6 +503,8 @@ def _bfs_from_indices(window, seeds, limit=None):
     # them without a bound test on every edge; they are cut off below.
     dist = [-1] * limit
     dist += [0] * (n - limit)
+    for i in settled:
+        dist[i] = 0
     queue = []
     push = queue.append
     for i in seeds:
@@ -443,6 +519,8 @@ def _bfs_from_indices(window, seeds, limit=None):
                 dist[w] = dv
                 push(w)
     del dist[limit:]
+    for i in settled:
+        dist[i] = -1
     return dist
 
 

@@ -436,9 +436,9 @@ def test_coray_shares_the_start_bfs(capsys, monkeypatch):
     calls = []
     bfs = space._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append((tuple(seeds), len(window), limit))
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     for module in (fields, space):
         monkeypatch.setattr(module, "_bfs_from_indices", counted)

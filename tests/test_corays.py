@@ -94,9 +94,9 @@ def test_representation_shares_the_pass_at_x(monkeypatch):
     calls = []
     bfs = space._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append((tuple(seeds), limit))
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     for module in (fields, space):
         monkeypatch.setattr(module, "_bfs_from_indices", counted)
@@ -337,9 +337,9 @@ def test_coray_job_runs_one_field_pass(monkeypatch, name, radius, r_max,
     calls = []
     bfs = fields._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append(limit)
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
     space = build(name)
@@ -369,9 +369,9 @@ def test_corays_share_one_pass_per_start(monkeypatch, name, starts):
     calls = []
     bfs = space._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append(w._vertices[seeds[0]])
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     monkeypatch.setattr(space, "_bfs_from_indices", counted)
     assert all(verify_gradient(p, fld) for p in paths)

@@ -200,6 +200,115 @@ def test_lazy_family_report_after_the_callers_window_grew(
         _read_in_order(fld.report, ref, first)
 
 
+def _held(window):
+    """A window's lists as held, without growing it."""
+    return (window._vertices, window._index, window._dist,
+            window._adjacency)
+
+
+def _whole(window):
+    """A window's lists, read after growing it to its radius."""
+    return (window.vertices, window.index, window.dist_from_base,
+            window.adjacency)
+
+
+@pytest.mark.parametrize("first", ["stable", "last_change"])
+@pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
+def test_family_passes_leave_out_only_what_no_path_needs(
+        monkeypatch, name, params, radius, first):
+    """Off-base family fields, whose passes leave out the annulus
+    vertices past B_r(b), equal the same fields swept with nothing left
+    out, over all of B_{delta + r}(o): values, ``stable`` and
+    ``last_change``, read in either order.  The bases lie off the
+    caller's base, so on the h_graph d(b, .) comes from a BFS from b.
+    Each family window, grown on the caller's rows, holds at the zone and
+    at its radius what the generator gives."""
+    from dlscape import fields
+    gspace = build(name, params)
+    bfs = fields._bfs_from_indices
+    left_out = []
+
+    def confined(window, seeds, limit=None, settled=()):
+        left_out.append(len(settled))
+        return bfs(window, seeds, limit, settled)
+
+    def unconfined(window, seeds, limit=None, settled=()):
+        return bfs(window, seeds, limit)
+
+    m = radius - radius // 3
+    zone = radius // 4
+    other = "last_change" if first == "stable" else "stable"
+
+    def family(pass_, tail):
+        w = materialize_window(gspace, gspace.default_base(), radius)
+        n = w.count_within(radius // 3)
+        rng = random.Random(name)
+        bases = [w.vertices[i] for i in sorted(rng.sample(range(1, n), 4))]
+        bases.append(w.vertices[n - 1])
+        out = {}
+        with monkeypatch.context() as patched:
+            patched.setattr(fields, "_bfs_from_indices", pass_)
+            flds = point_assigned_family(w, bases, range(1, m + 1, 3), zone,
+                                         tail)
+            for b, fld in flds.items():
+                rep = fld.report
+                out[b] = (fld.values, getattr(rep, first),
+                          getattr(rep, other))
+        return flds, out
+
+    for tail in (None, zone):
+        flds, got = family(confined, tail)
+        assert got == family(unconfined, tail)[1], tail
+        for b, fld in flds.items():
+            wb = fld.window
+            assert wb.known is not None and wb.grown == zone
+            assert _held(wb) == _whole(
+                materialize_window(gspace, b, zone)), (b, tail)
+            assert _whole(wb) == _whole(
+                materialize_window(gspace, b, wb.radius)), (b, tail)
+    assert sum(left_out) > 0
+
+
+@pytest.mark.parametrize("name,bases", [
+    ("grid2d", ((3, -5), (-8, 0), (2, 2))),
+    ("h_graph", ((3, 1), (-7, 0), (-2, 3)))])
+def test_family_pass_reaches_the_ball_at_its_base(monkeypatch, name, bases):
+    """A family field's pass at r, run on the caller's window from S_r(b),
+    reaches exactly B_r(b), as many vertices as the generator's window
+    B_r(b) holds (2 r^2 + 2 r + 1 on grid2d); the same pass with nothing
+    left out reaches more of B_{delta + r}(o).  On the h_graph off (0, 0)
+    d(b, .) comes from a pass from b, which leaves nothing out and is not
+    counted."""
+    from dlscape import fields
+    bfs = fields._bfs_from_indices
+    passes = []
+
+    def counted(window, seeds, limit=None, settled=()):
+        d = bfs(window, seeds, limit, settled)
+        if settled:
+            passes.append((window._vertices[seeds[0]],
+                           sum(x >= 0 for x in d),
+                           sum(x >= 0 for x in bfs(window, seeds, limit))))
+        return d
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    gspace = build(name)
+    w = materialize_window(gspace, (0, 0), 60)
+    for b in bases:
+        own = materialize_window(gspace, b, 36)
+        for top in (18, 36):
+            passes.clear()
+            fld = point_assigned_family(w, [b], range(6, top + 1, 6), 16)[b]
+            assert fld.report.last_change and fld.report.stable
+            assert passes
+            for s, got, whole in passes:
+                r = own.dist_from_base[own.index[s]]
+                assert got == own.count_within(r) < whole, (b, top, r)
+            if name == "grid2d":    # every value -d(b, x), dated free
+                assert [own.count_within(top)] == [p[1] for p in passes]
+                assert own.count_within(top) == 2 * top * top + 2 * top + 1
+
+
 def _far_vertices(window, rng, lo, hi, k):
     """k seeded vertices at distances from lo to hi, by increasing
     distance; None when the range is too short."""
@@ -309,9 +418,9 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     calls = []
     bfs = space._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append(limit)
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     # the sweeps' passes run in fields, the geodesy check's in space
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)

@@ -242,14 +242,17 @@ def test_corr_from_isometry_refuses_a_bad_mapping(mapping, named):
         corr_from_isometry(iso, X, Y, 1)
 
 
-@pytest.mark.parametrize("mapping", [(0, -2), (0, True), (0, 5)],
-                         ids=["negative", "bool", "past_n"])
-def test_map_readers_refuse_a_bad_entry(mapping):
-    """-2 used to be read as Y's point 1, True as point 1, and 5 raised a
-    bare IndexError; each is refused by name, as by corr_from_isometry."""
+@pytest.mark.parametrize("mapping,named", [
+    ((0, -2), "mapping entry -2 "), ((0, True), "mapping entry True "),
+    ((0, 5), "mapping entry 5 "), ((), "mapping is empty")],
+    ids=["negative", "bool", "past_n", "empty"])
+def test_map_readers_refuse_a_bad_entry(mapping, named):
+    """-2 used to be read as Y's point 1, True as point 1, 5 raised a bare
+    IndexError and map_net_eps raised one from min() on an empty mapping;
+    each is refused by name, as by corr_from_isometry."""
     X = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
     Y = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
-    named = re.escape(f"mapping entry {mapping[1]!r} ")
+    named = re.escape(named)
     with pytest.raises(DomainError, match=named):
         map_distortion(mapping, X, Y)
     with pytest.raises(DomainError, match=named):

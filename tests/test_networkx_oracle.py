@@ -77,8 +77,9 @@ def test_bfs_kernel_matches_networkx_on_partial_windows(name, params,
                                                         radius):
     """Multi-source passes over a window grown only part way, with
     duplicate seeds and seeds past the limit, against networkx on the
-    graph induced by the indices below the limit; no pass grows the
-    window."""
+    graph induced by the indices below the limit, and with indices left
+    out (``settled``, seeds among them), against networkx on the graph
+    induced by the others; no pass grows the window."""
     space = build(name, params)
     rng = random.Random(name)
     for grown in (1, radius // 2, radius - 1):
@@ -100,6 +101,15 @@ def test_bfs_kernel_matches_networkx_on_partial_windows(name, params,
                 got = _bfs_from_indices(w, seeds, limit)
                 assert got == [want.get(i, -1) for i in range(limit)], \
                     (grown, rho, seeds)
+                out = rng.sample(range(limit), min(limit, 6))
+                out += seeds[:1] if seeds[0] < limit else []
+                kept = inside - set(out)
+                want = nx.multi_source_dijkstra_path_length(
+                    g.subgraph(set(range(limit)) - set(out)), kept) \
+                    if kept else {}
+                got = _bfs_from_indices(w, seeds, limit, out)
+                assert got == [want.get(i, -1) for i in range(limit)], \
+                    (grown, rho, seeds, out)
         assert w.grown == grown
 
 
@@ -183,9 +193,9 @@ def test_memo_reruns_a_pass_only_for_a_larger_ball(name, params, radius,
     calls = []
     bfs = space._bfs_from_indices
 
-    def recorded(window, seeds, limit=None):
+    def recorded(window, seeds, limit=None, settled=()):
         calls.append((tuple(seeds), limit))
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     monkeypatch.setattr(space, "_bfs_from_indices", recorded)
     i = w.count_within(1) - 1
@@ -243,10 +253,10 @@ def test_u_r_matches_whole_window(name, params, radius):
 
 def _whole_window(m):
     """Make every BFS of the package run over the whole window, ignoring
-    ``limit``: the unconfined reference of the same code."""
+    ``limit`` and ``settled``: the unconfined reference of the same code."""
     bfs = space._bfs_from_indices
 
-    def whole(window, seeds, limit=None):
+    def whole(window, seeds, limit=None, settled=()):
         return bfs(window, seeds)
 
     for module in (space, fields):

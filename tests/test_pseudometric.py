@@ -9,7 +9,7 @@ from dlscape import (ConsistencyError, ZoneError, anti_triangle_check,
                      build, dist_field, equivalence_classes,
                      materialize_window, oracle, point_assigned_family,
                      rho_matrix, u_point_assigned)
-from dlscape.pseudometric import base_lipschitz_gap
+from dlscape.pseudometric import RhoMatrix, base_lipschitz_gap
 
 SCHED = range(8, 41, 4)
 
@@ -44,6 +44,53 @@ def test_rho_axioms_on_h_graph(h_window):
     sample = [(0, 0), (2, 0), (-1, 0), (1, 1), (2, 2)]
     rho = rho_matrix(h_window, sample, SCHED, 10)
     assert not rho.axiom_violations()
+
+
+def _defective_rho():
+    """A hand-built 5-point matrix on the line with one witness of each
+    kind: 2 rho(0, 0) = 2 (diagonal), 2 rho(1, 2) = 2 against 2 rho(2, 1)
+    = 1 (symmetry), 2 rho(3, 4) = -1 (nonnegative), 2 rho(0, 1) = 3 > 2 d
+    (rho<=d) and 2 rho(0, 4) = 8 > 2 rho(0, 2) + 2 rho(2, 4) (triangle).
+    The entry (3, 4) is unstable."""
+    n = 5
+    dist = tuple(tuple(abs(i - j) for j in range(n)) for i in range(n))
+    tr = [list(row) for row in dist]
+    tr[0][0] = 2
+    tr[1][2] = 2
+    tr[3][4] = tr[4][3] = -1
+    tr[0][1] = tr[1][0] = 3
+    tr[0][4] = tr[4][0] = 8
+    stable = [[True] * n for _ in range(n)]
+    stable[3][4] = False
+    return RhoMatrix(tuple(range(n)), tuple(map(tuple, tr)),
+                     tuple(map(tuple, stable)), dist, Fraction(1))
+
+
+AXIOM_WITNESSES = [
+    ("diagonal", 0, 2), ("rho<=d", 0, 0), ("rho<=d", 0, 1),
+    ("triangle", 0, 1, 4), ("triangle", 0, 2, 4), ("triangle", 0, 3, 4),
+    ("rho<=d", 1, 0), ("symmetry", 1, 2), ("triangle", 1, 3, 4),
+    ("symmetry", 2, 1), ("triangle", 2, 3, 4), ("triangle", 3, 4, 3),
+    ("nonnegative", 3, 4), ("triangle", 4, 1, 0), ("triangle", 4, 2, 0),
+    ("triangle", 4, 3, 0), ("triangle", 4, 3, 1), ("triangle", 4, 3, 2),
+    ("nonnegative", 4, 3), ("triangle", 4, 3, 4)]
+
+
+# The witnesses that test the unstable entry (3, 4) or compare with it,
+# in a triangle as (i, k) or as (k, j).
+HIDDEN_WITNESSES = [("nonnegative", 3, 4), ("triangle", 3, 4, 3),
+                    ("triangle", 0, 3, 4), ("triangle", 1, 3, 4),
+                    ("triangle", 2, 3, 4), ("triangle", 4, 3, 4)]
+
+
+def test_axiom_violations_name_every_witness_in_order():
+    """Every witness of :func:`_defective_rho`, in the order of the scan
+    over (i, j, k); reading stable entries only drops those that read the
+    unstable entry."""
+    rho = _defective_rho()
+    assert rho.axiom_violations(stable_only=False) == AXIOM_WITNESSES
+    assert rho.axiom_violations() == [
+        w for w in AXIOM_WITNESSES if w not in HIDDEN_WITNESSES]
 
 
 def test_rho_sample_zone_guard(line_window):
@@ -223,9 +270,9 @@ def test_rho_h_graph_family_passes(monkeypatch):
     calls = []
     bfs = fields._bfs_from_indices
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         calls.append(limit)
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
     w = materialize_window(build("h_graph"), (0, 0), 120)
@@ -326,11 +373,11 @@ def test_family_runs_no_pass_from_a_closed_form_base(
     bfs, sweep = space._bfs_from_indices, fields.u_point_assigned
     seeded, current = [], []
 
-    def counted(window, seeds, limit=None):
+    def counted(window, seeds, limit=None, settled=()):
         seeds = list(seeds)
         if seeds == [window._index.get(current[-1])]:
             seeded.append(current[-1])
-        return bfs(window, seeds, limit)
+        return bfs(window, seeds, limit, settled)
 
     def point_assigned(window, *args):
         current.append(window.base)
