@@ -17,6 +17,11 @@ The re-check reads each space's real-unit Fractions from
 ``FiniteMetricSpace.real_matrix``, which a space builds once and holds;
 only where the Fractions come from is shared between calls, not how
 they are compared.
+
+The re-check runs where a correspondence is made: on the one
+``gh_bounds`` returns and on the one ``corr_from_isometry`` returns.
+``build_eps_isometry`` reads no stored distortion, so it checks only
+that the pairs relate the bases and cover both spaces.
 """
 
 from __future__ import annotations
@@ -137,8 +142,10 @@ class FiniteMetricSpace:
 
 
 def _real_rows(dist, scale):
-    """``dist`` in real units: each entry ``Fraction(e) / scale``."""
-    return tuple(tuple(Fraction(e) / scale for e in row) for row in dist)
+    """``dist`` in real units: each entry ``Fraction(e) / scale``, built
+    once per distinct entry and shared by the cells that hold it."""
+    unit = {e: Fraction(e) / scale for e in set().union(*dist)}
+    return tuple(tuple(map(unit.__getitem__, row)) for row in dist)
 
 
 def _json_int(value):
@@ -154,11 +161,20 @@ def distortion(pairs, X, Y):
     reads each space's own ``real_matrix`` and subtracts Fractions, with
     no shared unit.  The matrices are held by the spaces, so a call
     builds no Fractions from ``dist``; the arithmetic is the same as
-    with a matrix built afresh."""
+    with a matrix built afresh.  A pair compared with itself has gap
+    |d_X(i,i) - d_Y(j,j)| = 0, so only distinct pairs are compared.  A
+    pair that is not (i, j), with i a point index of X and j one of Y, is
+    refused, since the rows are indexed by its entries."""
+    pairs = tuple(pairs)
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2 or \
+                not _is_index(pair[0], X) or not _is_index(pair[1], Y):
+            raise DomainError(f"pair {pair!r} is not (i, j) with i a point "
+                              f"index of X (0..{X.n - 1}) and j one of Y "
+                              f"(0..{Y.n - 1})")
     dX, dY = X.real_matrix(), Y.real_matrix()
     best = Fraction(0)
-    for (i1, j1), (i2, j2) in \
-            itertools.combinations_with_replacement(pairs, 2):
+    for (i1, j1), (i2, j2) in itertools.combinations(pairs, 2):
         gap = abs(dX[i1][i2] - dY[j1][j2])
         if gap > best:
             best = gap
@@ -177,13 +193,18 @@ class Correspondence:
         """Raise DomainError unless the pairs relate the bases, cover both
         spaces and have the stored distortion, recomputed in Fraction
         arithmetic by ``distortion``."""
+        self._check_pointed(X, Y)
+        if distortion(self.pairs, X, Y) != self.distortion:
+            raise DomainError("stored distortion does not match the pairs")
+
+    def _check_pointed(self, X, Y):
+        """Raise DomainError unless the pairs relate the bases and cover
+        both spaces."""
         if (X.base, Y.base) not in self.pairs:
             raise DomainError("correspondence does not relate the bases")
         if {i for i, _ in self.pairs} != set(range(X.n)) or \
                 {j for _, j in self.pairs} != set(range(Y.n)):
             raise DomainError("correspondence does not cover both spaces")
-        if distortion(self.pairs, X, Y) != self.distortion:
-            raise DomainError("stored distortion does not match the pairs")
 
     def to_json(self):
         return {"pairs": sorted(map(list, self.pairs)),
@@ -415,17 +436,21 @@ class EpsIsometry:
                 "net_eps": str(self.net_eps)}
 
 
+def _is_index(k, Z):
+    """Whether ``k`` is a point index of Z: a non-bool int in range(Z.n)."""
+    return type(k) is int and 0 <= k < Z.n
+
+
 def _check_mapping(mapping, Y, n=None):
-    """Refuse a mapping that is empty, not point indices of Y (non-bool
-    ints in range(Y.n)), since Y's rows are indexed by its entries, or,
-    given ``n``, not n of them."""
+    """Refuse a mapping that is empty, not point indices of Y, since Y's
+    rows are indexed by its entries, or, given ``n``, not n of them."""
     if not mapping:
         raise DomainError("mapping is empty: it maps no point of X")
     if n is not None and len(mapping) != n:
         raise DomainError(f"mapping of length {len(mapping)} does not "
                           f"cover the {n} points of X")
     for m in mapping:
-        if type(m) is not int or not 0 <= m < Y.n:
+        if not _is_index(m, Y):
             raise DomainError(f"mapping entry {m!r} is not a point index "
                               f"of Y (0..{Y.n - 1})")
 
@@ -460,11 +485,13 @@ def map_net_eps(mapping, Y):
 def build_eps_isometry(corr, X, Y):
     """Pick the smallest-index correspondent per point (base pinned).
 
-    Guarantees dis f <= dis corr and the image is a (dis corr)-net.  The
-    correspondence is first re-checked by ``validate`` (Fraction); the
-    map's distortion and net radius are then compared as ints.
+    Guarantees dis f <= dis corr and the image is a (dis corr)-net.  Only
+    what the map reads is checked: that the pairs relate the bases and
+    cover both spaces.  ``corr.distortion`` is never read, since the
+    map's distortion and net radius are computed from the map itself, as
+    ints; the Fraction re-check runs where a correspondence is made.
     """
-    corr.validate(X, Y)
+    corr._check_pointed(X, Y)
     mapping = []
     for i in range(X.n):
         if i == X.base:

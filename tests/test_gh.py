@@ -79,6 +79,40 @@ def test_metric_validation():
     assert two.real(0, 1) == Fraction(1, 2)
 
 
+def _metric_error(d):
+    try:
+        FiniteMetricSpace(len(d), d, 0)
+    except MetricError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+@pytest.mark.parametrize("d,want", [
+    (((0, 1, 9), (1, 0, 1), (9, 1, 0)),
+     ("triangle inequality fails", (0, 1, 2))),
+    (((0, 1, 2, 2), (1, 0, 1, 2), (2, 1, 0, 9), (2, 2, 9, 0)),
+     ("triangle inequality fails", (2, 0, 3))),
+    (((0, 5, 1, 1), (5, 0, 9, 1), (1, 9, 0, 1), (1, 1, 1, 0)),
+     ("triangle inequality fails", (0, 3, 1))),
+    # Row 0 fails the triangle test before the asymmetric
+    # d[1][2] != d[2][1] is reached in row 1.
+    (((0, 1, 9), (1, 0, 1), (9, 2, 0)),
+     ("triangle inequality fails", (0, 1, 2))),
+    (((0, 2, 3), (2, 0, 1), (3, 4, 0)), ("asymmetric entry", (1, 2, 1))),
+    # A zero off-diagonal d[1][2] breaks the triangle at (0, 1, 2) first.
+    (((0, 1, 2), (1, 0, 0), (2, 0, 0)),
+     ("triangle inequality fails", (0, 1, 2))),
+    (((0, 1, 1), (1, 0, 0), (1, 0, 0)),
+     ("non-positive off-diagonal", (1, 2, 1))),
+    (((0, 1), (1, 1)), ("nonzero diagonal", (1, 1, 1)))],
+    ids=["k1", "k0_row2", "k3_row0", "asym_after_row", "asym",
+         "zero_breaks_triangle", "zero", "diagonal"])
+def test_metric_check_names_the_first_failure(d, want):
+    """The axioms are tested in row order (i, then j, then k), so the
+    first failure is the one named, with its witness."""
+    assert _metric_error(d) == want
+
+
 def test_from_json_malformed():
     with pytest.raises(DomainError):
         FiniteMetricSpace.from_json({"n": 2})
@@ -222,10 +256,60 @@ def test_corr_from_isometry_precondition():
 
 
 def test_correspondence_validate():
+    """``validate`` and ``build_eps_isometry`` refuse pairs that miss the
+    base pair or a point of either space, whatever distortion is stored."""
     X = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
     bad = Correspondence(frozenset({(0, 0)}), Fraction(0))
     with pytest.raises(DomainError):
         bad.validate(X, X)
+    X = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    Y = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
+    for pairs, named in [
+            ({(1, 0), (0, 1), (2, 1)}, "does not relate the bases"),
+            ({(0, 0), (1, 0), (2, 0)}, "does not cover both spaces"),
+            ({(0, 0), (1, 1)}, "does not cover both spaces")]:
+        bad = Correspondence(frozenset(pairs), distortion(pairs, X, Y))
+        with pytest.raises(DomainError, match=named):
+            bad.validate(X, Y)
+        with pytest.raises(DomainError, match=named):
+            build_eps_isometry(bad, X, Y)
+
+
+def test_eps_isometry_reads_no_stored_distortion():
+    """A correspondence whose stored distortion is wrong gives the same
+    map, dis and net radius as one with the true distortion: the map's
+    own numbers are computed from the map."""
+    rng = random.Random(26)
+    for _ in range(60):
+        X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
+        corr = min_distortion_correspondence(X, Y)
+        want = build_eps_isometry(corr, X, Y)
+        for wrong in (corr.distortion + 1, Fraction(0), Fraction(-3, 7)):
+            if wrong == corr.distortion:
+                continue
+            bad = dataclasses.replace(corr, distortion=wrong)
+            assert build_eps_isometry(bad, X, Y) == want
+
+
+@pytest.mark.parametrize("pairs,named", [
+    ([(0, 0), (-1, 0)], "pair (-1, 0) "),
+    ([(0, 0), (True, 0)], "pair (True, 0) "),
+    ([(0, 0), (0, 7)], "pair (0, 7) "),
+    ([(0, 7)], "pair (0, 7) "),
+    ([(3, 0)], "pair (3, 0) "),
+    ([(0, 0), (0, 1.0)], "pair (0, 1.0) "),
+    ([(0, 0, 0)], "pair (0, 0, 0) "),
+    ([[0, 0]], "pair [0, 0] ")],
+    ids=["negative", "bool", "past_y", "lone_past_y", "past_x", "float",
+         "triple", "list"])
+def test_distortion_refuses_a_pair_of_no_points(pairs, named):
+    """-1 used to be read as X's point 2 (giving 2, not 0), True as point
+    1, and (0, 7) raised IndexError; with only distinct pairs compared, a
+    lone bad pair would give 0.  Each is refused by name."""
+    X = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    Y = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        distortion(pairs, X, Y)
 
 
 @pytest.mark.parametrize("mapping,named", [
@@ -450,6 +534,8 @@ def test_a_hard_eight_point_pair_is_proved():
 
 
 # The Fraction bodies the integer certification replaced, kept as its spec.
+# ``spec_distortion`` also compares each pair with itself, as
+# ``distortion`` did before it compared only distinct pairs.
 
 def spec_distortion(pairs, X, Y):
     pairs = sorted(pairs)
@@ -528,14 +614,21 @@ def test_certification_matches_the_fraction_spec():
 
 
 def test_distortion_matches_the_per_pair_body():
-    """``distortion`` through ``real_matrix`` equals the per-pair real()
-    body on random relations between scaled spaces of up to 6 points."""
+    """``distortion`` through ``real_matrix``, over distinct pairs only,
+    equals the per-pair real() body over every pair of pairs on random
+    relations between scaled spaces of up to 6 points, given as a list
+    or as an iterator, on every single pair, and on no pair."""
     rng = random.Random(17)
     for _ in range(200):
         X, Y = _scaled_space(rng, 6), _scaled_space(rng, 6)
         every = [(i, j) for i in range(X.n) for j in range(Y.n)]
         pairs = rng.sample(every, rng.randint(1, len(every)))
-        assert distortion(pairs, X, Y) == spec_distortion(pairs, X, Y)
+        assert distortion(pairs, X, Y) == spec_distortion(pairs, X, Y) == \
+            distortion(iter(pairs), X, Y)
+        for pair in every:
+            assert distortion([pair], X, Y) == \
+                spec_distortion([pair], X, Y) == 0
+        assert distortion((), X, Y) == 0
 
 
 def test_validate_rejects_a_distortion_off_by_one_unit():
@@ -568,20 +661,56 @@ def _count_builds(monkeypatch):
     return built
 
 
+def _count_distortions(monkeypatch):
+    """The pairs of each Fraction re-check run from here on."""
+    ran = []
+    plain = gh.distortion
+
+    def counting(pairs, X, Y):
+        ran.append(pairs)
+        return plain(pairs, X, Y)
+
+    monkeypatch.setattr(gh, "distortion", counting)
+    return ran
+
+
 def test_a_gh_job_builds_one_matrix_per_space(monkeypatch):
-    """The CLI's gh job and the back correspondence re-check three
-    correspondences by ``validate`` and build each space's matrix once
-    (they built six before the matrix was held)."""
+    """The CLI's gh job re-checks in Fraction arithmetic only the
+    correspondence ``gh_bounds`` makes, and the back correspondence adds
+    its own re-check: one ``distortion`` run, then two (three before
+    ``build_eps_isometry`` stopped re-checking the correspondence it
+    reads).  Each space's matrix is built once (six before the matrix
+    was held)."""
     rng = random.Random(19)
     for _ in range(20):
         X, Y = _scaled_space(rng, 5), _scaled_space(rng, 5)
         X, Y = (FiniteMetricSpace.from_json(Z.to_json()) for Z in (X, Y))
         built = _count_builds(monkeypatch)
+        ran = _count_distortions(monkeypatch)
         _, _, corr = gh_bounds(X, Y)
         iso = build_eps_isometry(corr, X, Y)
-        corr_from_isometry(iso, X, Y, max(iso.dis, iso.net_eps))
+        assert ran == [corr.pairs]
+        back = corr_from_isometry(iso, X, Y, max(iso.dis, iso.net_eps))
+        assert ran == [corr.pairs, back.pairs]
         assert built == [X.dist, Y.dist]
         assert X.real_matrix() is X.real_matrix()
+
+
+def test_real_rows_is_each_entry_over_the_scale():
+    """One Fraction per distinct entry, shared by its cells, equals
+    ``Fraction(e) / scale`` cell by cell, at integer and fractional
+    scales, on matrices that repeat entries."""
+    rng = random.Random(27)
+    for _ in range(40):
+        Z = rand_space(rng, 6, w_max=4)
+        for scale in (Fraction(1), Fraction(3), Fraction(2, 5),
+                      Fraction(rng.randint(1, 9), rng.randint(1, 9))):
+            got = gh._real_rows(Z.dist, scale)
+            assert len(got) == Z.n
+            for row, want in zip(got, Z.dist):
+                assert type(row) is tuple and len(row) == Z.n
+                for a, e in zip(row, want):
+                    assert type(a) is Fraction and a == Fraction(e) / scale
 
 
 def test_brute_force_builds_one_matrix_per_space(monkeypatch):
