@@ -4,12 +4,12 @@ Gromov-Hausdorff bounds on windowed graph models of non-compact spaces."""
 from .errors import (ConsistencyError, DescentError, DlscapeError,
                      DomainError, GeneratorParamError, MetricError,
                      ResourceLimitError, UnknownGeneratorError, ZoneError)
-from .space import (Window, dist_field, materialize_window, pairwise_dist,
+from .space import (Window, materialize_window, pairwise_dist,
                     shortest_path, sphere, vertex_budget)
 from .zoo import build, build_from_dict, catalog, oracle
-from .fields import (ScalarField, busemann, default_t_samples, dl_from_sets,
-                     field_to_json, gromov_check, horofunction, level_set,
-                     u_point_assigned, u_r, verify_geodesic)
+from .fields import (ScalarField, busemann, dl_from_sets, field_to_json,
+                     gromov_check, horofunction, level_set, u_point_assigned,
+                     u_r)
 from .corays import (CoRay, representation_check, trace_corays,
                      uniqueness_probe, verify_gradient)
 from .pseudometric import (RhoMatrix, anti_triangle_check,

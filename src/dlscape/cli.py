@@ -158,8 +158,7 @@ def _ray_from_args(args, space, window):
     if args.ray:
         return [_vertex(space, t) for t in args.ray.split(";")]
     if args.ray_target:
-        return shortest_path(window, window.base,
-                             _vertex(space, args.ray_target))
+        return shortest_path(window, _vertex(space, args.ray_target))
     raise DlscapeError("provide --ray or --ray-target")
 
 

@@ -98,7 +98,7 @@ def verify_gradient(coray, field):
     The pairs from g_0 decide every pair: consecutive vertices are
     adjacent, so d(g_s, g_t) <= t - s, and d(g_0, g_t) = t with the
     triangle inequality t <= d(g_0, g_s) + d(g_s, g_t) <= s + (t - s)
-    forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields.verify_geodesic`
+    forces d(g_s, g_t) = t - s.  So :func:`~dlscape.fields._geodesic`
     decides them with one BFS from g_0, on the indices found here: the
     window's held pass, so co-rays from one start share it.
     """

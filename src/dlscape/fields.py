@@ -109,10 +109,6 @@ class ScalarField:
     def base(self):
         return self.window.base
 
-    @property
-    def base_index(self):
-        return self.window.base_index
-
     def index_of(self, vertex):
         """Index of a vertex with a value.  A vertex of the zone without
         one lies past B_max(schedule) of a point-assigned sweep, so the
@@ -149,22 +145,8 @@ class ScalarField:
     def stable_at(self, vertex):
         return self.report.stable[self.index_of(vertex)]
 
-    def normalized_value(self, vertex):
-        """Value shifted so the field vanishes at the window base."""
-        return self.value_at(vertex) - self.values[self.base_index]
-
     def zone_indices(self):
         return sorted(self.values)
-
-    def lipschitz_violations(self):
-        """Edges inside the zone across which the value jumps by > 1."""
-        window, values = self.window, self.values
-        bad = []
-        for i, vi in values.items():
-            for j in window._adjacency[i]:
-                if j in values and abs(vi - values[j]) > 1:
-                    bad.append((window._vertices[i], window._vertices[j]))
-        return bad
 
 
 def _check_zone(window, zone, need=None):
@@ -465,22 +447,16 @@ def u_point_assigned(window, schedule, zone, tail=None):
                    for r in schedule), on=w)
 
 
-def verify_geodesic(window, path):
-    """Check d(path[0], path[t]) == t for every stored t.
+def _geodesic(window, idxs):
+    """Whether d(p_0, p_t) == t for every t along a path of window indices.
 
     The equality test is exact despite truncation: the path itself bounds
     the in-window distance above by t, and any in-window distance is at
-    least the true one.  One BFS from path[0] decides every t, confined
-    to :meth:`~dlscape.space.Window.geodesic_ball` (d(base, p_0),
+    least the true one.  One BFS from p_0 decides every t, confined to
+    :meth:`~dlscape.space.Window.geodesic_ball` (d(base, p_0),
     max_t d(base, p_t), T), which holds the path as well; it is the
     window's held pass (:meth:`~dlscape.space.Window.distances_from`).
     """
-    return _geodesic(window, [window.require_zone(v, window.radius, "path")
-                              for v in path])
-
-
-def _geodesic(window, idxs):
-    """:func:`verify_geodesic` on the window indices of a path."""
     if not idxs:
         raise DomainError("path must be non-empty")
     adjacency = window._adjacency
@@ -664,18 +640,6 @@ def gromov_check(field, t_samples):
                 report.violations.append((t, window._vertices[i], u, d[i]))
         report.checked[t] = count
     return report
-
-
-def default_t_samples(field, count=5):
-    """Integer thresholds spread over the field's zone values."""
-    vals = sorted(set(field.values.values()))
-    if not vals:
-        raise DomainError("empty field")
-    lo, hi = vals[0], vals[-1]
-    if hi == lo:
-        return [lo]
-    step = max(1, (hi - lo) // count)
-    return sorted(set(range(lo, hi + 1, step)))[:count]
 
 
 def level_set(field, c):

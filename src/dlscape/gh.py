@@ -21,7 +21,8 @@ they are compared.
 The re-check runs where a correspondence is made: on the one
 ``gh_bounds`` returns and on the one ``corr_from_isometry`` returns.
 ``build_eps_isometry`` reads no stored distortion, so it checks only
-that the pairs relate the bases and cover both spaces.
+what ``Correspondence.validate`` checks first: the pairs' shape, the
+base pair and the cover.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, MetricError, ResourceLimitError
-from .space import pairwise_dist
 
 SEARCH_BUDGET = 8
 NODE_CAP = 500_000
@@ -91,11 +91,6 @@ class FiniteMetricSpace:
                         raise MetricError("triangle inequality fails",
                                           witness=(i, k, j))
 
-    def real(self, i, j):
-        """Distance in real (unscaled) units, exact: an entry of
-        ``real_matrix``."""
-        return self.real_matrix()[i][j]
-
     def real_matrix(self):
         """Every distance in real units, as exact Fractions: a tuple of
         tuples of ``Fraction(e) / scale``, built on first read and held
@@ -107,18 +102,6 @@ class FiniteMetricSpace:
             held = _real_rows(self.dist, self.scale)
             object.__setattr__(self, "_real", held)
         return held
-
-    @classmethod
-    def from_window_sample(cls, window, sample, base=None):
-        """Sampled submetric of a window; distances must be exact, so the
-        sample has to sit within R // 3 of the window base."""
-        sample = tuple(sample)
-        if base is None:
-            base = window.base
-        if base not in sample:
-            raise DomainError("base vertex must belong to the sample")
-        mat = tuple(map(tuple, pairwise_dist(window, sample)))
-        return cls(len(sample), mat, sample.index(base), window.space.scale)
 
     def to_json(self):
         return {"n": self.n, "base": self.base,
@@ -164,14 +147,9 @@ def distortion(pairs, X, Y):
     with a matrix built afresh.  A pair compared with itself has gap
     |d_X(i,i) - d_Y(j,j)| = 0, so only distinct pairs are compared.  A
     pair that is not (i, j), with i a point index of X and j one of Y, is
-    refused, since the rows are indexed by its entries."""
+    refused (``_check_pairs``)."""
     pairs = tuple(pairs)
-    for pair in pairs:
-        if type(pair) is not tuple or len(pair) != 2 or \
-                not _is_index(pair[0], X) or not _is_index(pair[1], Y):
-            raise DomainError(f"pair {pair!r} is not (i, j) with i a point "
-                              f"index of X (0..{X.n - 1}) and j one of Y "
-                              f"(0..{Y.n - 1})")
+    _check_pairs(pairs, X, Y)
     dX, dY = X.real_matrix(), Y.real_matrix()
     best = Fraction(0)
     for (i1, j1), (i2, j2) in itertools.combinations(pairs, 2):
@@ -190,16 +168,19 @@ class Correspondence:
     proved_optimal: bool = True
 
     def validate(self, X, Y):
-        """Raise DomainError unless the pairs relate the bases, cover both
-        spaces and have the stored distortion, recomputed in Fraction
-        arithmetic by ``distortion``."""
+        """Raise DomainError unless the pairs are index pairs that relate
+        the bases, cover both spaces and have the stored distortion,
+        recomputed in Fraction arithmetic by ``distortion``, which checks
+        their shape first."""
+        dis = distortion(self.pairs, X, Y)
         self._check_pointed(X, Y)
-        if distortion(self.pairs, X, Y) != self.distortion:
+        if dis != self.distortion:
             raise DomainError("stored distortion does not match the pairs")
 
     def _check_pointed(self, X, Y):
-        """Raise DomainError unless the pairs relate the bases and cover
-        both spaces."""
+        """Raise DomainError unless the pairs, which ``_check_pairs`` has
+        passed (a set of indices takes 1.0 or True for 1), relate the
+        bases and cover both spaces."""
         if (X.base, Y.base) not in self.pairs:
             raise DomainError("correspondence does not relate the bases")
         if {i for i, _ in self.pairs} != set(range(X.n)) or \
@@ -441,6 +422,17 @@ def _is_index(k, Z):
     return type(k) is int and 0 <= k < Z.n
 
 
+def _check_pairs(pairs, X, Y):
+    """Refuse a pair that is not (i, j), with i a point index of X and j
+    one of Y, since the rows are indexed by its entries."""
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2 or \
+                not _is_index(pair[0], X) or not _is_index(pair[1], Y):
+            raise DomainError(f"pair {pair!r} is not (i, j) with i a point "
+                              f"index of X (0..{X.n - 1}) and j one of Y "
+                              f"(0..{Y.n - 1})")
+
+
 def _check_mapping(mapping, Y, n=None):
     """Refuse a mapping that is empty, not point indices of Y, since Y's
     rows are indexed by its entries, or, given ``n``, not n of them."""
@@ -486,11 +478,12 @@ def build_eps_isometry(corr, X, Y):
     """Pick the smallest-index correspondent per point (base pinned).
 
     Guarantees dis f <= dis corr and the image is a (dis corr)-net.  Only
-    what the map reads is checked: that the pairs relate the bases and
-    cover both spaces.  ``corr.distortion`` is never read, since the
-    map's distortion and net radius are computed from the map itself, as
-    ints; the Fraction re-check runs where a correspondence is made.
+    what the map reads is checked: the pairs' shape, the base pair and
+    the cover.  ``corr.distortion`` is never read, since the map's
+    distortion and net radius are computed from the map itself, as ints;
+    the Fraction re-check runs where a correspondence is made.
     """
+    _check_pairs(corr.pairs, X, Y)
     corr._check_pointed(X, Y)
     mapping = []
     for i in range(X.n):

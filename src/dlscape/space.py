@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice, repeat
 
 from .errors import DomainError, ResourceLimitError, ZoneError
 
@@ -35,13 +36,11 @@ def vertex_budget():
 class GraphSpace:
     """Base class for generated infinite graphs.
 
-    Subclasses fix the vertex encoding, a deterministic neighbor order,
-    a degree bound, and a rational scale factor: the reported distance is
-    ``hops / scale``.
+    Subclasses fix the vertex encoding, a deterministic neighbor order and
+    a rational scale factor: the reported distance is ``hops / scale``.
     """
 
     generator_id = "?"
-    degree_bound = 0
 
     def __init__(self, scale=Fraction(1)):
         scale = Fraction(scale)
@@ -122,11 +121,11 @@ class Window:
     Completion.  :meth:`count_within` grows the window to min(rho, R); a
     lookup through :meth:`find` grows it until the vertex is found, and
     to R before it answers "not in window"; every read of the whole
-    window (``len``, the ``vertices``, ``index``, ``dist_from_base`` and
-    ``adjacency`` properties, :meth:`edge_list`, :meth:`to_json`) grows
-    it to R first, so those reads see B_R.  Other readers in this package
-    read the underscore lists below a ``count_within`` or ``find`` they
-    have called; a held row lists every held neighbor.
+    window (``len`` and the ``vertices``, ``index``, ``dist_from_base``
+    and ``adjacency`` properties) grows it to R first, so those reads see
+    B_R.  Other readers in this package read the underscore lists below a
+    ``count_within`` or ``find`` they have called, as :func:`shortest_path`
+    does; a held row lists every held neighbor.
 
     Passes.  :meth:`distances_from` holds one single-source BFS per start
     index, re-run only for a larger ball, so every exact-distance check on
@@ -152,7 +151,7 @@ class Window:
         """Grow to state min(rho, R) by the breadth-first loop, resumed at
         the sphere S_grown, whose rows it rebuilds.  Rows of the sphere at
         the new state keep the in-window neighbors only: each of them has
-        already been discovered, so filtering by the index is exact.
+        already been discovered, so filtering by the map is exact.
 
         Neighbors come from the generator, or from the rows of ``known``,
         a window holding B_R(base), grown first to s = d(known.base, base)
@@ -162,112 +161,83 @@ class Window:
         each of its neighbors in B_rho(base); its row there keeps those, in
         generator order.  So both sources give the same window.
 
-        Known's rows name vertices by known's indices, and the loop reads
-        them so (:meth:`_grow_from_known`): it hashes a vertex of the
-        shells it resumes from once, and each vertex it finds once, to
-        enter it in the index, not each neighbor of each row.
-        """
-        radius = min(rho, self.radius)
-        if radius <= self.grown:
-            return
-        head = bisect_left(self._dist, self.grown)
-        del self._adjacency[head:]
-        if self.known is None:
-            self._grow_from_space(head, radius)
-        else:
-            self._grow_from_known(head, radius)
-        self.grown = radius
-
-    def _grow_from_space(self, head, radius):
-        """The loop of :meth:`_grow` from index ``head``, the first of
-        S_grown, on the generator's neighbors."""
-        vertices, index, dist = self._vertices, self._index, self._dist
-        adjacency, budget = self._adjacency, self._budget
-        nbr = self.space.neighbors
-        get = index.get
-        while head < len(vertices):
-            v = vertices[head]
-            dv = dist[head]
-            row = []
-            if dv < radius:
-                for w in nbr(v):
-                    j = get(w)
-                    if j is None:
-                        j = len(vertices)
-                        if j >= budget:
-                            raise self._over_budget()
-                        index[w] = j
-                        vertices.append(w)
-                        dist.append(dv + 1)
-                    row.append(j)
-            else:
-                for w in nbr(v):
-                    j = get(w)
-                    if j is not None:
-                        row.append(j)
-            adjacency.append(tuple(row))
-            head += 1
-
-    def _grow_from_known(self, head, radius):
-        """The loop of :meth:`_grow` from index ``head``, the first of
-        S_grown, on known's rows read by index, one shell at a time.
+        One loop reads both.  From the generator the keys that name
+        vertices are the vertices, rows come from ``space.neighbors``, the
+        map from a key to the index here is the index, and the loop reads
+        one run that grows as it finds vertices.  From known the keys are
+        known's indices, rows are known's rows and the map is ``own``, so
+        the loop hashes vertices only to look up the shells it resumes from
+        and to enter each vertex in the index, not for each neighbor.
 
         ``own`` maps a known index to the index here, for every held vertex
         a row read next can name.  A row of a vertex of the shell S_d names
         only vertices of S_{d - 1}, S_d and S_{d + 1}, as an edge changes
-        the distance to the base by at most one.  So ``own`` holds the
-        shells ``prev``, ``cur`` and the one being found, ``nxt`` (lists of
-        known indices), starting with S_{grown - 1} and S_grown, and drops
-        ``prev`` before the loop moves one shell out.  A known index
-        missing from it is then a vertex not held here, which the
-        generator route's index lookup would miss too, and both routes
-        build the same rows.  Nothing outlives the call, and what it holds
-        is three shells, not the window.
+        the distance to the base by at most one.  So ``own`` holds
+        S_{grown - 1} and S_grown at first, the loop reads known's keys one
+        run per shell, and S_{d - 1} moves from ``own`` to the index before
+        the loop moves one shell out, past S_d.  A known index missing from
+        ``own`` is then a vertex not held here, which the generator route's
+        index lookup would miss too, and both routes build the same rows.
+        Nothing outlives the call, and what it holds is three shells, not
+        the window.
         """
-        known = self.known
+        radius = min(rho, self.radius)
+        if radius <= self.grown:
+            return
         vertices, index, dist = self._vertices, self._index, self._dist
-        adjacency, budget = self._adjacency, self._budget
-        kv, kadj, kindex = known._vertices, known._adjacency, known._index
-        known.count_within(known._dist[kindex[self.base]] + radius)
-        d = self.grown
-        first = bisect_left(dist, d - 1)
-        prev = [kindex[v] for v in vertices[first:head]]
-        cur = [kindex[v] for v in vertices[head:]]
-        own = dict(zip(prev, range(first, head)))
-        own.update(zip(cur, range(head, len(vertices))))
-        get = own.get
-        while cur:
-            nxt = []
-            for k in cur:
+        adjacency, budget, known = self._adjacency, self._budget, self.known
+        head = bisect_left(dist, self.grown)
+        del adjacency[head:]
+        if known is None:
+            keys, own, rows = vertices, index, self.space.neighbors
+            runs = (zip(islice(vertices, head, None),
+                        islice(dist, head, None)),)
+        else:
+            kv, kindex = known._vertices, known._index
+            known.count_within(known._dist[kindex[self.base]] + radius)
+            first = bisect_left(dist, self.grown - 1)
+            keys = [kindex[v] for v in vertices[first:]]
+            own = dict(zip(keys, range(first, len(dist))))
+            rows = known._adjacency.__getitem__
+
+            def shells(lo, head):
+                while head < len(dist):
+                    hi = len(dist)
+                    yield zip(keys[head - first:hi - first],
+                              repeat(dist[head]))
+                    for k in keys[lo - first:head - first]:
+                        index[kv[k]] = own.pop(k)
+                    lo, head = head, hi
+
+            runs = shells(first, head)
+        get, add, grow_dist = own.get, keys.append, dist.append
+        for run in runs:
+            for k, dv in run:
                 row = []
-                if d < radius:
-                    for kw in kadj[k]:
+                if dv < radius:
+                    for kw in rows(k):
                         j = get(kw)
                         if j is None:
-                            j = len(vertices)
+                            j = len(dist)
                             if j >= budget:
-                                raise self._over_budget()
+                                raise ResourceLimitError(
+                                    f"window ({self.space!r}, base="
+                                    f"{self.base!r}, R={self.radius}) "
+                                    f"exceeds vertex budget {budget}")
                             own[kw] = j
-                            nxt.append(kw)
-                            w = kv[kw]
-                            index[w] = j
-                            vertices.append(w)
-                            dist.append(d + 1)
+                            add(kw)
+                            grow_dist(dv + 1)
                         row.append(j)
                 else:
-                    for kw in kadj[k]:
+                    for kw in rows(k):
                         j = get(kw)
                         if j is not None:
                             row.append(j)
                 adjacency.append(tuple(row))
-            for k in prev:
-                del own[k]
-            prev, cur, d = cur, nxt, d + 1
-
-    def _over_budget(self):
-        return ResourceLimitError(
-            f"window ({self.space!r}, base={self.base!r}, R={self.radius}) "
-            f"exceeds vertex budget {self._budget}")
+        if known is not None:
+            vertices += map(kv.__getitem__, keys[len(vertices) - first:])
+            index.update(zip(map(kv.__getitem__, own), own.values()))
+        self.grown = radius
 
     @property
     def vertices(self):
@@ -291,10 +261,6 @@ class Window:
 
     def __len__(self):
         return len(self.vertices)
-
-    @property
-    def base_index(self):
-        return 0
 
     def find(self, vertex):
         """Index of ``vertex``, or None when it is not in B_R(base).  A
@@ -408,26 +374,6 @@ class Window:
                     need=max(3 * max(dist[j] for j in idxs), need))
         return idxs
 
-    def edge_list(self):
-        """Edges as (i, j) index pairs with i < j, in row order."""
-        out = []
-        for i, row in enumerate(self.adjacency):
-            for j in row:
-                if i < j:
-                    out.append((i, j))
-        return out
-
-    def to_json(self):
-        space = self.space
-        return {
-            "space": space.spec_dict(),
-            "base": space.vertex_label(self.base),
-            "radius": self.radius,
-            "vertices": [space.vertex_label(v) for v in self.vertices],
-            "dist_from_base": list(self.dist_from_base),
-            "edges": [[i, j] for i, j in self.edge_list()],
-        }
-
 
 def materialize_window(space, base, radius, max_vertices=None, known=None):
     """Breadth-first materialization of ``B_radius(base)``.
@@ -459,24 +405,6 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     if bound is None or bound > budget:
         window._grow(radius)
     return window
-
-
-def dist_field(window, sources):
-    """Hop distance to a non-empty source set, by multi-source BFS.
-
-    Returns one integer per window vertex (window-truncated distances;
-    exactness guarantees are the caller's responsibility via zones).
-    """
-    if not sources:
-        raise DomainError("source set must be non-empty")
-    idx = window.index
-    seeds = []
-    for v in sources:
-        i = idx.get(v)
-        if i is None:
-            raise DomainError(f"source vertex {v!r} not in window")
-        seeds.append(i)
-    return _bfs_from_indices(window, seeds)
 
 
 def _bfs_from_indices(window, seeds, limit=None, settled=()):
@@ -550,37 +478,26 @@ def pairwise_dist(window, sample, need=0):
     return [[d[j] for j in idxs] for d in rows]
 
 
-def shortest_path(window, start, goal):
-    """One shortest vertex path start..goal, deterministic: BFS parents
-    follow the generator's neighbor order.  It is a geodesic of the window.
+def shortest_path(window, goal):
+    """One shortest vertex path base..goal, a geodesic of the window: the
+    path of BFS parents from the base, each vertex's parent the first one
+    whose row lists it.
 
-    The BFS from s = start runs in B_L, L = 2 d(base, s) + d(base, goal),
-    indices past it pre-settled as in :func:`_bfs_from_indices`.  Through
-    the base, D = d_W(s, goal) <= d(base, s) + d(base, goal), d_W the
-    window distance, so every w with d_W(s, w) <= D, a window geodesic
-    from s to w included, has d(base, w) <= d(base, s) + d_W(s, w) <= L.
-    The search reads rows at levels up to D only, and stops when it takes
-    the goal from the queue; a neighbor past L that it skips is at level
-    D + 1, queued after the goal by a BFS of the whole window.  So both
-    find the same parents and path.  s..base..goal lies in B_L: the goal
-    is reached.
+    No BFS runs.  The window's indices are the discovery order of the BFS
+    from the base that built it, and its rows list neighbors in generator
+    order, so a BFS from the base over the rows dequeues vertices in index
+    order and finds each from its smallest-index neighbor.  That neighbor
+    is one shell nearer the base: every index of S_{d - 1} is below every
+    index of S_d and S_{d + 1}, and a vertex of S_d, d >= 1, has a neighbor
+    in S_{d - 1}, which its row lists, as a row of S_grown keeps every held
+    neighbor.  So the walk from the goal to the smallest index of each row
+    reads only rows of B_{d(base, goal)}, which :meth:`Window.find` holds.
     """
-    s, g = window.find(start), window.find(goal)
-    if s is None or g is None:
+    g = window.find(goal)
+    if g is None:
         raise DomainError("endpoints must lie in the window")
-    limit = window.count_within(2 * window._dist[s] + window._dist[g])
-    adjacency = window._adjacency
-    parent = [-1] * limit + [0] * (len(adjacency) - limit)
-    parent[s] = s
-    queue = [s]
-    for v in queue:
-        if v == g:
-            break
-        for w in adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                queue.append(w)
     path = [g]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
+    while g:
+        g = min(window._adjacency[g])
+        path.append(g)
     return [window._vertices[i] for i in reversed(path)]

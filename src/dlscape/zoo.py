@@ -30,7 +30,6 @@ class Line(GraphSpace):
     """The integer line; contains a geodesic line through every vertex."""
 
     generator_id = "line"
-    degree_bound = 2
 
     def ball_size_bound(self, base, radius):
         return 2 * radius + 1
@@ -58,7 +57,6 @@ class HalfLine(GraphSpace):
     """The one-ended ray 0,1,2,...; all point-assigned fields coincide."""
 
     generator_id = "halfline"
-    degree_bound = 2
 
     def ball_size_bound(self, base, radius):
         return radius + min(base, radius) + 1
@@ -102,7 +100,6 @@ class Tree(GraphSpace):
                 "tree branching factor b must be an integer >= 1")
         super().__init__(scale)
         self.b = b
-        self.degree_bound = b + 1
 
     @property
     def params(self):
@@ -145,7 +142,6 @@ class Grid2D(GraphSpace):
     """The Z^2 lattice with 4-neighbor adjacency."""
 
     generator_id = "grid2d"
-    degree_bound = 4
 
     def ball_size_bound(self, base, radius):
         return 2 * radius * radius + 2 * radius + 1
@@ -181,7 +177,6 @@ class HGraph(GraphSpace):
     """
 
     generator_id = "h_graph"
-    degree_bound = 4
 
     def ball_size_bound(self, base, radius):
         """The graph is a subgraph of Z^2 with unit lattice edges in y >= 0,
@@ -263,7 +258,6 @@ class Stick(GraphSpace):
         super().__init__(scale)
         self.m = m
         self.h = h
-        self.degree_bound = max(m, 4)
 
     @property
     def params(self):
@@ -342,7 +336,6 @@ class PendantLine(GraphSpace):
     """
 
     generator_id = "pendant_line"
-    degree_bound = 3
 
     def ball_size_bound(self, base, radius):
         """A step changes n by at most one, so B_R((a, k)) lies in the
@@ -375,7 +368,6 @@ class Cylinder(GraphSpace):
     """The two-ended discrete cylinder Z x Z_m."""
 
     generator_id = "cylinder"
-    degree_bound = 4
 
     def __init__(self, m, scale=Fraction(1)):
         if not _is_int(m) or m < 3:

@@ -1,6 +1,43 @@
+"""Shared fixtures, and plain helpers that test modules import."""
+
+from collections import deque
+
 import pytest
 
 from dlscape import build, materialize_window, u_point_assigned
+
+
+def deque_shortest_path(window, start, goal):
+    """The BFS path from start to goal over the whole window's rows,
+    written with a deque and a parent dict: a vertex's parent is the first
+    vertex whose row lists it.  From the base it is the spec of
+    ``shortest_path``; tests that need a path from elsewhere use it."""
+    s, g = window.index[start], window.index[goal]
+    parent = {s: None}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        if v == g:
+            break
+        for w in window.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = []
+    v = g
+    while v is not None:
+        path.append(window.vertices[v])
+        v = parent[v]
+    return path[::-1]
+
+
+def t_samples(field, count=5):
+    """Up to ``count`` integer thresholds spread over the field's values,
+    for ``gromov_check``."""
+    vals = sorted(set(field.values.values()))
+    lo, hi = vals[0], vals[-1]
+    step = max(1, (hi - lo) // count)
+    return sorted(set(range(lo, hi + 1, step)))[:count]
 
 
 @pytest.fixture(scope="session")

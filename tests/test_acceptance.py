@@ -13,17 +13,20 @@ import time
 
 from fractions import Fraction
 
+from conftest import t_samples
+
 from dlscape import (build, brute_force_min_distortion, build_eps_isometry,
-                     busemann, corr_from_isometry, default_t_samples,
-                     dist_field, dl_from_sets, equivalence_classes,
-                     gromov_check, horofunction, materialize_window,
-                     min_distortion_correspondence, pa_gh_experiment,
-                     representation_check, rho_matrix, shortest_path,
-                     sphere, trace_corays, u_point_assigned, verify_gradient)
+                     busemann, corr_from_isometry, dl_from_sets,
+                     equivalence_classes, gromov_check, horofunction,
+                     materialize_window, min_distortion_correspondence,
+                     pa_gh_experiment, representation_check, rho_matrix,
+                     shortest_path, sphere, trace_corays, u_point_assigned,
+                     verify_gradient)
 from dlscape.checks import suite_monotone
 from dlscape.gh import MAPPINGS, FiniteMetricSpace, gh_bounds
 from dlscape.pseudometric import (anti_triangle_check, base_lipschitz_gap,
                                   point_assigned_family)
+from dlscape.space import _bfs_from_indices
 
 
 def _timed(limit, fn):
@@ -52,7 +55,7 @@ def test_criterion_01_h_graph_exact_values():
 def test_criterion_02_sphere_membership():
     def work():
         w = materialize_window(build("h_graph"), (0, 0), 20)
-        df = dist_field(w, [(0, 0)])
+        df = _bfs_from_indices(w, [0])
         for n in (12, 18):
             members = set(sphere(w, n))
             for i in range(n // 2, n + 1):
@@ -88,7 +91,7 @@ def _sampled_comparisons(space, radius, zone, schedule, n_rays, n_horos,
     count = 0
     for _ in range(n_rays + n_horos):
         target = far[rng.randrange(len(far))]
-        ray = shortest_path(w, w.base, target)
+        ray = shortest_path(w, target)
         if count < n_rays:
             other, _ = busemann(w, ray, len(ray) - 1, zone)
         else:
@@ -100,7 +103,7 @@ def _sampled_comparisons(space, radius, zone, schedule, n_rays, n_horos,
         for i in pa.zone_indices():
             if pa.report.stable[i] and other.report.stable[i]:
                 v = w.vertices[i]
-                assert pa.values[i] <= other.normalized_value(v), \
+                assert pa.values[i] <= other.values[i] - other.values[0], \
                     (space.generator_id, v)
         count += 1
     return w, pa, count
@@ -125,8 +128,8 @@ def test_criterion_04_minimality():
     bm, _ = busemann(lw, [-t for t in range(0, 41)], 40, 12)
     for i in pa.zone_indices():
         v = lw.vertices[i]
-        assert pa.values[i] == -abs(v) == min(bp.normalized_value(v),
-                                              bm.normalized_value(v))
+        assert pa.values[i] == -abs(v) == min(bp.values[i] - bp.values[0],
+                                              bm.values[i] - bm.values[0])
     print(f"ACCEPTANCE 4 PASS (minimality, {total} sampled comparisons)")
 
 
@@ -188,7 +191,7 @@ def test_criterion_07_sublevel_identity_everywhere():
         pa, _ = u_point_assigned(w, range(max(2, hi // 5), hi + 1,
                                           max(1, hi // 5)), zone)
         far = sphere(w, radius - zone)[0]
-        ray = shortest_path(w, w.base, far)
+        ray = shortest_path(w, far)
         bf, _ = busemann(w, ray, len(ray) - 1, zone)
         # general set sequences need d(base, H_n) + 2*zone <= R for
         # exactness, a stricter margin than single-anchor fields
@@ -200,7 +203,7 @@ def test_criterion_07_sublevel_identity_everywhere():
         shifts = [w.dist_from_base[w.index[h[0]]] for h in anchors]
         sf, _ = dl_from_sets(w, anchors, shifts, zone)
         for fld in (pa, bf, sf):
-            report = gromov_check(fld, default_t_samples(fld, count=5))
+            report = gromov_check(fld, t_samples(fld, count=5))
             assert report.ok, (name, fld.kind, report.violations[:3])
             checked += sum(report.checked.values())
     assert checked > 0
@@ -292,7 +295,7 @@ def test_criterion_10_eps_isometry_field_deviation():
 def test_criterion_11_million_vertex_performance():
     def work():
         w = materialize_window(build("grid2d"), (0, 0), 707)
-        df = dist_field(w, [(0, 0)])
+        df = _bfs_from_indices(w, [0])
         return w, df
 
     (w, df), dt = _timed(10.0, work)

@@ -3,15 +3,16 @@
 from types import SimpleNamespace
 
 import pytest
+from conftest import deque_shortest_path
 
 from dlscape import (CoRay, DescentError, DomainError, ScalarField,
-                     ZoneError, build, busemann, dist_field,
-                     materialize_window, representation_check,
-                     shortest_path, trace_corays, u_point_assigned,
-                     uniqueness_probe, verify_gradient)
+                     ZoneError, build, busemann, materialize_window,
+                     representation_check, shortest_path, trace_corays,
+                     u_point_assigned, uniqueness_probe, verify_gradient)
 from dlscape.cli import _schedule
 from dlscape.corays import ReprEntry
 from dlscape.fields import field_to_json, level_set
+from dlscape.space import _bfs_from_indices
 
 
 def _fresh_h_field():
@@ -152,7 +153,7 @@ def _gradient_all_pairs(coray, field):
                 field.values[a] - field.values[b] != 1:
             return False
     for s, v in enumerate(coray.vertices):
-        d = dist_field(window, (v,))
+        d = _bfs_from_indices(window, [window.index[v]])
         if any(d[idxs[t]] != t - s for t in range(s, len(idxs))):
             return False
     return True
@@ -223,7 +224,8 @@ def _diff_case(name):
     fld, _ = u_point_assigned(window, case["schedule"], case["zone"])
     traced = [p for s in case["starts"]
               for p in trace_corays(fld, s, max_paths=4).paths]
-    long_rays = [shortest_path(window, a, b) for a, b in case["geodesics"]]
+    long_rays = [deque_shortest_path(window, a, b)
+                 for a, b in case["geodesics"]]
     return window, fld, traced, long_rays
 
 
@@ -241,7 +243,7 @@ def test_representation_matches_busemann_sweeps(name):
     rays += [
         _ray(v[::2]),                                # not a path
         _ray(v[:3] + v[1::-1]),                      # doubles back
-        _ray(shortest_path(window, window.base, far)),   # anchors too far
+        _ray(shortest_path(window, far)),            # anchors too far
         _ray((far, outside)),                        # leaves the window
         _ray(v[:1]),                                 # zero length
     ]

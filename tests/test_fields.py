@@ -3,23 +3,30 @@
 import random
 
 import pytest
+from conftest import deque_shortest_path, t_samples
 from hypothesis import given, settings, strategies as st
 
-from dlscape import (DomainError, ZoneError, build, busemann,
-                     default_t_samples, dist_field, dl_from_sets,
+from dlscape import (DomainError, ZoneError, build, busemann, dl_from_sets,
                      field_to_json, gromov_check, horofunction, level_set,
                      materialize_window, oracle, shortest_path, sphere,
-                     u_point_assigned, u_r, verify_geodesic)
-from dlscape.fields import ConvergenceReport
+                     u_point_assigned, u_r)
+from dlscape.fields import ConvergenceReport, _geodesic
 from dlscape.pseudometric import point_assigned_family, rho_matrix
-from dlscape.space import pairwise_dist
+from dlscape.space import _bfs_from_indices, pairwise_dist
+
+
+def _lipschitz_violations(fld):
+    """Zone edges, as index pairs, across which the value jumps by > 1."""
+    adjacency, values = fld.window.adjacency, fld.values
+    return [(i, j) for i, vi in values.items() for j in adjacency[i]
+            if j in values and abs(vi - values[j]) > 1]
 
 
 def test_u_r_closed_form_on_line(line_window):
     fld = u_r(line_window, 20, 10)
     for x in range(-10, 11):
         assert fld.value_at(x) == -abs(x)
-    assert not fld.lipschitz_violations()
+    assert not _lipschitz_violations(fld)
 
 
 def test_u_r_preconditions(line_window):
@@ -58,7 +65,7 @@ def test_point_assigned_matches_oracle(name, params, radius):
     for i in fld.zone_indices():
         v = w.vertices[i]
         assert fld.values[i] == oracle(space, "point_assigned", w.base, v)
-    assert not fld.lipschitz_violations()
+    assert not _lipschitz_violations(fld)
 
 
 def _sweep_by_whole_window(window, zone, tail, steps):
@@ -72,7 +79,7 @@ def _sweep_by_whole_window(window, zone, tail, steps):
     zone_idx = [i for i, d in enumerate(dist) if d <= zone]
     history = {i: [] for i in zone_idx}
     for param, hn, cn, reach in steps:
-        df = dist_field(window, hn)
+        df = _bfs_from_indices(window, [window.index[v] for v in hn])
         for i in zone_idx:
             if dist[i] <= reach:
                 history[i].append((param, df[i] - cn))
@@ -159,7 +166,7 @@ def test_lazy_report_matches_whole_window_sweep(name, params, radius, first):
                                                           ref_tail)
             assert fld.values == values
             _read_in_order(rep, ref, first)
-            ray = shortest_path(w, w.base, rng.choice(sphere(w, hi)))
+            ray = shortest_path(w, rng.choice(sphere(w, hi)))
             T = len(ray) - 1
             fld, rep = busemann(w, ray, T, zone, tail)
             values, ref = _sweep_by_whole_window(
@@ -339,7 +346,7 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
             for s in starts:
                 for t in (rng.choice(sphere(w, far)),
                           rng.choice(sphere(w, radius))):
-                    ray = shortest_path(w, s, t)
+                    ray = deque_shortest_path(w, s, t)
                     if len(ray) < 2:
                         continue
                     T = len(ray) - 1
@@ -369,7 +376,7 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
             # (shifted by a, a Busemann-like limit), plus members farther
             # out, some past the ball B_{a+2*zone} the BFS is confined to
             near = radius - 2 * zone
-            ray = shortest_path(w, w.base, rng.choice(sphere(w, near)))
+            ray = shortest_path(w, rng.choice(sphere(w, near)))
             for nearest, jitter in (
                     (_far_vertices(w, rng, 1, near, 3), 2),
                     ([ray[a] for a in range(1, near + 1, 2)], 0)):
@@ -574,27 +581,13 @@ def test_anchor_checks(front, args, want):
             getattr(e, "need", None), getattr(e, "witness", None)) == want
 
 
-def test_lipschitz_violations_read_the_held_rows():
-    """Jumps across zone edges are found on the rows the sweep grew, as
-    on the whole window, and the window grows no further."""
-    space = build("grid2d")
-    w = materialize_window(space, (0, 0), 40)
-    fld, _ = u_point_assigned(w, [6, 8], 4)
-    grown = w.grown
-    fld.values[fld.index_of((1, 0))] += 1
-    whole = materialize_window(space, (0, 0), 40)
-    values = fld.values
-    want = [(whole.vertices[i], whole.vertices[j])
-            for i, vi in values.items() for j in whole.adjacency[i]
-            if j in values and abs(vi - values[j]) > 1]
-    assert len(want) == 6 and fld.lipschitz_violations() == want
-    assert w.grown == grown < 40
-
-
 def test_verify_geodesic(line_window):
-    assert verify_geodesic(line_window, [0, 1, 2, 3])
-    assert not verify_geodesic(line_window, [0, 1, 0])   # not distance-true
-    assert not verify_geodesic(line_window, [0, 2])      # not adjacent
+    def geodesic(path):
+        return _geodesic(line_window, [line_window.index[v] for v in path])
+
+    assert geodesic([0, 1, 2, 3])
+    assert not geodesic([0, 1, 0])      # not distance-true
+    assert not geodesic([0, 2])         # not adjacent
 
 
 def test_busemann_line_values(line_window):
@@ -662,7 +655,7 @@ def test_single_dl_function_on_halfline(halfline_window):
 
 
 def test_gromov_check_accepts_field(h_field):
-    report = gromov_check(h_field, default_t_samples(h_field))
+    report = gromov_check(h_field, t_samples(h_field))
     assert report.ok and sum(report.checked.values()) > 0
 
 

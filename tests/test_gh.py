@@ -21,11 +21,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from dlscape import (DomainError, EpsIsometry, FiniteMetricSpace,
-                     MetricError, ZoneError, build,
-                     brute_force_min_distortion, build_eps_isometry,
-                     corr_from_isometry, gh_bounds, materialize_window,
-                     min_distortion_correspondence, pa_gh_experiment,
-                     pairwise_dist, u_point_assigned)
+                     MetricError, build, brute_force_min_distortion,
+                     build_eps_isometry, corr_from_isometry, gh_bounds,
+                     materialize_window, min_distortion_correspondence,
+                     pa_gh_experiment, u_point_assigned)
 from dlscape import gh
 from dlscape.gh import (NODE_CAP, MAPPINGS, Correspondence, distortion,
                         map_distortion, map_net_eps)
@@ -76,7 +75,7 @@ def test_metric_validation():
             FiniteMetricSpace(*args)
     two = FiniteMetricSpace(2, unit, 0, 2)                   # int scale
     assert two.scale == Fraction(2) and type(two.scale) is Fraction
-    assert two.real(0, 1) == Fraction(1, 2)
+    assert two.real_matrix()[0][1] == Fraction(1, 2)
 
 
 def _metric_error(d):
@@ -275,6 +274,23 @@ def test_correspondence_validate():
             build_eps_isometry(bad, X, Y)
 
 
+def test_pointed_checks_refuse_non_index_pairs_alike():
+    """1.0 == True == 1, so a set of indices took (1.0, 1) or (True, 1) for
+    (1, 1), and ``build_eps_isometry`` returned the map (0, 1, 1) where
+    ``validate`` refused the pairs.  Both refuse them with one error."""
+    X = FiniteMetricSpace(3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0)
+    Y = FiniteMetricSpace(2, ((0, 1), (1, 0)), 0)
+    for odd in (1.0, True):
+        bad = Correspondence(frozenset({(0, 0), (odd, 1), (2, 1)}),
+                             Fraction(1))
+        with pytest.raises(DomainError) as validated:
+            bad.validate(X, Y)
+        with pytest.raises(DomainError) as built:
+            build_eps_isometry(bad, X, Y)
+        assert str(validated.value) == str(built.value)
+        assert str(built.value).startswith(f"pair ({odd!r}, 1) is not")
+
+
 def test_eps_isometry_reads_no_stored_distortion():
     """A correspondence whose stored distortion is wrong gives the same
     map, dis and net radius as one with the true distortion: the map's
@@ -341,28 +357,6 @@ def test_map_readers_refuse_a_bad_entry(mapping, named):
         map_distortion(mapping, X, Y)
     with pytest.raises(DomainError, match=named):
         map_net_eps(mapping, Y)
-
-
-@pytest.mark.parametrize("name,base,sample,far", [
-    ("pendant_line", (0, 0),
-     [(n, k) for n in range(-3, 4) for k in (0, 1)], (5, 0)),
-    ("line", 0, list(range(-4, 5)), 5)], ids=["pendant_line", "line"])
-def test_from_window_sample(name, base, sample, far):
-    """The sampled space is ``pairwise_dist`` on the sample, pointed at
-    the window base; a base outside the sample is refused, and a point
-    past R // 3 = 4 raises a ZoneError naming the radius it needs."""
-    w = materialize_window(build(name), base, 12)
-    Z = FiniteMetricSpace.from_window_sample(w, sample)
-    assert Z.dist == tuple(map(tuple, pairwise_dist(w, sample)))
-    assert (Z.base, Z.scale) == (sample.index(base), w.space.scale)
-    with pytest.raises(DomainError):
-        FiniteMetricSpace.from_window_sample(w, [v for v in sample
-                                                 if v != base])
-    with pytest.raises(DomainError):
-        FiniteMetricSpace.from_window_sample(w, sample, base=far)
-    with pytest.raises(ZoneError) as exc:
-        FiniteMetricSpace.from_window_sample(w, sample + [far])
-    assert exc.value.need == 15
 
 
 @given(weights=st.lists(st.integers(1, 9), min_size=6, max_size=6))
@@ -539,32 +533,35 @@ def test_a_hard_eight_point_pair_is_proved():
 
 def spec_distortion(pairs, X, Y):
     pairs = sorted(pairs)
+    dX, dY = X.real_matrix(), Y.real_matrix()
     best = Fraction(0)
     for (i1, j1), (i2, j2) in \
             itertools.combinations_with_replacement(pairs, 2):
-        gap = abs(X.real(i1, i2) - Y.real(j1, j2))
+        gap = abs(dX[i1][i2] - dY[j1][j2])
         if gap > best:
             best = gap
     return best
 
 
 def spec_map_distortion(mapping, X, Y):
-    return max((abs(X.real(i, k) - Y.real(mapping[i], mapping[k]))
+    dX, dY = X.real_matrix(), Y.real_matrix()
+    return max((abs(dX[i][k] - dY[mapping[i]][mapping[k]])
                 for i in range(X.n) for k in range(i, X.n)),
                default=Fraction(0))
 
 
 def spec_map_net_eps(mapping, Y):
     image = set(mapping)
-    return max(min(Y.real(j, m) for m in image) for j in range(Y.n))
+    return max(min(row[m] for m in image) for row in Y.real_matrix())
 
 
 def spec_corr_from_isometry(iso, X, Y, eps):
     """(pairs, distortion), or None where the map is no eps-isometry."""
     if iso.dis > eps or iso.net_eps > eps:
         return None
+    dY = Y.real_matrix()
     pairs = {(i, j) for i in range(X.n) for j in range(Y.n)
-             if Y.real(iso.mapping[i], j) <= eps}
+             if dY[iso.mapping[i]][j] <= eps}
     pairs.add((X.base, Y.base))
     return pairs, spec_distortion(pairs, X, Y)
 
@@ -600,8 +597,8 @@ def test_certification_matches_the_fraction_spec():
         assert map_net_eps(f, Y) == spec_map_net_eps(f, Y)
         least = max(iso.dis, iso.net_eps)
         eps_values = [max(least, Fraction(1, 2))]
-        reached = [Y.real(m, j) for m in mapping for j in range(Y.n)
-                   if Y.real(m, j) >= least]
+        reached = [d for m in mapping for d in Y.real_matrix()[m]
+                   if d >= least]
         if reached:
             eps_values.append(min(reached))
             on_boundary += 1
@@ -741,7 +738,7 @@ def test_a_held_matrix_leaves_eq_hash_and_repr():
 
 def test_replace_builds_the_new_scales_matrix():
     X = FiniteMetricSpace(2, ((0, 3), (3, 0)), 0)
-    assert X.real(0, 1) == 3
+    assert X.real_matrix()[0][1] == 3
     half = dataclasses.replace(X, scale=Fraction(1, 2))
     assert half.real_matrix() == ((0, 6), (6, 0))
     assert X.real_matrix() == ((0, 3), (3, 0))
@@ -755,7 +752,7 @@ def test_a_space_keeps_its_values_when_the_callers_list_changes():
     rows[0][2] = rows[2][0] = 5
     rows[1] = [9, 9, 9]
     assert X.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
-    assert X.real(0, 2) == 2 and X.real(1, 0) == 1
+    assert X.real_matrix()[0][2] == 2 and X.real_matrix()[1][0] == 1
     assert hash(X) == hash(FiniteMetricSpace(3, X.dist, 0))
 
 

@@ -8,7 +8,8 @@ the balls of ``Window.geodesic_ball`` are gated too, with digests captured
 before ``gromov_check`` was confined and the BFS memo made to grow, and
 the family runs below, with digests captured before a family field read
 its spheres from the closed-form distance.  The ``field --csv`` digest
-was captured before the CSV rows were read from the JSON export.
+was captured before the CSV rows were read from the JSON export, and the
+ray-target runs below while ``shortest_path`` still ran a BFS.
 """
 
 import hashlib
@@ -87,6 +88,20 @@ FAMILY = [
 ]
 
 
+# (argv, exit code, sha256 of stdout) of ``busemann --ray-target`` runs
+# with more than one geodesic from the base to the target (grid2d, and the
+# h_graph row at height 4, reached through either corner), so the output
+# pins which one the ray takes.
+RAY_TARGET = [
+    (["busemann", "--space", "grid2d", "--radius", "40", "--ray-target",
+      "7,5", "--zone", "8"], 0,
+     "8a7efd50cd86f65794644ec4ec5962f95e829dbfd6c16308105591728e507cbe"),
+    (["busemann", "--space", "h_graph", "--radius", "40", "--ray-target",
+      "0,4", "--zone", "8"], 0,
+     "3bccfaac9dd7889757b5ede925f971c2e4ed9b2f1bbcad7d052eceaea772ae97"),
+]
+
+
 def _run(capsys, tmp_path, argv):
     x, y = tmp_path / "x.json", tmp_path / "y.json"
     x.write_text(json.dumps(GH_X))
@@ -116,4 +131,11 @@ def test_confined_suite_output_is_unchanged(capsys, tmp_path, argv, code,
                          ids=[f"{g[0][0]}-{g[0][2]}" for g in FAMILY])
 def test_family_route_output_is_unchanged(capsys, tmp_path, argv, code,
                                           digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", RAY_TARGET,
+                         ids=[g[0][2] for g in RAY_TARGET])
+def test_ray_target_output_is_unchanged(capsys, tmp_path, argv, code,
+                                        digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)

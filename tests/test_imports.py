@@ -119,10 +119,8 @@ def test_dead_method_detector():
 # the benchmark and the acceptance gate are their only callers.  A name
 # joins this list only as a deliberate public API.
 PACKAGE_UNCALLED = {
-    "brute_force_min_distortion", "corr_from_isometry", "default_t_samples",
-    "dist_field", "dl_from_sets", "equality_achieved", "from_window_sample",
-    "lipschitz_violations", "normalized_value", "oracle", "real",
-    "representation_check", "verify_geodesic",
+    "brute_force_min_distortion", "corr_from_isometry", "dl_from_sets",
+    "equality_achieved", "oracle", "representation_check",
 }
 
 

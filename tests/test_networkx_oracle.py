@@ -1,15 +1,14 @@
 """Window BFS distances against networkx, an independent implementation."""
 
 import random
-from collections import deque
 
 import pytest
+from conftest import deque_shortest_path
 
 from dlscape import (CoRay, DescentError, ScalarField, ZoneError, build,
-                     busemann, dist_field, fields, gromov_check,
-                     materialize_window, pairwise_dist,
-                     representation_check, shortest_path, space, sphere,
-                     trace_corays, u_point_assigned, u_r, verify_geodesic,
+                     busemann, fields, gromov_check, materialize_window,
+                     pairwise_dist, representation_check, shortest_path,
+                     space, sphere, trace_corays, u_point_assigned, u_r,
                      verify_gradient)
 from dlscape.space import _bfs_from_indices
 
@@ -25,7 +24,8 @@ def _graph(window, limit):
     """The window graph induced on the vertex indices below ``limit``."""
     g = nx.Graph()
     g.add_nodes_from(range(limit))
-    g.add_edges_from((i, j) for i, j in window.edge_list() if j < limit)
+    g.add_edges_from((i, j) for i, row in enumerate(window.adjacency)
+                     for j in row if i < j < limit)
     return g
 
 
@@ -53,12 +53,13 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
     for s in rng.sample(range(n), 6):
         want = nx.single_source_shortest_path_length(whole, s)
         assert _bfs_from_indices(w, [s]) == [want[i] for i in range(n)]
-        for t in rng.sample(range(n), 6):
-            path = shortest_path(w, w.vertices[s], w.vertices[t])
-            assert len(path) - 1 == want[t]
-            assert path[0] == w.vertices[s] and path[-1] == w.vertices[t]
-            assert all(w.index[b] in w.adjacency[w.index[a]]
-                       for a, b in zip(path, path[1:]))
+    want = nx.single_source_shortest_path_length(whole, 0)
+    for t in rng.sample(range(n), 6):
+        path = shortest_path(w, w.vertices[t])
+        assert len(path) - 1 == want[t]
+        assert path[0] == w.base and path[-1] == w.vertices[t]
+        assert all(w.index[b] in w.adjacency[w.index[a]]
+                   for a, b in zip(path, path[1:]))
     # samples in B_{R/3}, and in B_2, where a geodesic between sample
     # points can leave the ball that holds them
     for rho in (2, radius // 3):
@@ -113,58 +114,31 @@ def test_bfs_kernel_matches_networkx_on_partial_windows(name, params,
         assert w.grown == grown
 
 
-def _deque_shortest_path(window, start, goal):
-    """The BFS that shortest_path runs, written with a deque and a parent
-    dict: the spec its list-walking loop must reproduce."""
-    s, g = window.index[start], window.index[goal]
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        if v == g:
-            break
-        for w in window.adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    path = []
-    v = g
-    while v is not None:
-        path.append(window.vertices[v])
-        v = parent[v]
-    return path[::-1]
-
-
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
 def test_shortest_path_matches_the_deque_spec(name, params, radius):
+    """The parent walk gives the BFS path from the base to every vertex."""
     space = build(name, params)
     w = materialize_window(space, space.default_base(), radius)
-    rng = random.Random(name)
-    n = len(w)
-    pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
-    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
-    for s, t in pairs:
-        a, b = w.vertices[s], w.vertices[t]
-        assert shortest_path(w, a, b) == _deque_shortest_path(w, a, b)
+    for b in w.vertices:
+        assert shortest_path(w, b) == deque_shortest_path(w, w.base, b)
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
 def test_shortest_path_on_part_grown_windows_matches_the_deque_spec(
         name, params, radius):
-    """From starts off the base, on windows grown part way, the BFS
-    confined to its ball B_L gives the whole window's path."""
+    """On windows grown part way, the walk over the rows ``find`` holds
+    gives the whole window's path."""
     space = build(name, params)
     base = space.default_base()
     whole = materialize_window(space, base, radius)
     n = len(whole)
     rng = random.Random(name)
     for _ in range(30):
-        a = whole.vertices[rng.randrange(1, n)]
         b = whole.vertices[rng.randrange(n)]
         w = materialize_window(space, base, radius)
         assert w.grown == 0
         w.count_within(rng.randint(0, radius))
-        assert shortest_path(w, a, b) == _deque_shortest_path(whole, a, b)
+        assert shortest_path(w, b) == deque_shortest_path(whole, base, b)
 
 
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
@@ -244,7 +218,7 @@ def test_u_r_matches_whole_window(name, params, radius):
     w = materialize_window(space, space.default_base(), radius)
     for zone in (1, radius // 3, radius):
         for r in sorted({1, 2, zone // 2 or 1, zone, radius // 2, radius}):
-            ref = dist_field(w, sphere(w, r))
+            ref = _bfs_from_indices(w, [w.index[v] for v in sphere(w, r)])
             want = {i: ref[i] - r for i in range(w.count_within(zone))}
             assert u_r(w, r, zone).values == want, (zone, r)
 
@@ -318,7 +292,8 @@ def _ray(vertices):
 
 def _geodesy_verdict(w, path):
     try:
-        return verify_geodesic(w, path)
+        return fields._geodesic(w, [w.require_zone(v, w.radius, "path")
+                                    for v in path])
     except ZoneError:
         return "ZoneError"
 
@@ -356,9 +331,9 @@ def test_confined_geodesy_checks_match_whole_window_and_networkx(
               for _ in range(20)]
     for _ in range(10):
         a, b = rng.choice(sorted(zone_set)), rng.choice(shell)
-        paths.append(shortest_path(w, w.vertices[a], w.vertices[b]))
-        paths.append(shortest_path(w, w.vertices[rng.choice(shell)],
-                                   w.vertices[b]))
+        paths.append(deque_shortest_path(w, w.vertices[a], w.vertices[b]))
+        paths.append(deque_shortest_path(w, w.vertices[rng.choice(shell)],
+                                         w.vertices[b]))
     paths.append([w.vertices[-1], w.space.neighbors(w.vertices[-1])[0]])
     dists = {}
     got = ([verify_gradient(_ray(p), f) for p, f in grads],
@@ -388,11 +363,12 @@ def test_confined_representation_matches_whole_window(name, params, radius,
     anchored = w.count_within(radius - fld.zone)
     for _ in range(12):
         a, b = (w.vertices[rng.choice(zone_idx)] for _ in range(2))
-        geo = tuple(shortest_path(w, a, b))
+        geo = tuple(deque_shortest_path(w, a, b))
         far = w.vertices[rng.choice(shell)]
         out = w.vertices[rng.randrange(anchored)]
-        rays += [_ray(shortest_path(w, a, far)), _ray(geo), _ray(geo[::-1]),
-                 _ray(geo + geo[-2::-1]), _ray(shortest_path(w, a, out))]
+        rays += [_ray(deque_shortest_path(w, a, far)), _ray(geo),
+                 _ray(geo[::-1]), _ray(geo + geo[-2::-1]),
+                 _ray(deque_shortest_path(w, a, out))]
     picks = rng.sample(zone_idx, min(6, len(zone_idx)))
     xs = [w.base, w.vertices[zone_idx[-1]]] + [w.vertices[i] for i in picks]
     # one call per ray, whose passes are confined to that ray's balls, and
@@ -415,7 +391,7 @@ def test_pass_at_x_reaches_past_the_anchors(monkeypatch):
     b_g(x) = 12 where the sweep has not settled."""
     w = materialize_window(build("h_graph"), (0, 0), 30)
     fld, _ = u_point_assigned(w, range(2, 31, 2), 7)
-    ray = _ray(shortest_path(w, (5, 0), (2, 8)))
+    ray = _ray(deque_shortest_path(w, (5, 0), (2, 8)))
     assert max(w.dist_from_base[w.index[v]] for v in ray.vertices) == 22
     report = representation_check(fld, (-6, 1), [ray])
     assert not report.entries
@@ -436,7 +412,7 @@ def test_confined_gromov_check_matches_whole_window(name, params, radius,
     zone = max(2, radius // 4)
     rng = random.Random(name)
     far = w.vertices[w.count_within(radius - zone) - 1]
-    ray = shortest_path(w, w.base, far)
+    ray = shortest_path(w, far)
     flds = [u_point_assigned(w, range(2, radius + 1, 2), zone)[0],
             u_r(w, radius // 2, zone), busemann(w, ray, len(ray) - 1,
                                                 zone)[0]]

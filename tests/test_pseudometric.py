@@ -6,10 +6,10 @@ import pytest
 from fractions import Fraction
 
 from dlscape import (ConsistencyError, ZoneError, anti_triangle_check,
-                     build, dist_field, equivalence_classes,
-                     materialize_window, oracle, point_assigned_family,
-                     rho_matrix, u_point_assigned)
+                     build, equivalence_classes, materialize_window, oracle,
+                     point_assigned_family, rho_matrix, u_point_assigned)
 from dlscape.pseudometric import RhoMatrix, base_lipschitz_gap
+from dlscape.space import _bfs_from_indices
 
 SCHED = range(8, 41, 4)
 
@@ -236,7 +236,8 @@ def test_family_rho_and_classes_match_caller_radius_windows(
         rho_ref = rho_matrix(w, sample, schedule, zone, fields=ref)
         assert (rho.two_rho, rho.stable) == (rho_ref.two_rho, rho_ref.stable)
         assert rho.dist == tuple(
-            tuple(dist_field(w, (x,))[w.index[y]] for y in sample)
+            tuple(_bfs_from_indices(w, [w.index[x]])[w.index[y]]
+                  for y in sample)
             for x in sample)
         part = equivalence_classes(w, sample, schedule, zone)
         part_ref = equivalence_classes(w, sample, schedule, zone,

@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from conftest import deque_shortest_path
 from hypothesis import given, settings, strategies as st
 
-from dlscape import (DomainError, ResourceLimitError, Window, ZoneError,
-                     build, dist_field, materialize_window, pairwise_dist,
-                     shortest_path, sphere, vertex_budget)
+from dlscape import (ResourceLimitError, ZoneError, build,
+                     materialize_window, pairwise_dist, shortest_path,
+                     sphere, vertex_budget)
 from dlscape.space import _bfs_from_indices
 
 SMALL = [("line", {}, 20), ("halfline", {}, 20), ("tree", {"b": 2}, 8),
@@ -104,11 +105,10 @@ def test_sphere_membership(line_window):
 
 
 def test_dist_field_multisource(line_window):
-    df = dist_field(line_window, [-3, 7])
-    assert df[line_window.index[0]] == 3
-    assert df[line_window.index[6]] == 1
-    with pytest.raises(DomainError):
-        dist_field(line_window, [])
+    idx = line_window.index
+    df = _bfs_from_indices(line_window, [idx[-3], idx[7]])
+    assert df[idx[0]] == 3
+    assert df[idx[6]] == 1
 
 
 def test_pairwise_dist(line_window):
@@ -119,7 +119,7 @@ def test_pairwise_dist(line_window):
 
 
 def test_shortest_path(h_window):
-    path = shortest_path(h_window, (0, 0), (3, 3))
+    path = shortest_path(h_window, (3, 3))
     assert path[0] == (0, 0) and path[-1] == (3, 3)
     assert len(path) - 1 == h_window.dist_from_base[h_window.index[(3, 3)]]
     for a, b in zip(path, path[1:]):
@@ -144,12 +144,6 @@ def test_require_zone(h_window):
     assert exc.value.parameter == "zone" and exc.value.need == 6
 
 
-def test_window_to_json(line_window):
-    data = line_window.to_json()
-    assert data["base"] == "0" and data["radius"] == 60
-    assert len(data["vertices"]) == len(line_window.vertices)
-
-
 def _held(w):
     """The window's lists as held, without growing it."""
     return (w.grown, w._vertices, list(w._index.items()), w._dist,
@@ -162,11 +156,11 @@ def _eager(space, base, radius):
     return _held(w)
 
 
-def _on_demand(space, base, radius):
+def _on_demand(space, base, radius, known=None):
     """A window that grows on demand, whatever bound the space proves."""
     space.ball_size_bound = lambda base, radius: 1
     try:
-        w = materialize_window(space, base, radius)
+        w = materialize_window(space, base, radius, known=known)
     finally:
         del space.ball_size_bound
     assert w.grown == 0
@@ -176,16 +170,28 @@ def _on_demand(space, base, radius):
 @pytest.mark.parametrize("name,params,radius", SMALL)
 def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
     """Grown in seeded random steps, through count_within, geodesic_ball
-    and lookups, a window in state r holds the window of radius r."""
+    and lookups, a window in state r holds the window of radius r, from
+    the generator (three windows at the base) and from the rows of a
+    known window: bases inside it, with radii that reach its boundary
+    shell, and bases on that shell and past it, which known cannot serve
+    and the generator does."""
     space = build(name, params)
     base = space.default_base()
-    whole = materialize_window(space, base, radius)
+    known = materialize_window(space, base, radius)
+    outer = materialize_window(space, base, radius + 1)
+    dist = outer.dist_from_base
     rng = random.Random(name)
-    for _ in range(3):
-        w = _on_demand(space, base, radius)
+    starts = [(base, radius, None)] * 3
+    for i in (1, known.count_within(radius // 2) - 1, len(known) - 1,
+              len(outer) - 1):
+        starts.append((outer.vertices[i], max(1, radius - dist[i]), known))
+    for b, m, kn in starts:
+        whole = materialize_window(space, b, m)
+        w = _on_demand(space, b, m, kn)
+        assert w.known is (kn if dist[outer.index[b]] < radius else None)
         r = 0
-        while r < radius:
-            r = min(radius, r + rng.randint(1, 4))
+        while r < m:
+            r = min(m, r + rng.randint(1, 4))
             op = rng.randrange(3)
             if op == 0:
                 assert w.count_within(r) == len(w._vertices)
@@ -197,9 +203,9 @@ def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
                 assert r <= w.grown <= max(1, 2 * r)
                 r = w.grown
             assert w.grown == r
-            assert _held(w) == _eager(space, base, r)
-        assert w.count_within(radius + 5) == len(w._vertices)
-        assert w.grown == radius
+            assert _held(w) == _eager(space, b, r)
+        assert w.count_within(m + 5) == len(w._vertices)
+        assert w.grown == m
 
 
 def _miss(w):
@@ -208,9 +214,7 @@ def _miss(w):
 
 
 PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.index,
-                lambda w: w.dist_from_base, lambda w: w.adjacency,
-                Window.edge_list, Window.to_json, _miss,
-                lambda w: dist_field(w, [w.base]),
+                lambda w: w.dist_from_base, lambda w: w.adjacency, _miss,
                 lambda w: _bfs_from_indices(w, [0])]
 
 
@@ -228,22 +232,23 @@ def test_whole_window_reads_grow_to_the_radius(name, params, radius):
 
 @pytest.mark.parametrize("name,params,radius", SMALL)
 def test_shortest_path_stops_at_its_ball(name, params, radius):
-    """From s to g, a window held to max(d(base, s), d(base, g)) grows to
-    L = 2 d(base, s) + d(base, g), or R when L > R, and no further; the
-    path is the one the whole window gives."""
+    """The path to g grows a window held to a random state no further than
+    ``find(g)`` grows its twin; it is the BFS path the whole window gives."""
     space = build(name, params)
     base = space.default_base()
     whole = materialize_window(space, base, radius)
-    n, dist = len(whole), whole.dist_from_base
+    n = len(whole)
     rng = random.Random(name)
-    pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
-    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
-    for s, g in pairs:
-        a, b = whole.vertices[s], whole.vertices[g]
-        w = _on_demand(space, base, radius)
-        w.count_within(max(dist[s], dist[g]))
-        assert shortest_path(w, a, b) == shortest_path(whole, a, b)
-        assert w.grown == min(radius, 2 * dist[s] + dist[g]), (a, b)
+    for g in [0, n - 1] + [rng.randrange(n) for _ in range(20)]:
+        b = whole.vertices[g]
+        w, twin = _on_demand(space, base, radius), \
+            _on_demand(space, base, radius)
+        held = rng.randint(0, radius)
+        w.count_within(held)
+        twin.count_within(held)
+        twin.find(b)
+        assert shortest_path(w, b) == deque_shortest_path(whole, base, b)
+        assert w.grown == twin.grown, b
 
 
 def test_windows_grow_on_demand_only_under_the_vertex_budget():

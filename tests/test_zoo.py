@@ -5,13 +5,21 @@ from fractions import Fraction
 
 from dlscape import (DomainError, GeneratorParamError,
                      UnknownGeneratorError, build, build_from_dict, catalog,
-                     dist_field, materialize_window, oracle)
+                     materialize_window, oracle)
+from dlscape.space import _bfs_from_indices
 
 ALL = [("line", {}, 25), ("halfline", {}, 25), ("tree", {"b": 1}, 25),
        ("tree", {"b": 2}, 10), ("tree", {"b": 3}, 7), ("grid2d", {}, 9),
        ("h_graph", {}, 18), ("stick", {"m": 3, "h": 0}, 12),
        ("stick", {"m": 6, "h": 3}, 14), ("pendant_line", {}, 14),
        ("cylinder", {"m": 5}, 12)]
+
+
+# The most neighbors a vertex has, from the generator's params.
+DEGREE_BOUND = {"line": lambda p: 2, "halfline": lambda p: 2,
+                "tree": lambda p: p["b"] + 1, "grid2d": lambda p: 4,
+                "h_graph": lambda p: 4, "stick": lambda p: max(p["m"], 4),
+                "pendant_line": lambda p: 3, "cylinder": lambda p: 4}
 
 
 @pytest.mark.parametrize("name,params,radius", ALL)
@@ -22,7 +30,7 @@ def test_generator_structure(name, params, radius):
         assert space.contains(v)
         nbrs = space.neighbors(v)
         # symmetry of the neighbor relation and the declared degree bound
-        assert len(nbrs) == len(set(nbrs)) <= space.degree_bound
+        assert len(nbrs) == len(set(nbrs)) <= DEGREE_BOUND[name](params)
         for u in nbrs:
             assert space.contains(u)
             assert v in space.neighbors(u)
@@ -102,7 +110,7 @@ def test_h_graph_neighbors_match_the_sorted_rule():
 
 def test_h_graph_axis_distance(h_window):
     # reaching (0,k) needs the arm through (k,0) or (-k,0): 3k hops
-    df = dist_field(h_window, [(0, 0)])
+    df = _bfs_from_indices(h_window, [0])
     for k in range(1, 16):
         assert df[h_window.index[(0, k)]] == 3 * k
 
@@ -127,7 +135,7 @@ def test_closed_form_distance_is_the_window_distance(name, params, radius):
 def test_stick_apex_distance():
     space = build("stick", {"m": 5, "h": 2})
     w = materialize_window(space, ("apex",), 12)
-    df = dist_field(w, [("apex",)])
+    df = _bfs_from_indices(w, [0])
     for v in w.vertices:
         assert df[w.index[v]] == space.dist_to_apex(v)
 
