@@ -18,6 +18,8 @@ from .pseudometric import (anti_triangle_check, base_lipschitz_gap,
                            point_assigned_family)
 from .space import materialize_window, sphere
 
+POOL_SIZE = 8               # bases of the field pool
+
 
 @dataclass
 class SuiteResult:
@@ -50,11 +52,11 @@ def _suite_schedule(radius):
 
 def _suite_settles(radius):
     """Whether the suite schedule can mark a value stable.  The stability
-    rule (:meth:`~dlscape.fields.ConvergenceReport.from_last_change`, tail
-    2 * zone) needs two parameters above the cutoff max(schedule) -
-    2 * zone and one at or below it.  No value last changes before the
-    first parameter, and the base's value, 0 at every step, last changes
-    there, so this holds exactly when some value can be stable."""
+    rule (:func:`~dlscape.fields._stable_from`, tail 2 * zone) needs two
+    parameters above the cutoff max(schedule) - 2 * zone and one at or
+    below it.  No value last changes before the first parameter, and the
+    base's value, 0 at every step, last changes there, so this holds
+    exactly when some value can be stable."""
     zone, schedule = _suite_schedule(radius)
     if not schedule:
         return False
@@ -75,7 +77,7 @@ def suite_monotone(space, radius, trials, seed):
     window = _window(space, radius)
     rng = random.Random(seed)
     dist = window._dist
-    inner = window.indices_within(radius // 3)
+    inner = range(window.count_within(radius // 3))
     zone = max(1, radius // 3)
     cache = {}
 
@@ -101,7 +103,7 @@ def suite_monotone(space, radius, trials, seed):
     return result
 
 
-def _field_pool(space, radius, pool_size, rng):
+def _field_pool(space, radius, rng):
     """Point-assigned fields for a small random pool of nearby vertices.
 
     The suites that read the pool check stable values only, so a radius
@@ -116,17 +118,17 @@ def _field_pool(space, radius, pool_size, rng):
                         "any field value stable", parameter="radius",
                         need=need)
     zone, schedule = _suite_schedule(radius)
-    inner = window.indices_within(zone // 2)
-    picks = sorted(rng.sample(inner, min(pool_size, len(inner))))
+    inner = range(window.count_within(zone // 2))
+    picks = sorted(rng.sample(inner, min(POOL_SIZE, len(inner))))
     bases = [window._vertices[i] for i in picks]
     fields = point_assigned_family(window, bases, schedule, zone)
     return window, bases, fields
 
 
-def suite_anti_triangle(space, radius, trials, seed, pool_size=8):
+def suite_anti_triangle(space, radius, trials, seed):
     """u_x(y) + u_y(z) <= u_x(z) on sampled triples from a field pool."""
     rng = random.Random(seed)
-    window, bases, fields = _field_pool(space, radius, pool_size, rng)
+    window, bases, fields = _field_pool(space, radius, rng)
     result = SuiteResult("anti-triangle", trials, 0)
     labels = window.space.vertex_label
     for _ in range(trials):
@@ -144,12 +146,12 @@ def suite_anti_triangle(space, radius, trials, seed, pool_size=8):
     return result
 
 
-def suite_lipschitz(space, radius, trials, seed, pool_size=8):
+def suite_lipschitz(space, radius, trials, seed):
     """sup_zone |u_a - u_b| <= d(a, b) over sampled base pairs, on the
     zone vertices stable in both fields (:func:`base_lipschitz_gap`); the
     stats count the vertices ``skipped`` as unstable."""
     rng = random.Random(seed)
-    window, bases, fields = _field_pool(space, radius, pool_size, rng)
+    window, bases, fields = _field_pool(space, radius, rng)
     result = SuiteResult("lipschitz", trials, 0)
     labels = window.space.vertex_label
     skipped = 0
@@ -196,7 +198,7 @@ def suite_coray(space, radius, trials, seed):
     rng = random.Random(seed)
     zone, schedule = _suite_schedule(radius)
     fld, _ = u_point_assigned(window, schedule, zone)
-    starts = window.indices_within(zone)
+    starts = range(window.count_within(zone))
     result = SuiteResult("coray", trials, 0)
     traced = 0
     for _ in range(trials):

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DescentError, DomainError, ZoneError
-from .fields import (ConvergenceReport, _anchor_sets, _geodesic,
-                     _resolve_sets)
+from .fields import _anchor_sets, _geodesic, _resolve_sets, _stable_from
 
 
 @dataclass(frozen=True)
@@ -217,9 +216,8 @@ def representation_check(field, x, corays):
             b = dx[anchors[t]] - t
             if b != bx:
                 bx, change = b, t
-        brep = ConvergenceReport.from_last_change(steps, 2 * zone,
-                                                  {ix: change})
-        stable = brep.stable[ix] or (start == x and bx == 0)
+        stable = _stable_from(steps, 2 * zone, {ix: change})[ix] or \
+            (start == x and bx == 0)
         bound = u_start + bx
         entry = ReprEntry(start, bx, u_start, bound,
                           equality=(ux == bound), stable=stable)

@@ -35,7 +35,7 @@ class ConvergenceReport:
 
     ``stable`` and ``last_change`` map each valued zone vertex index to
     its stability flag and to the parameter of its value's last change,
-    under the rule of :meth:`from_last_change`.  Either may be given as a
+    under the rule of :func:`_stable_from`.  Either may be given as a
     dict or as a function of no arguments that returns one, called on
     the first read of its attribute.  A sweep (:func:`_sweep`) gives
     functions, so a certificate no caller reads costs no pass:
@@ -46,7 +46,7 @@ class ConvergenceReport:
       its entries are monotone and end at that value, so its last change
       is at or before p* exactly then.  A point-assigned vertex whose
       final value is -d(base, x) is dated with no pass at all.
-    - ``last_change`` is the ascending scan, which reuses every pass the
+    - ``last_change`` is the ascending walk, which reuses every pass the
       ``stable`` read already ran; ``stable`` read after it needs none.
 
     Reports compare equal when their schedules, tails and resolved dicts
@@ -82,13 +82,6 @@ class ConvergenceReport:
     def __repr__(self):
         return ("ConvergenceReport(schedule=%r, tail=%r, stable=%r, "
                 "last_change=%r)" % self._key())
-
-    @classmethod
-    def from_last_change(cls, schedule, tail, last_change):
-        """The report of dated vertices, stable by :func:`_stable_from`."""
-        schedule = tuple(schedule)
-        return cls(schedule, tail, _stable_from(schedule, tail, last_change),
-                   last_change)
 
 
 @dataclass
@@ -195,26 +188,26 @@ def _sweep(window, kind, zone, tail, steps, on=None):
       >= -d(base, x).  A vertex whose final value is -d(base, x) has that
       entry at every step: its last change is its first entry, at the
       first parameter >= d(base, x), and no pass dates it.
+    - One walk dates the vertices not dated free, along a list of steps
+      in schedule order: a vertex leaves the pending list at its first
+      entry equal to its final value, dated at that step.  A step's pass
+      runs only while a pending vertex has an entry there (the list is
+      sorted, so ``pending[0] < n``, n the number of zone vertices within
+      its reach).
     - ``stable``.  With cutoff = max(schedule) - tail, no pass runs when
       fewer than two parameters exceed it: every vertex is unstable.
       Otherwise let p* be the largest parameter at or below it.  A vertex
       is stable iff its entry at p* equals its final value; one with no
       entry there has its first entry, so its last change, past p*.  The
-      vertices not dated free take at most two passes: the one at the
-      smallest parameter where one of them has an entry, which proves
-      stable those whose entry there equals their final value, then the
-      one at p* for the rest.
-    - ``last_change``.  Each vertex is dated at the first parameter of its
-      final run of entries equal to its final value, its last change.
-      After the free dates the other steps run in schedule order, and a
-      vertex leaves the pending list at its first entry equal to its
-      final value.  A step's pass runs only while a pending vertex has an
-      entry there (the list is sorted, so ``pending[0] < n``, n the number
-      of zone vertices within its reach).  ``stable`` read afterwards
-      needs no pass, and the held passes are dropped.
+      walk over the vertices with an entry at p* takes two steps, the
+      first where one of them has an entry, then p*: at most two passes.
+    - ``last_change``.  The walk over every vertex takes every step but
+      the last; its date, else the last step, is the vertex's last change.
+      ``stable`` read afterwards needs no pass; the held passes are dropped.
 
-    The other kinds keep every vertex pending, so the scan runs every
-    pass, and ``stable`` reads the dates.
+    The other kinds keep every vertex pending, dated at the first step of
+    its final run of entries equal to its final value, so the walk runs
+    every pass, and ``stable`` reads the dates.
     """
     steps = list(steps)
     count = window.count_within
@@ -269,44 +262,10 @@ class _Certificate:
         return {i: bisect_right(ns, i) for i, u in enumerate(self.final)
                 if u == -dist[i]}
 
-    def stable(self):
-        schedule, ns, final = self.schedule, self.ns, self.final
-        if self.dated is not None or not self.monotone:
-            return _stable_from(schedule, self.tail, self.last_change())
-        cutoff = schedule[-1] - self.tail
-        flags = dict.fromkeys(range(len(final)), False)
-        if sum(p > cutoff for p in schedule) < 2:
-            return flags
-        top = bisect_right(schedule, cutoff) - 1        # the step of p*
-        free = self.free_steps()
-        pending = []
-        for i in flags:
-            k = free.get(i)
-            if k is not None:
-                flags[i] = k <= top
-            elif bisect_right(ns, i) <= top:
-                pending.append(i)
-        for k in sorted({bisect_right(ns, pending[0]), top}) \
-                if pending else ():
-            e, n = self.entries(k), ns[k]
-            rest = []
-            for i in pending:
-                if i < n and e[i] == final[i]:
-                    flags[i] = True
-                else:
-                    rest.append(i)
-            pending = rest
-            if not pending:
-                break
-        return flags
-
-    def last_change(self):
-        if self.dated is not None:
-            return self.dated
-        schedule, ns, final = self.schedule, self.ns, self.final
-        changed = {i: schedule[k] for i, k in self.free_steps().items()}
-        pending = [i for i in range(len(final)) if i not in changed]
-        for k, param in enumerate(schedule[:-1]):
+    def _walk(self, ks, pending, dates):
+        """:func:`_sweep`'s walk along ``ks``: ``dates``, vertex -> step."""
+        ns, final = self.ns, self.final
+        for k in ks:
             if not pending:
                 break
             n = ns[k]
@@ -317,16 +276,38 @@ class _Certificate:
             kept = []
             for i in pending[:cut]:
                 if e[i] != final[i]:
-                    changed.pop(i, None)
+                    dates.pop(i, None)
                 else:
-                    changed.setdefault(i, param)
+                    dates.setdefault(i, k)
                     if self.monotone:
                         continue
                 kept.append(i)
             pending = kept + pending[cut:]
-        self.dated = {i: changed.get(i, schedule[-1])
-                      for i in range(len(final))}
-        self.run = self.held = None
+        return dates
+
+    def stable(self):
+        schedule, ns, n = self.schedule, self.ns, len(self.final)
+        if self.dated is not None or not self.monotone:
+            return _stable_from(schedule, self.tail, self.last_change())
+        cutoff = schedule[-1] - self.tail
+        if sum(p > cutoff for p in schedule) < 2:
+            return dict.fromkeys(range(n), False)
+        top = bisect_right(schedule, cutoff) - 1        # the step of p*
+        free = self.free_steps()
+        pending = [i for i in range(n)
+                   if i not in free and bisect_right(ns, i) <= top]
+        dates = self._walk(sorted({bisect_right(ns, pending[0]), top})
+                           if pending else (), pending, free)
+        return {i: dates.get(i, top + 1) <= top for i in range(n)}
+
+    def last_change(self):
+        if self.dated is None:
+            schedule, n = self.schedule, len(self.final)
+            free = self.free_steps()
+            dates = self._walk(range(len(schedule) - 1),
+                               [i for i in range(n) if i not in free], free)
+            self.dated = {i: schedule[dates.get(i, -1)] for i in range(n)}
+            self.run = self.held = None
         return self.dated
 
 
@@ -349,7 +330,7 @@ def u_r(window, r, zone):
     count = window.count_within
     df = _bfs_from_indices(window, range(count(r - 1), count(r)),
                            count(max(r, zone)))
-    zone_idx = window.indices_within(zone)
+    zone_idx = range(count(zone))
     values = {i: df[i] - r for i in zone_idx}
     report = ConvergenceReport((r,), 0, {i: True for i in zone_idx},
                                {i: r for i in zone_idx})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 
 from .errors import DomainError, ResourceLimitError, ZoneError
 
@@ -161,25 +161,25 @@ class Window:
         each of its neighbors in B_rho(base); its row there keeps those, in
         generator order.  So both sources give the same window.
 
-        One loop reads both.  From the generator the keys that name
-        vertices are the vertices, rows come from ``space.neighbors``, the
-        map from a key to the index here is the index, and the loop reads
-        one run that grows as it finds vertices.  From known the keys are
-        known's indices, rows are known's rows and the map is ``own``, so
-        the loop hashes vertices only to look up the shells it resumes from
-        and to enter each vertex in the index, not for each neighbor.
+        One loop reads both, as one run over the keys that name the
+        vertices from S_grown on; the run grows as the loop finds them.
+        From the generator the keys are the vertices, rows come from
+        ``space.neighbors`` and the map from a key to the index here is the
+        index.  From known the keys are known's indices, rows are known's
+        rows and the map is ``own``, so the loop hashes a vertex only to
+        look up the shells it resumes from and to enter it in the index,
+        once, at the end.
 
-        ``own`` maps a known index to the index here, for every held vertex
-        a row read next can name.  A row of a vertex of the shell S_d names
-        only vertices of S_{d - 1}, S_d and S_{d + 1}, as an edge changes
-        the distance to the base by at most one.  So ``own`` holds
-        S_{grown - 1} and S_grown at first, the loop reads known's keys one
-        run per shell, and S_{d - 1} moves from ``own`` to the index before
-        the loop moves one shell out, past S_d.  A known index missing from
-        ``own`` is then a vertex not held here, which the generator route's
-        index lookup would miss too, and both routes build the same rows.
-        Nothing outlives the call, and what it holds is three shells, not
-        the window.
+        ``own`` is a flat table over known's indices of B_{s + 1}(o), o =
+        known.base: the index here of each held vertex from S_{grown - 1}
+        on, None elsewhere.  Every row read is of a vertex of B_rho(base),
+        within s of o, so it names only vertices within s + 1 of o, whose
+        known indices are below ``bisect_right(known._dist, s + 1)`` in
+        breadth-first order.  A row of S_d names only vertices of S_{d - 1},
+        S_d and S_{d + 1}, as an edge changes the distance to the base by
+        at most one, so a None entry is a vertex not held here, which the
+        generator route's index lookup would miss too: both routes build
+        the same rows.  The index shares the rows' int objects.
         """
         radius = min(rho, self.radius)
         if radius <= self.grown:
@@ -189,54 +189,48 @@ class Window:
         head = bisect_left(dist, self.grown)
         del adjacency[head:]
         if known is None:
-            keys, own, rows = vertices, index, self.space.neighbors
-            runs = (zip(islice(vertices, head, None),
-                        islice(dist, head, None)),)
+            first, keys, own, rows = 0, vertices, index, self.space.neighbors
+            get = own.get
         else:
             kv, kindex = known._vertices, known._index
-            known.count_within(known._dist[kindex[self.base]] + radius)
+            s = known._dist[kindex[self.base]] + radius
+            known.count_within(s)
             first = bisect_left(dist, self.grown - 1)
-            keys = [kindex[v] for v in vertices[first:]]
-            own = dict(zip(keys, range(first, len(dist))))
-            rows = known._adjacency.__getitem__
-
-            def shells(lo, head):
-                while head < len(dist):
-                    hi = len(dist)
-                    yield zip(keys[head - first:hi - first],
-                              repeat(dist[head]))
-                    for k in keys[lo - first:head - first]:
-                        index[kv[k]] = own.pop(k)
-                    lo, head = head, hi
-
-            runs = shells(first, head)
-        get, add, grow_dist = own.get, keys.append, dist.append
-        for run in runs:
-            for k, dv in run:
-                row = []
-                if dv < radius:
-                    for kw in rows(k):
-                        j = get(kw)
-                        if j is None:
-                            j = len(dist)
-                            if j >= budget:
-                                raise ResourceLimitError(
-                                    f"window ({self.space!r}, base="
-                                    f"{self.base!r}, R={self.radius}) "
-                                    f"exceeds vertex budget {budget}")
-                            own[kw] = j
-                            add(kw)
-                            grow_dist(dv + 1)
+            keys = [kindex[v] for v in islice(vertices, first, None)]
+            own = [None] * bisect_right(known._dist, s + 1)
+            for k, j in zip(keys, range(first, len(dist))):
+                own[k] = j
+            get, rows = own.__getitem__, known._adjacency.__getitem__
+        add, grow_dist = keys.append, dist.append
+        for k, dv in zip(islice(keys, head - first, None),
+                         islice(dist, head, None)):
+            row = []
+            if dv < radius:
+                for kw in rows(k):
+                    j = get(kw)
+                    if j is None:
+                        j = len(dist)
+                        if j >= budget:
+                            raise ResourceLimitError(
+                                f"window ({self.space!r}, base="
+                                f"{self.base!r}, R={self.radius}) "
+                                f"exceeds vertex budget {budget}")
+                        own[kw] = j
+                        add(kw)
+                        grow_dist(dv + 1)
+                    row.append(j)
+            else:
+                for kw in rows(k):
+                    j = get(kw)
+                    if j is not None:
                         row.append(j)
-                else:
-                    for kw in rows(k):
-                        j = get(kw)
-                        if j is not None:
-                            row.append(j)
-                adjacency.append(tuple(row))
+            adjacency.append(tuple(row))
         if known is not None:
-            vertices += map(kv.__getitem__, keys[len(vertices) - first:])
-            index.update(zip(map(kv.__getitem__, own), own.values()))
+            new = len(vertices)
+            vertices += map(kv.__getitem__, islice(keys, new - first, None))
+            index.update(zip(islice(vertices, new, None),
+                             map(own.__getitem__,
+                                 islice(keys, new - first, None))))
         self.grown = radius
 
     @property
@@ -332,9 +326,6 @@ class Window:
             d = self._passes[i] = _bfs_from_indices(self, [i], limit)
         return d
 
-    def indices_within(self, rho):
-        return list(range(self.count_within(rho)))
-
     def require_zone(self, vertex, rho, what="query"):
         i = self.find(vertex)
         if i is None:
@@ -375,7 +366,7 @@ class Window:
         return idxs
 
 
-def materialize_window(space, base, radius, max_vertices=None, known=None):
+def materialize_window(space, base, radius, known=None):
     """Breadth-first materialization of ``B_radius(base)``.
 
     Adjacency rows keep the generator's neighbor order, restricted to
@@ -394,7 +385,7 @@ def materialize_window(space, base, radius, max_vertices=None, known=None):
     if radius < 0:
         raise DomainError("radius must be >= 0")
     space.check_vertex(base)
-    budget = max_vertices if max_vertices is not None else vertex_budget()
+    budget = vertex_budget()
     if known is not None:
         k = known.find(base)
         if k is None or known._dist[k] + radius > known.radius:

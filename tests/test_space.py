@@ -37,7 +37,7 @@ def test_window_invariants(name, params, radius):
     # to B_r agrees with the whole-window BFS there
     for r in range(radius + 1):
         ball = [i for i, d in enumerate(w.dist_from_base) if d <= r]
-        assert w.indices_within(r) == ball
+        assert ball == list(range(w.count_within(r)))
         assert sphere(w, r) == tuple(sorted(
             v for v, d in zip(w.vertices, w.dist_from_base) if d == r))
         seeds = [i for i in ball if w.dist_from_base[i] == r]
@@ -51,11 +51,13 @@ def _window_fields(w):
             w.dist_from_base, w.adjacency)
 
 
-@pytest.mark.parametrize("name,params,radius", SMALL)
+@pytest.mark.parametrize("name,params,radius",
+                         SMALL + [("line", {}, 3000), ("halfline", {}, 3000)])
 def test_materialize_from_known_window(name, params, radius):
     """Rows taken from a known window give the plain materialization, for
     bases inside it, on its boundary shell and outside it, and for radii
-    inside it and reaching past its edge."""
+    inside it and reaching past its edge; the line and halfline at radius
+    3,000 grow thin shells, one or two vertices each, from known rows."""
     space = build(name, params)
     known = materialize_window(space, space.default_base(), radius)
     outer = materialize_window(space, space.default_base(), radius + 2)
@@ -75,14 +77,56 @@ def test_materialize_from_known_window(name, params, radius):
                 _window_fields(plain)
 
 
-def test_materialize_from_known_window_checks():
+class _RecordingRows(list):
+    """Adjacency rows that record the index of each row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return list.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_growth_from_known_rows_reads_only_its_ball(name, params, radius):
+    """Growing B_r(b) from known rows, one step at a time, reads each row
+    it builds once, and each is a row of known's B_s(o), s = d(o, b) + r,
+    so every index the flat table looks up lies in B_{s + 1}(o)."""
+    space = build(name, params)
+    known = materialize_window(space, space.default_base(), radius)
+    dist = known.dist_from_base
+    rows = known._adjacency = _RecordingRows(known._adjacency)
+    for i in sorted({0, 1, known.count_within(radius // 3) - 1}):
+        b = known.vertices[i]
+        w = materialize_window(space, b, radius - dist[i], known=known)
+        for r in range(1, radius - dist[i] + 1):
+            head = w.count_within(r - 2) if r > 1 else 0   # S_{r - 1}
+            rows.read.clear()
+            n = w.count_within(r)
+            grown = w._vertices[head:n]
+            assert sorted(rows.read) == sorted(known.index[v] for v in grown)
+            assert max(rows.read) < known.count_within(dist[i] + r)
+        assert _window_fields(w) == _window_fields(
+            materialize_window(space, b, radius - dist[i]))
+
+
+def _budgeted(monkeypatch, budget, space, base, radius, known=None):
+    """materialize_window under a vertex budget of ``budget``."""
+    with monkeypatch.context() as m:
+        m.setenv("DLSCAPE_MAX_VERTICES", str(budget))
+        return materialize_window(space, base, radius, known=known)
+
+
+def test_materialize_from_known_window_checks(monkeypatch):
     """The vertex budget holds on both paths: a ball past the known
     window's edge and one read off its rows."""
     known = materialize_window(build("line"), 0, 10)
     with pytest.raises(ResourceLimitError):
-        materialize_window(known.space, 3, 30, max_vertices=20, known=known)
+        _budgeted(monkeypatch, 20, known.space, 3, 30, known=known)
     with pytest.raises(ResourceLimitError):
-        materialize_window(known.space, 3, 5, max_vertices=5, known=known)
+        _budgeted(monkeypatch, 5, known.space, 3, 5, known=known)
 
 
 @given(x=st.integers(-30, 30))
@@ -251,17 +295,17 @@ def test_shortest_path_stops_at_its_ball(name, params, radius):
         assert w.grown == twin.grown, b
 
 
-def test_windows_grow_on_demand_only_under_the_vertex_budget():
+def test_windows_grow_on_demand_only_under_the_vertex_budget(monkeypatch):
     """The budget rule: a window is built on demand only when the space's
     bound on |B_R| fits the budget, so ResourceLimitError still comes at
     construction, on the inputs it always came on."""
     line, tree = build("line"), build("tree", {"b": 2})
-    assert materialize_window(line, 0, 30, max_vertices=61).grown == 0
+    assert _budgeted(monkeypatch, 61, line, 0, 30).grown == 0
     with pytest.raises(ResourceLimitError):
-        materialize_window(line, 0, 30, max_vertices=60)
+        _budgeted(monkeypatch, 60, line, 0, 30)
     assert materialize_window(tree, (), 6).grown == 0
     with pytest.raises(ResourceLimitError):
-        materialize_window(tree, (), 6, max_vertices=126)
+        _budgeted(monkeypatch, 126, tree, (), 6)
     # a space that proves no bound builds at once
     tree.ball_size_bound = lambda base, radius: None
     assert materialize_window(tree, (), 6).grown == 6
@@ -296,7 +340,8 @@ BOUNDED_MORE = [
 
 
 @pytest.mark.parametrize("name,params,radius,bases", BOUNDED_MORE)
-def test_ball_size_bound_more_generators(name, params, radius, bases):
+def test_ball_size_bound_more_generators(name, params, radius, bases,
+                                         monkeypatch):
     """ball_size_bound(base, R) >= |B_R(base)| from several bases; a window
     past the budget still raises at construction, and one inside the
     bound grows on demand."""
@@ -308,7 +353,6 @@ def test_ball_size_bound_more_generators(name, params, radius, bases):
             assert bound >= size, (base, r, bound, size)
             if name == "tree" and base == ():
                 assert bound == size
-        assert materialize_window(space, base, radius,
-                                  max_vertices=bound).grown == 0
+        assert _budgeted(monkeypatch, bound, space, base, radius).grown == 0
         with pytest.raises(ResourceLimitError):
-            materialize_window(space, base, radius, max_vertices=size - 1)
+            _budgeted(monkeypatch, size - 1, space, base, radius)
