@@ -376,8 +376,7 @@ def _search_union(X, Y, node_cap):
     return pairs, Fraction(best, unit), proved
 
 
-def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET,
-                                  node_cap=NODE_CAP):
+def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET):
     """Minimum-distortion pointed correspondence, exact within budget.
 
     Beyond the budget the search is capped and the best correspondence
@@ -386,7 +385,7 @@ def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET,
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    cap = node_cap if max(X.n, Y.n) <= budget else min(node_cap, 50_000)
+    cap = NODE_CAP if max(X.n, Y.n) <= budget else min(NODE_CAP, 50_000)
     pairs, dis, proved = _search_union(X, Y, cap)
     if pairs is None:
         raise ResourceLimitError("correspondence search found no complete "
@@ -590,16 +589,16 @@ class ExperimentReport:
 def pa_gh_experiment(field_x, field_y, mapping, eps):
     """Compare point-assigned fields across an eps-isometry-like map.
 
-    Deviations are in real units (hops / scale) so two spaces of
-    different scale compare exactly.  Vertices whose value is not flagged
-    stable on either side are skipped and listed; the verdict is
+    ``mapping`` is a function from field_x's vertices to field_y's, one of
+    :data:`MAPPINGS`.  Deviations are in real units (hops / scale) so two
+    spaces of different scale compare exactly.  Vertices whose value is not
+    flagged stable on either side are skipped and listed; the verdict is
     inconclusive unless that list is empty.  A map that fails on a source
     vertex, or sends one outside the target zone, raises DomainError.
     """
     eps = Fraction(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    fmap = mapping if callable(mapping) else mapping.__getitem__
     wx, wy = field_x.window, field_y.window
     sx, sy = wx.space.scale, wy.space.scale
     checked, unstable = 0, []
@@ -607,8 +606,8 @@ def pa_gh_experiment(field_x, field_y, mapping, eps):
     for i in sorted(field_x.values):
         vx = wx._vertices[i]
         try:
-            vy = fmap(vx)
-        except (TypeError, IndexError, KeyError):
+            vy = mapping(vx)
+        except (TypeError, IndexError):
             raise DomainError(f"map cannot take vertex {vx!r}") from None
         j = wy._index.get(vy)
         if j is None or j not in field_y.values:

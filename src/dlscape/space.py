@@ -38,9 +38,18 @@ class GraphSpace:
 
     Subclasses fix the vertex encoding, a deterministic neighbor order and
     a rational scale factor: the reported distance is ``hops / scale``.
+
+    A generator names itself in ``generator_id``, declares its parameters
+    in ``schema`` (name -> description, each held as the attribute of that
+    name; empty by default) and implements ``neighbors(v)`` and
+    ``contains(v)``, and where it can, ``ball_size_bound`` and
+    ``distance``.  It inherits its vertex codec, ``default_base()``,
+    ``parse_vertex(text)`` and ``vertex_label(v)``, from one of
+    :mod:`dlscape.zoo`'s vertex types, or defines its own.
     """
 
     generator_id = "?"
+    schema = {}
 
     def __init__(self, scale=Fraction(1)):
         scale = Fraction(scale)
@@ -48,25 +57,9 @@ class GraphSpace:
             raise DomainError("scale must be positive")
         self.scale = scale
 
-    # -- interface every generator implements -------------------------------
-    def neighbors(self, v):
-        raise NotImplementedError
-
-    def contains(self, v):
-        raise NotImplementedError
-
-    def default_base(self):
-        raise NotImplementedError
-
-    def parse_vertex(self, text):
-        raise NotImplementedError
-
-    def vertex_label(self, v):
-        raise NotImplementedError
-
     @property
     def params(self):
-        return {}
+        return {key: getattr(self, key) for key in self.schema}
 
     def ball_size_bound(self, base, radius):
         """A proven upper bound on |B_radius(base)|, or None when none is

@@ -14,19 +14,50 @@ from .errors import DomainError, GeneratorParamError, UnknownGeneratorError
 from .space import GraphSpace
 
 
-def _parse_int_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(f"expected 'x,y', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
-
-
 def _is_int(value):
     """An int that is not a bool: JSON's true and false load as bools."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class Line(GraphSpace):
+def _is_pair(v):
+    """A tuple of two ints, neither a bool."""
+    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
+
+
+class _IntVertices(GraphSpace):
+    """Integer vertices with decimal labels, based at 0, at graph distance
+    |a - b|."""
+
+    def default_base(self):
+        return 0
+
+    def distance(self, a, b):
+        return abs(a - b)
+
+    def parse_vertex(self, text):
+        return self.check_vertex(int(text))
+
+    def vertex_label(self, v):
+        return str(v)
+
+
+class _PairVertices(GraphSpace):
+    """Integer-pair vertices labelled 'x,y', based at (0, 0)."""
+
+    def default_base(self):
+        return (0, 0)
+
+    def parse_vertex(self, text):
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise DomainError(f"expected 'x,y', got {text!r}")
+        return self.check_vertex((int(parts[0]), int(parts[1])))
+
+    def vertex_label(self, v):
+        return f"{v[0]},{v[1]}"
+
+
+class Line(_IntVertices):
     """The integer line; contains a geodesic line through every vertex."""
 
     generator_id = "line"
@@ -40,20 +71,8 @@ class Line(GraphSpace):
     def contains(self, v):
         return _is_int(v)
 
-    def default_base(self):
-        return 0
 
-    def distance(self, a, b):
-        return abs(a - b)
-
-    def parse_vertex(self, text):
-        return int(text)
-
-    def vertex_label(self, v):
-        return str(v)
-
-
-class HalfLine(GraphSpace):
+class HalfLine(_IntVertices):
     """The one-ended ray 0,1,2,...; all point-assigned fields coincide."""
 
     generator_id = "halfline"
@@ -69,21 +88,6 @@ class HalfLine(GraphSpace):
     def contains(self, v):
         return _is_int(v) and v >= 0
 
-    def default_base(self):
-        return 0
-
-    def distance(self, a, b):
-        return abs(a - b)
-
-    def parse_vertex(self, text):
-        v = int(text)
-        if v < 0:
-            raise DomainError("halfline vertices are non-negative integers")
-        return v
-
-    def vertex_label(self, v):
-        return str(v)
-
 
 class Tree(GraphSpace):
     """Infinite rooted b-ary tree; every vertex is a pole for b >= 2.
@@ -93,6 +97,7 @@ class Tree(GraphSpace):
     """
 
     generator_id = "tree"
+    schema = {"b": "branching factor, int >= 1"}
 
     def __init__(self, b, scale=Fraction(1)):
         if not _is_int(b) or b < 1:
@@ -100,10 +105,6 @@ class Tree(GraphSpace):
                 "tree branching factor b must be an integer >= 1")
         super().__init__(scale)
         self.b = b
-
-    @property
-    def params(self):
-        return {"b": self.b}
 
     def ball_size_bound(self, base, radius):
         """B_R(base) lies in B_n(root), n = depth(base) + R: n + 1 vertices
@@ -122,7 +123,7 @@ class Tree(GraphSpace):
 
     def contains(self, v):
         return (isinstance(v, tuple)
-                and all(isinstance(c, int) and 0 <= c < self.b for c in v))
+                and all(_is_int(c) and 0 <= c < self.b for c in v))
 
     def default_base(self):
         return ()
@@ -130,15 +131,13 @@ class Tree(GraphSpace):
     def parse_vertex(self, text):
         if text in ("", "root"):
             return ()
-        v = tuple(int(c) for c in text.split("."))
-        self.check_vertex(v)
-        return v
+        return self.check_vertex(tuple(int(c) for c in text.split(".")))
 
     def vertex_label(self, v):
         return "root" if not v else ".".join(str(c) for c in v)
 
 
-class Grid2D(GraphSpace):
+class Grid2D(_PairVertices):
     """The Z^2 lattice with 4-neighbor adjacency."""
 
     generator_id = "grid2d"
@@ -151,23 +150,13 @@ class Grid2D(GraphSpace):
         return ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
 
     def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 2
-                and all(isinstance(c, int) for c in v))
-
-    def default_base(self):
-        return (0, 0)
+        return _is_pair(v)
 
     def distance(self, a, b):
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
-    def parse_vertex(self, text):
-        return _parse_int_pair(text)
 
-    def vertex_label(self, v):
-        return f"{v[0]},{v[1]}"
-
-
-class HGraph(GraphSpace):
+class HGraph(_PairVertices):
     """The H-graph: x-axis plus, for every i >= 1, the three-segment arm
     joining (-i,0) to (i,0) through height i, on both signs of x.
 
@@ -205,8 +194,7 @@ class HGraph(GraphSpace):
         return ((x, y - 1), (x + 1, y))
 
     def contains(self, v):
-        if not (isinstance(v, tuple) and len(v) == 2
-                and all(isinstance(c, int) for c in v)):
+        if not _is_pair(v):
             return False
         x, y = v
         if y < 0:
@@ -214,9 +202,6 @@ class HGraph(GraphSpace):
         if y == 0:
             return True
         return abs(x) <= y or (x != 0 and y <= abs(x))
-
-    def default_base(self):
-        return (0, 0)
 
     def distance(self, a, b):
         """From (0, 0) only: the axis point (x, 0) is |x| away, a column
@@ -227,14 +212,6 @@ class HGraph(GraphSpace):
             return None
         x, y = b
         return abs(x) + y if y <= abs(x) else 3 * y - abs(x)
-
-    def parse_vertex(self, text):
-        v = _parse_int_pair(text)
-        self.check_vertex(v)
-        return v
-
-    def vertex_label(self, v):
-        return f"{v[0]},{v[1]}"
 
 
 class Stick(GraphSpace):
@@ -247,6 +224,8 @@ class Stick(GraphSpace):
     """
 
     generator_id = "stick"
+    schema = {"m": "cycle length, int >= 3",
+              "h": "spoke interior vertices, int >= 0"}
 
     def __init__(self, m, h, scale=Fraction(1)):
         if not _is_int(m) or m < 3:
@@ -258,10 +237,6 @@ class Stick(GraphSpace):
         super().__init__(scale)
         self.m = m
         self.h = h
-
-    @property
-    def params(self):
-        return {"m": self.m, "h": self.h}
 
     def ball_size_bound(self, base, radius):
         """A step changes the distance to the apex by at most one, and each
@@ -291,7 +266,7 @@ class Stick(GraphSpace):
         return (down, ("ray", j, t + 1))
 
     def contains(self, v):
-        if not isinstance(v, tuple) or not v:
+        if not (isinstance(v, tuple) and v and all(map(_is_int, v[1:]))):
             return False
         kind = v[0]
         if kind == "apex":
@@ -310,9 +285,8 @@ class Stick(GraphSpace):
 
     def parse_vertex(self, text):
         parts = text.split(":")
-        v = (parts[0],) + tuple(int(p) for p in parts[1:])
-        self.check_vertex(v)
-        return v
+        return self.check_vertex(
+            (parts[0],) + tuple(int(p) for p in parts[1:]))
 
     def vertex_label(self, v):
         return ":".join(str(c) for c in v)
@@ -328,7 +302,7 @@ class Stick(GraphSpace):
         return self.h + 1 + v[2]
 
 
-class PendantLine(GraphSpace):
+class PendantLine(_PairVertices):
     """The integer line with one pendant leaf per integer.
 
     Vertices are (n, 0) on the spine and (n, 1) leaves; GH-close to the
@@ -349,35 +323,20 @@ class PendantLine(GraphSpace):
         return ((n, 0),)
 
     def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 2
-                and isinstance(v[0], int) and v[1] in (0, 1))
-
-    def default_base(self):
-        return (0, 0)
-
-    def parse_vertex(self, text):
-        v = _parse_int_pair(text)
-        self.check_vertex(v)
-        return v
-
-    def vertex_label(self, v):
-        return f"{v[0]},{v[1]}"
+        return _is_pair(v) and v[1] in (0, 1)
 
 
-class Cylinder(GraphSpace):
+class Cylinder(_PairVertices):
     """The two-ended discrete cylinder Z x Z_m."""
 
     generator_id = "cylinder"
+    schema = {"m": "circumference, int >= 3"}
 
     def __init__(self, m, scale=Fraction(1)):
         if not _is_int(m) or m < 3:
             raise GeneratorParamError("cylinder needs an integer m >= 3")
         super().__init__(scale)
         self.m = m
-
-    @property
-    def params(self):
-        return {"m": self.m}
 
     def ball_size_bound(self, base, radius):
         """A step changes x by at most one, so B_R((a, j)) lies in the
@@ -390,48 +349,25 @@ class Cylinder(GraphSpace):
         return ((x - 1, j), (x, (j - 1) % m), (x, (j + 1) % m), (x + 1, j))
 
     def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 2
-                and isinstance(v[0], int) and isinstance(v[1], int)
-                and 0 <= v[1] < self.m)
-
-    def default_base(self):
-        return (0, 0)
-
-    def parse_vertex(self, text):
-        v = _parse_int_pair(text)
-        self.check_vertex(v)
-        return v
-
-    def vertex_label(self, v):
-        return f"{v[0]},{v[1]}"
+        return _is_pair(v) and 0 <= v[1] < self.m
 
 
-GENERATORS = {
-    "line": (Line, {}),
-    "halfline": (HalfLine, {}),
-    "tree": (Tree, {"b": "branching factor, int >= 1"}),
-    "grid2d": (Grid2D, {}),
-    "h_graph": (HGraph, {}),
-    "stick": (Stick, {"m": "cycle length, int >= 3",
-                      "h": "spoke interior vertices, int >= 0"}),
-    "pendant_line": (PendantLine, {}),
-    "cylinder": (Cylinder, {"m": "circumference, int >= 3"}),
-}
+GENERATORS = {cls.generator_id: cls for cls in (
+    Line, HalfLine, Tree, Grid2D, HGraph, Stick, PendantLine, Cylinder)}
 
 
 def build(name, params=None, scale=Fraction(1)):
     """Instantiate a generator from the catalog."""
-    entry = GENERATORS.get(name)
-    if entry is None:
+    cls = GENERATORS.get(name)
+    if cls is None:
         raise UnknownGeneratorError(
             f"unknown generator {name!r}; known: {sorted(GENERATORS)}")
-    cls, schema = entry
     params = dict(params or {})
-    unknown = set(params) - set(schema)
+    unknown = set(params) - set(cls.schema)
     if unknown:
         raise GeneratorParamError(
             f"{name} does not take parameters {sorted(unknown)}")
-    missing = set(schema) - set(params)
+    missing = set(cls.schema) - set(params)
     if missing:
         raise GeneratorParamError(
             f"{name} requires parameters {sorted(missing)}")
@@ -458,10 +394,10 @@ def catalog():
     """Generator names, parameter schemas, and available oracles."""
     return {
         name: {
-            "params": dict(schema),
+            "params": dict(cls.schema),
             "oracles": sorted(_ORACLES.get(name, {})),
         }
-        for name, (cls, schema) in sorted(GENERATORS.items())
+        for name, cls in sorted(GENERATORS.items())
     }
 
 

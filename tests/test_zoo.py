@@ -36,6 +36,37 @@ def test_generator_structure(name, params, radius):
             assert v in space.neighbors(u)
         # label round trip
         assert space.parse_vertex(space.vertex_label(v)) == v
+    labels = {space.vertex_label(v) for v in w.vertices}
+    assert len(labels) == len(w.vertices)
+
+
+def _lookalikes(v):
+    """v with one int coordinate made a float, or a bool, of equal value:
+    each compares and hashes equal to v."""
+    if isinstance(v, int):
+        return [float(v)] + ([bool(v)] if v in (0, 1) else [])
+    out = []
+    for k, c in enumerate(v):
+        if isinstance(c, int):
+            out += [v[:k] + (c2,) + v[k + 1:] for c2 in _lookalikes(c)]
+    return out
+
+
+# A base equal to a vertex, held in bools.
+BOOL_BASE = {"line": False, "halfline": True, "tree": (False,),
+             "grid2d": (True, False), "h_graph": (True, False),
+             "stick": ("cycle", True), "pendant_line": (False, True),
+             "cylinder": (True, False)}
+
+
+@pytest.mark.parametrize("name,params,radius", ALL)
+def test_contains_refuses_bool_and_float_coordinates(name, params, radius):
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), min(radius, 6))
+    odd = [u for v in w.vertices for u in _lookalikes(v)]
+    assert odd and not any(space.contains(u) for u in odd)
+    with pytest.raises(DomainError):
+        materialize_window(space, BOOL_BASE[name], 4)
 
 
 def test_build_errors():
