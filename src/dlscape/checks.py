@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .corays import trace_corays, verify_gradient
 from .errors import DomainError, ZoneError
-from .fields import gromov_check, u_point_assigned, u_r
+from .fields import _stable_from, gromov_check, u_point_assigned, u_r
 from .pseudometric import (anti_triangle_check, base_lipschitz_gap,
                            point_assigned_family)
 from .space import materialize_window, sphere
@@ -51,17 +51,15 @@ def _suite_schedule(radius):
 
 
 def _suite_settles(radius):
-    """Whether the suite schedule can mark a value stable.  The stability
-    rule (:func:`~dlscape.fields._stable_from`, tail 2 * zone) needs two
-    parameters above the cutoff max(schedule) - 2 * zone and one at or
-    below it.  No value last changes before the first parameter, and the
-    base's value, 0 at every step, last changes there, so this holds
-    exactly when some value can be stable."""
+    """Whether the suite schedule can mark a value stable.  No value last
+    changes before the first parameter, and the base's value, 0 at every
+    step, last changes there, so some value can be stable exactly when the
+    base's is under the stability rule
+    (:func:`~dlscape.fields._stable_from`, tail 2 * zone)."""
     zone, schedule = _suite_schedule(radius)
     if not schedule:
         return False
-    cutoff = schedule[-1] - 2 * zone
-    return schedule[0] <= cutoff and sum(p > cutoff for p in schedule) >= 2
+    return _stable_from(schedule, 2 * zone, {0: schedule[0]})[0]
 
 
 def _label(window, i):

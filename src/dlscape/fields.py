@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import DomainError, ZoneError
 from .space import _bfs_from_indices
@@ -30,44 +30,98 @@ def _stable_from(schedule, tail, last_change):
     return {i: settled and c <= cutoff for i, c in last_change.items()}
 
 
+# Kinds whose sweep entries are monotone along the schedule: u^r(x) is
+# non-decreasing in r (:func:`u_point_assigned`), d(x, ray[t]) - t is
+# non-increasing in t (:func:`busemann`).
+_MONOTONE_KINDS = ("point_assigned", "busemann")
+
+
 class ConvergenceReport:
-    """Truncation certificate for a limit taken along a schedule.
+    """Truncation certificate of one :func:`_sweep`, under the rule of
+    :func:`_stable_from`.
 
     ``stable`` and ``last_change`` map each valued zone vertex index to
-    its stability flag and to the parameter of its value's last change,
-    under the rule of :func:`_stable_from`.  Either may be given as a
-    dict or as a function of no arguments that returns one, called on
-    the first read of its attribute.  A sweep (:func:`_sweep`) gives
-    functions, so a certificate no caller reads costs no pass:
+    its stability flag and to the parameter of its value's last change.
+    Each is computed on its first read, from the sweep's final values and
+    the deferred passes ``run(k)`` (step k's entries), each step's run at
+    most once and held until the dates are known; ``dist`` (point-assigned
+    only) gives d(base, x) for the free dates.  So a certificate no caller
+    reads costs no pass, and the read order sets the passes:
 
-    - ``stable`` of a monotone sweep needs no dates.  With p* the largest
-      schedule parameter at or below the cutoff, a vertex is stable iff
-      the schedule is settled and its entry at p* equals its final value:
-      its entries are monotone and end at that value, so its last change
-      is at or before p* exactly then.  A point-assigned vertex whose
-      final value is -d(base, x) is dated with no pass at all.
-    - ``last_change`` is the ascending walk, which reuses every pass the
-      ``stable`` read already ran; ``stable`` read after it needs none.
+    - ``stable`` read first runs at most two passes for a kind in
+      ``_MONOTONE_KINDS``, and none for the free dates (:func:`_sweep`
+      proves the rule); for any other kind it reads ``last_change``.
+    - ``last_change`` runs the ascending walk, reusing every pass held by
+      an earlier ``stable`` read, and drops the held passes; ``stable``
+      read after it runs no pass.
 
-    Reports compare equal when their schedules, tails and resolved dicts
-    do.  A report built from plain dicts behaves as a plain record.
+    Reports compare equal when their schedules, tails and both dicts do.
     """
 
-    def __init__(self, schedule, tail, stable, last_change):
+    def __init__(self, kind, schedule, tail, ns, final, run, dist):
         self.schedule, self.tail = schedule, tail
-        self._stable, self._last_change = stable, last_change
+        self._ns, self._final, self._run, self._dist = ns, final, run, dist
+        self._monotone = kind in _MONOTONE_KINDS
+        self._held = {}
 
-    @property
+    def _free_steps(self):
+        """Vertex -> the step of its first entry, for the vertices dated
+        with no pass."""
+        ns, dist = self._ns, self._dist
+        if dist is None:
+            return {}
+        return {i: bisect_right(ns, i) for i, u in enumerate(self._final)
+                if u == -dist[i]}
+
+    def _walk(self, ks, pending, dates):
+        """:func:`_sweep`'s walk along ``ks``: ``dates``, vertex -> step."""
+        ns, final = self._ns, self._final
+        for k in ks:
+            if not pending:
+                break
+            n = ns[k]
+            if pending[0] >= n:
+                continue
+            e = self._held.get(k)
+            if e is None:
+                e = self._held[k] = self._run(k)
+            cut = bisect_left(pending, n)
+            kept = []
+            for i in pending[:cut]:
+                if e[i] != final[i]:
+                    dates.pop(i, None)
+                else:
+                    dates.setdefault(i, k)
+                    if self._monotone:
+                        continue
+                kept.append(i)
+            pending = kept + pending[cut:]
+        return dates
+
+    @cached_property
     def stable(self):
-        if callable(self._stable):
-            self._stable = self._stable()
-        return self._stable
+        schedule, ns, n = self.schedule, self._ns, len(self._final)
+        if "last_change" in self.__dict__ or not self._monotone:
+            return _stable_from(schedule, self.tail, self.last_change)
+        cutoff = schedule[-1] - self.tail
+        if sum(p > cutoff for p in schedule) < 2:
+            return dict.fromkeys(range(n), False)
+        top = bisect_right(schedule, cutoff) - 1        # the step of p*
+        free = self._free_steps()
+        pending = [i for i in range(n)
+                   if i not in free and bisect_right(ns, i) <= top]
+        dates = self._walk(sorted({bisect_right(ns, pending[0]), top})
+                           if pending else (), pending, free)
+        return {i: dates.get(i, top + 1) <= top for i in range(n)}
 
-    @property
+    @cached_property
     def last_change(self):
-        if callable(self._last_change):
-            self._last_change = self._last_change()
-        return self._last_change
+        schedule, n = self.schedule, len(self._final)
+        free = self._free_steps()
+        dates = self._walk(range(len(schedule) - 1),
+                           [i for i in range(n) if i not in free], free)
+        self._run = self._held = None
+        return {i: schedule[dates.get(i, -1)] for i in range(n)}
 
     def _key(self):
         return self.schedule, self.tail, self.stable, self.last_change
@@ -152,12 +206,6 @@ def _check_zone(window, zone, need=None):
                         need=zone if need is None else need)
 
 
-# Kinds whose sweep entries are monotone along the schedule: u^r(x) is
-# non-decreasing in r (:func:`u_point_assigned`), d(x, ray[t]) - t is
-# non-increasing in t (:func:`busemann`).
-_MONOTONE_KINDS = ("point_assigned", "busemann")
-
-
 def _sweep(window, kind, zone, tail, steps, on=None):
     """The limit of d(., H_n) - c_n on B_zone(base), swept along a schedule.
 
@@ -170,18 +218,19 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     called only when the step's pass runs; the pass then leaves out the
     indices ``settled`` as well (:func:`~dlscape.space._bfs_from_indices`),
     which the caller proves no shortest path from a read vertex to H_n
-    enters.  Reaches do not decrease,
-    so a vertex's entries form a suffix of the schedule, and the last
-    step's pass, run here, gives every vertex its final value.
+    enters.  Reaches do not decrease, so a vertex's entries form a suffix
+    of the schedule, and the last step's pass, run here, gives every
+    vertex its final value.
 
     The certificate (:class:`ConvergenceReport`, tail 2 * zone by default)
-    runs its passes when first read, each step's at most once: a step's
-    sources may be a one-shot iterator.  Only zone entries are held.  A
-    confined pass gives the same list before and after the windows grow
-    (:meth:`~dlscape.space.Window.distances_from`), so the read may come
-    late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's entries are
-    monotone and end at its final value, so once an entry equals that
-    value every later one does, and the certificate runs these passes:
+    runs the other steps' passes when first read, each step's at most
+    once: a step's sources may be a one-shot iterator.  Only zone entries
+    are held.  A confined pass gives the same list before and after the
+    windows grow (:meth:`~dlscape.space.Window.distances_from`), so the
+    read may come late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's
+    entries are monotone and end at its final value, so once an entry
+    equals that value every later one does, and the certificate runs these
+    passes:
 
     - Free dates (``point_assigned``).  For r >= d(base, x) a point of
       S_r is r from the base, so d(x, S_r) >= r - d(base, x) and u^r(x)
@@ -213,7 +262,7 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     count = window.count_within
     zone_n = count(zone)
     on = window if on is None else on
-    at = None if on is window else \
+    at = range(zone_n) if on is window else \
         [on._index[v] for v in window._vertices[:zone_n]]
     ns = [count(min(step[4], zone)) for step in steps]
 
@@ -223,92 +272,15 @@ def _sweep(window, kind, zone, tail, steps, on=None):
         if callable(sources):
             sources, settled = sources()
         d = _bfs_from_indices(on, sources, limit, settled)
-        idx = range(ns[k]) if at is None else at[:ns[k]]
-        return [d[j] - shift for j in idx]
+        return [d[j] - shift for j in at[:ns[k]]]
 
     final = run(-1)
-    schedule = tuple(step[0] for step in steps)
-    tail = 2 * zone if tail is None else tail
-    cert = _Certificate(kind, schedule, tail, ns, final, run,
-                        window._dist if kind == "point_assigned" else None)
-    report = ConvergenceReport(schedule, tail, cert.stable, cert.last_change)
+    report = ConvergenceReport(
+        kind, tuple(step[0] for step in steps),
+        2 * zone if tail is None else tail, ns, final, run,
+        window._dist if kind == "point_assigned" else None)
     return ScalarField(window, kind, zone, dict(enumerate(final)),
                        report), report
-
-
-class _Certificate:
-    """The deferred passes of one :func:`_sweep`, each step's run at most
-    once and held until the dates are known.  ``dist`` (point-assigned
-    only) gives d(base, x) for the free dates."""
-
-    def __init__(self, kind, schedule, tail, ns, final, run, dist):
-        self.schedule, self.tail, self.ns, self.final = \
-            schedule, tail, ns, final
-        self.monotone = kind in _MONOTONE_KINDS
-        self.run, self.dist, self.held, self.dated = run, dist, {}, None
-
-    def entries(self, k):
-        e = self.held.get(k)
-        if e is None:
-            e = self.held[k] = self.run(k)
-        return e
-
-    def free_steps(self):
-        """Vertex -> the step of its first entry, for the vertices dated
-        with no pass."""
-        ns, dist = self.ns, self.dist
-        if dist is None:
-            return {}
-        return {i: bisect_right(ns, i) for i, u in enumerate(self.final)
-                if u == -dist[i]}
-
-    def _walk(self, ks, pending, dates):
-        """:func:`_sweep`'s walk along ``ks``: ``dates``, vertex -> step."""
-        ns, final = self.ns, self.final
-        for k in ks:
-            if not pending:
-                break
-            n = ns[k]
-            if pending[0] >= n:
-                continue
-            e = self.entries(k)
-            cut = bisect_left(pending, n)
-            kept = []
-            for i in pending[:cut]:
-                if e[i] != final[i]:
-                    dates.pop(i, None)
-                else:
-                    dates.setdefault(i, k)
-                    if self.monotone:
-                        continue
-                kept.append(i)
-            pending = kept + pending[cut:]
-        return dates
-
-    def stable(self):
-        schedule, ns, n = self.schedule, self.ns, len(self.final)
-        if self.dated is not None or not self.monotone:
-            return _stable_from(schedule, self.tail, self.last_change())
-        cutoff = schedule[-1] - self.tail
-        if sum(p > cutoff for p in schedule) < 2:
-            return dict.fromkeys(range(n), False)
-        top = bisect_right(schedule, cutoff) - 1        # the step of p*
-        free = self.free_steps()
-        pending = [i for i in range(n)
-                   if i not in free and bisect_right(ns, i) <= top]
-        dates = self._walk(sorted({bisect_right(ns, pending[0]), top})
-                           if pending else (), pending, free)
-        return {i: dates.get(i, top + 1) <= top for i in range(n)}
-
-    def last_change(self):
-        if self.dated is None:
-            schedule, n = self.schedule, len(self.final)
-            free = self.free_steps()
-            dates = self._walk(range(len(schedule) - 1),
-                               [i for i in range(n) if i not in free], free)
-            self.dated = {i: schedule[dates.get(i, -1)] for i in range(n)}
-            self.run = self.held = None
-        return self.dated
 
 
 def u_r(window, r, zone):
@@ -321,20 +293,19 @@ def u_r(window, r, zone):
     of a base-x geodesic from S_r to x has that length and stays in B_s.
     Either way a shortest path lies in the window, and for x in B_zone
     it lies in B_{max(r, zone)}: the one BFS from S_r, an index range as
-    in :func:`u_point_assigned`, is confined to that ball.
+    in :func:`u_point_assigned`, is confined to that ball.  It is a
+    one-step :func:`_sweep` with tail 0, so its certificate dates every
+    value at r and, with no two parameters past the cutoff, marks none
+    stable.
     """
     _check_zone(window, zone, max(r, zone))
     if r < 1 or r > window.radius:
         raise ZoneError(f"r={r} outside window radius", parameter="radius",
                         need=r if r > 0 else None)
     count = window.count_within
-    df = _bfs_from_indices(window, range(count(r - 1), count(r)),
-                           count(max(r, zone)))
-    zone_idx = range(count(zone))
-    values = {i: df[i] - r for i in zone_idx}
-    report = ConvergenceReport((r,), 0, {i: True for i in zone_idx},
-                               {i: r for i in zone_idx})
-    return ScalarField(window, "u_r", zone, values, report)
+    return _sweep(window, "u_r", zone, 0,
+                  [(r, range(count(r - 1), count(r)), r,
+                    count(max(r, zone)), zone)])[0]
 
 
 def _check_schedule(window, schedule, zone):
@@ -488,23 +459,12 @@ def _anchor_sets(window, found, zone, margin, what, ray=False):
     return found
 
 
-def busemann_anchors(window, ray, T, zone):
-    """Indices of ray[0..T], 1 <= T < len(ray), once they pass the checks
-    of :func:`_anchor_sets` for a Busemann sweep."""
-    ray = list(ray)
-    if T < 1 or T >= len(ray):
-        raise DomainError("need 1 <= T < len(ray)")
-    found = _anchor_sets(
-        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path"),
-        zone, zone, "path", ray=True)
-    return [i for _, (i,) in found]
-
-
 def busemann(window, ray, T, zone, tail=None):
     """Busemann-type field d(., ray[t]) - t, swept over t = 1..T.
 
-    The ray is validated by :func:`busemann_anchors`; values are then
-    exact on the zone.  The sweep is monotone non-increasing in t, which
+    Needs 1 <= T < len(ray); ray[0..T] must pass the checks of
+    :func:`_anchor_sets` for a Busemann sweep, and values are then exact
+    on the zone.  The sweep is monotone non-increasing in t, which
     drives the stabilization flags: ray[t] and ray[t+1] are adjacent, so
     d(y, ray[t+1]) <= d(y, ray[t]) + 1 in the window graph for every y.
     :func:`_sweep` relies on this monotonicity to date each vertex and
@@ -514,11 +474,16 @@ def busemann(window, ray, T, zone, tail=None):
     :meth:`~dlscape.space.Window.geodesic_ball` (zone, d(base, a),
     zone + d(base, a)), which holds a geodesic from each zone vertex.
     """
-    anchors = busemann_anchors(window, ray, T, zone)
-    dist, ball = window._dist, window.geodesic_ball
+    ray = list(ray)
+    if T < 1 or T >= len(ray):
+        raise DomainError("need 1 <= T < len(ray)")
+    found = _anchor_sets(
+        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path"),
+        zone, zone, "path", ray=True)
+    ball = window.geodesic_ball
     return _sweep(window, "busemann", zone, tail,
-                  ((t, (a,), t, ball(zone, dist[a], zone + dist[a]), zone)
-                   for t, a in enumerate(anchors) if t))
+                  ((t, anchor, t, ball(zone, d, zone + d), zone)
+                   for t, (d, anchor) in enumerate(found) if t))
 
 
 def horofunction(window, points, zone, tail=None):

@@ -357,12 +357,18 @@ GENERATORS = {cls.generator_id: cls for cls in (
 
 
 def build(name, params=None, scale=Fraction(1)):
-    """Instantiate a generator from the catalog."""
+    """Instantiate a generator from the catalog: ``name`` a string,
+    ``params`` None or a dict."""
+    if not isinstance(name, str):
+        raise DomainError(f"generator must be a string, got {name!r}")
     cls = GENERATORS.get(name)
     if cls is None:
         raise UnknownGeneratorError(
             f"unknown generator {name!r}; known: {sorted(GENERATORS)}")
-    params = dict(params or {})
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise GeneratorParamError(
+            f"{name} params must be an object, got {params!r}")
     unknown = set(params) - set(cls.schema)
     if unknown:
         raise GeneratorParamError(
@@ -376,6 +382,8 @@ def build(name, params=None, scale=Fraction(1)):
 
 def build_from_dict(spec):
     """Build from a space-spec mapping {generator, params, scale}."""
+    if not isinstance(spec, dict):
+        raise DomainError(f"space spec must be an object, got {spec!r}")
     if "generator" not in spec:
         raise DomainError("space spec needs a 'generator' key")
     scale = spec.get("scale", {"num": 1, "den": 1})

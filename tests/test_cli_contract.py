@@ -96,6 +96,36 @@ def finite_space_json(draw):
     return json.dumps(data).replace('"1e400"', "1e400")
 
 
+@st.composite
+def space_spec_json(draw, space):
+    """Space-spec JSON text for the shorthand ``space``: its spec, often
+    broken by a spec that is not an object, a generator that is not a
+    string, params that are not an object or hold a non-integer, or a bad
+    scale."""
+    name, _, tail = space.partition(":")
+    params = {k: int(v) for k, v in
+              (item.split("=") for item in tail.split(",") if item)}
+    spec = {"generator": name, "params": params,
+            "scale": {"num": 1, "den": 1}}
+    flaw = draw(st.sampled_from(["none", "none", "shape", "generator",
+                                 "params", "value", "scale"]))
+    if flaw == "shape":
+        spec = draw(st.sampled_from([["generator"], "generator", None, 3,
+                                     [spec]]))
+    elif flaw == "generator":
+        spec["generator"] = draw(st.sampled_from([[name], None, 3,
+                                                  {"name": name}, "mobius"]))
+    elif flaw == "params":
+        spec["params"] = draw(st.sampled_from(
+            [[1], [list(p) for p in params.items()], [], "m=5", 5, None]))
+    elif flaw == "value" and params:
+        params[draw(st.sampled_from(sorted(params)))] = draw(NOT_INTS)
+    elif flaw == "scale":
+        spec["scale"] = draw(st.sampled_from([[1, 1], 3, {"num": 1},
+                                              {"num": 1, "den": 0}]))
+    return json.dumps(spec).replace('"1e400"', "1e400")
+
+
 # (space-x, space-y, map): the spaces each map is made for, then the same
 # pairs in the other order, then any two spaces with any map or one that
 # does not exist.
@@ -162,14 +192,16 @@ def valid_argvs(draw):
         zone = draw(st.one_of(st.integers(1, 8), small))
         return draw(experiment_argv(draw(small), zone, draw(small)))
     space = draw(st.sampled_from(SPACES))
+    spec = draw(st.one_of(st.just(space), st.just(space),
+                          space_spec_json(space)))
     radius = draw(small)
     if command == "check":
         suite = draw(st.sampled_from(sorted(checks.SUITES)))
-        return ["check", f"--suite={suite}", f"--space={space}",
+        return ["check", f"--suite={suite}", f"--space={spec}",
                 f"--radius={radius}",
                 f"--trials={draw(st.integers(-2, 4))}",
                 f"--seed={draw(st.integers(0, 3))}"]
-    argv = [command, f"--space={space}", f"--radius={radius}"]
+    argv = [command, f"--space={spec}", f"--radius={radius}"]
     zone = draw(st.one_of(st.none(), st.integers(1, 8), small))
     if zone is not None:
         argv.append(f"--zone={zone}")
@@ -234,14 +266,14 @@ def _run(argv):
 
 
 def _with_files(argv, tmp):
-    """gh argv carry each space's JSON text in --x and --y; write the text
+    """gh argv carry each space's JSON text in --x and --y, and the window
+    commands may carry a space spec's JSON text in --space; write the text
     to a file under ``tmp`` and pass its path instead."""
-    if argv[0] != "gh":
-        return argv
     out = []
     for arg in argv:
         flag, _, text = arg.partition("=")
-        if flag in ("--x", "--y"):
+        if flag in ("--x", "--y") or flag == "--space" and \
+                text not in SPACES:
             path = os.path.join(tmp, flag[2:] + ".json")
             with open(path, "w") as fh:
                 fh.write(text)

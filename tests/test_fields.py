@@ -1,6 +1,7 @@
 """Distance-like fields: approximants, limits, and the sublevel identity."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from conftest import deque_shortest_path, t_samples
@@ -10,7 +11,7 @@ from dlscape import (DomainError, ZoneError, build, busemann, dl_from_sets,
                      field_to_json, gromov_check, horofunction, level_set,
                      materialize_window, oracle, shortest_path, sphere,
                      u_point_assigned, u_r)
-from dlscape.fields import ConvergenceReport, _geodesic
+from dlscape.fields import _geodesic
 from dlscape.pseudometric import point_assigned_family, rho_matrix
 from dlscape.space import _bfs_from_indices, pairwise_dist
 
@@ -27,6 +28,9 @@ def test_u_r_closed_form_on_line(line_window):
     for x in range(-10, 11):
         assert fld.value_at(x) == -abs(x)
     assert not _lipschitz_violations(fld)
+    # one step, tail 0: every value dated at r, none settled
+    assert fld.report.last_change == dict.fromkeys(fld.values, 20)
+    assert fld.report.stable == dict.fromkeys(fld.values, False)
 
 
 def test_u_r_preconditions(line_window):
@@ -74,7 +78,8 @@ def _sweep_by_whole_window(window, zone, tail, steps):
     vertices x with d(base, x) <= reach in a per-vertex history.  A vertex
     is stable when at least two of its entries lie in the tail (parameter
     > last - tail), none of them differ, and its value last changed at or
-    before last - tail."""
+    before last - tail.  Returns the values and a plain record of the
+    schedule, tail, stable flags and last changes."""
     dist = window.dist_from_base
     zone_idx = [i for i, d in enumerate(dist) if d <= zone]
     history = {i: [] for i in zone_idx}
@@ -99,7 +104,22 @@ def _sweep_by_whole_window(window, zone, tail, steps):
         stable[i] = (len(tail_vals) >= 2
                      and min(tail_vals) == max(tail_vals)
                      and last_change[i] <= cutoff)
-    return values, ConvergenceReport(schedule, tail, stable, last_change)
+    return values, SimpleNamespace(schedule=schedule, tail=tail,
+                                   stable=stable, last_change=last_change)
+
+
+def _assert_report(rep, ref):
+    """The report's schedule, tail, stable flags and last changes, read in
+    that order, equal the reference record's."""
+    for name in ("schedule", "tail", "stable", "last_change"):
+        assert getattr(rep, name) == getattr(ref, name), name
+
+
+def _assert_sweep(fld, rep, expected):
+    """The field's values and report equal the reference sweep's."""
+    values, ref = expected
+    assert fld.values == values
+    _assert_report(rep, ref)
 
 
 def _point_assigned_by_whole_window(window, schedule, zone, tail):
@@ -132,7 +152,7 @@ def test_point_assigned_matches_whole_window_sweep(name, params, radius):
                 values, ref = _point_assigned_by_whole_window(
                     w, schedule, zone, 2 * zone if tail is None else tail)
                 assert fld.values == values
-                assert rep == ref
+                _assert_report(rep, ref)
                 assert list(fld.values) == list(rep.last_change) == sorted(
                     values)
 
@@ -143,7 +163,7 @@ def _read_in_order(rep, ref, first):
     other = "last_change" if first == "stable" else "stable"
     assert getattr(rep, first) == getattr(ref, first)
     assert getattr(rep, other) == getattr(ref, other)
-    assert rep == ref
+    _assert_report(rep, ref)
 
 
 @pytest.mark.parametrize("first", ["stable", "last_change"])
@@ -356,9 +376,9 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                         continue
                     fld, rep = busemann(w, ray, T, zone, tail)
                     assert fld.kind == "busemann"
-                    assert (fld.values, rep) == _sweep_by_whole_window(
+                    _assert_sweep(fld, rep, _sweep_by_whole_window(
                         w, zone, ref_tail,
-                        [(k, (ray[k],), k, zone) for k in range(1, T + 1)])
+                        [(k, (ray[k],), k, zone) for k in range(1, T + 1)]))
             for k in (2, 4):
                 points = _far_vertices(w, rng, 1, far, k)
                 if points is None:
@@ -369,8 +389,8 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                     assert fld.kind == "horo"
                     steps = [(dist[w.index[p]], (p,), dist[w.index[p]],
                               zone) for p in seq]
-                    assert (fld.values, rep) == _sweep_by_whole_window(
-                        w, zone, ref_tail, steps)
+                    _assert_sweep(fld, rep, _sweep_by_whole_window(
+                        w, zone, ref_tail, steps))
             # H_n: a nearest member at distance a <= R - 2*zone, either
             # anywhere (shifted at random) or on a ray from the base
             # (shifted by a, a Busemann-like limit), plus members farther
@@ -393,8 +413,8 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                     steps.append((a, hn, cn, zone))
                 fld, rep = dl_from_sets(w, sets, shifts, zone, tail)
                 assert fld.kind == "set_limit"
-                assert (fld.values, rep) == _sweep_by_whole_window(
-                    w, zone, ref_tail, steps)
+                _assert_sweep(fld, rep, _sweep_by_whole_window(
+                    w, zone, ref_tail, steps))
 
 
 def test_set_limit_ball_is_tight():
@@ -407,9 +427,9 @@ def test_set_limit_ball_is_tight():
     shifts = [10, 20, 30]
     fld, rep = dl_from_sets(w, sets, shifts, zone)
     assert fld.value_at(zone) == zone - 1
-    assert (fld.values, rep) == _sweep_by_whole_window(
+    _assert_sweep(fld, rep, _sweep_by_whole_window(
         w, zone, 2 * zone, [(a, hn, a, zone)
-                            for a, hn in zip(shifts, sets)])
+                            for a, hn in zip(shifts, sets)]))
 
 
 def test_monotone_sweeps_skip_settled_passes(monkeypatch):

@@ -9,7 +9,9 @@ before ``gromov_check`` was confined and the BFS memo made to grow, and
 the family runs below, with digests captured before a family field read
 its spheres from the closed-form distance.  The ``field --csv`` digest
 was captured before the CSV rows were read from the JSON export, and the
-ray-target runs below while ``shortest_path`` still ran a BFS.
+ray-target runs below while ``shortest_path`` still ran a BFS.  The
+certificate runs were captured while a sweep's deferred passes lived in a
+class of their own beside ``ConvergenceReport``.
 """
 
 import hashlib
@@ -102,6 +104,20 @@ RAY_TARGET = [
 ]
 
 
+# (argv, exit code, sha256 of stdout) of suites on the truncation
+# certificate: lipschitz's ``skipped`` count reads ``report.stable``, and
+# monotone is the one CLI route to ``u_r``.  With sphere, every suite has
+# a golden run.
+CERTIFICATE = [
+    (["check", "--suite", "lipschitz", "--space", "h_graph"], 0,
+     "b9e68aca6218ed1f170b6baca1a94d87c6a5636790885b36f47cc8d6b8453ac1"),
+    (["check", "--suite", "monotone", "--space", "h_graph"], 0,
+     "256cae9b105f6661de069f1a1ce992e884d0f538c68f023cb3b1885cd1391708"),
+    (["check", "--suite", "sphere", "--space", "grid2d"], 0,
+     "32fb04680452c8c4d247a9fb80ebec75ea9ae2503bc6f5a128aa739fd0230264"),
+]
+
+
 def _run(capsys, tmp_path, argv):
     x, y = tmp_path / "x.json", tmp_path / "y.json"
     x.write_text(json.dumps(GH_X))
@@ -138,4 +154,11 @@ def test_family_route_output_is_unchanged(capsys, tmp_path, argv, code,
                          ids=[g[0][2] for g in RAY_TARGET])
 def test_ray_target_output_is_unchanged(capsys, tmp_path, argv, code,
                                         digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", CERTIFICATE,
+                         ids=[f"{g[0][2]}-{g[0][4]}" for g in CERTIFICATE])
+def test_certificate_output_is_unchanged(capsys, tmp_path, argv, code,
+                                         digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)

@@ -92,6 +92,22 @@ def test_build_from_dict_scale():
             build_from_dict({"generator": "line", "scale": scale})
 
 
+@pytest.mark.parametrize("spec,error", [
+    (["generator"], DomainError),                           # not an object
+    ("generator", DomainError),
+    (None, DomainError),
+    ({"generator": ["line"]}, DomainError),                 # name not a str
+    ({"generator": None}, DomainError),
+    ({"generator": "line", "params": [1]}, GeneratorParamError),
+    ({"generator": "line", "params": [["b", 2]]}, GeneratorParamError),
+    ({"generator": "line", "params": []}, GeneratorParamError),
+])
+def test_build_refuses_malformed_specs(spec, error):
+    with pytest.raises(error):
+        build_from_dict(spec)
+    if isinstance(spec, dict):
+        with pytest.raises(error):
+            build(spec["generator"], spec.get("params"))
 def test_catalog_lists_all():
     cat = catalog()
     assert set(cat) == {"line", "halfline", "tree", "grid2d", "h_graph",
