@@ -63,7 +63,7 @@ def _suite_settles(radius):
 
 
 def _label(window, i):
-    return window.space.vertex_label(window._vertices[i])
+    return window.space.vertex_label(window.vertex_at(i))
 
 
 def suite_monotone(space, radius, trials, seed):
@@ -118,7 +118,7 @@ def _field_pool(space, radius, rng):
     zone, schedule = _suite_schedule(radius)
     inner = range(window.count_within(zone // 2))
     picks = sorted(rng.sample(inner, min(POOL_SIZE, len(inner))))
-    bases = [window._vertices[i] for i in picks]
+    bases = list(map(window.vertex_at, picks))
     fields = point_assigned_family(window, bases, schedule, zone)
     return window, bases, fields
 
@@ -201,7 +201,7 @@ def suite_coray(space, radius, trials, seed):
     traced = 0
     for _ in range(trials):
         i = rng.choice(starts)
-        trace = trace_corays(fld, window._vertices[i], max_paths=16)
+        trace = trace_corays(fld, window.vertex_at(i), max_paths=16)
         if not trace.paths:
             result.violations.append({"start": _label(window, i),
                                       "reason": "no co-ray traced"})
@@ -227,12 +227,12 @@ def suite_sphere(space, radius, trials, seed):
         raise DomainError(f"the sphere suite needs radius >= 1, "
                           f"got {radius}")
     rng = random.Random(seed)
-    dist, index, adjacency = window._dist, window._index, window._adjacency
+    dist, find, adjacency = window._dist, window.find, window._adjacency
     result = SuiteResult("sphere", trials, 0)
     for _ in range(trials):
         r = rng.randint(1, radius)
         for v in sphere(window, r):      # grows the window to r
-            i = index[v]
+            i = find(v)
             result.checked += 1
             if not any(dist[j] == r - 1 for j in adjacency[i]):
                 result.violations.append({"r": r,

@@ -2,8 +2,10 @@
 
 Space specs come either as a JSON file path ({"generator", "params",
 "scale"}) or as shorthand ``name`` / ``name:key=val,key=val`` with an
-optional ``scale=p/q`` entry.  All output is canonical JSON (sorted keys,
-fixed separators) so identical configs produce byte-identical artifacts.
+optional ``scale=p/q`` entry.  A spec is a path when it ends in ``.json``
+or a path separator comes before its first ':', whatever files exist.
+All output is canonical JSON (sorted keys, fixed separators) so identical
+configs produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 invariant violation (JSON witness emitted),
 2 usage / precondition error.
@@ -50,8 +52,13 @@ def _load_json(path):
 
 
 def load_space(spec):
-    """JSON file path, or shorthand 'name' / 'name:key=val,...'."""
-    if os.path.exists(spec) or spec.endswith(".json"):
+    """JSON file path, or shorthand 'name' / 'name:key=val,...'.  A path
+    ends in '.json' or has a path separator before its first ':' (the
+    shorthand's 'scale=p/q' holds one after it), so a file in the working
+    directory named like a shorthand never shadows it."""
+    head = spec.partition(":")[0]
+    if spec.endswith(".json") or os.sep in head or \
+            (os.altsep is not None and os.altsep in head):
         return zoo.build_from_dict(_load_json(spec))
     name, _, tail = spec.partition(":")
     params, scale = {}, Fraction(1)

@@ -75,11 +75,11 @@ def trace_corays(field, start, max_paths=64):
             raise DescentError(
                 "no descending neighbor strictly inside the zone; field is "
                 "not distance-like there",
-                vertex=window._vertices[tip])
+                vertex=window.vertex_at(tip))
         if len(path) == 1 and dist[tip] < zone:
             raise DescentError("no descending neighbor at start",
                                vertex=start)
-        verts = tuple(window._vertices[i] for i in path)
+        verts = tuple(map(window.vertex_at, path))
         decs = tuple(values[a] - values[b] for a, b in zip(path, path[1:]))
         paths.append(CoRay(verts, decs, truncated=True))
     return CoRayTrace(paths, exhausted)
@@ -177,7 +177,7 @@ def representation_check(field, x, corays):
     for coray in corays:
         try:
             found = _resolve_sets(window, [(v,) for v in coray.vertices],
-                                  "path") if coray.length else None
+                                  "path", zone) if coray.length else None
         except DomainError as exc:
             found = str(exc)
         resolved.append(found)

@@ -176,16 +176,21 @@ class ScalarField:
     def value_at(self, vertex):
         return self.values[self.index_of(vertex)]
 
-    def values_at(self, vertices):
-        """:meth:`value_at` at each of ``vertices``, in order, refusing the
-        first vertex without a value as it does."""
+    def values_at(self, vertices, keys=None):
+        """:meth:`value_at` at each of a sequence of ``vertices``, in
+        order, refusing the first vertex without a value as it does.
+        ``keys``, an iterable of the vertices' keys in the field's window
+        (:class:`~dlscape.space.Window`), saves encoding them; a vertex is
+        read only where its key has no value."""
         window, values = self.window, self.values
-        get, find = window._index.get, window.find
+        get = window._index.get
+        if keys is None:
+            keys = map(window._key, vertices)
         out = []
-        for v in vertices:
-            i = get(v)
+        for t, k in enumerate(keys):
+            i = get(k)
             if i not in values:
-                i = self._valued(find(v), v)
+                i = self.index_of(vertices[t])
             out.append(values[i])
         return out
 
@@ -262,8 +267,8 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     count = window.count_within
     zone_n = count(zone)
     on = window if on is None else on
-    at = range(zone_n) if on is window else \
-        [on._index[v] for v in window._vertices[:zone_n]]
+    at = range(zone_n) if on is window else list(map(
+        on._index.__getitem__, window._rekey(on, window._vertices[:zone_n])))
     ns = [count(min(step[4], zone)) for step in steps]
 
     def run(k):             # step k's entries, at its first ns[k] vertices
@@ -319,7 +324,8 @@ def _check_schedule(window, schedule, zone):
         raise ZoneError("need max(schedule) <= R", parameter="radius",
                         need=schedule[-1])
     if schedule[0] < 1:
-        raise ZoneError(f"r={schedule[0]} outside window radius",
+        raise ZoneError(f"r={schedule[0]} outside window radius, and no "
+                        f"radius admits a sphere radius below 1",
                         parameter="radius")
     return schedule
 
@@ -373,7 +379,7 @@ def u_point_assigned(window, schedule, zone, tail=None):
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
-    k = w._index[window.base]
+    k = w._index[w._key(window.base)]
     delta, top, count = w._dist[k], schedule[-1], w.count_within
     ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
     if delta:               # d(b, .) in closed form, or from one source
@@ -383,8 +389,8 @@ def u_point_assigned(window, schedule, zone, tail=None):
 
     def scan(r):            # (S_r(b), the annulus outside B_r(b))
         lo, hi = count(r - delta - 1), count(r + delta)
-        ds = map(partial(space.distance, b), vertices[lo:hi]) \
-            if dist_b is None else dist_b[lo:hi]
+        ds = w._distances(b, vertices[lo:hi]) if dist_b is None else \
+            dist_b[lo:hi]
         near, far = [], []
         for j, d in enumerate(ds, lo):
             if d == r:
@@ -422,17 +428,33 @@ def _geodesic(window, idxs):
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def _resolve_sets(window, sets, what):
+def _resolve_sets(window, sets, what, margin):
     """(d(base, H_n), indices of H_n) per anchor set, each checked in turn
     to be non-empty and found through
-    :meth:`~dlscape.space.Window.require_zone`, so in the window."""
+    :meth:`~dlscape.space.Window.require_zone`, so in the window.
+
+    A member outside the window raises require_zone's radius ZoneError.
+    Where ``space.distance`` gives every member's d(base, .) in closed
+    form, its ``need`` is raised to the radius that also passes the
+    margin check of :func:`_anchor_sets`: max(every d(base, v), every
+    d(base, H_n) + ``margin``); else there is none.
+    """
     require, radius, dist = window.require_zone, window.radius, window._dist
     found = []
-    for h in sets:
-        if not h:
-            raise DomainError(f"{what} must be non-empty")
-        idxs = [require(v, radius, what) for v in h]
-        found.append((min(map(dist.__getitem__, idxs)), idxs))
+    try:
+        for h in sets:
+            if not h:
+                raise DomainError(f"{what} must be non-empty")
+            idxs = [require(v, radius, what) for v in h]
+            found.append((min(map(dist.__getitem__, idxs)), idxs))
+    except ZoneError as exc:
+        space = window.space
+        if exc.need is not None and \
+                all(h and all(map(space.contains, h)) for h in sets):
+            far = [list(map(partial(space.distance, window.base), h))
+                   for h in sets]
+            exc.need = max(max(map(max, far)), max(map(min, far)) + margin)
+        raise
     return found
 
 
@@ -451,7 +473,7 @@ def _anchor_sets(window, found, zone, margin, what, ray=False):
         if a + margin > radius:
             near = min(idxs, key=dist.__getitem__)
             raise ZoneError(f"{what} too close to the window boundary",
-                            parameter="radius", witness=window._vertices[near],
+                            parameter="radius", witness=window.vertex_at(near),
                             need=max(b for b, _ in found) + margin)
     _check_zone(window, zone)
     if not ray and any(b <= a for (a, _), (b, _) in zip(found, found[1:])):
@@ -478,8 +500,8 @@ def busemann(window, ray, T, zone, tail=None):
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
     found = _anchor_sets(
-        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path"),
-        zone, zone, "path", ray=True)
+        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path",
+                              zone), zone, zone, "path", ray=True)
     ball = window.geodesic_ball
     return _sweep(window, "busemann", zone, tail,
                   ((t, anchor, t, ball(zone, d, zone + d), zone)
@@ -498,7 +520,7 @@ def horofunction(window, points, zone, tail=None):
     if len(points) < 2:
         raise DomainError("need at least two points")
     found = _anchor_sets(window, _resolve_sets(
-        window, [(p,) for p in points], "p_n"), zone, zone, "p_n")
+        window, [(p,) for p in points], "p_n", zone), zone, zone, "p_n")
     ball = window.geodesic_ball
     return _sweep(window, "horo", zone, tail,
                   ((a, idxs, a, ball(zone, a, zone + a), zone)
@@ -522,8 +544,9 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     shifts = list(shifts)
     if len(sets) != len(shifts) or len(sets) < 2:
         raise DomainError("need matching sets/shifts lists of length >= 2")
-    found = _anchor_sets(window, _resolve_sets(window, sets, "H_n"), zone,
-                         2 * zone, "H_n")
+    found = _anchor_sets(window, _resolve_sets(window, sets, "H_n",
+                                               2 * zone), zone, 2 * zone,
+                         "H_n")
     ball = window.geodesic_ball
     return _sweep(window, "set_limit", zone, tail,
                   [(a, idxs, cn, ball(zone, a + 2 * zone - 1, a + zone - 1),
@@ -583,7 +606,7 @@ def gromov_check(field, t_samples):
                 continue
             count += 1
             if u != t + d[i]:
-                report.violations.append((t, window._vertices[i], u, d[i]))
+                report.violations.append((t, window.vertex_at(i), u, d[i]))
         report.checked[t] = count
     return report
 
@@ -591,7 +614,7 @@ def gromov_check(field, t_samples):
 def level_set(field, c):
     """In-zone vertices where the field equals c exactly."""
     window = field.window
-    out = [window._vertices[i] for i, v in field.values.items() if v == c]
+    out = [window.vertex_at(i) for i, v in field.values.items() if v == c]
     out.sort()
     return tuple(out)
 
@@ -606,7 +629,7 @@ def field_to_json(field):
     rows = []
     for i in field.zone_indices():
         rows.append({
-            "vertex": space.vertex_label(window._vertices[i]),
+            "vertex": space.vertex_label(window.vertex_at(i)),
             "dist_from_base": window._dist[i],
             "value": field.values[i],
             "stable": stable[i],

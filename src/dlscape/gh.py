@@ -604,12 +604,12 @@ def pa_gh_experiment(field_x, field_y, mapping, eps):
     checked, unstable = 0, []
     max_abs, max_one, witness = Fraction(0), None, None
     for i in sorted(field_x.values):
-        vx = wx._vertices[i]
+        vx = wx.vertex_at(i)
         try:
             vy = mapping(vx)
         except (TypeError, IndexError):
             raise DomainError(f"map cannot take vertex {vx!r}") from None
-        j = wy._index.get(vy)
+        j = wy._index.get(wy._key(vy))
         if j is None or j not in field_y.values:
             raise DomainError(f"map sends {vx!r} outside the target zone")
         if not field_x.report.stable[i] or not field_y.report.stable[j]:

@@ -175,8 +175,10 @@ def base_lipschitz_gap(field_a, field_b):
     if wa.space is not wb.space and \
             wa.space.spec_dict() != wb.space.spec_dict():
         raise DomainError("fields must live on the same space")
-    shared = [(i, j) for i in field_a.zone_indices()
-              if (j := wb._index.get(wa._vertices[i])) in field_b.values]
+    zone_a = field_a.zone_indices()
+    keys = wa._rekey(wb, map(wa._vertices.__getitem__, zone_a))
+    shared = [(i, j) for i, k in zip(zone_a, keys)
+              if (j := wb._index.get(k)) in field_b.values]
     if not shared:
         raise DomainError("fields share no zone vertices")
     k = wa.find(field_b.base)
@@ -240,14 +242,17 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
         raise ZoneError("zone too small for a shared evaluation region",
                         parameter="zone", need=max_base_dist + 1)
     eval_n = window.count_within(eval_zone)
-    eval_vertices = window._vertices[:eval_n] + list(sample)
+    eval_keys = window._vertices[:eval_n] + list(map(window._key, sample))
+    eval_vertices = window._decoded(eval_keys)
 
     rows = {}
 
     def row(x):             # x's field at the evaluation vertices, read once
         r = rows.get(x)
         if r is None:
-            r = rows[x] = fields[x].values_at(eval_vertices)
+            fld = fields[x]
+            r = rows[x] = fld.values_at(
+                eval_vertices, window._rekey(fld.window, eval_keys))
         return r
 
     n = len(sample)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from operator import eq
 
 from .errors import DomainError, ResourceLimitError, ZoneError
 
@@ -44,7 +46,8 @@ class GraphSpace:
     name; empty by default) and implements ``neighbors(v)`` and
     ``contains(v)``, and where it can, ``ball_size_bound`` and
     ``distance``.  It inherits its vertex codec, ``default_base()``,
-    ``parse_vertex(text)`` and ``vertex_label(v)``, from one of
+    ``parse_vertex(text)`` and ``vertex_label(v)``, and the
+    ``window_codec`` its windows hold keys in, from one of
     :mod:`dlscape.zoo`'s vertex types, or defines its own.
     """
 
@@ -71,6 +74,11 @@ class GraphSpace:
         """Closed-form graph distance d(a, b) between two vertices, or None
         where the generator gives none.  For a given a it is None for every
         b or exact for every b, so one call from a tells a caller which."""
+        return None
+
+    def window_codec(self, base, radius):
+        """The codec a window B_radius(base) holds its vertices in, or None
+        when it holds the vertices themselves (see :class:`Window`)."""
         return None
 
     # -----------------------------------------------------------------------
@@ -102,14 +110,27 @@ class Window:
     non-decreasing: every ball ``B_rho(base)`` is a prefix of ``vertices``
     and every sphere a contiguous index range.
 
+    Keys.  ``_vertices`` holds one key per vertex, in index order, and
+    ``_index`` maps each key to its index.  A key is the vertex itself or
+    its small int code under ``_codec``: the space's
+    :meth:`GraphSpace.window_codec` for (base, R) (grid2d and h_graph code
+    their pairs, :class:`~dlscape.zoo._PairCodec`), or the codec of the
+    ``known`` window the window grows from, so that the two hold the same
+    key for a vertex.  :meth:`vertex_at` decodes the key at an index and
+    ``_key`` encodes a vertex (None: no window of that codec holds it).
+    Keys are decoded only where a vertex leaves the window.  ``vertices``
+    and ``index`` are vertex-facing: for a coded window, read-only views
+    of the two containers that decode or encode one item per read.
+
     State.  A window in state r = ``grown`` (0 <= r <= R) is exactly the
     window ``materialize_window(space, base, r)``, held in the lists
-    ``_vertices``, ``_index``, ``_dist`` and ``_adjacency``.  Its vertices,
-    index order and distances are a prefix of those of B_R, its rows of
-    B_{r-1} are B_R's, and its rows of the sphere S_r are B_R's filtered to
-    B_r.  Growing to a state r' > r rebuilds the rows of S_r from the
-    neighbor source and continues the same breadth-first loop
-    (:meth:`_grow`); entries already held never move.
+    ``_vertices``, ``_index``, ``_dist`` and ``_adjacency``, up to the
+    codec of its keys.  Its vertices, index order and distances are a
+    prefix of those of B_R, its rows of B_{r-1} are B_R's, and its rows of
+    the sphere S_r are B_R's filtered to B_r.  Growing to a state r' > r
+    rebuilds the rows of S_r from the neighbor source and continues the
+    same breadth-first loop (:meth:`_grow`); entries already held never
+    move.
 
     Completion.  :meth:`count_within` grows the window to min(rho, R); a
     lookup through :meth:`find` grows it until the vertex is found, and
@@ -131,12 +152,16 @@ class Window:
     """
 
     __slots__ = ("space", "base", "radius", "grown", "known", "_budget",
-                 "_vertices", "_index", "_dist", "_adjacency", "_passes")
+                 "_codec", "_vertices", "_index", "_dist", "_adjacency",
+                 "_passes")
 
     def __init__(self, space, base, radius, budget, known=None):
         self.space, self.base, self.radius = space, base, radius
         self.grown, self.known, self._budget = 0, known, budget
-        self._vertices, self._index = [base], {base: 0}
+        self._codec = codec = space.window_codec(base, radius) \
+            if known is None else known._codec
+        key = base if codec is None else codec.encode(base)
+        self._vertices, self._index = [key], {key: 0}
         self._dist, self._adjacency = [0], [()]
         self._passes = {}
 
@@ -147,32 +172,23 @@ class Window:
         already been discovered, so filtering by the map is exact.
 
         Neighbors come from the generator, or from the rows of ``known``,
-        a window holding B_R(base), grown first to s = d(known.base, base)
-        + rho.  A vertex at distance below rho from the base is within s - 1
-        of known's base, so its row there lists every generator neighbor
+        a window holding B_R(base), grown first to s = d(o, base) + rho, o
+        = known.base.  A vertex at distance below rho from the base is
+        within s - 1 of o, so its row there lists every generator neighbor
         in generator order.  A vertex at distance rho is in B_s, and so is
         each of its neighbors in B_rho(base); its row there keeps those, in
         generator order.  So both sources give the same window.
 
-        One loop reads both, as one run over the keys that name the
-        vertices from S_grown on; the run grows as the loop finds them.
-        From the generator the keys are the vertices, rows come from
-        ``space.neighbors`` and the map from a key to the index here is the
-        index.  From known the keys are known's indices, rows are known's
-        rows and the map is ``own``, so the loop hashes a vertex only to
-        look up the shells it resumes from and to enter it in the index,
-        once, at the end.
-
-        ``own`` is a flat table over known's indices of B_{s + 1}(o), o =
-        known.base: the index here of each held vertex from S_{grown - 1}
-        on, None elsewhere.  Every row read is of a vertex of B_rho(base),
-        within s of o, so it names only vertices within s + 1 of o, whose
-        known indices are below ``bisect_right(known._dist, s + 1)`` in
-        breadth-first order.  A row of S_d names only vertices of S_{d - 1},
-        S_d and S_{d + 1}, as an edge changes the distance to the base by
-        at most one, so a None entry is a vertex not held here, which the
-        generator route's index lookup would miss too: both routes build
-        the same rows.  The index shares the rows' int objects.
+        One loop reads both, as one run over the window's keys from
+        S_grown on; the run grows as the loop finds vertices, and the map
+        from a key to the index here is the index.  From the generator the
+        rows come from the codec's ``neighbors`` (``space.neighbors`` for
+        vertex keys).  A window grown from known holds known's keys (its
+        codec is known's), and the row of a key is known's row of it, read
+        as known's keys, in known's order.  So each neighbor is one index
+        lookup on both routes, and a call allocates only for the vertices
+        it adds: growing one shell per call costs the shells it reads, not
+        the ball.  The index takes the rows' int objects.
         """
         radius = min(rho, self.radius)
         if radius <= self.grown:
@@ -182,25 +198,24 @@ class Window:
         head = bisect_left(dist, self.grown)
         del adjacency[head:]
         if known is None:
-            first, keys, own, rows = 0, vertices, index, self.space.neighbors
-            get = own.get
+            rows = self.space.neighbors if self._codec is None else \
+                self._codec.neighbors
         else:
-            kv, kindex = known._vertices, known._index
-            s = known._dist[kindex[self.base]] + radius
-            known.count_within(s)
-            first = bisect_left(dist, self.grown - 1)
-            keys = [kindex[v] for v in islice(vertices, first, None)]
-            own = [None] * bisect_right(known._dist, s + 1)
-            for k, j in zip(keys, range(first, len(dist))):
-                own[k] = j
-            get, rows = own.__getitem__, known._adjacency.__getitem__
-        add, grow_dist = keys.append, dist.append
-        for k, dv in zip(islice(keys, head - first, None),
-                         islice(dist, head, None)):
+            known.count_within(known._dist[known._index[vertices[0]]]
+                               + radius)
+            code, kindex = known._vertices.__getitem__, \
+                known._index.__getitem__
+            krows = known._adjacency
+
+            def rows(v):
+                return map(code, krows[kindex(v)])
+
+        get, push, grow_dist = index.get, vertices.append, dist.append
+        for v, dv in zip(_tail(vertices, head), _tail(dist, head)):
             row = []
             if dv < radius:
-                for kw in rows(k):
-                    j = get(kw)
+                for w in rows(v):
+                    j = get(w)
                     if j is None:
                         j = len(dist)
                         if j >= budget:
@@ -208,33 +223,29 @@ class Window:
                                 f"window ({self.space!r}, base="
                                 f"{self.base!r}, R={self.radius}) "
                                 f"exceeds vertex budget {budget}")
-                        own[kw] = j
-                        add(kw)
+                        index[w] = j
+                        push(w)
                         grow_dist(dv + 1)
                     row.append(j)
             else:
-                for kw in rows(k):
-                    j = get(kw)
+                for w in rows(v):
+                    j = get(w)
                     if j is not None:
                         row.append(j)
             adjacency.append(tuple(row))
-        if known is not None:
-            new = len(vertices)
-            vertices += map(kv.__getitem__, islice(keys, new - first, None))
-            index.update(zip(islice(vertices, new, None),
-                             map(own.__getitem__,
-                                 islice(keys, new - first, None))))
         self.grown = radius
 
     @property
     def vertices(self):
         self._grow(self.radius)
-        return self._vertices
+        return self._decoded(self._vertices)
 
     @property
     def index(self):
         self._grow(self.radius)
-        return self._index
+        codec = self._codec
+        return self._index if codec is None else \
+            _EncodedIndex(self._index, codec)
 
     @property
     def dist_from_base(self):
@@ -249,22 +260,61 @@ class Window:
     def __len__(self):
         return len(self.vertices)
 
+    def vertex_at(self, i):
+        """The vertex at index i of the held prefix, decoded; no growth."""
+        return self._vertex(self._vertices[i])
+
+    def _key(self, vertex):
+        """The key ``vertex`` is held under, or None where no window of
+        this codec holds it."""
+        codec = self._codec
+        return vertex if codec is None else codec.encode(vertex)
+
+    def _vertex(self, key):
+        """The vertex of a key of this codec."""
+        codec = self._codec
+        return key if codec is None else codec.decode(key)
+
+    def _decoded(self, keys):
+        """The vertices of a list of keys of this codec: the list itself,
+        or a read-only view that decodes one key per read."""
+        codec = self._codec
+        return keys if codec is None else _DecodedList(keys, codec)
+
+    def _distances(self, b, keys):
+        """d(b, v) for the vertices v of a list of keys, in order, where
+        ``space.distance`` gives d(b, .) in closed form."""
+        codec = self._codec
+        if codec is not None and codec.l1:
+            return codec.l1_distances(b, keys)
+        return map(partial(self.space.distance, b), self._decoded(keys))
+
+    def _rekey(self, other, keys):
+        """``other``'s keys for the vertices of this window's ``keys``:
+        the same keys where the two windows share a codec, else each
+        decoded and encoded again (None for a vertex no window of other's
+        codec holds)."""
+        if other._codec is self._codec:
+            return keys
+        return map(other._key, map(self._vertex, keys))
+
     def find(self, vertex):
         """Index of ``vertex``, or None when it is not in B_R(base).  A
         miss grows the state to d(base, vertex) where the generator gives
         it in closed form, then doubles it until the vertex is held or the
         window is whole, so a vertex near the base is found without
         growing the window to R."""
-        i = self._index.get(vertex)
+        key = self._key(vertex)
+        i = self._index.get(key)
         if i is None and self.grown < self.radius and \
                 self.space.contains(vertex):
             d = self.space.distance(self.base, vertex)
             if d is not None:
                 self._grow(d)
-                i = self._index.get(vertex)
+                i = self._index.get(key)
         while i is None and self.grown < self.radius:
             self._grow(max(1, 2 * self.grown))
-            i = self._index.get(vertex)
+            i = self._index.get(key)
         return i
 
     def count_within(self, rho):
@@ -323,7 +373,9 @@ class Window:
         i = self.find(vertex)
         if i is None:
             raise ZoneError(f"{what} vertex {vertex!r} not in window",
-                            parameter="radius", witness=vertex)
+                            parameter="radius", witness=vertex,
+                            need=self.space.distance(self.base, vertex)
+                            if self.space.contains(vertex) else None)
         d = self._dist[i]
         if d > rho:
             raise ZoneError(
@@ -359,6 +411,64 @@ class Window:
         return idxs
 
 
+class _DecodedList(Sequence):
+    """Read-only view of a coded window's key list: item i is the vertex
+    at index i, decoded when read."""
+
+    __slots__ = ("_keys", "_decode")
+
+    def __init__(self, keys, codec):
+        self._keys, self._decode = keys, codec.decode
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._decode, self._keys[i]))
+        return self._decode(self._keys[i])
+
+    def __iter__(self):
+        return map(self._decode, self._keys)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+class _EncodedIndex(Mapping):
+    """Read-only view of a coded window's index: maps each held vertex to
+    its index, encoding the vertex when looked up."""
+
+    __slots__ = ("_index", "_codec")
+
+    def __init__(self, index, codec):
+        self._index, self._codec = index, codec
+
+    def __len__(self):
+        return len(self._index)
+
+    def __getitem__(self, vertex):
+        i = self._index.get(self._codec.encode(vertex))
+        if i is None:
+            raise KeyError(vertex)
+        return i
+
+    def __iter__(self):
+        return map(self._codec.decode, self._index)
+
+
+def _tail(items, start):
+    """An iterator over ``items[start:]`` that goes on to the items
+    appended while it runs, started at ``start`` in O(1)."""
+    it = iter(items)
+    it.__setstate__(start)
+    return it
+
+
 def materialize_window(space, base, radius, known=None):
     """Breadth-first materialization of ``B_radius(base)``.
 
@@ -371,7 +481,8 @@ def materialize_window(space, base, radius, known=None):
 
     ``known`` is an optional window of the same space.  When it holds
     B_radius(base), s + radius <= its radius for s = d(known.base, base),
-    the same window grows from its rows (:meth:`Window._grow`), on demand
+    the same window grows from its rows and holds its keys
+    (:meth:`Window._grow`), on demand
     when known's B_{s + radius} fits the budget, and
     :func:`~dlscape.fields.u_point_assigned` runs its passes there.
     """
@@ -443,7 +554,8 @@ def sphere(window, r):
                         f"{window.radius}", parameter="radius",
                         need=r if r > 0 else None)
     hi = window.count_within(r)
-    return tuple(sorted(window._vertices[window.count_within(r - 1):hi]))
+    return tuple(sorted(map(window.vertex_at,
+                            range(window.count_within(r - 1), hi))))
 
 
 def pairwise_dist(window, sample, need=0):
@@ -484,4 +596,4 @@ def shortest_path(window, goal):
     while g:
         g = min(window._adjacency[g])
         path.append(g)
-    return [window._vertices[i] for i in reversed(path)]
+    return list(map(window.vertex_at, reversed(path)))

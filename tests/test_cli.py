@@ -62,6 +62,21 @@ def test_space_spec_file_and_shorthand(tmp_path, capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_a_file_named_like_a_shorthand_does_not_shadow_it(
+        tmp_path, capsys, monkeypatch):
+    """In a directory holding a file named ``line``, ``--space line`` is
+    the line; the file is read as ``./line``, a path."""
+    args = ["--radius", "4", "--r-max", "2", "--zone", "1"]
+    want = run(capsys, "field", "--space", "line", *args)
+    assert want[0] == 0
+    (tmp_path / "line").write_text("not json")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "field", "--space", "line", *args) == want
+    payload = _usage_error(capsys, "field", "--space", "./line", *args)
+    assert "not valid JSON" in payload["message"]
+    assert run(capsys, "field", "--space", "line:scale=1/2", *args)[0] == 0
+
+
 def test_level_set(capsys):
     code, out, _ = run(capsys, "level-set", "--space", "h_graph",
                        "--radius", "48", "--r-max", "36", "--zone", "8",
@@ -400,6 +415,20 @@ def test_rho_sample_outside_the_window_names_its_need(capsys, space, sample,
                            "--zone", "5", "--r-max", "18", "--sample", sample)
     assert payload["error"] == "ZoneError"
     assert payload["parameter"] == "radius" and payload["need"] == need
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["busemann", "--space", "grid2d", "--ray", "0,0;1,0;2,0", "--zone",
+      "1"], 3),
+    (["horo", "--space", "line", "--points", "2;5", "--zone", "2"], 7),
+    (["horo", "--space", "h_graph", "--base", "3,3", "--points",
+      "3,3;9,9", "--zone", "2"], None)])
+def test_anchor_outside_the_window_names_its_need(capsys, argv, need):
+    """An anchor outside the window needs max(d(base, v), d(base, H_n) +
+    zone) where the generator gives each d(base, v) in closed form."""
+    payload = _usage_error(capsys, *argv, "--radius", "1")
+    assert payload["error"] == "ZoneError" and "not in window" in \
+        payload["message"] and payload.get("need") == need
 
 
 def test_rho_sample_outside_the_window_without_a_closed_form(capsys):

@@ -372,7 +372,7 @@ def test_corays_share_one_pass_per_start(monkeypatch, name, starts):
     bfs = space._bfs_from_indices
 
     def counted(window, seeds, limit=None, settled=()):
-        calls.append(w._vertices[seeds[0]])
+        calls.append(w.vertex_at(seeds[0]))
         return bfs(window, seeds, limit, settled)
 
     monkeypatch.setattr(space, "_bfs_from_indices", counted)

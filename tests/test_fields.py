@@ -228,8 +228,10 @@ def test_lazy_family_report_after_the_callers_window_grew(
 
 
 def _held(window):
-    """A window's lists as held, without growing it."""
-    return (window._vertices, window._index, window._dist,
+    """A window's lists as held, without growing it: its vertices, each
+    found at its index, distances and rows."""
+    vertices = list(map(window.vertex_at, range(len(window._dist))))
+    return (vertices, {v: window.find(v) for v in vertices}, window._dist,
             window._adjacency)
 
 
@@ -313,7 +315,7 @@ def test_family_pass_reaches_the_ball_at_its_base(monkeypatch, name, bases):
     def counted(window, seeds, limit=None, settled=()):
         d = bfs(window, seeds, limit, settled)
         if settled:
-            passes.append((window._vertices[seeds[0]],
+            passes.append((window.vertex_at(seeds[0]),
                            sum(x >= 0 for x in d),
                            sum(x >= 0 for x in bfs(window, seeds, limit))))
         return d
@@ -552,10 +554,13 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
 # error.  The checks, in order: the argument shapes, each anchor set
 # non-empty and in the window, a ray a geodesic, d(base, H_n) + margin
 # <= R (margin zone, 2 zone for sets), 1 <= zone, a sequence diverging.
+# An anchor outside the window needs max(d(base, v), d(base, H_n) +
+# margin) over every anchor, as grid2d gives each d(base, v) in closed
+# form, or d(base, v) alone when a later set is empty.
 ANCHOR_CHECKS = [
     ("busemann", ([(0, 0), (1, 0)], 2, 3), ("DomainError", None, None, None)),
     ("busemann", ([(0, 0), (11, 0)], 1, 3),
-     ("ZoneError", "radius", None, (11, 0))),
+     ("ZoneError", "radius", 14, (11, 0))),
     ("busemann", ([(0, 0), (2, 0)], 1, 3), ("DomainError", None, None, None)),
     # not a geodesic and too far out: the geodesy check comes first
     ("busemann", ([(9, 0), (8, 0), (9, 0)], 2, 3),
@@ -564,7 +569,7 @@ ANCHOR_CHECKS = [
      ("ZoneError", "radius", 11, (8, 0))),
     ("busemann", ([(0, 0), (1, 0)], 1, 0), ("DomainError", None, None, None)),
     ("horo", ([(1, 0)], 3), ("DomainError", None, None, None)),
-    ("horo", ([(1, 0), (12, 0)], 3), ("ZoneError", "radius", None, (12, 0))),
+    ("horo", ([(1, 0), (12, 0)], 3), ("ZoneError", "radius", 15, (12, 0))),
     ("horo", ([(1, 0), (8, 0), (9, 0)], 3),
      ("ZoneError", "radius", 12, (8, 0))),
     ("horo", ([(1, 0), (2, 0)], 0), ("DomainError", None, None, None)),
@@ -577,9 +582,9 @@ ANCHOR_CHECKS = [
     ("sets", ([[(1, 0)], []], [1, 2], 2), ("DomainError", None, None, None)),
     # a set outside the window before an empty one: sets are checked in turn
     ("sets", ([[(12, 0)], []], [1, 2], 2),
-     ("ZoneError", "radius", None, (12, 0))),
+     ("ZoneError", "radius", 12, (12, 0))),
     ("sets", ([[(1, 0)], [(2, 0), (12, 0)]], [1, 2], 2),
-     ("ZoneError", "radius", None, (12, 0))),
+     ("ZoneError", "radius", 12, (12, 0))),
     ("sets", ([[(1, 0)], [(6, 0), (5, 0), (4, 1)]], [1, 5], 3),
      ("ZoneError", "radius", 11, (5, 0))),
     ("sets", ([[(1, 0)], [(2, 0)]], [1, 2], 0),

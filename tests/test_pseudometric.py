@@ -376,7 +376,7 @@ def test_family_runs_no_pass_from_a_closed_form_base(
 
     def counted(window, seeds, limit=None, settled=()):
         seeds = list(seeds)
-        if seeds == [window._index.get(current[-1])]:
+        if seeds == [window.find(current[-1])]:
             seeded.append(current[-1])
         return bfs(window, seeds, limit, settled)
 

@@ -77,6 +77,30 @@ def test_materialize_from_known_window(name, params, radius):
                 _window_fields(plain)
 
 
+@pytest.mark.parametrize("name,base,radius,known_base,known_radius", [
+    ("line", 3, 1200, 0, 1500), ("halfline", 10, 1500, 0, 1600),
+    ("grid2d", (3, -5), 20, (0, 0), 30), ("h_graph", (2, 3), 25, (0, 0), 40),
+    ("cylinder", (4, 1), 15, (0, 0), 20)])
+def test_growth_one_shell_per_call_is_growth_in_one_call(
+        name, base, radius, known_base, known_radius):
+    """A window grown from known rows one shell per call holds, after
+    each call, the window of that radius, and at the end what one call
+    to the radius builds; from the generator alike."""
+    space = build(name, {"m": 5} if name == "cylinder" else {})
+    known = materialize_window(space, known_base, known_radius)
+    for kn in (known, None):
+        whole = materialize_window(space, base, radius, known=kn)
+        whole.count_within(radius)
+        stepped = _on_demand(space, base, radius, kn)
+        assert stepped.known is kn
+        for r in range(1, radius + 1):
+            stepped.count_within(r)
+            assert stepped.grown == r
+            if r % 5 == 0 or r < 3:
+                assert _held(stepped) == _eager(space, base, r)
+        assert _held(stepped) == _held(whole)
+
+
 class _RecordingRows(list):
     """Adjacency rows that record the index of each row read."""
 
@@ -105,7 +129,7 @@ def test_growth_from_known_rows_reads_only_its_ball(name, params, radius):
             head = w.count_within(r - 2) if r > 1 else 0   # S_{r - 1}
             rows.read.clear()
             n = w.count_within(r)
-            grown = w._vertices[head:n]
+            grown = map(w.vertex_at, range(head, n))
             assert sorted(rows.read) == sorted(known.index[v] for v in grown)
             assert max(rows.read) < known.count_within(dist[i] + r)
         assert _window_fields(w) == _window_fields(
@@ -189,9 +213,11 @@ def test_require_zone(h_window):
 
 
 def _held(w):
-    """The window's lists as held, without growing it."""
-    return (w.grown, w._vertices, list(w._index.items()), w._dist,
-            w._adjacency)
+    """The window's lists as held, without growing it: its vertices, each
+    found at its index, distances and rows."""
+    vertices = list(map(w.vertex_at, range(len(w._dist))))
+    return (w.grown, vertices, [w.find(v) for v in vertices],
+            len(w._index), w._dist, w._adjacency)
 
 
 def _eager(space, base, radius):
