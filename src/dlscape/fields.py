@@ -176,16 +176,14 @@ class ScalarField:
     def value_at(self, vertex):
         return self.values[self.index_of(vertex)]
 
-    def values_at(self, vertices, keys=None):
+    def values_at(self, vertices, keys):
         """:meth:`value_at` at each of a sequence of ``vertices``, in
         order, refusing the first vertex without a value as it does.
-        ``keys``, an iterable of the vertices' keys in the field's window
-        (:class:`~dlscape.space.Window`), saves encoding them; a vertex is
-        read only where its key has no value."""
-        window, values = self.window, self.values
-        get = window._index.get
-        if keys is None:
-            keys = map(window._key, vertices)
+        ``keys`` iterates the vertices' keys in the field's window
+        (:class:`~dlscape.space.Window`); a vertex is read only where its
+        key has no value."""
+        values = self.values
+        get = self.window._index.get
         out = []
         for t, k in enumerate(keys):
             i = get(k)
@@ -389,8 +387,8 @@ def u_point_assigned(window, schedule, zone, tail=None):
 
     def scan(r):            # (S_r(b), the annulus outside B_r(b))
         lo, hi = count(r - delta - 1), count(r + delta)
-        ds = w._distances(b, vertices[lo:hi]) if dist_b is None else \
-            dist_b[lo:hi]
+        ds = map(partial(space.distance, b), w._decoded(vertices[lo:hi])) \
+            if dist_b is None else dist_b[lo:hi]
         near, far = [], []
         for j, d in enumerate(ds, lo):
             if d == r:

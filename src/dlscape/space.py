@@ -13,7 +13,6 @@ import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import partial
 from operator import eq
 
 from .errors import DomainError, ResourceLimitError, ZoneError
@@ -280,14 +279,6 @@ class Window:
         or a read-only view that decodes one key per read."""
         codec = self._codec
         return keys if codec is None else _DecodedList(keys, codec)
-
-    def _distances(self, b, keys):
-        """d(b, v) for the vertices v of a list of keys, in order, where
-        ``space.distance`` gives d(b, .) in closed form."""
-        codec = self._codec
-        if codec is not None and codec.l1:
-            return codec.l1_distances(b, keys)
-        return map(partial(self.space.distance, b), self._decoded(keys))
 
     def _rekey(self, other, keys):
         """``other``'s keys for the vertices of this window's ``keys``:

@@ -9,8 +9,6 @@ generic pipeline against an independent answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from operator import add, floordiv, mod, sub
 
 from .errors import DomainError, GeneratorParamError, UnknownGeneratorError
 from .space import GraphSpace
@@ -49,45 +47,31 @@ class _PairCodec:
     The pair (x, y) with |x - a|, |y - b| <= R + 1, base (a, b), has the
     code (x - a + R + 1) * S + (y - b + R + 1), stride S = 2R + 3: one int
     in [0, S^2), below 2^30 for R < 16,382, so one 30-bit digit.  Codes
-    sort as their pairs do.  ``encode`` gives None for any other value, so
-    a far vertex never aliases a code.  ``neighbors`` is the generator's
-    neighbor rule on codes, in generator order; it is called only on the
-    vertices of B_R(base), whose neighbors lie in the box on a graph whose
-    distance is at least the L1 distance.  ``l1`` says the graph distance
-    is the L1 distance, which :meth:`l1_distances` reads off the codes.
+    sort as their pairs do.  ``encode`` gives None for any other value,
+    a pair of non-ints included, so a far vertex or a float never aliases
+    a code.  ``neighbors`` is the generator's neighbor rule on codes, in
+    generator order; it is called only on the vertices of B_R(base), whose
+    neighbors lie in the box on a graph whose distance is at least the L1
+    distance.
     """
 
-    __slots__ = ("stride", "x0", "y0", "neighbors", "l1")
+    __slots__ = ("stride", "x0", "y0", "neighbors")
 
     def __init__(self, base, radius, space):
         self.stride = 2 * radius + 3
         self.x0, self.y0 = base[0] - radius - 1, base[1] - radius - 1
         self.neighbors = space.code_rule(self.stride, self.x0, self.y0)
-        self.l1 = space.code_l1
 
     def encode(self, v):
-        try:
-            x, y = v
-            x -= self.x0
-            y -= self.y0
-        except (TypeError, ValueError):
+        if not _is_pair(v):
             return None
         s = self.stride
+        x, y = v[0] - self.x0, v[1] - self.y0
         return x * s + y if 0 <= x < s and 0 <= y < s else None
 
     def decode(self, c):
         x, y = divmod(c, self.stride)
         return (x + self.x0, y + self.y0)
-
-    def l1_distances(self, b, codes):
-        """|x - b_x| + |y - b_y| for the pairs (x, y) of ``codes``, in
-        order, read off the codes by C-level maps, with no decoding."""
-        s = repeat(self.stride)
-        return map(add,
-                   map(abs, map(sub, map(floordiv, codes, s),
-                                repeat(b[0] - self.x0))),
-                   map(abs, map(sub, map(mod, codes, s),
-                                repeat(b[1] - self.y0))))
 
 
 class _PairVertices(GraphSpace):
@@ -95,11 +79,9 @@ class _PairVertices(GraphSpace):
 
     A generator that sets ``code_rule`` holds its windows' vertices as
     :class:`_PairCodec` codes: ``code_rule(S, x0, y0)`` returns its
-    neighbor rule on the codes of stride S whose code 0 is (x0, y0).
-    ``code_l1`` says its graph distance is the L1 distance."""
+    neighbor rule on the codes of stride S whose code 0 is (x0, y0)."""
 
     code_rule = None
-    code_l1 = False
 
     def window_codec(self, base, radius):
         return None if self.code_rule is None else \
@@ -202,7 +184,6 @@ class Grid2D(_PairVertices):
     """The Z^2 lattice with 4-neighbor adjacency."""
 
     generator_id = "grid2d"
-    code_l1 = True
 
     def ball_size_bound(self, base, radius):
         return 2 * radius * radius + 2 * radius + 1

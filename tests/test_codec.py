@@ -64,21 +64,26 @@ def test_coded_window_is_the_plain_bfs(name):
 
 @pytest.mark.parametrize("name", sorted(CODED))
 def test_vertices_off_the_box_are_never_found(name):
-    """A vertex just outside the box |dx|, |dy| <= R + 1, and one far
-    off, have no code: find gives None and require_zone refuses it."""
+    """A vertex just outside the box |dx|, |dy| <= R + 1, one far off, and
+    anything but a pair of ints have no code: find gives None and
+    require_zone refuses it.  A float pair has none even where its
+    arithmetic would land on a held code: (x0 + k/S) * S + y rounds to
+    the code of (x0 + k, y)."""
     space = build(name)
     for base in CODED[name]:
         for radius in (0, 1, 5, 12):
             w = materialize_window(space, base, radius)
             a, b = base
-            edge = radius + 2
-            # (a - 1, b + 2R + 3) would take the base's code, (a, b), if
-            # codes wrapped around the stride 2R + 3.
+            edge, s = radius + 2, 2 * radius + 3
+            x0, y0 = a - radius - 1, b - radius - 1
+            # (a - 1, b + S) would take the base's code, (a, b), if codes
+            # wrapped around the stride S.
             for v in [(a + edge, b), (a - edge, b), (a, b + edge),
-                      (a + 10 ** 6, b), (a + 3 * (2 * radius + 3), b),
-                      (a - 1, b + 2 * radius + 3)]:
-                if not space.contains(v):
-                    continue
+                      (a + 10 ** 6, b), (a + 3 * s, b), (a - 1, b + s),
+                      *((x0 + k / s, y0 + j) for k in (1, s // 2, s - 1)
+                        for j in range(s)),
+                      (float(a), b), (a, float(b)), (True, b), [a, b],
+                      (a, b, 0), "ab", None]:
                 assert w._codec.encode(v) is None, v
                 assert w.find(v) is None
                 assert v not in w.index and w.index.get(v) is None
