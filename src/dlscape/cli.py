@@ -227,7 +227,7 @@ def cmd_rho(args):
 def cmd_gh(args):
     X = gh.FiniteMetricSpace.from_json(_load_json(args.x))
     Y = gh.FiniteMetricSpace.from_json(_load_json(args.y))
-    lower, upper, corr = gh.gh_bounds(X, Y, budget=args.budget)
+    lower, upper, corr = gh.gh_bounds(X, Y)
     iso = gh.build_eps_isometry(corr, X, Y)
     payload = {"lower": str(lower), "upper": str(upper),
                "correspondence": corr.to_json(),
@@ -358,7 +358,6 @@ def build_parser():
     p = sub.add_parser("gh", help="pointed GH bounds for two finite spaces")
     p.add_argument("--x", required=True, help="finite-space JSON file")
     p.add_argument("--y", required=True, help="finite-space JSON file")
-    p.add_argument("--budget", type=int, default=gh.SEARCH_BUDGET)
     _add_output(p)
     p.set_defaults(fn=cmd_gh)
 

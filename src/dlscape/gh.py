@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .errors import DomainError, MetricError, ResourceLimitError
 
-SEARCH_BUDGET = 8
 NODE_CAP = 500_000
 
 
@@ -263,8 +262,13 @@ def _search_union(X, Y, node_cap):
 
     Phase 1 finds D*: a first descent with no limit seeds the incumbent
     greedily, and each further descent must beat it; a descent that
-    finds nothing, or an incumbent of 0, proves it optimal.  Past
-    ``node_cap`` nodes the incumbent is returned with proved False.
+    finds nothing, or an incumbent of 0, proves it optimal, whatever the
+    sizes of X and Y.  Past ``node_cap`` nodes the incumbent is returned
+    with proved False.  There is always an incumbent by then, for any
+    ``node_cap`` >= n_X + n_Y - 1: under ``limit = inf`` every candidate
+    is below the limit, so no slot is ever left with none, the first
+    descent never backtracks, and it reaches a leaf after one node per
+    slot it fills, at most n_X + n_Y - 2, plus the leaf.
 
     Phase 2 finds the canonical witness: the first leaf L*, in slot order
     and candidate-index order, whose distortion is D*.  Slot by slot it
@@ -277,8 +281,7 @@ def _search_union(X, Y, node_cap):
     before L* is kept, and no later leaf improves on D*.  Past the node
     cap, the last witness is returned.
 
-    Returns (pairs, distortion, proved); pairs is None when the cap came
-    before any leaf.
+    Returns (pairs, distortion, proved).
     """
     unit, dX, dY = _int_view(X, Y)
     slots = [(True, i) for i in range(X.n) if i != X.base] + \
@@ -343,7 +346,6 @@ def _search_union(X, Y, node_cap):
     every = list(range(len(slots)))
     start = place(every, [[0] * (Y.n if side else X.n) for side, _ in slots],
                   X.base, Y.base)
-    best = choice = None
     proved = False
     try:
         # Phase 1: D*.
@@ -370,36 +372,28 @@ def _search_union(X, Y, node_cap):
                         break
             rows = nxt
     except _NodeCap:
-        if choice is None:
-            return None, None, False
+        pass
     pairs = [(X.base, Y.base)] + [pair(s, t) for s, t in enumerate(choice)]
     return pairs, Fraction(best, unit), proved
 
 
-def min_distortion_correspondence(X, Y, budget=SEARCH_BUDGET):
-    """Minimum-distortion pointed correspondence, exact within budget.
-
-    Beyond the budget the search is capped and the best correspondence
-    found is returned with ``proved_optimal=False``.  ``budget`` must be at
-    least 1.
-    """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    cap = NODE_CAP if max(X.n, Y.n) <= budget else min(NODE_CAP, 50_000)
-    pairs, dis, proved = _search_union(X, Y, cap)
-    if pairs is None:
-        raise ResourceLimitError("correspondence search found no complete "
-                                 "assignment within the node cap")
-    if max(X.n, Y.n) > budget:
-        proved = False
+def min_distortion_correspondence(X, Y):
+    """Minimum-distortion pointed correspondence.  ``proved_optimal``
+    says that phase 1 of the search finished within ``NODE_CAP`` nodes,
+    which proves its distortion is D* at any size; past the cap the best
+    correspondence found is returned with ``proved_optimal=False``."""
+    pairs, dis, proved = _search_union(X, Y, NODE_CAP)
     corr = Correspondence(frozenset(pairs), dis, proved)
     corr.validate(X, Y)
     return corr
 
 
-def gh_bounds(X, Y, budget=SEARCH_BUDGET):
-    """(lower, upper, correspondence): D*/2 <= pointed GH <= D*."""
-    corr = min_distortion_correspondence(X, Y, budget=budget)
+def gh_bounds(X, Y):
+    """(lower, upper, correspondence): D*/2 <= pointed GH <= D*, for the
+    correspondence of :func:`min_distortion_correspondence`.  Where it is
+    not ``proved_optimal``, upper is still a bound, but lower is half its
+    distortion, which may exceed D*/2."""
+    corr = min_distortion_correspondence(X, Y)
     return corr.distortion / 2, corr.distortion, corr
 
 

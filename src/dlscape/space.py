@@ -133,7 +133,9 @@ class Window:
 
     Completion.  :meth:`count_within` grows the window to min(rho, R); a
     lookup through :meth:`find` grows it until the vertex is found, and
-    to R before it answers "not in window"; every read of the whole
+    to R before it answers "not in window", unless the codec, ``contains``
+    or a closed-form distance past R already proves the vertex absent,
+    when it answers at once with no growth; every read of the whole
     window (``len`` and the ``vertices``, ``index``, ``dist_from_base``
     and ``adjacency`` properties) grows it to R first, so those reads see
     B_R.  Other readers in this package read the underscore lists below a
@@ -291,16 +293,21 @@ class Window:
 
     def find(self, vertex):
         """Index of ``vertex``, or None when it is not in B_R(base).  A
-        miss grows the state to d(base, vertex) where the generator gives
-        it in closed form, then doubles it until the vertex is held or the
-        window is whole, so a vertex near the base is found without
-        growing the window to R."""
+        vertex not held answers None at once when the codec holds no key
+        for it, the space does not contain it, or its closed-form distance
+        d(base, vertex) exceeds R.  Otherwise the state grows to that
+        distance where the generator gives it, then doubles until the
+        vertex is held or the window is whole, so a vertex near the base
+        is found without growing the window to R."""
         key = self._key(vertex)
         i = self._index.get(key)
-        if i is None and self.grown < self.radius and \
-                self.space.contains(vertex):
+        if i is None and self.grown < self.radius:
+            if key is None or not self.space.contains(vertex):
+                return None
             d = self.space.distance(self.base, vertex)
             if d is not None:
+                if d > self.radius:
+                    return None
                 self._grow(d)
                 i = self._index.get(key)
         while i is None and self.grown < self.radius:

@@ -1,10 +1,16 @@
 """CLI behavior: output determinism, exit codes, and error shape."""
 
 import json
+import pathlib
+import random
 
 import pytest
+from test_gh import metric_from_weights
 
+from dlscape import FiniteMetricSpace
 from dlscape.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -208,14 +214,20 @@ def test_gh_refuses_a_space_it_was_not_given(tmp_path, capsys, text):
     assert "expected an integer" in payload["message"]
 
 
-@pytest.mark.parametrize("budget", ["-3", "0"])
-def test_gh_budget_below_one(tmp_path, capsys, budget):
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps(GOOD_SPACE))
-    payload = _usage_error(capsys, "gh", "--x", str(path), "--y", str(path),
-                           "--budget", budget)
-    assert payload["error"] == "DomainError"
-    assert "budget must be >= 1" in payload["message"]
+def test_gh_proves_a_twelve_point_pair(capsys):
+    """The pair in data/gh_12pt_{x,y}.json is random.Random(12)'s first
+    draw: X then Y, each 66 weights in 1..20 closed under shortest paths,
+    base 0.  Past 8 points the search's proof still stands, so ``gh``
+    reports it proved."""
+    rng = random.Random(12)
+    want = [metric_from_weights(12, [rng.randint(1, 20) for _ in range(66)])
+            for _ in "xy"]
+    x, y = (DATA / f"gh_12pt_{side}.json" for side in "xy")
+    assert [FiniteMetricSpace.from_json(json.loads(p.read_text()))
+            for p in (x, y)] == want
+    code, out, _ = run(capsys, "gh", "--x", str(x), "--y", str(y))
+    assert code == 0 and '"proved_optimal":true' in out
+    assert json.loads(out)["upper"] == "4"
 
 
 def test_experiment_pass_and_fail(capsys):

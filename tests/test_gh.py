@@ -467,10 +467,15 @@ def _d_star(X, Y):
     return corr.distortion
 
 
-def _big_pairs(seed, count=8):
+def _big_pairs(seed, count=8, past_eight=3):
+    """``count`` pairs of 6-8 points with weights in 1..6, then
+    ``past_eight`` pairs of 9-16 points with weights in 1..9: sizes where
+    neither brute force nor the plain DFS spec can answer."""
     rng = random.Random(seed)
     return [(rand_space(rng, 8, 6, 6), rand_space(rng, 8, 6, 6))
-            for _ in range(count)]
+            for _ in range(count)] + \
+        [(rand_space(rng, 16, 9), rand_space(rng, 16, 9))
+         for _ in range(past_eight)]
 
 
 def test_relabeling_non_base_points_keeps_d_star():

@@ -278,13 +278,8 @@ def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
         assert w.grown == m
 
 
-def _miss(w):
-    return w.find(w.space.default_base()) == 0 and \
-        w.find(("not", "a", "vertex")) is None
-
-
 PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.index,
-                lambda w: w.dist_from_base, lambda w: w.adjacency, _miss,
+                lambda w: w.dist_from_base, lambda w: w.adjacency,
                 lambda w: _bfs_from_indices(w, [0])]
 
 
@@ -298,6 +293,38 @@ def test_whole_window_reads_grow_to_the_radius(name, params, radius):
         w.count_within(radius // 2)
         read(w)
         assert _held(w) == want
+
+
+def _past(space, base, radius):
+    """A vertex at distance radius + 1 from the base."""
+    outer = materialize_window(space, base, radius + 1)
+    return outer.vertex_at(len(outer) - 1)
+
+
+@pytest.mark.parametrize("name,params,radius", SMALL)
+def test_a_provable_miss_answers_without_growth(name, params, radius):
+    """A value that is not a vertex, and a vertex whose closed-form
+    distance exceeds R, are answered None with the window left as it
+    was held."""
+    space = build(name, params)
+    base = space.default_base()
+    far = _past(space, base, radius)
+    w = _on_demand(space, base, radius)
+    w.count_within(radius // 2)
+    held = _held(w)
+    assert w.find(("not", "a", "vertex")) is None and _held(w) == held
+    if space.distance(base, far) is not None:
+        assert w.find(far) is None and _held(w) == held
+
+
+def test_a_miss_with_no_closed_form_grows_to_the_radius():
+    """A tree vertex past R has no closed-form distance, so its miss grows
+    the window to R before it answers None."""
+    tree = build("tree", {"b": 2})
+    far = _past(tree, (), 8)
+    assert tree.distance((), far) is None
+    w = _on_demand(tree, (), 8)
+    assert w.find(far) is None and _held(w) == _eager(tree, (), 8)
 
 
 @pytest.mark.parametrize("name,params,radius", SMALL)
