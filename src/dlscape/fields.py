@@ -355,47 +355,58 @@ def u_point_assigned(window, schedule, zone, tail=None):
     for b the base here, delta + R <= R_W.  The pass for r runs from
     S_r(b) over B_r(b), which holds every such shortest path: W's S_r
     and B_r if delta = 0.  Else, by the triangle inequality, B_r(b) lies
-    in B_{delta + r}(o), the pass's limit, and every vertex v of that
-    ball outside B_r(b) lies in the annulus |d(o, v) - r| <= delta, since
-    d(o, v) < r - delta gives d(b, v) < r.  One scan of the annulus
-    reads d(b, v) at each of its vertices: those with d(b, v) = r are
-    S_r(b), those with d(b, v) > r are the rest of the ball outside
-    B_r(b), which the pass leaves out (``settled`` of :func:`_sweep`).
-    So the pass enters no vertex outside B_r(b), and it reaches all of
-    B_r(b), which a geodesic through b joins to S_r(b) inside it.  The
-    scan runs only when that step's pass runs.  d(b, v) is read from
-    ``space.distance(b, .)`` where the generator gives it, else from one
-    BFS from b confined to :meth:`~dlscape.space.Window.geodesic_ball`
-    (delta, delta + s, s) = B_{delta + s}(o), s = max(schedule).  Both
-    select the same two sets, in index order: the closed form is exact,
-    and the confined pass is exact at each annulus vertex v with d(b, v)
-    <= s, as that ball holds a geodesic from b to v.  Elsewhere in the
-    annulus d(b, v) > s >= r, and there a confined distance is never
-    shorter, so it is > r too.  It is never -1: the ball holds b and a
-    geodesic from each of its vertices to o, so the pass reaches all of
-    it.
+    in B_{delta + r}(o), the pass's limit.  Distance to b changes by at
+    most one per edge, so a walk from S_r(b) that leaves B_r(b) first
+    enters S_{r+1}(b), at a vertex of the limit ball next to B_r(b).  The
+    pass leaves out (``settled`` of :func:`_sweep`) a set of vertices of
+    S_{r+1}(b) below its limit that holds every such vertex, so it enters
+    no vertex outside B_r(b), and it reaches all of B_r(b), which a
+    geodesic through b joins to S_r(b) inside it: it visits exactly
+    B_r(b), whatever the rest of the ball holds.
+
+    One scan per step, run only when that step's pass runs, finds S_r(b)
+    and that part of S_{r+1}(b); W is first grown to B_{delta + s}(o), s
+    = max(schedule), which holds every B_r(b).  Where ``space.sphere_at``
+    gives spheres around b in closed form (its answer at r = 0 decides,
+    as it gives them for every r or for none), each point of S_r(b) and
+    S_{r+1}(b) is one key and one index lookup in W, and a point of
+    S_{r+1}(b) is kept where W holds it below the limit.  Else d(b, .) is
+    read from one BFS from b confined to that ball, B_{delta + s}(o) =
+    :meth:`~dlscape.space.Window.geodesic_ball` (delta, delta + s, s),
+    over the annulus |d(o, v) - r| <= delta of the limit ball, which
+    holds both sets, as d(o, v) < r - delta gives d(b, v) < r.  The
+    confined pass is exact at each v with d(b, v) <= s, as that ball
+    holds a geodesic from b to v, so on B_r(b), and it is never shorter
+    than d(b, v).  So it reads r exactly on S_r(b), reads r + 1 only on
+    S_{r+1}(b), and reads r + 1 at every vertex of the ball outside B_r(b)
+    next to a vertex of B_r(b), which reads at most r.
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
     k = w._index[w._key(window.base)]
     delta, top, count = w._dist[k], schedule[-1], w.count_within
     ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
-    if delta:               # d(b, .) in closed form, or from one source
-        space, b, vertices = w.space, window.base, w._vertices
-        dist_b = None if space.distance(b, b) is not None else \
+    if delta:               # spheres around b in closed form, or d(b, .)
+        space, b, get = w.space, window.base, w._index.get
+        dist_b = None if space.sphere_at(b, 0) is not None else \
             _bfs_from_indices(w, [k], ball)
 
-    def scan(r):            # (S_r(b), the annulus outside B_r(b))
-        lo, hi = count(r - delta - 1), count(r + delta)
-        ds = map(partial(space.distance, b), w._decoded(vertices[lo:hi])) \
-            if dist_b is None else dist_b[lo:hi]
-        near, far = [], []
-        for j, d in enumerate(ds, lo):
+    def held(r):            # W's index of each point of S_r(b), None: none
+        return map(get, w._keys(space.sphere_at(b, r)))
+
+    def scan(r):            # (S_r(b), S_{r+1}(b) below the pass's limit)
+        limit = count(delta + r)
+        if dist_b is None:
+            return list(held(r)), [j for j in held(r + 1)
+                                   if j is not None and j < limit]
+        near, cut = [], []
+        lo = count(r - delta - 1)
+        for j, d in enumerate(dist_b[lo:limit], lo):
             if d == r:
                 near.append(j)
-            elif d > r:
-                far.append(j)
-        return near, far
+            elif d == r + 1:
+                cut.append(j)
+        return near, cut
 
     return _sweep(window, "point_assigned", zone, tail,
                   ((r, partial(scan, r) if delta else

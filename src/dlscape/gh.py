@@ -391,10 +391,12 @@ def min_distortion_correspondence(X, Y):
 def gh_bounds(X, Y):
     """(lower, upper, correspondence): D*/2 <= pointed GH <= D*, for the
     correspondence of :func:`min_distortion_correspondence`.  Where it is
-    not ``proved_optimal``, upper is still a bound, but lower is half its
-    distortion, which may exceed D*/2."""
+    not ``proved_optimal`` its distortion is still an upper bound, but it
+    may exceed D*, so half of it is no lower bound: lower is then 0, the
+    only one the search proved."""
     corr = min_distortion_correspondence(X, Y)
-    return corr.distortion / 2, corr.distortion, corr
+    lower = corr.distortion / 2 if corr.proved_optimal else Fraction(0)
+    return lower, corr.distortion, corr
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
         raise ZoneError("zone too small for a shared evaluation region",
                         parameter="zone", need=max_base_dist + 1)
     eval_n = window.count_within(eval_zone)
-    eval_keys = window._vertices[:eval_n] + list(map(window._key, sample))
+    eval_keys = window._vertices[:eval_n] + list(window._keys(sample))
     eval_vertices = window._decoded(eval_keys)
 
     rows = {}

@@ -43,8 +43,8 @@ class GraphSpace:
     A generator names itself in ``generator_id``, declares its parameters
     in ``schema`` (name -> description, each held as the attribute of that
     name; empty by default) and implements ``neighbors(v)`` and
-    ``contains(v)``, and where it can, ``ball_size_bound`` and
-    ``distance``.  It inherits its vertex codec, ``default_base()``,
+    ``contains(v)``, and where it can, ``ball_size_bound``, ``distance``
+    and ``sphere_at``.  It inherits its vertex codec, ``default_base()``,
     ``parse_vertex(text)`` and ``vertex_label(v)``, and the
     ``window_codec`` its windows hold keys in, from one of
     :mod:`dlscape.zoo`'s vertex types, or defines its own.
@@ -73,6 +73,13 @@ class GraphSpace:
         """Closed-form graph distance d(a, b) between two vertices, or None
         where the generator gives none.  For a given a it is None for every
         b or exact for every b, so one call from a tells a caller which."""
+        return None
+
+    def sphere_at(self, b, r):
+        """The sphere S_r(b) in closed form, each vertex once, in no set
+        order, or None where the generator gives none.  As for
+        :meth:`distance`, for a given b it is None for every r or exact
+        for every r."""
         return None
 
     def window_codec(self, base, radius):
@@ -116,10 +123,11 @@ class Window:
     their pairs, :class:`~dlscape.zoo._PairCodec`), or the codec of the
     ``known`` window the window grows from, so that the two hold the same
     key for a vertex.  :meth:`vertex_at` decodes the key at an index and
-    ``_key`` encodes a vertex (None: no window of that codec holds it).
-    Keys are decoded only where a vertex leaves the window.  ``vertices``
-    and ``index`` are vertex-facing: for a coded window, read-only views
-    of the two containers that decode or encode one item per read.
+    ``_key`` encodes a vertex (None: no window of that codec holds it),
+    ``_keys`` a sequence of them.  Keys are decoded only where a vertex
+    leaves the window.  ``vertices`` and ``index`` are vertex-facing: for
+    a coded window, read-only views of the two containers that decode or
+    encode one item per read.
 
     State.  A window in state r = ``grown`` (0 <= r <= R) is exactly the
     window ``materialize_window(space, base, r)``, held in the lists
@@ -275,6 +283,13 @@ class Window:
         """The vertex of a key of this codec."""
         codec = self._codec
         return key if codec is None else codec.decode(key)
+
+    def _keys(self, vertices):
+        """The keys of a sequence of vertices: the sequence itself, or an
+        iterator that encodes one vertex per step (None for a vertex no
+        window of this codec holds)."""
+        codec = self._codec
+        return vertices if codec is None else map(codec.encode, vertices)
 
     def _decoded(self, keys):
         """The vertices of a list of keys of this codec: the list itself,

@@ -21,7 +21,8 @@ def _is_int(value):
 
 def _is_pair(v):
     """A tuple of two ints, neither a bool."""
-    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
+    return isinstance(v, tuple) and len(v) == 2 and _is_int(v[0]) and \
+        _is_int(v[1])
 
 
 class _IntVertices(GraphSpace):
@@ -33,6 +34,9 @@ class _IntVertices(GraphSpace):
 
     def distance(self, a, b):
         return abs(a - b)
+
+    def sphere_at(self, b, r):
+        return tuple(v for v in {b - r, b + r} if self.contains(v))
 
     def parse_vertex(self, text):
         return self.check_vertex(int(text))
@@ -204,6 +208,16 @@ class Grid2D(_PairVertices):
     def distance(self, a, b):
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
+    def sphere_at(self, b, r):
+        """The 4r lattice points at L1 distance r >= 1, one quarter of the
+        diamond per side; (b,) at r = 0."""
+        x, y = b
+        if not r:
+            return (b,)
+        return [p for i in range(r) for p in (
+            (x + r - i, y + i), (x - i, y + r - i), (x - r + i, y - i),
+            (x + i, y - r + i))]
+
 
 class HGraph(_PairVertices):
     """The H-graph: x-axis plus, for every i >= 1, the three-segment arm
@@ -282,6 +296,22 @@ class HGraph(_PairVertices):
             return None
         x, y = b
         return abs(x) + y if y <= abs(x) else 3 * y - abs(x)
+
+    def sphere_at(self, b, r):
+        """From (0, 0) only, by :meth:`distance`: the axis points (+-r, 0),
+        the column points (+-(r - y), y), 1 <= y <= r / 2, and the row
+        points (+-(3y - r), y), r / 3 <= y < r / 2, short of the corners,
+        which the columns hold."""
+        if b != (0, 0):
+            return None
+        if not r:
+            return (b,)
+        out = [(-r, 0), (r, 0)]
+        for y in range(1, r // 2 + 1):
+            out += (-(r - y), y), (r - y, y)
+        for y in range((r + 2) // 3, (r + 1) // 2):
+            out += {(-(3 * y - r), y), (3 * y - r, y)}
+        return out
 
 
 class Stick(GraphSpace):

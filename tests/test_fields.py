@@ -245,9 +245,9 @@ def _whole(window):
 @pytest.mark.parametrize("name,params,radius", ALL_GENERATORS)
 def test_family_passes_leave_out_only_what_no_path_needs(
         monkeypatch, name, params, radius, first):
-    """Off-base family fields, whose passes leave out the annulus
-    vertices past B_r(b), equal the same fields swept with nothing left
-    out, over all of B_{delta + r}(o): values, ``stable`` and
+    """Off-base family fields, whose passes leave out the vertices of
+    S_{r+1}(b) in B_{delta + r}(o), equal the same fields swept with
+    nothing left out, over all of that ball: values, ``stable`` and
     ``last_change``, read in either order.  The bases lie off the
     caller's base, so on the h_graph d(b, .) comes from a BFS from b.
     Each family window, grown on the caller's rows, holds at the zone and

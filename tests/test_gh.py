@@ -532,6 +532,18 @@ def test_a_hard_eight_point_pair_is_proved():
         (3, 6), (4, 3), (4, 5), (5, 1), (6, 4), (7, 0)]
 
 
+def test_an_unproved_search_claims_no_lower_bound(monkeypatch):
+    """Cut at 40 nodes, the search on the 12-point pair (D* = 4) returns
+    distortion 7, unproved.  Half of it is no lower bound, as it exceeds
+    D*/2 = 2, so ``gh_bounds`` gives 0, the only one it proved."""
+    X, Y = (FiniteMetricSpace.from_json(json.loads(
+        (DATA / f"gh_12pt_{side}.json").read_text())) for side in "xy")
+    monkeypatch.setattr(gh, "NODE_CAP", 40)
+    lo, up, corr = gh_bounds(X, Y)
+    assert not corr.proved_optimal and up == corr.distortion == 7
+    assert lo == 0 <= Fraction(4, 2)
+
+
 # The Fraction bodies the integer certification replaced, kept as its spec.
 # ``spec_distortion`` also compares each pair with itself, as
 # ``distortion`` did before it compared only distinct pairs.

@@ -73,8 +73,9 @@ SUITES = [
 
 
 # (argv, exit code, sha256 of stdout) of runs whose point-assigned family
-# reads S_r(b) from the closed-form d(b, .) (grid2d, halfline, and the
-# h_graph's (0, 0)) or from one BFS from b (the other h_graph bases).
+# reads S_r(b) and S_{r+1}(b) from the closed-form ``sphere_at(b, r)``
+# (grid2d, halfline, and the h_graph's (0, 0)) or from one BFS from b (the
+# other h_graph bases).
 FAMILY = [
     (["rho", "--space", "grid2d", "--radius", "60", "--r-max", "48",
       "--zone", "20", "--sample", "0,0;3,-2;-4,1"], 0,

@@ -318,14 +318,16 @@ def test_family_windows_grow_only_to_the_zone():
 # within R // 3 of the window base o, so each field is swept on the
 # caller's rows with delta = d(o, b) > 0 off o.  The schedules starting at
 # 1 or 2 step below delta, so their first annuli |d(o, .) - r| <= delta
-# are whole balls B_{r + delta}(o).
+# are whole balls B_{r + delta}(o).  The grid2d window at (-7, 5) holds
+# bases at negative x, with y of both signs.
 ROUTE_SPACES = [("line", 0, 60, range(8, 41, 4), 10),
                 ("line", 7, 60, range(1, 41), 10),
                 ("halfline", 0, 60, range(8, 41, 8), 10),
                 ("halfline", 9, 60, range(1, 41), 12),
                 ("grid2d", (0, 0), 24, range(2, 17, 2), 8),
                 ("grid2d", (2, -3), 24, range(1, 17), 6),
-                ("h_graph", (3, 3), 30, range(2, 21, 2), 8)]
+                ("h_graph", (3, 3), 30, range(2, 21, 2), 8),
+                ("grid2d", (-7, 5), 18, range(1, 13), 6)]
 
 
 def _family_fields(space, base, radius, schedule, zone):
@@ -339,16 +341,29 @@ def _family_fields(space, base, radius, schedule, zone):
 @pytest.mark.parametrize("name,base,radius,schedule,zone", ROUTE_SPACES)
 def test_family_spheres_agree_on_both_distance_routes(
         monkeypatch, name, base, radius, schedule, zone):
-    """A family field reads S_r(b) from ``space.distance(b, .)`` where the
-    generator gives it, else from one confined BFS from b: with the
-    closed form patched away every field takes the pass and comes out the
-    same.  On the h_graph window at (3, 3) the base (0, 0) takes the
-    closed form and the other bases the pass."""
-    space = build(name)
-    closed = _family_fields(space, base, radius, schedule, zone)
+    """A family field reads S_r(b) and S_{r+1}(b) from
+    ``space.sphere_at(b, .)`` where the generator gives it, else from one
+    confined BFS from b: with the closed form patched away every field
+    takes the pass and comes out the same, and so does each sweep pass,
+    seeds and list.  On the h_graph window at (3, 3) the base (0, 0)
+    takes the closed form and the other bases the pass."""
+    from dlscape import fields
+    space, passes = build(name), []
+
+    def counted(window, seeds, limit=None, settled=None):
+        seeds = list(seeds)
+        d = _bfs_from_indices(window, seeds, limit, settled or ())
+        if settled is not None:         # a sweep pass, not the d(b, .) one
+            passes.append((sorted(seeds), d))
+        return d
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    closed = _family_fields(space, base, radius, schedule, zone), passes[:]
+    passes.clear()
     with monkeypatch.context() as m:
-        m.setattr(type(space), "distance", lambda self, a, b: None)
-        assert _family_fields(space, base, radius, schedule, zone) == closed
+        m.setattr(type(space), "sphere_at", lambda self, b, r: None)
+        assert (_family_fields(space, base, radius, schedule, zone),
+                passes) == closed
 
 
 # (generator, window base, R, sample, fields that take the d(b, .) pass)
@@ -394,3 +409,49 @@ def test_family_runs_no_pass_from_a_closed_form_base(
     assert current == sample
     assert len(seeded) == passes == len(set(seeded))
     assert base not in seeded
+
+
+# (generator, window base o, R_W, family base b, R, zone): b has closed-form
+# spheres.  On grid2d every value is -d(b, x), dated with no pass, so the
+# sweep runs its last pass only; the h_graph certificate runs more.
+SPHERE_PASSES = [("grid2d", (0, 0), 60, (3, -2), 40, 12),
+                 ("h_graph", (3, 3), 40, (0, 0), 24, 8)]
+
+
+@pytest.mark.parametrize("name,base,radius,b,r_max,zone", SPHERE_PASSES)
+def test_family_field_reads_two_spheres_per_pass(
+        monkeypatch, name, base, radius, b, r_max, zone):
+    """A family field whose base has closed-form spheres calls
+    ``space.distance`` never: after one probe of S_0(b) for the route,
+    each pass that runs starts from the points of S_r(b) and reads those
+    of S_{r+1}(b), no more."""
+    from dlscape import fields
+    space = build(name)
+    w = materialize_window(space, base, radius)
+    wb = materialize_window(space, b, r_max, known=w)
+    sphere_at = type(space).sphere_at
+    spheres, passes, distances = [], [], []
+
+    def counted_sphere(self, at, r):
+        points = sphere_at(self, at, r)
+        spheres.append((r, len(points)))
+        return points
+
+    def counted_pass(window, seeds, limit=None, settled=()):
+        seeds = list(seeds)
+        passes.append(len(seeds))
+        return _bfs_from_indices(window, seeds, limit, settled)
+
+    monkeypatch.setattr(type(space), "sphere_at", counted_sphere)
+    monkeypatch.setattr(type(space), "distance",
+                        lambda self, a, v: distances.append(v))
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted_pass)
+    _, report = u_point_assigned(wb, range(4, r_max + 1, 4), zone)
+    report.last_change
+    assert not distances
+    assert (len(passes) == 1) == (name == "grid2d")
+    assert spheres[0] == (0, 1) and len(spheres) == 1 + 2 * len(passes)
+    for n, (r, near), (r1, cut) in zip(passes, spheres[1::2], spheres[2::2]):
+        size = len(sphere_at(space, b, r))
+        assert (n, near, r1, cut) == \
+            (size, size, r + 1, len(sphere_at(space, b, r + 1)))

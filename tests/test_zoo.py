@@ -6,7 +6,7 @@ from fractions import Fraction
 from dlscape import (DomainError, GeneratorParamError,
                      UnknownGeneratorError, build, build_from_dict, catalog,
                      materialize_window, oracle)
-from dlscape.space import _bfs_from_indices
+from dlscape.space import _bfs_from_indices, sphere
 
 ALL = [("line", {}, 25), ("halfline", {}, 25), ("tree", {"b": 1}, 25),
        ("tree", {"b": 2}, 10), ("tree", {"b": 3}, 7), ("grid2d", {}, 9),
@@ -167,7 +167,8 @@ def test_closed_form_distance_is_the_window_distance(name, params, radius):
     """From every source s in B_3(base), where a generator gives d(s, v) in
     closed form it is the BFS distance of every vertex of the window
     B_R(s), which is exact from its base; elsewhere it gives None for
-    every v.  The h_graph gives it from (0, 0) only."""
+    every v, and ``sphere_at(s, r)`` None for every r.  The h_graph gives
+    both from (0, 0) only."""
     space = build(name, params)
     base = space.default_base()
     near = materialize_window(space, base, 3).vertices
@@ -177,6 +178,29 @@ def test_closed_form_distance_is_the_window_distance(name, params, radius):
         w = materialize_window(space, s, radius)
         for v, d in zip(w.vertices, w.dist_from_base):
             assert space.distance(s, v) == (d if known else None), (s, v)
+        if not known:
+            assert all(space.sphere_at(s, r) is None for r in range(radius))
+
+
+# (generator, bases, R): halfline bases below R meet b - r < 0, and the
+# grid2d bases take both signs of each coordinate.
+SPHERE_SPACES = [("line", [0, -4, 9], 20),
+                 ("halfline", [0, 2, 7], 20),
+                 ("grid2d", [(0, 0), (3, -2), (-7, 5)], 16),
+                 ("h_graph", [(0, 0)], 40)]
+
+
+@pytest.mark.parametrize("name,bases,radius", SPHERE_SPACES)
+def test_closed_form_sphere_is_the_window_sphere(name, bases, radius):
+    """``sphere_at(b, r)`` lists S_r(b) once per vertex, the sphere of the
+    window B_R(b), for every 1 <= r < R."""
+    space = build(name)
+    for b in bases:
+        w = materialize_window(space, b, radius)
+        for r in range(1, radius):
+            got = list(space.sphere_at(b, r))
+            assert len(got) == len(set(got)), (b, r)
+            assert tuple(sorted(got)) == sphere(w, r), (b, r)
 
 
 def test_stick_apex_distance():
