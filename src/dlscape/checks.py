@@ -62,6 +62,29 @@ def _suite_settles(radius):
     return _stable_from(schedule, 2 * zone, {0: schedule[0]})[0]
 
 
+def _require_suite_radius(radius, holds, what):
+    """Raise a radius ZoneError when ``holds(radius)`` is false, with the
+    smallest larger radius where it is true as its ``need``: the suite
+    schedule at ``radius`` ``what``."""
+    if not holds(radius):
+        need = radius + 1
+        while not holds(need):
+            need += 1
+        raise ZoneError(f"the suite schedule at radius {radius} {what}",
+                        parameter="radius", need=need)
+
+
+def _suite_field(space, radius):
+    """The window and the point-assigned field of the suite schedule; a
+    radius whose schedule is empty raises ZoneError with the smallest
+    radius whose schedule is not."""
+    window = _window(space, radius)
+    _require_suite_radius(radius, lambda r: _suite_schedule(r)[1],
+                          "is empty")
+    zone, schedule = _suite_schedule(radius)
+    return window, u_point_assigned(window, schedule, zone)[0]
+
+
 def _label(window, i):
     return window.space.vertex_label(window.vertex_at(i))
 
@@ -108,13 +131,8 @@ def _field_pool(space, radius, rng):
     whose schedule cannot mark any value stable raises ZoneError with the
     smallest radius that can, rather than checking nothing."""
     window = _window(space, radius)
-    if not _suite_settles(radius):
-        need = radius + 1
-        while not _suite_settles(need):
-            need += 1
-        raise ZoneError(f"the suite schedule at radius {radius} cannot mark "
-                        "any field value stable", parameter="radius",
-                        need=need)
+    _require_suite_radius(radius, _suite_settles,
+                          "cannot mark any field value stable")
     zone, schedule = _suite_schedule(radius)
     inner = range(window.count_within(zone // 2))
     picks = sorted(rng.sample(inner, min(POOL_SIZE, len(inner))))
@@ -171,10 +189,8 @@ def suite_lipschitz(space, radius, trials, seed):
 def suite_gromov(space, radius, trials, seed):
     """Sublevel identity u(x) = t + d(x, {u <= t}) on the point-assigned
     field, at ``trials`` sampled integer thresholds."""
-    window = _window(space, radius)
+    window, fld = _suite_field(space, radius)
     rng = random.Random(seed)
-    zone, schedule = _suite_schedule(radius)
-    fld, _ = u_point_assigned(window, schedule, zone)
     lo_t = min(fld.values.values())
     hi_t = max(fld.values.values())
     ts = sorted({rng.randint(lo_t, hi_t) for _ in range(trials)}) \
@@ -190,13 +206,11 @@ def suite_gromov(space, radius, trials, seed):
 
 
 def suite_coray(space, radius, trials, seed):
-    """Every sampled in-zone vertex yields >= 1 traced co-ray and all
-    traced co-rays pass the exact gradient verification."""
-    window = _window(space, radius)
+    """Every sampled vertex with a field value yields >= 1 traced co-ray
+    and all traced co-rays pass the exact gradient verification."""
+    window, fld = _suite_field(space, radius)
     rng = random.Random(seed)
-    zone, schedule = _suite_schedule(radius)
-    fld, _ = u_point_assigned(window, schedule, zone)
-    starts = range(window.count_within(zone))
+    starts = fld.zone_indices()
     result = SuiteResult("coray", trials, 0)
     traced = 0
     for _ in range(trials):

@@ -44,18 +44,21 @@ def _descending(field, i):
 def trace_corays(field, start, max_paths=64):
     """Depth-first enumeration of maximal unit-decrement paths from start.
 
-    Neighbor ties break in generator order.  A path that stops strictly
-    inside the zone contradicts co-ray existence and raises
-    :class:`DescentError`; a stop at the zone boundary is reported as a
-    truncated path.  ``max_paths`` must be at least 1.
+    Neighbor ties break in generator order.  The field is valued on a ball
+    B_e(base), e = min(zone, d(base, x)) for x the valued vertex of
+    largest index: B_zone, or for a point-assigned field
+    B_min(zone, max(schedule)).  A path that stops strictly inside it
+    contradicts co-ray existence and raises :class:`DescentError`; a stop
+    at its edge is reported as a truncated path.  ``max_paths`` must be at
+    least 1.
     """
     if max_paths < 1:
         raise DomainError(f"max_paths must be >= 1, got {max_paths}")
     window = field.window
     i0 = field.index_of(start)
     dist = window._dist
-    zone = field.zone
     values = field.values
+    edge = min(field.zone, dist[max(values)])
     paths = []
     exhausted = True
 
@@ -71,12 +74,12 @@ def trace_corays(field, start, max_paths=64):
                 stack.append(path + (j,))
             continue
         tip = path[-1]
-        if dist[tip] < zone and len(path) > 1:
+        if dist[tip] < edge and len(path) > 1:
             raise DescentError(
                 "no descending neighbor strictly inside the zone; field is "
                 "not distance-like there",
                 vertex=window.vertex_at(tip))
-        if len(path) == 1 and dist[tip] < zone:
+        if len(path) == 1 and dist[tip] < edge:
             raise DescentError("no descending neighbor at start",
                                vertex=start)
         verts = tuple(map(window.vertex_at, path))

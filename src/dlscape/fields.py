@@ -176,20 +176,18 @@ class ScalarField:
     def value_at(self, vertex):
         return self.values[self.index_of(vertex)]
 
-    def values_at(self, vertices, keys):
-        """:meth:`value_at` at each of a sequence of ``vertices``, in
-        order, refusing the first vertex without a value as it does.
-        ``keys`` iterates the vertices' keys in the field's window
-        (:class:`~dlscape.space.Window`); a vertex is read only where its
-        key has no value."""
+    def values_at(self, window, idxs):
+        """:meth:`value_at` at the vertices of ``window`` at the indices
+        ``idxs``, in order, refusing the first vertex without a value as
+        it does.  Each is read through
+        :meth:`~dlscape.space.Window.held_in` the field's window, and
+        decoded only where it has no value there."""
         values = self.values
-        get = self.window._index.get
         out = []
-        for t, k in enumerate(keys):
-            i = get(k)
-            if i not in values:
-                i = self.index_of(vertices[t])
-            out.append(values[i])
+        for i, j in zip(idxs, window.held_in(self.window, idxs)):
+            if j not in values:
+                j = self.index_of(window.vertex_at(i))
+            out.append(values[j])
         return out
 
     def stable_at(self, vertex):
@@ -265,8 +263,8 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     count = window.count_within
     zone_n = count(zone)
     on = window if on is None else on
-    at = range(zone_n) if on is window else list(map(
-        on._index.__getitem__, window._rekey(on, window._vertices[:zone_n])))
+    at = range(zone_n) if on is window else \
+        list(window.held_in(on, range(zone_n)))
     ns = [count(min(step[4], zone)) for step in steps]
 
     def run(k):             # step k's entries, at its first ns[k] vertices
@@ -383,22 +381,20 @@ def u_point_assigned(window, schedule, zone, tail=None):
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
-    k = w._index[w._key(window.base)]
+    k = w.find(window.base)
     delta, top, count = w._dist[k], schedule[-1], w.count_within
     ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
     if delta:               # spheres around b in closed form, or d(b, .)
-        space, b, get = w.space, window.base, w._index.get
+        space, b = w.space, window.base
         dist_b = None if space.sphere_at(b, 0) is not None else \
             _bfs_from_indices(w, [k], ball)
-
-    def held(r):            # W's index of each point of S_r(b), None: none
-        return map(get, w._keys(space.sphere_at(b, r)))
 
     def scan(r):            # (S_r(b), S_{r+1}(b) below the pass's limit)
         limit = count(delta + r)
         if dist_b is None:
-            return list(held(r)), [j for j in held(r + 1)
-                                   if j is not None and j < limit]
+            near = list(w.held(space.sphere_at(b, r)))
+            return near, [j for j in w.held(space.sphere_at(b, r + 1))
+                          if j is not None and j < limit]
         near, cut = [], []
         lo = count(r - delta - 1)
         for j, d in enumerate(dist_b[lo:limit], lo):

@@ -605,7 +605,7 @@ def pa_gh_experiment(field_x, field_y, mapping, eps):
             vy = mapping(vx)
         except (TypeError, IndexError):
             raise DomainError(f"map cannot take vertex {vx!r}") from None
-        j = wy._index.get(wy._key(vy))
+        (j,) = wy.held([vy])
         if j is None or j not in field_y.values:
             raise DomainError(f"map sends {vx!r} outside the target zone")
         if not field_x.report.stable[i] or not field_y.report.stable[j]:

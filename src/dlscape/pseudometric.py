@@ -176,9 +176,8 @@ def base_lipschitz_gap(field_a, field_b):
             wa.space.spec_dict() != wb.space.spec_dict():
         raise DomainError("fields must live on the same space")
     zone_a = field_a.zone_indices()
-    keys = wa._rekey(wb, map(wa._vertices.__getitem__, zone_a))
-    shared = [(i, j) for i, k in zip(zone_a, keys)
-              if (j := wb._index.get(k)) in field_b.values]
+    shared = [(i, j) for i, j in zip(zone_a, wa.held_in(wb, zone_a))
+              if j in field_b.values]
     if not shared:
         raise DomainError("fields share no zone vertices")
     k = wa.find(field_b.base)
@@ -236,23 +235,20 @@ def equivalence_classes(window, sample, schedule, zone, tail=None,
     if rho.sample != sample:
         raise DomainError("rho must be computed on the same sample")
 
-    max_base_dist = max(window._dist[window.find(v)] for v in sample)
+    found = [window.find(v) for v in sample]
+    max_base_dist = max(window._dist[i] for i in found)
     eval_zone = zone - max_base_dist
     if eval_zone < 1:
         raise ZoneError("zone too small for a shared evaluation region",
                         parameter="zone", need=max_base_dist + 1)
-    eval_n = window.count_within(eval_zone)
-    eval_keys = window._vertices[:eval_n] + list(window._keys(sample))
-    eval_vertices = window._decoded(eval_keys)
+    eval_idxs = [*range(window.count_within(eval_zone)), *found]
 
     rows = {}
 
     def row(x):             # x's field at the evaluation vertices, read once
         r = rows.get(x)
         if r is None:
-            fld = fields[x]
-            r = rows[x] = fld.values_at(
-                eval_vertices, window._rekey(fld.window, eval_keys))
+            r = rows[x] = fields[x].values_at(window, eval_idxs)
         return r
 
     n = len(sample)

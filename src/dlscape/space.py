@@ -47,7 +47,9 @@ class GraphSpace:
     and ``sphere_at``.  It inherits its vertex codec, ``default_base()``,
     ``parse_vertex(text)`` and ``vertex_label(v)``, and the
     ``window_codec`` its windows hold keys in, from one of
-    :mod:`dlscape.zoo`'s vertex types, or defines its own.
+    :mod:`dlscape.zoo`'s vertex types, or defines its own.  By default the
+    space is that codec: ``encode`` and ``decode`` give a vertex as its own
+    key, and ``neighbors`` is the rule on keys.
     """
 
     generator_id = "?"
@@ -83,9 +85,16 @@ class GraphSpace:
         return None
 
     def window_codec(self, base, radius):
-        """The codec a window B_radius(base) holds its vertices in, or None
-        when it holds the vertices themselves (see :class:`Window`)."""
-        return None
+        """The codec a window B_radius(base) holds its keys in (see
+        :class:`Window`): by default the space itself, whose key for a
+        vertex is the vertex."""
+        return self
+
+    def encode(self, v):
+        return v
+
+    def decode(self, key):
+        return key
 
     # -----------------------------------------------------------------------
     def spec_dict(self):
@@ -117,16 +126,18 @@ class Window:
     and every sphere a contiguous index range.
 
     Keys.  ``_vertices`` holds one key per vertex, in index order, and
-    ``_index`` maps each key to its index.  A key is the vertex itself or
-    its small int code under ``_codec``: the space's
-    :meth:`GraphSpace.window_codec` for (base, R) (grid2d and h_graph code
-    their pairs, :class:`~dlscape.zoo._PairCodec`), or the codec of the
-    ``known`` window the window grows from, so that the two hold the same
-    key for a vertex.  :meth:`vertex_at` decodes the key at an index and
-    ``_key`` encodes a vertex (None: no window of that codec holds it),
-    ``_keys`` a sequence of them.  Keys are decoded only where a vertex
-    leaves the window.  ``vertices`` and ``index`` are vertex-facing: for
-    a coded window, read-only views of the two containers that decode or
+    ``_index`` maps each key to its index, all under one codec,
+    ``_codec``: the space's :meth:`GraphSpace.window_codec` for (base, R),
+    or the codec of the ``known`` window it grows from, so that the two
+    hold the same key for a vertex.  A codec has ``encode`` (None: no
+    window of the codec holds the vertex), ``decode`` and ``neighbors``,
+    the neighbor rule on keys.  A space is its own codec, with the vertex
+    as its key, unless it codes its windows' vertices, as grid2d and
+    h_graph code their pairs as small ints (:class:`~dlscape.zoo._PairCodec`).
+    Keys never leave this module: :meth:`find` and :meth:`held` encode
+    vertices, :meth:`vertex_at` decodes one, and :meth:`held_in` maps
+    indices to another window's, passing keys as they are under a shared
+    codec.  ``vertices`` and ``index`` are read-only views that decode or
     encode one item per read.
 
     State.  A window in state r = ``grown`` (0 <= r <= R) is exactly the
@@ -146,9 +157,9 @@ class Window:
     when it answers at once with no growth; every read of the whole
     window (``len`` and the ``vertices``, ``index``, ``dist_from_base``
     and ``adjacency`` properties) grows it to R first, so those reads see
-    B_R.  Other readers in this package read the underscore lists below a
-    ``count_within`` or ``find`` they have called, as :func:`shortest_path`
-    does; a held row lists every held neighbor.
+    B_R.  Other readers in this package read ``_dist`` and ``_adjacency``
+    below a ``count_within`` or ``find`` they have called, as
+    :func:`shortest_path` does; a held row lists every held neighbor.
 
     Passes.  :meth:`distances_from` holds one single-source BFS per start
     index, re-run only for a larger ball, so every exact-distance check on
@@ -167,9 +178,9 @@ class Window:
     def __init__(self, space, base, radius, budget, known=None):
         self.space, self.base, self.radius = space, base, radius
         self.grown, self.known, self._budget = 0, known, budget
-        self._codec = codec = space.window_codec(base, radius) \
+        self._codec = space.window_codec(base, radius) \
             if known is None else known._codec
-        key = base if codec is None else codec.encode(base)
+        key = self._codec.encode(base)
         self._vertices, self._index = [key], {key: 0}
         self._dist, self._adjacency = [0], [()]
         self._passes = {}
@@ -191,13 +202,13 @@ class Window:
         One loop reads both, as one run over the window's keys from
         S_grown on; the run grows as the loop finds vertices, and the map
         from a key to the index here is the index.  From the generator the
-        rows come from the codec's ``neighbors`` (``space.neighbors`` for
-        vertex keys).  A window grown from known holds known's keys (its
-        codec is known's), and the row of a key is known's row of it, read
-        as known's keys, in known's order.  So each neighbor is one index
-        lookup on both routes, and a call allocates only for the vertices
-        it adds: growing one shell per call costs the shells it reads, not
-        the ball.  The index takes the rows' int objects.
+        rows come from the codec's ``neighbors``.  A window grown from
+        known holds known's keys (its codec is known's), and the row of a
+        key is known's row of it, read as known's keys, in known's order.
+        So each neighbor is one index lookup on both routes, and a call
+        allocates only for the vertices it adds: growing one shell per call
+        costs the shells it reads, not the ball.  The index takes the rows'
+        int objects.
         """
         radius = min(rho, self.radius)
         if radius <= self.grown:
@@ -207,8 +218,7 @@ class Window:
         head = bisect_left(dist, self.grown)
         del adjacency[head:]
         if known is None:
-            rows = self.space.neighbors if self._codec is None else \
-                self._codec.neighbors
+            rows = self._codec.neighbors
         else:
             known.count_within(known._dist[known._index[vertices[0]]]
                                + radius)
@@ -247,14 +257,12 @@ class Window:
     @property
     def vertices(self):
         self._grow(self.radius)
-        return self._decoded(self._vertices)
+        return _DecodedList(self._vertices, self._codec)
 
     @property
     def index(self):
         self._grow(self.radius)
-        codec = self._codec
-        return self._index if codec is None else \
-            _EncodedIndex(self._index, codec)
+        return _EncodedIndex(self._index, self._codec)
 
     @property
     def dist_from_base(self):
@@ -271,40 +279,21 @@ class Window:
 
     def vertex_at(self, i):
         """The vertex at index i of the held prefix, decoded; no growth."""
-        return self._vertex(self._vertices[i])
+        return self._codec.decode(self._vertices[i])
 
-    def _key(self, vertex):
-        """The key ``vertex`` is held under, or None where no window of
-        this codec holds it."""
-        codec = self._codec
-        return vertex if codec is None else codec.encode(vertex)
+    def held(self, vertices):
+        """Each vertex's index, or None where it is not held; no growth."""
+        return map(self._index.get, map(self._codec.encode, vertices))
 
-    def _vertex(self, key):
-        """The vertex of a key of this codec."""
-        codec = self._codec
-        return key if codec is None else codec.decode(key)
-
-    def _keys(self, vertices):
-        """The keys of a sequence of vertices: the sequence itself, or an
-        iterator that encodes one vertex per step (None for a vertex no
-        window of this codec holds)."""
-        codec = self._codec
-        return vertices if codec is None else map(codec.encode, vertices)
-
-    def _decoded(self, keys):
-        """The vertices of a list of keys of this codec: the list itself,
-        or a read-only view that decodes one key per read."""
-        codec = self._codec
-        return keys if codec is None else _DecodedList(keys, codec)
-
-    def _rekey(self, other, keys):
-        """``other``'s keys for the vertices of this window's ``keys``:
-        the same keys where the two windows share a codec, else each
-        decoded and encoded again (None for a vertex no window of other's
-        codec holds)."""
-        if other._codec is self._codec:
-            return keys
-        return map(other._key, map(self._vertex, keys))
+    def held_in(self, other, idxs):
+        """``other``'s index of the vertex at each of this window's indices
+        ``idxs``, or None where other does not hold it; no growth.  Keys
+        pass as they are when the two windows hold the same codec, else
+        each is decoded and encoded again."""
+        keys = map(self._vertices.__getitem__, idxs)
+        if other._codec is not self._codec:
+            keys = map(other._codec.encode, map(self._codec.decode, keys))
+        return map(other._index.get, keys)
 
     def find(self, vertex):
         """Index of ``vertex``, or None when it is not in B_R(base).  A
@@ -314,7 +303,7 @@ class Window:
         distance where the generator gives it, then doubles until the
         vertex is held or the window is whole, so a vertex near the base
         is found without growing the window to R."""
-        key = self._key(vertex)
+        key = self._codec.encode(vertex)
         i = self._index.get(key)
         if i is None and self.grown < self.radius:
             if key is None or not self.space.contains(vertex):
@@ -425,7 +414,7 @@ class Window:
 
 
 class _DecodedList(Sequence):
-    """Read-only view of a coded window's key list: item i is the vertex
+    """Read-only view of a window's key list: item i is the vertex
     at index i, decoded when read."""
 
     __slots__ = ("_keys", "_decode")
@@ -453,7 +442,7 @@ class _DecodedList(Sequence):
 
 
 class _EncodedIndex(Mapping):
-    """Read-only view of a coded window's index: maps each held vertex to
+    """Read-only view of a window's index: maps each held vertex to
     its index, encoding the vertex when looked up."""
 
     __slots__ = ("_index", "_codec")

@@ -88,7 +88,7 @@ class _PairVertices(GraphSpace):
     code_rule = None
 
     def window_codec(self, base, radius):
-        return None if self.code_rule is None else \
+        return self if self.code_rule is None else \
             _PairCodec(base, radius, self)
 
     def default_base(self):

@@ -112,7 +112,7 @@ def test_coded_window_equals_its_tuple_twin(name):
     space, twin = build(name), TWINS[name]()
     for base in CODED[name]:
         w, t = (materialize_window(s, base, 12) for s in (space, twin))
-        assert t._codec is None
+        assert t._codec is t.space
         assert w.vertices == t.vertices and w.index == t.index
         assert w.dist_from_base == t.dist_from_base
         assert w.adjacency == t.adjacency
@@ -132,7 +132,7 @@ def test_cross_codec_reads_match_the_tuple_twin(name, bases):
                                     sched, zone)[0]
                 for k, b in enumerate(bases)}
         codecs = [f.window._codec for f in flds.values()]
-        assert all(c is None for c in codecs) or len(
+        assert all(c is space for c in codecs) or len(
             {(c.stride, c.x0, c.y0) for c in codecs}) == len(codecs)
         gaps = [base_lipschitz_gap(flds[a], flds[b])
                 for a in bases for b in bases]

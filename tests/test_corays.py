@@ -61,6 +61,24 @@ def test_every_zone_vertex_descends(h_field):
         assert all(verify_gradient(p, h_field) for p in trace.paths)
 
 
+@pytest.mark.parametrize("name", ["line", "grid2d", "h_graph"])
+def test_corays_stop_at_the_valued_edge_below_the_zone(name):
+    """With r-max below the zone a point-assigned field is valued on
+    B_r-max only: every valued start traces, every path ends on the edge
+    of that ball, not on the zone's, and every path passes
+    verify_gradient."""
+    space = build(name)
+    w = materialize_window(space, space.default_base(), 20)
+    for r_max, zone in [(3, 4), (5, 8)]:
+        fld, _ = u_point_assigned(w, range(1, r_max + 1), zone)
+        for i in fld.zone_indices():
+            trace = trace_corays(fld, w.vertex_at(i), max_paths=8)
+            assert trace.paths
+            for cr in trace.paths:
+                assert w.dist_from_base[w.find(cr.vertices[-1])] == r_max
+                assert verify_gradient(cr, fld)
+
+
 def test_interior_dead_end_raises():
     fld = _fresh_h_field()
     # create a local minimum strictly inside the zone

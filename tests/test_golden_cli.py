@@ -91,6 +91,26 @@ FAMILY = [
 ]
 
 
+# (argv, exit code, sha256 of stdout) of rho runs on the generators whose
+# windows hold their vertices as keys, with the space as the codec, captured
+# while those windows held the vertices with no codec.
+VERTEX_KEYED = [
+    (["rho", "--space", "cylinder:m=5", "--radius", "30", "--r-max", "24",
+      "--zone", "10", "--sample", "0,0;2,1;-3,4"], 0,
+     "157bd6c19d786e98cd46c6560d7c964949d5e2172b8ba269157feaaa60ab4258"),
+    (["rho", "--space", "pendant_line", "--radius", "30", "--r-max", "24",
+      "--zone", "10", "--sample", "0,0;0,1;3,1;-2,0"], 0,
+     "01cb37a03cf7360d58cfd63c055b0140bb2cf3f799d1d672453f8cef2515d027"),
+    (["rho", "--space", "tree:b=2", "--radius", "10", "--r-max", "8",
+      "--zone", "4", "--sample", "root;0;1.0;0.1"], 0,
+     "0d4a75f102a199c9542d218690a5c8b13e6b0953ce972762b0ae495d0f596f0d"),
+    (["rho", "--space", "stick:m=4,h=2", "--base", "cycle:1", "--radius",
+      "24", "--r-max", "20", "--zone", "8", "--sample",
+      "cycle:1;cycle:3;apex;ray:2:3"], 0,
+     "aba52dc93470de75b1a889456293b5e7dfa34205ba4af48c25333dd93c0343a6"),
+]
+
+
 # (argv, exit code, sha256 of stdout) of ``busemann --ray-target`` runs
 # with more than one geodesic from the base to the target (grid2d, and the
 # h_graph row at height 4, reached through either corner), so the output
@@ -147,6 +167,13 @@ def test_confined_suite_output_is_unchanged(capsys, tmp_path, argv, code,
 @pytest.mark.parametrize("argv,code,digest", FAMILY,
                          ids=[f"{g[0][0]}-{g[0][2]}" for g in FAMILY])
 def test_family_route_output_is_unchanged(capsys, tmp_path, argv, code,
+                                          digest):
+    assert _run(capsys, tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", VERTEX_KEYED,
+                         ids=[g[0][2].split(":")[0] for g in VERTEX_KEYED])
+def test_vertex_keyed_output_is_unchanged(capsys, tmp_path, argv, code,
                                           digest):
     assert _run(capsys, tmp_path, argv) == (code, digest)
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every
 top-level function and class is named somewhere outside its definition,
-and the public names only code outside the package calls are listed."""
+the public names only code outside the package calls are listed, and no
+module but space.py names a window's key containers."""
 
 import ast
 from functools import lru_cache
@@ -134,3 +135,20 @@ def test_public_api_the_package_never_calls_is_listed():
                      + _dead_methods(source, elsewhere)
                      if not name.startswith("_"))
     assert sorted(found) == sorted(PACKAGE_UNCALLED)
+
+
+# The window attributes that hold keys (see ``dlscape.space.Window``).
+KEY_ATTRIBUTES = {"_vertices", "_index", "_codec"}
+
+
+def test_key_detector():
+    source = "i = w._index.get(k)\nc = getattr(w, '_codec')\nw.index\n"
+    assert _mentions([ast.parse(source)]) & KEY_ATTRIBUTES == {
+        "_index", "_codec"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_keys_never_leave_space(path):
+    assert sorted(_file_mentions(path) & KEY_ATTRIBUTES) == []
