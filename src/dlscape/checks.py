@@ -94,8 +94,10 @@ def suite_monotone(space, radius, trials, seed):
 
     u^r is exact for every r <= R (:func:`~dlscape.fields.u_r`).  The
     suite draws r + d(x0, x) <= R as well only to keep the cases each seed
-    draws fixed."""
+    draws fixed.  A drawn x has d(x0, x) <= R // 3, so it gives a case
+    r1 < r2 exactly when R >= 2; a smaller radius raises ZoneError."""
     window = _window(space, radius)
+    _require_suite_radius(radius, lambda r: r >= 2, "is empty")
     rng = random.Random(seed)
     dist = window._dist
     inner = range(window.count_within(radius // 3))
@@ -235,11 +237,10 @@ def suite_coray(space, radius, trials, seed):
 
 def suite_sphere(space, radius, trials, seed):
     """Every vertex of S_r has a neighbor on S_{r-1}: spheres grow by
-    unit steps, the discrete trace of the geodesic property."""
+    unit steps, the discrete trace of the geodesic property.  It draws r
+    from 1..R, so radius 0 raises ZoneError."""
     window = _window(space, radius)
-    if radius < 1:
-        raise DomainError(f"the sphere suite needs radius >= 1, "
-                          f"got {radius}")
+    _require_suite_radius(radius, lambda r: r >= 1, "is empty")
     rng = random.Random(seed)
     dist, find, adjacency = window._dist, window.find, window._adjacency
     result = SuiteResult("sphere", trials, 0)

@@ -126,12 +126,13 @@ class ReprEntry:
     field_at_start: int
     bound: int
     equality: bool
-    stable: bool
 
 
 @dataclass
 class ReprReport:
-    """Representation-formula evidence u(x) <= u(g(0)) + b_g(x)."""
+    """Representation-formula evidence u(x) <= u(g(0)) + b_g(x).
+    ``entries`` holds the bounds whose Busemann value is stable at x; the
+    rest are ``inconclusive``."""
 
     x: object
     value: int
@@ -140,11 +141,11 @@ class ReprReport:
 
     @property
     def ok(self):
-        return all(self.value <= e.bound for e in self.entries if e.stable)
+        return all(self.value <= e.bound for e in self.entries)
 
     @property
     def equality_achieved(self):
-        return any(e.equality for e in self.entries if e.stable)
+        return any(e.equality for e in self.entries)
 
 
 def representation_check(field, x, corays):
@@ -195,7 +196,7 @@ def representation_check(field, x, corays):
         if coray.length == 0:
             if start == x:
                 report.entries.append(ReprEntry(start, 0, ux, ux,
-                                                equality=True, stable=True))
+                                                equality=True))
             else:
                 report.inconclusive.append((start, "zero-length co-ray"))
             continue
@@ -209,7 +210,7 @@ def representation_check(field, x, corays):
         except DomainError as exc:
             report.inconclusive.append((start, str(exc)))
             continue
-        if dist[ix] > zone:
+        if dist[ix] > zone:     # only a field valued past its zone
             raise ZoneError(f"vertex {x!r} outside the field zone",
                             parameter="zone", witness=x, need=dist[ix])
         dx = window.distances_from(ix, x_ball)
@@ -219,13 +220,11 @@ def representation_check(field, x, corays):
             b = dx[anchors[t]] - t
             if b != bx:
                 bx, change = b, t
-        stable = _stable_from(steps, 2 * zone, {ix: change})[ix] or \
-            (start == x and bx == 0)
-        bound = u_start + bx
-        entry = ReprEntry(start, bx, u_start, bound,
-                          equality=(ux == bound), stable=stable)
-        if stable:
-            report.entries.append(entry)
+        if _stable_from(steps, 2 * zone, {ix: change})[ix] or \
+                (start == x and bx == 0):
+            bound = u_start + bx
+            report.entries.append(ReprEntry(start, bx, u_start, bound,
+                                            equality=(ux == bound)))
         else:
             report.inconclusive.append((start, "busemann value not stable"))
     return report

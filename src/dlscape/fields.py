@@ -43,17 +43,16 @@ class ConvergenceReport:
     ``stable`` and ``last_change`` map each valued zone vertex index to
     its stability flag and to the parameter of its value's last change.
     Each is computed on its first read, from the sweep's final values and
-    the deferred passes ``run(k)`` (step k's entries), each step's run at
-    most once and held until the dates are known; ``dist`` (point-assigned
-    only) gives d(base, x) for the free dates.  So a certificate no caller
-    reads costs no pass, and the read order sets the passes:
+    the deferred passes ``run(k)`` (step k's entries); ``dist``
+    (point-assigned only) gives d(base, x) for the free dates.  So a
+    certificate no caller reads costs no pass, and the read order sets the
+    passes:
 
     - ``stable`` read first runs at most two passes for a kind in
       ``_MONOTONE_KINDS``, and none for the free dates (:func:`_sweep`
       proves the rule); for any other kind it reads ``last_change``.
-    - ``last_change`` runs the ascending walk, reusing every pass held by
-      an earlier ``stable`` read, and drops the held passes; ``stable``
-      read after it runs no pass.
+    - ``last_change`` runs the ascending walk; ``stable`` read after it
+      runs no pass.
 
     Reports compare equal when their schedules, tails and both dicts do.
     """
@@ -62,7 +61,6 @@ class ConvergenceReport:
         self.schedule, self.tail = schedule, tail
         self._ns, self._final, self._run, self._dist = ns, final, run, dist
         self._monotone = kind in _MONOTONE_KINDS
-        self._held = {}
 
     def _free_steps(self):
         """Vertex -> the step of its first entry, for the vertices dated
@@ -82,9 +80,7 @@ class ConvergenceReport:
             n = ns[k]
             if pending[0] >= n:
                 continue
-            e = self._held.get(k)
-            if e is None:
-                e = self._held[k] = self._run(k)
+            e = self._run(k)
             cut = bisect_left(pending, n)
             kept = []
             for i in pending[:cut]:
@@ -120,7 +116,7 @@ class ConvergenceReport:
         free = self._free_steps()
         dates = self._walk(range(len(schedule) - 1),
                            [i for i in range(n) if i not in free], free)
-        self._run = self._held = None
+        self._run = None
         return {i: schedule[dates.get(i, -1)] for i in range(n)}
 
     def _key(self):
@@ -157,19 +153,21 @@ class ScalarField:
         return self.window.base
 
     def index_of(self, vertex):
-        """Index of a vertex with a value.  A vertex of the zone without
-        one lies past B_max(schedule) of a point-assigned sweep, so the
-        error names ``r-max``."""
-        return self._valued(self.window.find(vertex), vertex)
+        """Index of a vertex with a value.  A vertex outside the window
+        raises the window's own radius ZoneError
+        (:meth:`~dlscape.space.Window.require_zone`).  A vertex of the zone
+        without a value lies past B_max(schedule) of a point-assigned
+        sweep, so the error names ``r-max``."""
+        window = self.window
+        return self._valued(window.require_zone(vertex, window.radius),
+                            vertex)
 
     def _valued(self, i, vertex):
-        """:meth:`index_of` for ``vertex`` found at window index ``i``
-        (None: not in the window)."""
-        if i is None or i not in self.values:
-            d = None if i is None else self.window._dist[i]
+        """:meth:`index_of` for ``vertex`` held at window index ``i``."""
+        if i not in self.values:
+            d = self.window._dist[i]
             raise ZoneError(f"vertex {vertex!r} outside the field zone",
-                            parameter="r-max" if d is not None and
-                            d <= self.zone else "zone",
+                            parameter="r-max" if d <= self.zone else "zone",
                             witness=vertex, need=d)
         return i
 
@@ -224,9 +222,8 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     vertex its final value.
 
     The certificate (:class:`ConvergenceReport`, tail 2 * zone by default)
-    runs the other steps' passes when first read, each step's at most
-    once: a step's sources may be a one-shot iterator.  Only zone entries
-    are held.  A confined pass gives the same list before and after the
+    runs the other steps' passes when first read.  Only zone entries are
+    held.  A confined pass gives the same list before and after the
     windows grow (:meth:`~dlscape.space.Window.distances_from`), so the
     read may come late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's
     entries are monotone and end at its final value, so once an entry
@@ -253,12 +250,15 @@ def _sweep(window, kind, zone, tail, steps, on=None):
       first where one of them has an entry, then p*: at most two passes.
     - ``last_change``.  The walk over every vertex takes every step but
       the last; its date, else the last step, is the vertex's last change.
-      ``stable`` read afterwards needs no pass; the held passes are dropped.
+      ``stable`` read afterwards needs no pass.
 
     The other kinds keep every vertex pending, dated at the first step of
     its final run of entries equal to its final value, so the walk runs
-    every pass, and ``stable`` reads the dates.
+    every pass, and ``stable`` reads the dates.  A negative tail is
+    refused.
     """
+    if tail is not None and tail < 0:
+        raise DomainError(f"tail must be >= 0, got {tail}")
     steps = list(steps)
     count = window.count_within
     zone_n = count(zone)
@@ -369,15 +369,18 @@ def u_point_assigned(window, schedule, zone, tail=None):
     as it gives them for every r or for none), each point of S_r(b) and
     S_{r+1}(b) is one key and one index lookup in W, and a point of
     S_{r+1}(b) is kept where W holds it below the limit.  Else d(b, .) is
-    read from one BFS from b confined to that ball, B_{delta + s}(o) =
-    :meth:`~dlscape.space.Window.geodesic_ball` (delta, delta + s, s),
-    over the annulus |d(o, v) - r| <= delta of the limit ball, which
-    holds both sets, as d(o, v) < r - delta gives d(b, v) < r.  The
-    confined pass is exact at each v with d(b, v) <= s, as that ball
-    holds a geodesic from b to v, so on B_r(b), and it is never shorter
-    than d(b, v).  So it reads r exactly on S_r(b), reads r + 1 only on
-    S_{r+1}(b), and reads r + 1 at every vertex of the ball outside B_r(b)
-    next to a vertex of B_r(b), which reads at most r.
+    read from W's held pass from b
+    (:meth:`~dlscape.space.Window.distances_from`, which
+    :func:`~dlscape.space.pairwise_dist` shares), confined to that ball,
+    B_{delta + s}(o) = :meth:`~dlscape.space.Window.geodesic_ball`
+    (delta, delta + s, s), or to a larger one, over the annulus
+    |d(o, v) - r| <= delta of the limit ball, which holds both sets, as
+    d(o, v) < r - delta gives d(b, v) < r.  The confined pass is exact at
+    each v with d(b, v) <= s, as its ball holds a geodesic from b to v,
+    so on B_r(b), and it is never shorter than d(b, v).  So it reads r
+    exactly on S_r(b), reads r + 1 only on S_{r+1}(b), and reads r + 1 at
+    every vertex of the ball outside B_r(b) next to a vertex of B_r(b),
+    which reads at most r.
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
@@ -387,7 +390,7 @@ def u_point_assigned(window, schedule, zone, tail=None):
     if delta:               # spheres around b in closed form, or d(b, .)
         space, b = w.space, window.base
         dist_b = None if space.sphere_at(b, 0) is not None else \
-            _bfs_from_indices(w, [k], ball)
+            w.distances_from(k, ball)
 
     def scan(r):            # (S_r(b), S_{r+1}(b) below the pass's limit)
         limit = count(delta + r)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import eq
 
@@ -134,11 +134,12 @@ class Window:
     the neighbor rule on keys.  A space is its own codec, with the vertex
     as its key, unless it codes its windows' vertices, as grid2d and
     h_graph code their pairs as small ints (:class:`~dlscape.zoo._PairCodec`).
-    Keys never leave this module: :meth:`find` and :meth:`held` encode
-    vertices, :meth:`vertex_at` decodes one, and :meth:`held_in` maps
-    indices to another window's, passing keys as they are under a shared
-    codec.  ``vertices`` and ``index`` are read-only views that decode or
-    encode one item per read.
+    Keys never leave this module.  Two methods give a vertex's index:
+    :meth:`find`, which grows the window as far as the vertex, and
+    :meth:`held`, which reads only what is held.  :meth:`vertex_at`
+    decodes one index, :meth:`held_in` maps indices to another window's,
+    passing keys as they are under a shared codec, and ``vertices`` is a
+    read-only view that decodes one item per read.
 
     State.  A window in state r = ``grown`` (0 <= r <= R) is exactly the
     window ``materialize_window(space, base, r)``, held in the lists
@@ -154,16 +155,20 @@ class Window:
     lookup through :meth:`find` grows it until the vertex is found, and
     to R before it answers "not in window", unless the codec, ``contains``
     or a closed-form distance past R already proves the vertex absent,
-    when it answers at once with no growth; every read of the whole
-    window (``len`` and the ``vertices``, ``index``, ``dist_from_base``
-    and ``adjacency`` properties) grows it to R first, so those reads see
-    B_R.  Other readers in this package read ``_dist`` and ``_adjacency``
-    below a ``count_within`` or ``find`` they have called, as
-    :func:`shortest_path` does; a held row lists every held neighbor.
+    when it answers at once with no growth; :meth:`held` never grows it.
+    Every read of the whole window (``len`` and the ``vertices``,
+    ``dist_from_base`` and ``adjacency`` properties) grows it to R first,
+    so those reads see B_R.  Other readers in this package read ``_dist``
+    and ``_adjacency`` below a ``count_within`` or ``find`` they have
+    called, as :func:`shortest_path` does; a held row lists every held
+    neighbor.
 
     Passes.  :meth:`distances_from` holds one single-source BFS per start
-    index, re-run only for a larger ball, so every exact-distance check on
-    the window shares it.
+    index, re-run only for a larger ball.  The exact-distance checks
+    (:func:`pairwise_dist` and the co-ray geodesy and representation
+    checks) and :func:`~dlscape.fields.u_point_assigned`'s d(b, .) read
+    their single-source distances through it, so on one window they share
+    each pass.
 
     Budget.  :func:`materialize_window` builds a window on demand only when
     the space's :meth:`GraphSpace.ball_size_bound`, or the ``known`` window
@@ -258,11 +263,6 @@ class Window:
     def vertices(self):
         self._grow(self.radius)
         return _DecodedList(self._vertices, self._codec)
-
-    @property
-    def index(self):
-        self._grow(self.radius)
-        return _EncodedIndex(self._index, self._codec)
 
     @property
     def dist_from_base(self):
@@ -439,28 +439,6 @@ class _DecodedList(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None
-
-
-class _EncodedIndex(Mapping):
-    """Read-only view of a window's index: maps each held vertex to
-    its index, encoding the vertex when looked up."""
-
-    __slots__ = ("_index", "_codec")
-
-    def __init__(self, index, codec):
-        self._index, self._codec = index, codec
-
-    def __len__(self):
-        return len(self._index)
-
-    def __getitem__(self, vertex):
-        i = self._index.get(self._codec.encode(vertex))
-        if i is None:
-            raise KeyError(vertex)
-        return i
-
-    def __iter__(self):
-        return map(self._codec.decode, self._index)
 
 
 def _tail(items, start):

@@ -12,7 +12,7 @@ def deque_shortest_path(window, start, goal):
     written with a deque and a parent dict: a vertex's parent is the first
     vertex whose row lists it.  From the base it is the spec of
     ``shortest_path``; tests that need a path from elsewhere use it."""
-    s, g = window.index[start], window.index[goal]
+    s, g = window.find(start), window.find(goal)
     parent = {s: None}
     queue = deque([s])
     while queue:

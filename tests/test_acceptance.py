@@ -60,10 +60,10 @@ def test_criterion_02_sphere_membership():
             members = set(sphere(w, n))
             for i in range(n // 2, n + 1):
                 v = (i, n - i)
-                assert df[w.index[v]] == n and v in members, (n, v)
+                assert df[w.find(v)] == n and v in members, (n, v)
             for i in range(-(-n // 3), n // 2 + 1):   # ceil(n/3) .. n/2
                 v = (3 * i - n, i)
-                assert df[w.index[v]] == n and v in members, (n, v)
+                assert df[w.find(v)] == n and v in members, (n, v)
 
     _, dt = _timed(1.0, work)
     print(f"ACCEPTANCE 2 PASS (sphere membership, {dt:.2f}s)")
@@ -200,7 +200,7 @@ def test_criterion_07_sublevel_identity_everywhere():
                                             max(1, zone // 2))]
         if len(anchors) < 2:
             anchors = [(ray[-2],), (ray[-1],)]
-        shifts = [w.dist_from_base[w.index[h[0]]] for h in anchors]
+        shifts = [w.dist_from_base[w.find(h[0])] for h in anchors]
         sf, _ = dl_from_sets(w, anchors, shifts, zone)
         for fld in (pa, bf, sf):
             report = gromov_check(fld, t_samples(fld, count=5))

@@ -37,6 +37,19 @@ def test_an_empty_suite_schedule_names_the_radius(suite, radius):
     assert run_suite(suite, build("line"), 6, 10, seed=0).checked > 0
 
 
+@pytest.mark.parametrize("suite,radius,need", [
+    ("monotone", 0, 2), ("monotone", 1, 2), ("sphere", 0, 1)])
+def test_a_suite_that_draws_no_case_names_the_radius(suite, radius, need):
+    """The monotone suite draws r1 < r2 <= R - d(base, x), which has no
+    pair below radius 2, and the sphere suite draws r from 1..R: each
+    raises a radius ZoneError with that radius as its need, and checks
+    cases there."""
+    with pytest.raises(ZoneError) as info:
+        run_suite(suite, build("line"), radius, 10, seed=0)
+    assert (info.value.parameter, info.value.need) == ("radius", need)
+    assert run_suite(suite, build("line"), need, 10, seed=0).checked > 0
+
+
 @pytest.mark.parametrize("name", ["line", "grid2d", "h_graph"])
 @pytest.mark.parametrize("radius", [6, 7])
 def test_coray_suite_draws_its_starts_from_the_valued_zone(name, radius):

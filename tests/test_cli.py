@@ -378,8 +378,24 @@ def test_zero_denominator_scale(capsys):
 def test_sphere_suite_radius_zero(capsys):
     payload = _usage_error(capsys, "check", "--suite", "sphere", "--space",
                            "line", "--radius", "0")
+    assert payload == {"error": "ZoneError", "parameter": "radius",
+                       "message": "the suite schedule at radius 0 is empty",
+                       "need": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--space", "line", "--radius", "40", "--r-max", "32", "--zone",
+     "8", "--tail", "-1", "--sample=0;3"],
+    ["experiment", "pa-gh", "--space-x", "line", "--space-y", "line",
+     "--map", "identity", "--eps", "1", "--radius", "40", "--r-max", "32",
+     "--zone", "8", "--tail", "-5"],
+    ["busemann", "--space", "line", "--radius", "40", "--ray-target", "30",
+     "--zone", "8", "--tail", "-1"],
+])
+def test_a_negative_tail_exits_2(capsys, argv):
+    payload = _usage_error(capsys, *argv)
     assert payload["error"] == "DomainError"
-    assert "radius >= 1" in payload["message"]
+    assert payload["message"].startswith("tail must be >= 0")
 
 
 def test_non_integer_vertex_label(capsys):

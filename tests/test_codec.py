@@ -58,7 +58,7 @@ def test_coded_window_is_the_plain_bfs(name):
             assert w._codec is not None
             assert list(w.vertices) == order, (base, radius)
             assert w.dist_from_base == dist and w.adjacency == rows
-            assert [w.index[v] for v in order] == list(range(len(order)))
+            assert [w.find(v) for v in order] == list(range(len(order)))
             assert [w.vertex_at(i) for i in range(len(w))] == order
 
 
@@ -86,7 +86,6 @@ def test_vertices_off_the_box_are_never_found(name):
                       (a, b, 0), "ab", None]:
                 assert w._codec.encode(v) is None, v
                 assert w.find(v) is None
-                assert v not in w.index and w.index.get(v) is None
                 with pytest.raises(ZoneError):
                     w.require_zone(v, radius)
 
@@ -113,7 +112,7 @@ def test_coded_window_equals_its_tuple_twin(name):
     for base in CODED[name]:
         w, t = (materialize_window(s, base, 12) for s in (space, twin))
         assert t._codec is t.space
-        assert w.vertices == t.vertices and w.index == t.index
+        assert w.vertices == t.vertices
         assert w.dist_from_base == t.dist_from_base
         assert w.adjacency == t.adjacency
 

@@ -79,6 +79,31 @@ def test_corays_stop_at_the_valued_edge_below_the_zone(name):
                 assert verify_gradient(cr, fld)
 
 
+@pytest.mark.parametrize("name,params,start,need", [
+    ("grid2d", {}, (30, 0), 30),
+    ("line", {}, 30, 30),
+    ("tree", {"b": 2}, (0,) + (1,) * 11, None),
+])
+def test_a_start_outside_the_window_names_the_radius(name, params, start,
+                                                      need):
+    """A field lookup of a vertex outside the window raises the window's
+    own miss error: a radius ZoneError whose need is d(base, start) where
+    the generator gives it in closed form (the tree gives none).  A vertex
+    inside the window but past the zone still names the zone."""
+    space = build(name, params)
+    w = materialize_window(space, space.default_base(), 10)
+    fld, _ = u_point_assigned(w, range(2, 9, 2), 4)
+    for call in (fld.index_of, lambda v: trace_corays(fld, v)):
+        with pytest.raises(ZoneError) as exc:
+            call(start)
+        assert (exc.value.parameter, exc.value.need) == ("radius", need)
+        assert exc.value.witness == start
+    inside = w.vertex_at(w.count_within(6) - 1)
+    with pytest.raises(ZoneError) as exc:
+        trace_corays(fld, inside)
+    assert (exc.value.parameter, exc.value.need) == ("zone", 6)
+
+
 def test_interior_dead_end_raises():
     fld = _fresh_h_field()
     # create a local minimum strictly inside the zone
@@ -124,7 +149,7 @@ def test_representation_shares_the_pass_at_x(monkeypatch):
         calls.clear()
         report = representation_check(fld, x, paths)
         assert report.entries and not report.inconclusive
-        assert [seeds for seeds, _ in calls] == [(w.index[x],)], x
+        assert [seeds for seeds, _ in calls] == [(w.find(x),)], x
         assert calls[0][1] < len(w)
 
 
@@ -163,7 +188,7 @@ def test_representation_bounds_other_vertices(line_field):
 def _gradient_all_pairs(coray, field):
     """verify_gradient by its definition: one BFS from every path vertex."""
     window = field.window
-    idxs = [window.index.get(v) for v in coray.vertices]
+    idxs = [window.find(v) for v in coray.vertices]
     if any(i not in field.values for i in idxs):
         return False
     for a, b in zip(idxs, idxs[1:]):
@@ -171,7 +196,7 @@ def _gradient_all_pairs(coray, field):
                 field.values[a] - field.values[b] != 1:
             return False
     for s, v in enumerate(coray.vertices):
-        d = _bfs_from_indices(window, [window.index[v]])
+        d = _bfs_from_indices(window, [window.find(v)])
         if any(d[idxs[t]] != t - s for t in range(s, len(idxs))):
             return False
     return True
@@ -185,7 +210,7 @@ def _representation_by_busemann(field, x, corays):
         start = coray.vertices[0]
         if coray.length == 0:
             if start == x:
-                entries.append(ReprEntry(start, 0, ux, ux, True, True))
+                entries.append(ReprEntry(start, 0, ux, ux, True))
             else:
                 inconclusive.append((start, "zero-length co-ray"))
             continue
@@ -198,10 +223,9 @@ def _representation_by_busemann(field, x, corays):
         bx = bfield.value_at(x)
         stable = bfield.stable_at(x) or (start == x and bx == 0)
         bound = field.value_at(start) + bx
-        entry = ReprEntry(start, bx, field.value_at(start), bound,
-                          ux == bound, stable)
         if stable:
-            entries.append(entry)
+            entries.append(ReprEntry(start, bx, field.value_at(start), bound,
+                                     ux == bound))
         else:
             inconclusive.append((start, "busemann value not stable"))
     return entries, inconclusive
@@ -253,7 +277,7 @@ def test_representation_matches_busemann_sweeps(name):
     zone = fld.zone
     far = window.vertices[-1]        # on the window boundary
     outside = next(w for w in window.space.neighbors(far)
-                   if w not in window.index)
+                   if window.find(w) is None)
     v = long_rays[0]
     rays = traced + [_ray(g) for g in long_rays]
     # lengths on either side of the stability tail 2 * zone
@@ -278,7 +302,7 @@ def test_representation_matches_busemann_sweeps(name):
     # a field value beyond the zone has no exact Busemann value
     x_out = window.vertices[window.count_within(zone)]
     wide = ScalarField(window, fld.kind, zone,
-                       {**fld.values, window.index[x_out]: 0}, fld.report)
+                       {**fld.values, window.find(x_out): 0}, fld.report)
     for route in (representation_check, _representation_by_busemann):
         with pytest.raises(ZoneError):
             route(wide, x_out, rays)
@@ -312,7 +336,7 @@ def test_verify_gradient_matches_all_pairs(name):
         # geodesic part-way
         values = dict(fld.values)
         for t, u in enumerate(detour):
-            values[window.index[u]] = 100 - t
+            values[window.find(u)] = 100 - t
         bent = ScalarField(window, fld.kind, fld.zone, values, fld.report)
         checks += [(_ray(detour[:k]), bent)
                    for k in range(1, len(detour) + 1)]

@@ -84,7 +84,7 @@ def _sweep_by_whole_window(window, zone, tail, steps):
     zone_idx = [i for i, d in enumerate(dist) if d <= zone]
     history = {i: [] for i in zone_idx}
     for param, hn, cn, reach in steps:
-        df = _bfs_from_indices(window, [window.index[v] for v in hn])
+        df = _bfs_from_indices(window, [window.find(v) for v in hn])
         for i in zone_idx:
             if dist[i] <= reach:
                 history[i].append((param, df[i] - cn))
@@ -236,9 +236,11 @@ def _held(window):
 
 
 def _whole(window):
-    """A window's lists, read after growing it to its radius."""
-    return (window.vertices, window.index, window.dist_from_base,
-            window.adjacency)
+    """A window's lists, read after growing it to its radius, with each
+    vertex found at its index."""
+    vertices = window.vertices
+    return (vertices, {v: window.find(v) for v in vertices},
+            window.dist_from_base, window.adjacency)
 
 
 @pytest.mark.parametrize("first", ["stable", "last_change"])
@@ -331,7 +333,7 @@ def test_family_pass_reaches_the_ball_at_its_base(monkeypatch, name, bases):
             assert fld.report.last_change and fld.report.stable
             assert passes
             for s, got, whole in passes:
-                r = own.dist_from_base[own.index[s]]
+                r = own.dist_from_base[own.find(s)]
                 assert got == own.count_within(r) < whole, (b, top, r)
             if name == "grid2d":    # every value -d(b, x), dated free
                 assert [own.count_within(top)] == [p[1] for p in passes]
@@ -372,7 +374,7 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                     if len(ray) < 2:
                         continue
                     T = len(ray) - 1
-                    if max(dist[w.index[v]] for v in ray) + zone > radius:
+                    if max(dist[w.find(v)] for v in ray) + zone > radius:
                         with pytest.raises(ZoneError):
                             busemann(w, ray, T, zone, tail)
                         continue
@@ -389,7 +391,7 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                 for seq in (points, [w.base] + points[1:]):
                     fld, rep = horofunction(w, seq, zone, tail)
                     assert fld.kind == "horo"
-                    steps = [(dist[w.index[p]], (p,), dist[w.index[p]],
+                    steps = [(dist[w.find(p)], (p,), dist[w.find(p)],
                               zone) for p in seq]
                     _assert_sweep(fld, rep, _sweep_by_whole_window(
                         w, zone, ref_tail, steps))
@@ -406,7 +408,7 @@ def test_limit_fields_match_whole_window_sweeps(name, params, radius):
                     continue
                 sets, shifts, steps = [], [], []
                 for p in nearest:
-                    a = dist[w.index[p]]
+                    a = dist[w.find(p)]
                     hn = (p, w.vertices[-1], rng.choice(w.vertices[
                         w.count_within(a):]))
                     cn = a + rng.randint(-jitter, jitter)
@@ -441,8 +443,8 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     line ray 0..40 (zone 12, tail 24, p* = 16) ``stable`` takes the passes
     at t = 1, which settles x <= 1, and at p* for the rest.  The dates
     take the passes at t = 1..12, as x = 12 settles only at t = 12; read
-    first, they leave ``stable`` no pass, and read second they reuse the
-    pass at t = 1."""
+    first, they leave ``stable`` no pass, and read second they run all
+    twelve, the pass at t = 1 again."""
     from dlscape import fields, space
     calls = []
     bfs = space._bfs_from_indices
@@ -466,7 +468,7 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
         counts.append(len(calls))
         assert counts == [1, 1, 1], name
     line = build("line")
-    for first, second, counts in (("stable", "last_change", [2, 4, 15]),
+    for first, second, counts in (("stable", "last_change", [2, 4, 16]),
                                   ("last_change", "stable", [2, 14, 14])):
         w = materialize_window(line, 0, 60)
         calls.clear()
@@ -477,7 +479,7 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
         getattr(rep, second)
         seen.append(len(calls))
         assert seen == counts, first
-        assert rep.last_change[w.index[12]] == 12
+        assert rep.last_change[w.find(12)] == 12
         assert all(rep.stable.values())
 
 
@@ -608,7 +610,7 @@ def test_anchor_checks(front, args, want):
 
 def test_verify_geodesic(line_window):
     def geodesic(path):
-        return _geodesic(line_window, [line_window.index[v] for v in path])
+        return _geodesic(line_window, [line_window.find(v) for v in path])
 
     assert geodesic([0, 1, 2, 3])
     assert not geodesic([0, 1, 0])      # not distance-true
@@ -734,3 +736,17 @@ def test_point_assigned_small_window_matches_big(name, params, radius):
             f_big, r_big = u_point_assigned(big, schedule, zone)
             assert f_small.values == f_big.values
             assert r_small == r_big
+
+
+def test_a_negative_tail_is_refused(line_window):
+    """The stability tail counts schedule parameters back from the last,
+    so a negative one would mark every value unstable: the sweep refuses
+    it, and tail 0 is still accepted."""
+    for sweep in (lambda tail: u_point_assigned(line_window, [8, 16, 24],
+                                                 6, tail),
+                  lambda tail: busemann(line_window, range(0, 31), 30, 6,
+                                        tail)):
+        for tail in (-1, -5):
+            with pytest.raises(DomainError, match="tail must be >= 0"):
+                sweep(tail)
+        sweep(0)

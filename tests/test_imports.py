@@ -142,7 +142,7 @@ KEY_ATTRIBUTES = {"_vertices", "_index", "_codec"}
 
 
 def test_key_detector():
-    source = "i = w._index.get(k)\nc = getattr(w, '_codec')\nw.index\n"
+    source = "i = w._index.get(k)\nc = getattr(w, '_codec')\nw.vertices\n"
     assert _mentions([ast.parse(source)]) & KEY_ATTRIBUTES == {
         "_index", "_codec"}
 

@@ -58,7 +58,7 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
         path = shortest_path(w, w.vertices[t])
         assert len(path) - 1 == want[t]
         assert path[0] == w.base and path[-1] == w.vertices[t]
-        assert all(w.index[b] in w.adjacency[w.index[a]]
+        assert all(w.find(b) in w.adjacency[w.find(a)]
                    for a, b in zip(path, path[1:]))
     # samples in B_{R/3}, and in B_2, where a geodesic between sample
     # points can leave the ball that holds them
@@ -67,7 +67,7 @@ def test_bfs_and_shortest_path_match_networkx(name, params, radius):
         for _ in range(4):
             sample = [w.vertices[i] for i in rng.sample(range(inner),
                                                         min(inner, 8))]
-            want = [[nx.shortest_path_length(whole, w.index[a], w.index[b])
+            want = [[nx.shortest_path_length(whole, w.find(a), w.find(b))
                      for b in sample] for a in sample]
             assert pairwise_dist(w, sample) == want
     assert pairwise_dist(w, [w.base]) == [[0]]
@@ -218,7 +218,7 @@ def test_u_r_matches_whole_window(name, params, radius):
     w = materialize_window(space, space.default_base(), radius)
     for zone in (1, radius // 3, radius):
         for r in sorted({1, 2, zone // 2 or 1, zone, radius // 2, radius}):
-            ref = _bfs_from_indices(w, [w.index[v] for v in sphere(w, r)])
+            ref = _bfs_from_indices(w, [w.find(v) for v in sphere(w, r)])
             want = {i: ref[i] - r for i in range(w.count_within(zone))}
             assert u_r(w, r, zone).values == want, (zone, r)
 
@@ -265,7 +265,7 @@ def _walk(w, rng, start, steps, avoid=None):
 
 
 def _geodesic_by_networkx(w, g, dists, path):
-    idxs = [w.index.get(v) for v in path]
+    idxs = [w.find(v) for v in path]
     if None in idxs:
         return "ZoneError"
     if any(not g.has_edge(a, b) for a, b in zip(idxs, idxs[1:])):
@@ -277,7 +277,7 @@ def _geodesic_by_networkx(w, g, dists, path):
 
 
 def _gradient_by_networkx(w, g, dists, path, fld):
-    idxs = [w.index.get(v) for v in path]
+    idxs = [w.find(v) for v in path]
     if any(i not in fld.values for i in idxs):
         return False
     if any(fld.values[a] - fld.values[b] != 1
@@ -319,7 +319,7 @@ def test_confined_geodesy_checks_match_whole_window_and_networkx(
                      rng.randint(1, 3 * fld.zone), avoid=zone_set)
         values = dict(fld.values)
         for t, u in enumerate(walk):
-            values[w.index[u]] = 100 - t
+            values[w.find(u)] = 100 - t
         bent = ScalarField(w, fld.kind, fld.zone, values, fld.report)
         grads += [(walk[:k], bent) for k in range(1, len(walk) + 1)]
     # geodesy checks: all of the above, walks anywhere in the window, and
@@ -392,7 +392,7 @@ def test_pass_at_x_reaches_past_the_anchors(monkeypatch):
     w = materialize_window(build("h_graph"), (0, 0), 30)
     fld, _ = u_point_assigned(w, range(2, 31, 2), 7)
     ray = _ray(deque_shortest_path(w, (5, 0), (2, 8)))
-    assert max(w.dist_from_base[w.index[v]] for v in ray.vertices) == 22
+    assert max(w.dist_from_base[w.find(v)] for v in ray.vertices) == 22
     report = representation_check(fld, (-6, 1), [ray])
     assert not report.entries
     assert report.inconclusive == [((5, 0), "busemann value not stable")]

@@ -236,7 +236,7 @@ def test_family_rho_and_classes_match_caller_radius_windows(
         rho_ref = rho_matrix(w, sample, schedule, zone, fields=ref)
         assert (rho.two_rho, rho.stable) == (rho_ref.two_rho, rho_ref.stable)
         assert rho.dist == tuple(
-            tuple(_bfs_from_indices(w, [w.index[x]])[w.index[y]]
+            tuple(_bfs_from_indices(w, [w.find(x)])[w.find(y)]
                   for y in sample)
             for x in sample)
         part = equivalence_classes(w, sample, schedule, zone)
@@ -254,7 +254,7 @@ def test_family_rho_and_classes_match_caller_radius_windows(
     ref = _family_on_caller_radius(w, edge, schedule, zone)
     for b in edge:
         wb = fields[b].window
-        assert wb.known is (w if w.dist_from_base[w.index[b]] + m <= radius
+        assert wb.known is (w if w.dist_from_base[w.find(b)] + m <= radius
                             else None)
         assert (wb.radius, wb.base) == (m, b)
         assert fields[b].values == ref[b].values
@@ -267,7 +267,7 @@ def test_rho_h_graph_family_passes(monkeypatch):
     that is off (0, 0), and ``stable`` adds exactly two: the pass at the
     first parameter, 9, and the one at p* = 63, the largest parameter at
     or below the cutoff 96 - 32."""
-    from dlscape import fields
+    from dlscape import fields, space
     calls = []
     bfs = fields._bfs_from_indices
 
@@ -275,7 +275,9 @@ def test_rho_h_graph_family_passes(monkeypatch):
         calls.append(limit)
         return bfs(window, seeds, limit, settled)
 
+    # the sweep's passes run in fields, the held BFS from the base in space
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
     w = materialize_window(build("h_graph"), (0, 0), 120)
     schedule = list(range(9, 91, 9)) + [96]
     for b, built in (((0, 0), 1), ((3, 1), 2), ((-7, 0), 2), ((-2, 3), 2)):
@@ -286,6 +288,33 @@ def test_rho_h_graph_family_passes(monkeypatch):
         assert len(calls) == built + 2, b
         assert sum(stable.values()) > 0
         assert fld.report.stable is stable and len(calls) == built + 2
+
+
+def test_rho_reads_sample_distances_off_the_family_passes(monkeypatch):
+    """On the h_graph each family field off (0, 0) reads d(b, .) from the
+    caller's window's held pass from b, so rho on those fields, as
+    ``dlscape rho`` runs it, adds one BFS, from (0, 0) only, and gives
+    the matrix rho_matrix builds on its own."""
+    from dlscape import space
+    calls = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        calls.append(tuple(seeds))
+        return bfs(window, seeds, limit, settled)
+
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
+    gspace = build("h_graph")
+    w = materialize_window(gspace, (0, 0), 120)
+    schedule = list(range(9, 91, 9)) + [96]
+    sample = [(0, 0), (3, 1), (-2, 0), (-7, 0)]
+    fields = point_assigned_family(w, sample, schedule, 16)
+    assert len(calls) == 3
+    calls.clear()
+    rho = rho_matrix(w, sample, schedule, 16, fields=fields)
+    assert calls == [(0,)]
+    assert rho == rho_matrix(materialize_window(gspace, (0, 0), 120),
+                             sample, schedule, 16)
 
 
 def test_family_checks_the_callers_window(line_window):

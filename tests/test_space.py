@@ -32,7 +32,7 @@ def test_window_invariants(name, params, radius):
             assert i in w.adjacency[j]
             assert abs(w.dist_from_base[i] - w.dist_from_base[j]) <= 1
     # the index is the inverse of the vertex list
-    assert all(w.index[v] == i for i, v in enumerate(w.vertices))
+    assert all(w.find(v) == i for i, v in enumerate(w.vertices))
     # balls are index prefixes, spheres their differences; a BFS confined
     # to B_r agrees with the whole-window BFS there
     for r in range(radius + 1):
@@ -47,8 +47,9 @@ def test_window_invariants(name, params, radius):
 
 
 def _window_fields(w):
-    return (w.space, w.base, w.radius, w.vertices, w.index,
-            w.dist_from_base, w.adjacency)
+    return (w.space, w.base, w.radius, w.vertices,
+            {v: w.find(v) for v in w.vertices}, w.dist_from_base,
+            w.adjacency)
 
 
 @pytest.mark.parametrize("name,params,radius",
@@ -130,7 +131,7 @@ def test_growth_from_known_rows_reads_only_its_ball(name, params, radius):
             rows.read.clear()
             n = w.count_within(r)
             grown = map(w.vertex_at, range(head, n))
-            assert sorted(rows.read) == sorted(known.index[v] for v in grown)
+            assert sorted(rows.read) == sorted(known.find(v) for v in grown)
             assert max(rows.read) < known.count_within(dist[i] + r)
         assert _window_fields(w) == _window_fields(
             materialize_window(space, b, radius - dist[i]))
@@ -156,14 +157,14 @@ def test_materialize_from_known_window_checks(monkeypatch):
 @given(x=st.integers(-30, 30))
 def test_line_distance_closed_form(x):
     w = materialize_window(build("line"), 0, 40)
-    assert w.dist_from_base[w.index[x]] == abs(x)
+    assert w.dist_from_base[w.find(x)] == abs(x)
 
 
 @given(x=st.integers(-6, 6), y=st.integers(-6, 6))
 @settings(max_examples=30)
 def test_grid_distance_is_l1(x, y):
     w = materialize_window(build("grid2d"), (0, 0), 14)
-    assert w.dist_from_base[w.index[(x, y)]] == abs(x) + abs(y)
+    assert w.dist_from_base[w.find((x, y))] == abs(x) + abs(y)
 
 
 def test_sphere_membership(line_window):
@@ -173,10 +174,10 @@ def test_sphere_membership(line_window):
 
 
 def test_dist_field_multisource(line_window):
-    idx = line_window.index
-    df = _bfs_from_indices(line_window, [idx[-3], idx[7]])
-    assert df[idx[0]] == 3
-    assert df[idx[6]] == 1
+    idx = line_window.find
+    df = _bfs_from_indices(line_window, [idx(-3), idx(7)])
+    assert df[idx(0)] == 3
+    assert df[idx(6)] == 1
 
 
 def test_pairwise_dist(line_window):
@@ -189,9 +190,9 @@ def test_pairwise_dist(line_window):
 def test_shortest_path(h_window):
     path = shortest_path(h_window, (3, 3))
     assert path[0] == (0, 0) and path[-1] == (3, 3)
-    assert len(path) - 1 == h_window.dist_from_base[h_window.index[(3, 3)]]
+    assert len(path) - 1 == h_window.dist_from_base[h_window.find((3, 3))]
     for a, b in zip(path, path[1:]):
-        assert h_window.index[b] in h_window.adjacency[h_window.index[a]]
+        assert h_window.find(b) in h_window.adjacency[h_window.find(a)]
 
 
 def test_vertex_budget_env(monkeypatch):
@@ -258,7 +259,7 @@ def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
     for b, m, kn in starts:
         whole = materialize_window(space, b, m)
         w = _on_demand(space, b, m, kn)
-        assert w.known is (kn if dist[outer.index[b]] < radius else None)
+        assert w.known is (kn if dist[outer.find(b)] < radius else None)
         r = 0
         while r < m:
             r = min(m, r + rng.randint(1, 4))
@@ -278,8 +279,8 @@ def test_window_grown_to_r_is_the_window_of_radius_r(name, params, radius):
         assert w.grown == m
 
 
-PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.index,
-                lambda w: w.dist_from_base, lambda w: w.adjacency,
+PUBLIC_READS = [len, lambda w: w.vertices, lambda w: w.dist_from_base,
+                lambda w: w.adjacency,
                 lambda w: _bfs_from_indices(w, [0])]
 
 

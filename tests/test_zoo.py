@@ -159,7 +159,7 @@ def test_h_graph_axis_distance(h_window):
     # reaching (0,k) needs the arm through (k,0) or (-k,0): 3k hops
     df = _bfs_from_indices(h_window, [0])
     for k in range(1, 16):
-        assert df[h_window.index[(0, k)]] == 3 * k
+        assert df[h_window.find((0, k))] == 3 * k
 
 
 @pytest.mark.parametrize("name,params,radius", ALL)
@@ -208,7 +208,7 @@ def test_stick_apex_distance():
     w = materialize_window(space, ("apex",), 12)
     df = _bfs_from_indices(w, [0])
     for v in w.vertices:
-        assert df[w.index[v]] == space.dist_to_apex(v)
+        assert df[w.find(v)] == space.dist_to_apex(v)
 
 
 def test_oracle_unknown_quantity(h_window):
