@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 
 from . import checks, corays, fields, gh, pseudometric, zoo
-from .errors import DlscapeError, DomainError, GeneratorParamError
+from .errors import DlscapeError, DomainError, GeneratorParamError, \
+    ZoneError
 from .space import materialize_window, shortest_path
 
 DEFAULT_SEED = 0
@@ -185,9 +186,18 @@ def cmd_horo(args):
 
 
 def cmd_coray(args):
-    space, window, fld = _point_assigned(args)
-    start = _vertex(space, args.start) if args.start is not None \
-        else window.base
+    space, window = _window_for(args)
+    sched, zone = _schedule(args), _zone(args)
+    start = window.base
+    if args.start is not None:
+        start = _vertex(space, args.start)
+        try:                # before the field, its need covering the field's
+            window.require_zone(start, window.radius)
+        except ZoneError as exc:
+            if exc.need is not None:
+                exc.need = max(exc.need, zone, sched[-1])
+            raise
+    fld, _ = fields.u_point_assigned(window, sched, zone, args.tail)
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
     oks = [corays.verify_gradient(cr, fld) for cr in trace.paths]
     out_paths = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .errors import DomainError, ZoneError
 from .space import _bfs_from_indices
@@ -43,8 +43,9 @@ class ConvergenceReport:
     ``stable`` and ``last_change`` map each valued zone vertex index to
     its stability flag and to the parameter of its value's last change.
     Each is computed on its first read, from the sweep's final values and
-    the deferred passes ``run(k)`` (step k's entries); ``dist``
-    (point-assigned only) gives d(base, x) for the free dates.  So a
+    the deferred steps ``run(k)`` (step k's entries, from a pass or in
+    closed form); ``dist`` (point-assigned only) gives d(base, x) for the
+    free dates.  So a
     certificate no caller reads costs no pass, and the read order sets the
     passes:
 
@@ -213,19 +214,23 @@ def _sweep(window, kind, zone, tail, steps, on=None):
     indices of ``on`` (a ball around its base; default ``window``), gives
     the entries d(., H_n) - c_n of the zone vertices within ``reach`` of
     the base, read at their indices in ``on``.  The sources may also be
-    given as a function of no arguments that returns (sources, settled),
-    called only when the step's pass runs; the pass then leaves out the
-    indices ``settled`` as well (:func:`~dlscape.space._bfs_from_indices`),
-    which the caller proves no shortest path from a read vertex to H_n
-    enters.  Reaches do not decrease, so a vertex's entries form a suffix
-    of the schedule, and the last step's pass, run here, gives every
-    vertex its final value.
+    given as a function of no arguments, called only when the step runs,
+    that chooses the step's route and returns (sources, settled, limit);
+    the limit in the step is then unused.  The pass leaves out the indices
+    ``settled`` as well (:func:`~dlscape.space._bfs_from_indices`), which
+    the caller proves no shortest path from a read vertex to H_n enters.
+    Where the returned limit is None, the step gives its entries directly
+    and runs no pass: ``sources`` is then d(., H_n) at the zone vertices
+    within its reach, in ``window``'s index order.  Reaches do not
+    decrease, so a vertex's entries form a suffix of the schedule, and the
+    last step, run here, gives every vertex its final value.
 
     The certificate (:class:`ConvergenceReport`, tail 2 * zone by default)
     runs the other steps' passes when first read.  Only zone entries are
     held.  A confined pass gives the same list before and after the
-    windows grow (:meth:`~dlscape.space.Window.distances_from`), so the
-    read may come late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's
+    windows grow (:meth:`~dlscape.space.Window.distances_from`), and a
+    step that gives its entries grows no window, so the read may come
+    late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's
     entries are monotone and end at its final value, so once an entry
     equals that value every later one does, and the certificate runs these
     passes:
@@ -271,7 +276,9 @@ def _sweep(window, kind, zone, tail, steps, on=None):
         _, sources, shift, limit, _ = steps[k]
         settled = ()
         if callable(sources):
-            sources, settled = sources()
+            sources, settled, limit = sources()
+            if limit is None:
+                return [d - shift for d in sources]
         d = _bfs_from_indices(on, sources, limit, settled)
         return [d[j] - shift for j in at[:ns[k]]]
 
@@ -362,15 +369,34 @@ def u_point_assigned(window, schedule, zone, tail=None):
     geodesic through b joins to S_r(b) inside it: it visits exactly
     B_r(b), whatever the rest of the ball holds.
 
+    Routes.  Each step either gives its entries in closed form or runs
+    that pass (:func:`_sweep`).  Where ``space.sphere_at`` gives S_r(b)
+    and ``space.distance`` gives d(x, .) from every valued zone vertex x,
+    u^r(x) = min over s in S_r(b) of d(x, s) - r, read off the closed
+    forms.  They are those of the infinite graph, whose values the pass
+    gives too (above), so both routes give the same entries, and the
+    closed one reads no window past B_zone(b), where the zone vertices
+    are held.  The cost rule: the closed form costs n |S_r(b)| distance
+    calls, n the zone vertices the step values, and the pass visits
+    B_r(b), at most ``space.ball_size_bound(b, r)`` vertices; a step
+    takes the closed form only where the first is below the second.  So
+    on the line and the halfline, whose spheres hold one or two points,
+    a step takes it once r exceeds about n, and grid2d and h_graph keep
+    their passes.  The rule reads S_r(b) each time a step runs and, the
+    first time the count wins, d(x, .) once per zone vertex.  The steps from
+    max(schedule) down to the largest pass-routed one, s, are routed
+    first, and W is grown once to B_{delta + s}(o), which holds every
+    B_r(b) a pass reads (no growth past B_{delta + zone}(o) where every
+    step is closed); a lower step is routed when it runs.
+
     One scan per step, run only when that step's pass runs, finds S_r(b)
-    and that part of S_{r+1}(b); W is first grown to B_{delta + s}(o), s
-    = max(schedule), which holds every B_r(b).  Where ``space.sphere_at``
-    gives spheres around b in closed form (its answer at r = 0 decides,
+    and that part of S_{r+1}(b).  Where ``space.sphere_at`` gives spheres
+    around b in closed form (its answer at r = 0 decides when delta > 0,
     as it gives them for every r or for none), each point of S_r(b) and
     S_{r+1}(b) is one key and one index lookup in W, and a point of
-    S_{r+1}(b) is kept where W holds it below the limit.  Else d(b, .) is
-    read from W's held pass from b
-    (:meth:`~dlscape.space.Window.distances_from`, which
+    S_{r+1}(b) is kept where W holds it below the limit.  Else every step
+    takes the pass, so s = max(schedule), and d(b, .) is read from W's
+    held pass from b (:meth:`~dlscape.space.Window.distances_from`, which
     :func:`~dlscape.space.pairwise_dist` shares), confined to that ball,
     B_{delta + s}(o) = :meth:`~dlscape.space.Window.geodesic_ball`
     (delta, delta + s, s), or to a larger one, over the annulus
@@ -385,19 +411,43 @@ def u_point_assigned(window, schedule, zone, tail=None):
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
     k = w.find(window.base)
-    delta, top, count = w._dist[k], schedule[-1], w.count_within
-    ball = w.geodesic_ball(delta, delta + top, top)   # one growth, not per r
-    if delta:               # spheres around b in closed form, or d(b, .)
-        space, b = w.space, window.base
-        dist_b = None if space.sphere_at(b, 0) is not None else \
-            w.distances_from(k, ball)
+    delta, count = w._dist[k], w.count_within
+    space, b = w.space, window.base
+    # spheres around b in closed form; probed first only off W's base
+    spheres = not delta or space.sphere_at(b, 0) is not None
 
-    def scan(r):            # (S_r(b), S_{r+1}(b) below the pass's limit)
+    def valued(r):          # the number of zone vertices step r values
+        return window.count_within(min(r, zone))
+
+    @cache
+    def zone_vertices():    # the valued ones, () unless each d(x, .) is closed
+        xs = list(map(window.vertex_at, range(valued(schedule[-1]))))
+        return xs if all(space.distance(x, b) is not None for x in xs) else ()
+
+    routed = {}             # routes found before the sweep, each dropped
+                            # when its step runs, so no sphere outlives it
+
+    def route(r):           # (S_r(b) or None, whether step r is closed)
+        got = routed.pop(r, None)
+        if got is None:
+            s = space.sphere_at(b, r) if spheres else None
+            bound = None if s is None else space.ball_size_bound(b, r)
+            got = s, bound is not None and valued(r) * len(s) < bound and \
+                bool(zone_vertices())
+        return got
+
+    def step(r):            # step r's entries d(., S_r(b)), or its pass
+        s, closed = route(r)
+        if closed:
+            return [min(map(partial(space.distance, x), s))
+                    for x in zone_vertices()[:valued(r)]], (), None
         limit = count(delta + r)
-        if dist_b is None:
-            near = list(w.held(space.sphere_at(b, r)))
-            return near, [j for j in w.held(space.sphere_at(b, r + 1))
-                          if j is not None and j < limit]
+        if not delta:
+            return range(count(r - 1), limit), (), limit
+        if s is not None:
+            return list(w.held(s)), [
+                j for j in w.held(space.sphere_at(b, r + 1))
+                if j is not None and j < limit], limit
         near, cut = [], []
         lo = count(r - delta - 1)
         for j, d in enumerate(dist_b[lo:limit], lo):
@@ -405,12 +455,21 @@ def u_point_assigned(window, schedule, zone, tail=None):
                 near.append(j)
             elif d == r + 1:
                 cut.append(j)
-        return near, cut
+        return near, cut, limit
 
+    top = None
+    for r in reversed(schedule):
+        routed[r] = route(r)
+        if not routed[r][1]:
+            top = r
+            break
+    if top is not None:     # one growth, not per r
+        ball = w.geodesic_ball(delta, delta + top, top)
+        if not spheres:
+            dist_b = w.distances_from(k, ball)
     return _sweep(window, "point_assigned", zone, tail,
-                  ((r, partial(scan, r) if delta else
-                    range(count(r - 1), count(r)), r, count(delta + r), r)
-                   for r in schedule), on=w)
+                  ((r, partial(step, r), r, None, r) for r in schedule),
+                  on=w)
 
 
 def _geodesic(window, idxs):

@@ -25,8 +25,11 @@ def point_assigned_family(window, bases, schedule, zone, tail=None):
     The caller's window serves its own base.  Every other base b gets
     B_m(b), m = max(max(schedule), zone), grown from the caller's rows
     when they hold it (``materialize_window(..., known=window)``; the
-    sweep then runs there, and it, rho and the classes grow B_m(b) only
-    to B_zone(b)), else from the generator.  That is the field of a window
+    sweep then runs its passes there, and it, rho and the classes grow
+    B_m(b) only to B_zone(b), and the caller's window only as far as
+    those passes read, no further than B_{d(base, b) + zone} where every
+    step takes the closed form of :func:`u_point_assigned`), else from
+    the generator.  That is the field of a window
     B_R(b): u_point_assigned is exact on any window of radius at least
     max(schedule) and zone (see its docstring), and B_m(b) is a prefix of
     B_R(b) in breadth-first order, so the vertex indices agree too.
@@ -135,9 +138,14 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     :func:`point_assigned_family`; it equals the value on B_R(x), so
     rho is the same as with windows of the caller's radius.  The sample
     distances are those of :func:`~dlscape.space.pairwise_dist`; a pair
-    further apart than ``zone`` raises ZoneError with its distance.
+    further apart than ``zone`` raises ZoneError with its distance.  The
+    family is built first, so on the h_graph the sample distances read
+    the d(b, .) passes its fields hold at their larger balls, and an input
+    both refuse raises the family's error.
     """
     sample = tuple(sample)
+    if fields is None:
+        fields = point_assigned_family(window, sample, schedule, zone, tail)
     dist = tuple(map(tuple, pairwise_dist(window, sample,
                                           max([zone, *schedule]))))
     for x, row in zip(sample, dist):
@@ -147,8 +155,6 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
                     f"sample points {x!r},{y!r} are {d} apart, "
                     f"beyond zone {zone}", parameter="zone", witness=(x, y),
                     need=d)
-    if fields is None:
-        fields = point_assigned_family(window, sample, schedule, zone, tail)
     two_rho = tuple(tuple(-(fields[x].value_at(y) + fields[y].value_at(x))
                           for y in sample) for x in sample)
     stable = tuple(tuple(fields[x].stable_at(y) and fields[y].stable_at(x)

@@ -171,9 +171,10 @@ class Window:
     each pass.
 
     Budget.  :func:`materialize_window` builds a window on demand only when
-    the space's :meth:`GraphSpace.ball_size_bound`, or the ``known`` window
-    it grows from, proves B_R fits the vertex budget; otherwise it grows it
-    to R at once, so :class:`ResourceLimitError` is raised at construction.
+    the space's :meth:`GraphSpace.ball_size_bound`, or else the ``known``
+    window it grows from, proves B_R fits the vertex budget; otherwise it
+    grows it to R at once, so :class:`ResourceLimitError` is raised at
+    construction.
     """
 
     __slots__ = ("space", "base", "radius", "grown", "known", "_budget",
@@ -462,9 +463,11 @@ def materialize_window(space, base, radius, known=None):
     ``known`` is an optional window of the same space.  When it holds
     B_radius(base), s + radius <= its radius for s = d(known.base, base),
     the same window grows from its rows and holds its keys
-    (:meth:`Window._grow`), on demand
-    when known's B_{s + radius} fits the budget, and
-    :func:`~dlscape.fields.u_point_assigned` runs its passes there.
+    (:meth:`Window._grow`), and :func:`~dlscape.fields.u_point_assigned`
+    runs its passes there.  It grows on demand when the generator's bound
+    fits the budget, which grows known no further than the lookup of
+    base, and else when known's B_{s + radius}, counted by growing known
+    to it, does.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -475,8 +478,9 @@ def materialize_window(space, base, radius, known=None):
         if k is None or known._dist[k] + radius > known.radius:
             known = None
     window = Window(space, base, radius, budget, known)
-    bound = space.ball_size_bound(base, radius) if known is None else \
-        known.count_within(known._dist[k] + radius)
+    bound = space.ball_size_bound(base, radius)
+    if known is not None and (bound is None or bound > budget):
+        bound = known.count_within(known._dist[k] + radius)
     if bound is None or bound > budget:
         window._grow(radius)
     return window

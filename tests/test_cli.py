@@ -459,6 +459,22 @@ def test_anchor_outside_the_window_names_its_need(capsys, argv, need):
         payload["message"] and payload.get("need") == need
 
 
+@pytest.mark.parametrize("r_max,need", [(2, 3), (5, 5)])
+def test_coray_start_outside_the_window_names_its_need(capsys, r_max, need):
+    """A co-ray start outside the window is looked up before the field,
+    and its need also covers the field's, max(d(base, start), zone,
+    r-max): at the need no radius check fails, and the start, 3 from the
+    base, lies outside zone 1."""
+    argv = ["coray", "--space", "line", "--zone", "1", "--r-max",
+            str(r_max), "--start", "3"]
+    payload = _usage_error(capsys, *argv, "--radius", "1")
+    assert payload["error"] == "ZoneError" and "not in window" in \
+        payload["message"]
+    assert payload["parameter"] == "radius" and payload["need"] == need
+    payload = _usage_error(capsys, *argv, "--radius", str(need))
+    assert payload["parameter"] == "zone" and payload["need"] == 3
+
+
 def test_rho_sample_outside_the_window_without_a_closed_form(capsys):
     payload = _usage_error(capsys, "rho", "--space", "tree:b=2", "--radius",
                            "2", "--r-max", "2", "--sample", "root;0.0.0")

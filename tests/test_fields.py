@@ -253,9 +253,12 @@ def test_family_passes_leave_out_only_what_no_path_needs(
     ``last_change``, read in either order.  The bases lie off the
     caller's base, so on the h_graph d(b, .) comes from a BFS from b.
     Each family window, grown on the caller's rows, holds at the zone and
-    at its radius what the generator gives."""
+    at its radius what the generator gives.  The space reports a ball
+    bound of 0, so no step takes the closed form and every step that runs
+    is a pass."""
     from dlscape import fields
     gspace = build(name, params)
+    gspace.ball_size_bound = lambda base, radius: 0
     bfs = fields._bfs_from_indices
     left_out = []
 
@@ -439,7 +442,11 @@ def test_set_limit_ball_is_tight():
 def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     """The point-assigned and Busemann sweeps run only the last pass until
     their certificate is read.  On the line and the grid every u^r value
-    is -d(base, x), so every zone vertex is dated with no pass.  Along the
+    is -d(base, x), so every zone vertex is dated with no pass.  On the
+    line, the steps from r = 30 take the closed form (25 zone vertices, 2
+    sphere points, against a ball of 2r + 1), so the last one runs no
+    pass; with the space reporting a ball bound of 0 it takes the pass,
+    as on the grid.  Along the
     line ray 0..40 (zone 12, tail 24, p* = 16) ``stable`` takes the passes
     at t = 1, which settles x <= 1, and at p* for the rest.  The dates
     take the passes at t = 1..12, as x = 12 settles only at t = 12; read
@@ -456,8 +463,11 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     # the sweeps' passes run in fields, the geodesy check's in space
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
     monkeypatch.setattr(space, "_bfs_from_indices", counted)
-    for name in ("line", "grid2d"):
+    for name, bound, passes in (("line", None, 0), ("line", 0, 1),
+                                ("grid2d", None, 1)):
         gspace = build(name)
+        if bound is not None:
+            gspace.ball_size_bound = lambda base, radius: bound
         w = materialize_window(gspace, gspace.default_base(), 60)
         calls.clear()
         _, rep = u_point_assigned(w, range(12, 49, 6), 12)
@@ -466,7 +476,7 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
         counts.append(len(calls))
         assert max(rep.last_change.values()) == 12
         counts.append(len(calls))
-        assert counts == [1, 1, 1], name
+        assert counts == [passes] * 3, (name, bound)
     line = build("line")
     for first, second, counts in (("stable", "last_change", [2, 4, 16]),
                                   ("last_change", "stable", [2, 14, 14])):
@@ -750,3 +760,57 @@ def test_a_negative_tail_is_refused(line_window):
             with pytest.raises(DomainError, match="tail must be >= 0"):
                 sweep(tail)
         sweep(0)
+
+
+# (generator, family base b, schedule, zone) on a window of radius 60 at
+# 0.  The base 0 is the window's own (delta = 0); the others grow from its
+# rows.  On the halfline the steps past b have one-point spheres.
+ROUTE_FIELDS = [("line", 0, range(1, 41), 6), ("line", -4, range(2, 41, 2), 6),
+                ("line", 9, range(3, 40, 3), 8),
+                ("halfline", 0, range(1, 41), 6),
+                ("halfline", 2, range(1, 30), 4),
+                ("halfline", 7, range(2, 41, 2), 6)]
+
+
+def _routed_field(name, b, schedule, zone, passes, bound=None):
+    """Every step's entries, the number of ``passes`` they ran, and the
+    values, ``stable`` and ``last_change`` of b's point-assigned field;
+    with ``bound``, the space reports that ball bound, which routes every
+    step one way."""
+    gspace = build(name)
+    if bound is not None:
+        gspace.ball_size_bound = lambda base, radius: bound
+    w = materialize_window(gspace, 0, 60)
+    wb = w if b == 0 else \
+        materialize_window(gspace, b, max(schedule[-1], zone), known=w)
+    fld, rep = u_point_assigned(wb, schedule, zone)
+    passes.clear()
+    entries = [rep._run(k) for k in range(len(rep.schedule))]
+    return (entries, len(passes)), (fld.values, rep.stable, rep.last_change)
+
+
+@pytest.mark.parametrize("name,b,schedule,zone", ROUTE_FIELDS)
+def test_closed_form_entries_match_the_passes(monkeypatch, name, b,
+                                              schedule, zone):
+    """Each step of a point-assigned field gives the same entries from the
+    closed forms, min over S_r(b) of d(x, s) - r, as from its pass, and so
+    the same values and certificate.  The space's ball bound routes the
+    steps: 0 sends every step to the pass, 10^9 every one to the closed
+    form, and the true bound splits each of these schedules: the steps up
+    to some r take the pass, the rest the closed form."""
+    from dlscape import fields
+    passes = []
+    bfs = fields._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        passes.append(limit)
+        return bfs(window, seeds, limit, settled)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    (entries, n), field = _routed_field(name, b, schedule, zone, passes, 0)
+    assert n == len(schedule)
+    assert _routed_field(name, b, schedule, zone, passes, 10 ** 9) == \
+        ((entries, 0), field)
+    (got, n), got_field = _routed_field(name, b, schedule, zone, passes)
+    assert (got, got_field) == (entries, field)
+    assert 0 < n < len(schedule)

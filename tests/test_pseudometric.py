@@ -375,9 +375,12 @@ def test_family_spheres_agree_on_both_distance_routes(
     confined BFS from b: with the closed form patched away every field
     takes the pass and comes out the same, and so does each sweep pass,
     seeds and list.  On the h_graph window at (3, 3) the base (0, 0)
-    takes the closed form and the other bases the pass."""
+    takes the closed form and the other bases the pass.  The space
+    reports a ball bound of 0, so no step takes the closed-form entries
+    of :func:`u_point_assigned` and both runs pass at the same steps."""
     from dlscape import fields
     space, passes = build(name), []
+    space.ball_size_bound = lambda base, radius: 0
 
     def counted(window, seeds, limit=None, settled=None):
         seeds = list(seeds)
@@ -484,3 +487,65 @@ def test_family_field_reads_two_spheres_per_pass(
         size = len(sphere_at(space, b, r))
         assert (n, near, r1, cut) == \
             (size, size, r + 1, len(sphere_at(space, b, r + 1)))
+
+
+def test_rho_matrix_builds_the_family_before_the_sample_distances(
+        monkeypatch):
+    """Called without ``fields``, rho_matrix builds the family first, so
+    on the h_graph each sample point off (0, 0) runs its d(b, .) pass
+    once, at the family's ball, and the sample distances read it: 16
+    passes, where the sample distances first made 19."""
+    from dlscape import fields, space
+    passes = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        passes.append(limit)
+        return bfs(window, seeds, limit, settled)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    monkeypatch.setattr(space, "_bfs_from_indices", counted)
+    w = materialize_window(build("h_graph"), (0, 0), 120)
+    sample = [(0, 0), (3, 1), (-2, 0), (-7, 0)]
+    rho_matrix(w, sample, [*range(9, 91, 9), 96], 16)
+    assert len(passes) == 16
+
+
+# The benchmark's line and halfline rho shapes: (generator, R, r-max,
+# r-step, tail, zone, sample radius).
+CLOSED_RHO = [("line", 6000, 4800, 480, 960, 10, 5),
+              ("halfline", 12000, 9600, 960, 1920, 12, 10)]
+
+
+@pytest.mark.parametrize("name,radius,r_max,step,tail,zone,near",
+                         CLOSED_RHO)
+def test_closed_form_rho_runs_no_field_pass(monkeypatch, name, radius,
+                                            r_max, step, tail, zone, near):
+    """On the line and the halfline every family step takes the closed
+    form, so the family, rho and the classes run no pass in ``fields``
+    and grow no window past B_{zone + dmax}, dmax the sample's largest
+    distance from the base.  A family window whose generator bound fits
+    the budget does not grow the caller's window when it is made."""
+    from dlscape import fields
+    passes = []
+    monkeypatch.setattr(fields, "_bfs_from_indices",
+                        lambda *args: passes.append(args))
+    gspace = build(name)
+    w = materialize_window(gspace, 0, radius)
+    sample = [0, near, near // 2, 1, near - 1, 3]
+    if name == "line":
+        sample += [-near, -2]
+    schedule = range(step, r_max + 1, step)
+    flds = point_assigned_family(w, sample, schedule, zone, tail)
+    rho = rho_matrix(w, sample, schedule, zone, tail, fields=flds)
+    part = equivalence_classes(w, sample, schedule, zone, tail,
+                               fields=flds, rho=rho)
+    assert not passes
+    assert all(map(all, rho.stable)) and len(part.blocks) == \
+        (1 if name == "halfline" else len(sample))
+    for f in flds.values():
+        assert f.window.grown <= zone + near
+    assert w.grown <= zone + near
+    grown = w.grown
+    materialize_window(gspace, 2, r_max, known=w)
+    assert w.grown == grown
