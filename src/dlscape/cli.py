@@ -162,11 +162,27 @@ def cmd_level_set(args):
     return 0
 
 
+def _in_window(window, vertex, need):
+    """``vertex``, looked up before any field is built.  Outside the
+    window it raises the window's radius ZoneError, whose need, where
+    ``space.distance`` gives d = d(base, vertex), is ``need(d)``: the
+    radius that also passes the command's later radius checks."""
+    try:
+        window.require_zone(vertex, window.radius)
+    except ZoneError as exc:
+        if exc.need is not None:
+            exc.need = need(exc.need)
+        raise
+    return vertex
+
+
 def _ray_from_args(args, space, window):
     if args.ray:
         return [_vertex(space, t) for t in args.ray.split(";")]
-    if args.ray_target:
-        return shortest_path(window, _vertex(space, args.ray_target))
+    if args.ray_target:     # the sweep's margin check needs d + zone
+        zone = _zone(args)
+        return shortest_path(window, _in_window(
+            window, _vertex(space, args.ray_target), lambda d: d + zone))
     raise DlscapeError("provide --ray or --ray-target")
 
 
@@ -188,15 +204,9 @@ def cmd_horo(args):
 def cmd_coray(args):
     space, window = _window_for(args)
     sched, zone = _schedule(args), _zone(args)
-    start = window.base
-    if args.start is not None:
-        start = _vertex(space, args.start)
-        try:                # before the field, its need covering the field's
-            window.require_zone(start, window.radius)
-        except ZoneError as exc:
-            if exc.need is not None:
-                exc.need = max(exc.need, zone, sched[-1])
-            raise
+    start = window.base if args.start is None else _in_window(
+        window, _vertex(space, args.start),
+        lambda d: max(d, zone, sched[-1]))
     fld, _ = fields.u_point_assigned(window, sched, zone, args.tail)
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
     oks = [corays.verify_gradient(cr, fld) for cr in trace.paths]

@@ -206,34 +206,35 @@ def _check_zone(window, zone, need=None):
                         need=zone if need is None else need)
 
 
-def _sweep(window, kind, zone, tail, steps, on=None):
+def _pass(on, at, sources, shift, limit, settled=()):
+    """Sweep entries from one pass: d(., sources) - shift at the indices
+    ``at`` of ``on``, by one BFS from ``sources`` confined to the first
+    ``limit`` indices of ``on`` (a ball around its base) that also leaves
+    out the indices ``settled`` (:func:`~dlscape.space._bfs_from_indices`),
+    which the caller proves no shortest path from a read vertex enters."""
+    d = _bfs_from_indices(on, sources, limit, settled)
+    return [d[j] - shift for j in at]
+
+
+def _sweep(window, kind, zone, tail, steps):
     """The limit of d(., H_n) - c_n on B_zone(base), swept along a schedule.
 
-    Each step is (parameter, source indices of H_n, shift c_n, limit,
-    reach): one BFS from the sources, confined to the first ``limit``
-    indices of ``on`` (a ball around its base; default ``window``), gives
-    the entries d(., H_n) - c_n of the zone vertices within ``reach`` of
-    the base, read at their indices in ``on``.  The sources may also be
-    given as a function of no arguments, called only when the step runs,
-    that chooses the step's route and returns (sources, settled, limit);
-    the limit in the step is then unused.  The pass leaves out the indices
-    ``settled`` as well (:func:`~dlscape.space._bfs_from_indices`), which
-    the caller proves no shortest path from a read vertex to H_n enters.
-    Where the returned limit is None, the step gives its entries directly
-    and runs no pass: ``sources`` is then d(., H_n) at the zone vertices
-    within its reach, in ``window``'s index order.  Reaches do not
-    decrease, so a vertex's entries form a suffix of the schedule, and the
-    last step, run here, gives every vertex its final value.
+    Each step is (parameter, reach, entries).  ``entries()``, called only
+    when the step runs, returns d(., H_n) - c_n at the zone vertices
+    within ``reach`` of the base, in ``window``'s index order, from one
+    pass (:func:`_pass`) or in closed form, whichever the step picks when
+    it runs.  Reaches do not decrease, so a vertex's entries form a suffix
+    of the schedule, and the last step, run here, gives every vertex its
+    final value.
 
     The certificate (:class:`ConvergenceReport`, tail 2 * zone by default)
-    runs the other steps' passes when first read.  Only zone entries are
-    held.  A confined pass gives the same list before and after the
-    windows grow (:meth:`~dlscape.space.Window.distances_from`), and a
-    step that gives its entries grows no window, so the read may come
-    late.  For the kinds in ``_MONOTONE_KINDS`` a vertex's
-    entries are monotone and end at its final value, so once an entry
-    equals that value every later one does, and the certificate runs these
-    passes:
+    runs the other steps when first read.  Only zone entries are held.  A
+    confined pass gives the same list before and after the windows grow
+    (:meth:`~dlscape.space.Window.distances_from`), and closed-form
+    entries grow no window, so the read may come late.  For the kinds in
+    ``_MONOTONE_KINDS`` a vertex's entries are monotone and end at its
+    final value, so once an entry equals that value every later one does,
+    and the certificate runs these passes:
 
     - Free dates (``point_assigned``).  For r >= d(base, x) a point of
       S_r is r from the base, so d(x, S_r) >= r - d(base, x) and u^r(x)
@@ -266,25 +267,14 @@ def _sweep(window, kind, zone, tail, steps, on=None):
         raise DomainError(f"tail must be >= 0, got {tail}")
     steps = list(steps)
     count = window.count_within
-    zone_n = count(zone)
-    on = window if on is None else on
-    at = range(zone_n) if on is window else \
-        list(window.held_in(on, range(zone_n)))
-    ns = [count(min(step[4], zone)) for step in steps]
+    ns = [count(min(reach, zone)) for _, reach, _ in steps]
 
     def run(k):             # step k's entries, at its first ns[k] vertices
-        _, sources, shift, limit, _ = steps[k]
-        settled = ()
-        if callable(sources):
-            sources, settled, limit = sources()
-            if limit is None:
-                return [d - shift for d in sources]
-        d = _bfs_from_indices(on, sources, limit, settled)
-        return [d[j] - shift for j in at[:ns[k]]]
+        return steps[k][2]()
 
     final = run(-1)
     report = ConvergenceReport(
-        kind, tuple(step[0] for step in steps),
+        kind, tuple(p for p, _, _ in steps),
         2 * zone if tail is None else tail, ns, final, run,
         window._dist if kind == "point_assigned" else None)
     return ScalarField(window, kind, zone, dict(enumerate(final)),
@@ -311,9 +301,9 @@ def u_r(window, r, zone):
         raise ZoneError(f"r={r} outside window radius", parameter="radius",
                         need=r if r > 0 else None)
     count = window.count_within
-    return _sweep(window, "u_r", zone, 0,
-                  [(r, range(count(r - 1), count(r)), r,
-                    count(max(r, zone)), zone)])[0]
+    return _sweep(window, "u_r", zone, 0, [(r, zone, partial(
+        _pass, window, range(count(zone)), range(count(r - 1), count(r)), r,
+        count(max(r, zone))))])[0]
 
 
 def _check_schedule(window, schedule, zone):
@@ -369,9 +359,10 @@ def u_point_assigned(window, schedule, zone, tail=None):
     geodesic through b joins to S_r(b) inside it: it visits exactly
     B_r(b), whatever the rest of the ball holds.
 
-    Routes.  Each step either gives its entries in closed form or runs
-    that pass (:func:`_sweep`).  Where ``space.sphere_at`` gives S_r(b)
-    and ``space.distance`` gives d(x, .) from every valued zone vertex x,
+    Routes.  Each step reads S_r(b) from ``space.sphere_at`` once when it
+    runs, and gives its entries in closed form or runs that pass
+    (:func:`_sweep`).  Where ``space.sphere_at`` gives S_r(b) and
+    ``space.distance`` gives d(x, .) from every valued zone vertex x,
     u^r(x) = min over s in S_r(b) of d(x, s) - r, read off the closed
     forms.  They are those of the infinite graph, whose values the pass
     gives too (above), so both routes give the same entries, and the
@@ -382,39 +373,33 @@ def u_point_assigned(window, schedule, zone, tail=None):
     takes the closed form only where the first is below the second.  So
     on the line and the halfline, whose spheres hold one or two points,
     a step takes it once r exceeds about n, and grid2d and h_graph keep
-    their passes.  The rule reads S_r(b) each time a step runs and, the
-    first time the count wins, d(x, .) once per zone vertex.  The steps from
-    max(schedule) down to the largest pass-routed one, s, are routed
-    first, and W is grown once to B_{delta + s}(o), which holds every
-    B_r(b) a pass reads (no growth past B_{delta + zone}(o) where every
-    step is closed); a lower step is routed when it runs.
+    their passes.  d(x, .) is read once per zone vertex, the first time
+    the count wins.  W grows only as far as the passes that run read.
 
-    One scan per step, run only when that step's pass runs, finds S_r(b)
-    and that part of S_{r+1}(b).  Where ``space.sphere_at`` gives spheres
-    around b in closed form (its answer at r = 0 decides when delta > 0,
-    as it gives them for every r or for none), each point of S_r(b) and
-    S_{r+1}(b) is one key and one index lookup in W, and a point of
-    S_{r+1}(b) is kept where W holds it below the limit.  Else every step
-    takes the pass, so s = max(schedule), and d(b, .) is read from W's
-    held pass from b (:meth:`~dlscape.space.Window.distances_from`, which
-    :func:`~dlscape.space.pairwise_dist` shares), confined to that ball,
-    B_{delta + s}(o) = :meth:`~dlscape.space.Window.geodesic_ball`
-    (delta, delta + s, s), or to a larger one, over the annulus
-    |d(o, v) - r| <= delta of the limit ball, which holds both sets, as
-    d(o, v) < r - delta gives d(b, v) < r.  The confined pass is exact at
-    each v with d(b, v) <= s, as its ball holds a geodesic from b to v,
-    so on B_r(b), and it is never shorter than d(b, v).  So it reads r
-    exactly on S_r(b), reads r + 1 only on S_{r+1}(b), and reads r + 1 at
-    every vertex of the ball outside B_r(b) next to a vertex of B_r(b),
-    which reads at most r.
+    A pass starts from S_r(b) and leaves out that part of S_{r+1}(b).
+    Where ``space.sphere_at`` gives spheres around b in closed form, each
+    point of both is one key and one index lookup in W, and a point of
+    S_{r+1}(b) is kept where W holds it below the limit.  Else no step
+    has a sphere, so every step takes the pass, and one scan per pass
+    finds both sets in d(b, .), read from W's held pass from b
+    (:meth:`~dlscape.space.Window.distances_from`, which
+    :func:`~dlscape.space.pairwise_dist` shares) confined to the pass's
+    limit ball or a larger one.  The last step runs first, so that pass
+    runs once, over B_{delta + max(schedule)}(o).  The scan covers the
+    annulus |d(o, v) - r| <= delta of the limit ball, which holds both
+    sets, as d(o, v) < r - delta gives d(b, v) < r.  The confined pass is
+    exact at each v with d(b, v) <= r, as its ball holds a geodesic from b
+    to v, and it is never shorter than d(b, v).  So it reads r exactly on
+    S_r(b), reads r + 1 only on S_{r+1}(b), and reads r + 1 at every
+    vertex of the ball outside B_r(b) next to a vertex of B_r(b), which
+    reads at most r.
     """
     schedule = _check_schedule(window, schedule, zone)
     w = window if window.known is None else window.known
     k = w.find(window.base)
     delta, count = w._dist[k], w.count_within
     space, b = w.space, window.base
-    # spheres around b in closed form; probed first only off W's base
-    spheres = not delta or space.sphere_at(b, 0) is not None
+    at = list(window.held_in(w, range(window.count_within(zone))))
 
     def valued(r):          # the number of zone vertices step r values
         return window.count_within(min(r, zone))
@@ -424,52 +409,31 @@ def u_point_assigned(window, schedule, zone, tail=None):
         xs = list(map(window.vertex_at, range(valued(schedule[-1]))))
         return xs if all(space.distance(x, b) is not None for x in xs) else ()
 
-    routed = {}             # routes found before the sweep, each dropped
-                            # when its step runs, so no sphere outlives it
-
-    def route(r):           # (S_r(b) or None, whether step r is closed)
-        got = routed.pop(r, None)
-        if got is None:
-            s = space.sphere_at(b, r) if spheres else None
-            bound = None if s is None else space.ball_size_bound(b, r)
-            got = s, bound is not None and valued(r) * len(s) < bound and \
-                bool(zone_vertices())
-        return got
-
-    def step(r):            # step r's entries d(., S_r(b)), or its pass
-        s, closed = route(r)
-        if closed:
-            return [min(map(partial(space.distance, x), s))
-                    for x in zone_vertices()[:valued(r)]], (), None
+    def step(r):            # u^r at the valued zone vertices
+        n, s = valued(r), space.sphere_at(b, r)
+        bound = None if s is None else space.ball_size_bound(b, r)
+        if bound is not None and n * len(s) < bound and zone_vertices():
+            return [min(map(partial(space.distance, x), s)) - r
+                    for x in zone_vertices()[:n]]
         limit = count(delta + r)
         if not delta:
-            return range(count(r - 1), limit), (), limit
+            return _pass(w, at[:n], range(count(r - 1), limit), r, limit)
         if s is not None:
-            return list(w.held(s)), [
+            return _pass(w, at[:n], list(w.held(s)), r, limit, [
                 j for j in w.held(space.sphere_at(b, r + 1))
-                if j is not None and j < limit], limit
+                if j is not None and j < limit])
         near, cut = [], []
         lo = count(r - delta - 1)
+        dist_b = w.distances_from(k, limit)
         for j, d in enumerate(dist_b[lo:limit], lo):
             if d == r:
                 near.append(j)
             elif d == r + 1:
                 cut.append(j)
-        return near, cut, limit
+        return _pass(w, at[:n], near, r, limit, cut)
 
-    top = None
-    for r in reversed(schedule):
-        routed[r] = route(r)
-        if not routed[r][1]:
-            top = r
-            break
-    if top is not None:     # one growth, not per r
-        ball = w.geodesic_ball(delta, delta + top, top)
-        if not spheres:
-            dist_b = w.distances_from(k, ball)
     return _sweep(window, "point_assigned", zone, tail,
-                  ((r, partial(step, r), r, None, r) for r in schedule),
-                  on=w)
+                  ((r, r, partial(step, r)) for r in schedule))
 
 
 def _geodesic(window, idxs):
@@ -569,9 +533,10 @@ def busemann(window, ray, T, zone, tail=None):
     found = _anchor_sets(
         window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path",
                               zone), zone, zone, "path", ray=True)
-    ball = window.geodesic_ball
+    ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "busemann", zone, tail,
-                  ((t, anchor, t, ball(zone, d, zone + d), zone)
+                  ((t, zone, partial(_pass, window, at, anchor, t,
+                                     ball(zone, d, zone + d)))
                    for t, (d, anchor) in enumerate(found) if t))
 
 
@@ -588,9 +553,10 @@ def horofunction(window, points, zone, tail=None):
         raise DomainError("need at least two points")
     found = _anchor_sets(window, _resolve_sets(
         window, [(p,) for p in points], "p_n", zone), zone, zone, "p_n")
-    ball = window.geodesic_ball
+    ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "horo", zone, tail,
-                  ((a, idxs, a, ball(zone, a, zone + a), zone)
+                  ((a, zone, partial(_pass, window, at, idxs, a,
+                                     ball(zone, a, zone + a)))
                    for a, idxs in found))
 
 
@@ -614,10 +580,11 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     found = _anchor_sets(window, _resolve_sets(window, sets, "H_n",
                                                2 * zone), zone, 2 * zone,
                          "H_n")
-    ball = window.geodesic_ball
+    ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "set_limit", zone, tail,
-                  [(a, idxs, cn, ball(zone, a + 2 * zone - 1, a + zone - 1),
-                    zone) for (a, idxs), cn in zip(found, shifts)])
+                  [(a, zone, partial(_pass, window, at, idxs, cn, ball(
+                      zone, a + 2 * zone - 1, a + zone - 1)))
+                   for (a, idxs), cn in zip(found, shifts)])
 
 
 @dataclass

@@ -363,9 +363,9 @@ class Window:
         pass run now reads the same rows and gives the same list.  The
         same holds for any pass of :func:`_bfs_from_indices` confined to
         a ball B_rho, rho <= grown, from the same seed indices: run after
-        any growth, it reads the same rows and gives the same list, so
-        :func:`~dlscape.fields._sweep` may run a certificate's passes
-        when it is first read.
+        any growth, it reads the same rows and gives the same list, so a
+        step of :func:`~dlscape.fields._sweep` may run its pass whenever
+        the certificate first reads it.
         """
         d = self._passes.get(i)
         if d is None or len(d) < limit:

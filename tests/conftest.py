@@ -1,10 +1,24 @@
-"""Shared fixtures, and plain helpers that test modules import."""
+"""Shared fixtures, and plain helpers that test modules import.
+
+Hypothesis profiles: ``tier1``, loaded unless ``--hypothesis-profile``
+names another, draws the same examples on every run and keeps no example
+database, so a run's verdict depends on the code alone.  ``explore``
+draws fresh examples from a random seed and prints the blob that replays
+a failure (``@reproduce_failure``).  Both keep each test's
+``max_examples``.
+"""
 
 from collections import deque
 
 import pytest
+from hypothesis import settings
 
 from dlscape import build, materialize_window, u_point_assigned
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None, print_blob=True)
+if settings.get_current_profile_name() == "default":
+    settings.load_profile("tier1")
 
 
 def deque_shortest_path(window, start, goal):

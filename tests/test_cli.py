@@ -475,6 +475,31 @@ def test_coray_start_outside_the_window_names_its_need(capsys, r_max, need):
     assert payload["parameter"] == "zone" and payload["need"] == 3
 
 
+@pytest.mark.parametrize("space,target,radius,zone,need", [
+    ("line", "11", 10, 2, 13), ("grid2d", "10,0", 8, 8, 18)])
+def test_ray_target_outside_the_window_names_its_need(
+        capsys, space, target, radius, zone, need):
+    """A ray target outside the window raises the window's radius
+    ZoneError, whose need, d(base, target) + zone, also passes the
+    sweep's margin check: at the need the field is swept."""
+    argv = ["busemann", "--space", space, "--ray-target", target,
+            "--zone", str(zone)]
+    payload = _usage_error(capsys, *argv, "--radius", str(radius))
+    assert payload["error"] == "ZoneError" and "not in window" in \
+        payload["message"]
+    assert payload["parameter"] == "radius" and payload["need"] == need
+    for r, code in ((need - 1, 2), (need, 0)):
+        assert main([*argv, "--radius", str(r)]) == code
+    capsys.readouterr()
+
+
+def test_ray_target_outside_the_window_without_a_closed_form(capsys):
+    payload = _usage_error(capsys, "busemann", "--space", "h_graph",
+                           "--base", "3,3", "--radius", "5",
+                           "--ray-target", "20,0", "--zone", "2")
+    assert payload["error"] == "ZoneError" and "need" not in payload
+
+
 def test_rho_sample_outside_the_window_without_a_closed_form(capsys):
     payload = _usage_error(capsys, "rho", "--space", "tree:b=2", "--radius",
                            "2", "--r-max", "2", "--sample", "root;0.0.0")

@@ -763,13 +763,17 @@ def test_a_negative_tail_is_refused(line_window):
 
 
 # (generator, family base b, schedule, zone) on a window of radius 60 at
-# 0.  The base 0 is the window's own (delta = 0); the others grow from its
-# rows.  On the halfline the steps past b have one-point spheres.
+# the generator's default base, the window's own (delta = 0); the others
+# grow from its rows.  On the halfline the steps past b have one-point
+# spheres.  On grid2d (spheres of 4r points, distances decoded from pair
+# codes) zone 1 takes the pass up to r = 8 and zone 2 up to r = 24.
 ROUTE_FIELDS = [("line", 0, range(1, 41), 6), ("line", -4, range(2, 41, 2), 6),
                 ("line", 9, range(3, 40, 3), 8),
                 ("halfline", 0, range(1, 41), 6),
                 ("halfline", 2, range(1, 30), 4),
-                ("halfline", 7, range(2, 41, 2), 6)]
+                ("halfline", 7, range(2, 41, 2), 6),
+                *((("grid2d", b, range(2, 41, 2), zone) for b in
+                   ((0, 0), (3, -2)) for zone in (1, 2)))]
 
 
 def _routed_field(name, b, schedule, zone, passes, bound=None):
@@ -780,8 +784,8 @@ def _routed_field(name, b, schedule, zone, passes, bound=None):
     gspace = build(name)
     if bound is not None:
         gspace.ball_size_bound = lambda base, radius: bound
-    w = materialize_window(gspace, 0, 60)
-    wb = w if b == 0 else \
+    w = materialize_window(gspace, gspace.default_base(), 60)
+    wb = w if b == w.base else \
         materialize_window(gspace, b, max(schedule[-1], zone), known=w)
     fld, rep = u_point_assigned(wb, schedule, zone)
     passes.clear()

@@ -26,15 +26,16 @@ RUNS = [
 
 # README examples whose answers read the whole schedule: exact states.
 # The rho family on the line (zone 8, 17 zone vertices, spheres of two
-# points) takes the closed form from r = 18 on, so the base window holds
-# the passes up to r = 15 from the sample point 3: B_18, not B_35.
+# points) takes the closed form from r = 18 on, and every value is dated
+# with no pass, so no pass runs and the base window holds only B_11, the
+# zone around the sample point 3.
 EXACT = [
     (["field", "--space", "h_graph", "--radius", "120", "--r-max", "96",
       "--zone", "20"], [96]),
     (["coray", "--space", "h_graph", "--radius", "60", "--r-max", "48",
       "--zone", "10", "--start", "2,2"], [48]),
     (["rho", "--space", "line", "--radius", "40", "--r-max", "32", "--zone",
-      "8", "--sample=-2;0;3"], [18, 8, 8]),
+      "8", "--sample=-2;0;3"], [11, 8, 8]),
 ]
 
 

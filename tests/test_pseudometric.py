@@ -454,9 +454,8 @@ SPHERE_PASSES = [("grid2d", (0, 0), 60, (3, -2), 40, 12),
 def test_family_field_reads_two_spheres_per_pass(
         monkeypatch, name, base, radius, b, r_max, zone):
     """A family field whose base has closed-form spheres calls
-    ``space.distance`` never: after one probe of S_0(b) for the route,
-    each pass that runs starts from the points of S_r(b) and reads those
-    of S_{r+1}(b), no more."""
+    ``space.distance`` never: each pass that runs starts from the points
+    of S_r(b) and reads those of S_{r+1}(b), no more."""
     from dlscape import fields
     space = build(name)
     w = materialize_window(space, base, radius)
@@ -482,8 +481,8 @@ def test_family_field_reads_two_spheres_per_pass(
     report.last_change
     assert not distances
     assert (len(passes) == 1) == (name == "grid2d")
-    assert spheres[0] == (0, 1) and len(spheres) == 1 + 2 * len(passes)
-    for n, (r, near), (r1, cut) in zip(passes, spheres[1::2], spheres[2::2]):
+    assert len(spheres) == 2 * len(passes)
+    for n, (r, near), (r1, cut) in zip(passes, spheres[::2], spheres[1::2]):
         size = len(sphere_at(space, b, r))
         assert (n, near, r1, cut) == \
             (size, size, r + 1, len(sphere_at(space, b, r + 1)))
