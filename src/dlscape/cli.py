@@ -162,27 +162,11 @@ def cmd_level_set(args):
     return 0
 
 
-def _in_window(window, vertex, need):
-    """``vertex``, looked up before any field is built.  Outside the
-    window it raises the window's radius ZoneError, whose need, where
-    ``space.distance`` gives d = d(base, vertex), is ``need(d)``: the
-    radius that also passes the command's later radius checks."""
-    try:
-        window.require_zone(vertex, window.radius)
-    except ZoneError as exc:
-        if exc.need is not None:
-            exc.need = need(exc.need)
-        raise
-    return vertex
-
-
 def _ray_from_args(args, space, window):
     if args.ray:
         return [_vertex(space, t) for t in args.ray.split(";")]
-    if args.ray_target:     # the sweep's margin check needs d + zone
-        zone = _zone(args)
-        return shortest_path(window, _in_window(
-            window, _vertex(space, args.ray_target), lambda d: d + zone))
+    if args.ray_target:
+        return shortest_path(window, _vertex(space, args.ray_target))
     raise DlscapeError("provide --ray or --ray-target")
 
 
@@ -204,9 +188,10 @@ def cmd_horo(args):
 def cmd_coray(args):
     space, window = _window_for(args)
     sched, zone = _schedule(args), _zone(args)
-    start = window.base if args.start is None else _in_window(
-        window, _vertex(space, args.start),
-        lambda d: max(d, zone, sched[-1]))
+    start = window.base
+    if args.start is not None:      # looked up before the field is built
+        start = _vertex(space, args.start)
+        window.require_zone(start, window.radius)
     fld, _ = fields.u_point_assigned(window, sched, zone, args.tail)
     trace = corays.trace_corays(fld, start, max_paths=args.max_paths)
     oks = [corays.verify_gradient(cr, fld) for cr in trace.paths]
@@ -229,8 +214,7 @@ def cmd_rho(args):
     space, window = _window_for(args)
     sample = [_vertex(space, t) for t in args.sample.split(";")]
     sched, zone = _schedule(args), _zone(args)
-    # The sample's radius check first: its need covers the schedule's.
-    window.require_sample(sample, max([zone, *sched]))
+    window.require_sample(sample)   # the sample's checks before the family's
     flds = pseudometric.point_assigned_family(window, sample, sched, zone,
                                               args.tail)
     rho = pseudometric.rho_matrix(window, sample, sched, zone, args.tail,
@@ -408,6 +392,32 @@ def build_parser():
     return parser
 
 
+def _radius_miss(exc):
+    """The need of a radius ZoneError, else None."""
+    return exc.need if isinstance(exc, ZoneError) and \
+        exc.parameter == "radius" else None
+
+
+def _radius_need(args, need):
+    """The command's radius need, from ``need``, that of the first radius
+    ZoneError it raised.  A library check names only its own need, so the
+    command runs again at the need, output discarded, and again at the
+    need of each radius ZoneError with a larger one.  A check's need does
+    not fall as the radius grows (the default zone R // 5 grows with it),
+    so no run exceeds the smallest radius at which every check holds."""
+    while True:
+        again = argparse.Namespace(**{**vars(args), "radius": need,
+                                      "output": os.devnull})
+        try:
+            args.fn(again)
+        except (DlscapeError, OSError) as exc:
+            larger = _radius_miss(exc)
+            if larger is not None and larger > need:
+                need = larger
+                continue
+        return need
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -416,6 +426,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except DlscapeError as exc:
+        need = _radius_miss(exc)
+        if need is not None:
+            exc.need = _radius_need(args, need)
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for attr in ("parameter", "witness", "vertex"):
             val = getattr(exc, attr, None)

@@ -181,7 +181,7 @@ def representation_check(field, x, corays):
     for coray in corays:
         try:
             found = _resolve_sets(window, [(v,) for v in coray.vertices],
-                                  "path", zone) if coray.length else None
+                                  "path") if coray.length else None
         except DomainError as exc:
             found = str(exc)
         resolved.append(found)

@@ -196,14 +196,13 @@ class ScalarField:
         return sorted(self.values)
 
 
-def _check_zone(window, zone, need=None):
-    """1 <= zone <= R.  ``need``, the smallest radius that passes every
-    radius check of the caller (default the zone), is the ZoneError's."""
+def _check_zone(window, zone):
+    """1 <= zone <= R; the ZoneError names the zone as its need."""
     if zone < 1:
         raise DomainError("zone must be >= 1")
     if zone > window.radius:
         raise ZoneError("zone exceeds the window radius", parameter="radius",
-                        need=zone if need is None else need)
+                        need=zone)
 
 
 def _pass(on, at, sources, shift, limit, settled=()):
@@ -296,7 +295,7 @@ def u_r(window, r, zone):
     value at r and, with no two parameters past the cutoff, marks none
     stable.
     """
-    _check_zone(window, zone, max(r, zone))
+    _check_zone(window, zone)
     if r < 1 or r > window.radius:
         raise ZoneError(f"r={r} outside window radius", parameter="radius",
                         need=r if r > 0 else None)
@@ -312,7 +311,7 @@ def _check_schedule(window, schedule, zone):
     schedule = tuple(schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be non-empty strictly increasing")
-    _check_zone(window, zone, max(zone, schedule[-1]))
+    _check_zone(window, zone)
     if schedule[-1] > window.radius:
         raise ZoneError("need max(schedule) <= R", parameter="radius",
                         need=schedule[-1])
@@ -459,33 +458,19 @@ def _geodesic(window, idxs):
     return all(d0[i] == t for t, i in enumerate(idxs))
 
 
-def _resolve_sets(window, sets, what, margin):
+def _resolve_sets(window, sets, what):
     """(d(base, H_n), indices of H_n) per anchor set, each checked in turn
-    to be non-empty and found through
-    :meth:`~dlscape.space.Window.require_zone`, so in the window.
-
-    A member outside the window raises require_zone's radius ZoneError.
-    Where ``space.distance`` gives every member's d(base, .) in closed
-    form, its ``need`` is raised to the radius that also passes the
-    margin check of :func:`_anchor_sets`: max(every d(base, v), every
-    d(base, H_n) + ``margin``); else there is none.
-    """
+    to be non-empty and in the window by
+    :meth:`~dlscape.space.Window.require_zone`, whose radius ZoneError
+    names a member's own d(base, v) as its need; the margin check of
+    :func:`_anchor_sets` names its own."""
     require, radius, dist = window.require_zone, window.radius, window._dist
     found = []
-    try:
-        for h in sets:
-            if not h:
-                raise DomainError(f"{what} must be non-empty")
-            idxs = [require(v, radius, what) for v in h]
-            found.append((min(map(dist.__getitem__, idxs)), idxs))
-    except ZoneError as exc:
-        space = window.space
-        if exc.need is not None and \
-                all(h and all(map(space.contains, h)) for h in sets):
-            far = [list(map(partial(space.distance, window.base), h))
-                   for h in sets]
-            exc.need = max(max(map(max, far)), max(map(min, far)) + margin)
-        raise
+    for h in sets:
+        if not h:
+            raise DomainError(f"{what} must be non-empty")
+        idxs = [require(v, radius, what) for v in h]
+        found.append((min(map(dist.__getitem__, idxs)), idxs))
     return found
 
 
@@ -531,8 +516,8 @@ def busemann(window, ray, T, zone, tail=None):
     if T < 1 or T >= len(ray):
         raise DomainError("need 1 <= T < len(ray)")
     found = _anchor_sets(
-        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path",
-                              zone), zone, zone, "path", ray=True)
+        window, _resolve_sets(window, [(v,) for v in ray[:T + 1]], "path"),
+        zone, zone, "path", ray=True)
     ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "busemann", zone, tail,
                   ((t, zone, partial(_pass, window, at, anchor, t,
@@ -552,7 +537,7 @@ def horofunction(window, points, zone, tail=None):
     if len(points) < 2:
         raise DomainError("need at least two points")
     found = _anchor_sets(window, _resolve_sets(
-        window, [(p,) for p in points], "p_n", zone), zone, zone, "p_n")
+        window, [(p,) for p in points], "p_n"), zone, zone, "p_n")
     ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "horo", zone, tail,
                   ((a, zone, partial(_pass, window, at, idxs, a,
@@ -577,9 +562,8 @@ def dl_from_sets(window, sets, shifts, zone, tail=None):
     shifts = list(shifts)
     if len(sets) != len(shifts) or len(sets) < 2:
         raise DomainError("need matching sets/shifts lists of length >= 2")
-    found = _anchor_sets(window, _resolve_sets(window, sets, "H_n",
-                                               2 * zone), zone, 2 * zone,
-                         "H_n")
+    found = _anchor_sets(window, _resolve_sets(window, sets, "H_n"), zone,
+                         2 * zone, "H_n")
     ball, at = window.geodesic_ball, range(window.count_within(zone))
     return _sweep(window, "set_limit", zone, tail,
                   [(a, zone, partial(_pass, window, at, idxs, cn, ball(

@@ -141,13 +141,12 @@ def rho_matrix(window, sample, schedule, zone, tail=None, fields=None):
     further apart than ``zone`` raises ZoneError with its distance.  The
     family is built first, so on the h_graph the sample distances read
     the d(b, .) passes its fields hold at their larger balls, and an input
-    both refuse raises the family's error.
+    both refuse raises the family's error and its check's need alone.
     """
     sample = tuple(sample)
     if fields is None:
         fields = point_assigned_family(window, sample, schedule, zone, tail)
-    dist = tuple(map(tuple, pairwise_dist(window, sample,
-                                          max([zone, *schedule]))))
+    dist = tuple(map(tuple, pairwise_dist(window, sample)))
     for x, row in zip(sample, dist):
         for y, d in zip(sample, row):
             if d > zone:

@@ -244,10 +244,8 @@ class Window:
                     if j is None:
                         j = len(dist)
                         if j >= budget:
-                            raise ResourceLimitError(
-                                f"window ({self.space!r}, base="
-                                f"{self.base!r}, R={self.radius}) "
-                                f"exceeds vertex budget {budget}")
+                            raise _over_budget(self.space, self.base,
+                                               self.radius, budget)
                         index[w] = j
                         push(w)
                         grow_dist(dv + 1)
@@ -386,23 +384,16 @@ class Window:
                 f"{rho}", parameter="zone", witness=vertex, need=d)
         return i
 
-    def require_sample(self, sample, need=0):
+    def require_sample(self, sample):
         """Indices of a non-empty sample inside the R // 3 zone.  A point
-        past it raises a radius ZoneError whose ``need``, max(3 dmax,
-        ``need``), dmax the largest d(base, s), also clears ``need``, the
-        radius the caller's other radius checks need.  For a point outside
-        the window that need is named only where ``space.distance`` gives
-        every d(base, s) in closed form."""
+        outside the window raises :meth:`require_zone`'s radius ZoneError;
+        one in it but past the zone raises a radius ZoneError whose
+        ``need``, 3 dmax, dmax the largest d(base, s), is the smallest
+        radius whose zone holds the sample."""
         if not sample:
             raise DomainError("sample must be non-empty")
-        try:
-            idxs = [self.require_zone(v, self.radius, what="sample")
-                    for v in sample]
-        except ZoneError as exc:
-            far = [self.space.distance(self.base, v) for v in sample]
-            if None not in far:
-                exc.need = max(3 * max(far), need)
-            raise
+        idxs = [self.require_zone(v, self.radius, what="sample")
+                for v in sample]
         dist = self._dist
         zone = self.radius // 3
         for v, i in zip(sample, idxs):
@@ -410,7 +401,7 @@ class Window:
                 raise ZoneError(
                     f"sample vertex {v!r} at distance {dist[i]} exceeds "
                     f"zone {zone}", parameter="radius", witness=v,
-                    need=max(3 * max(dist[j] for j in idxs), need))
+                    need=3 * max(dist[j] for j in idxs))
         return idxs
 
 
@@ -450,13 +441,19 @@ def _tail(items, start):
     return it
 
 
+def _over_budget(space, base, radius, budget):
+    return ResourceLimitError(f"window ({space!r}, base={base!r}, "
+                              f"R={radius}) exceeds vertex budget {budget}")
+
+
 def materialize_window(space, base, radius, known=None):
     """Breadth-first materialization of ``B_radius(base)``.
 
     Adjacency rows keep the generator's neighbor order, restricted to
     in-window vertices.  Raises :class:`ResourceLimitError` when the vertex
-    budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded.
-    The window grows on demand (see :class:`Window`) when
+    budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded:
+    with no growth when radius >= budget, as |B_R| >= R + 1 in a connected
+    infinite graph.  The window grows on demand (see :class:`Window`) when
     ``space.ball_size_bound(base, radius)`` is at most the budget, and is
     grown to ``radius`` here otherwise.
 
@@ -473,6 +470,8 @@ def materialize_window(space, base, radius, known=None):
         raise DomainError("radius must be >= 0")
     space.check_vertex(base)
     budget = vertex_budget()
+    if radius >= budget:
+        raise _over_budget(space, base, radius, budget)
     if known is not None:
         k = known.find(base)
         if k is None or known._dist[k] + radius > known.radius:
@@ -542,16 +541,16 @@ def sphere(window, r):
                             range(window.count_within(r - 1), hi))))
 
 
-def pairwise_dist(window, sample, need=0):
+def pairwise_dist(window, sample):
     """Exact distance matrix on a sample inside the R/3 validity zone
-    (:meth:`Window.require_sample`, with the caller's ``need``).
+    (:meth:`Window.require_sample`, whose ZoneError names its own need).
 
     One BFS per point (:meth:`Window.distances_from`), confined to
     :meth:`Window.geodesic_ball` (dmax, dmax, 2 dmax), dmax the largest
     d(base, s) over the sample: two sample points are at most 2 dmax <= R
     apart, through the base.
     """
-    idxs = window.require_sample(sample, need)
+    idxs = window.require_sample(sample)
     dmax = max(window._dist[i] for i in idxs)
     limit = window.geodesic_ball(dmax, dmax, 2 * dmax)
     rows = [window.distances_from(i, limit) for i in idxs]
@@ -572,10 +571,9 @@ def shortest_path(window, goal):
     in S_{d - 1}, which its row lists, as a row of S_grown keeps every held
     neighbor.  So the walk from the goal to the smallest index of each row
     reads only rows of B_{d(base, goal)}, which :meth:`Window.find` holds.
+    A goal outside the window raises :meth:`Window.require_zone`'s error.
     """
-    g = window.find(goal)
-    if g is None:
-        raise DomainError("endpoints must lie in the window")
+    g = window.require_zone(goal, window.radius)
     path = [g]
     while g:
         g = min(window._adjacency[g])

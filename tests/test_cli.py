@@ -462,9 +462,9 @@ def test_anchor_outside_the_window_names_its_need(capsys, argv, need):
 @pytest.mark.parametrize("r_max,need", [(2, 3), (5, 5)])
 def test_coray_start_outside_the_window_names_its_need(capsys, r_max, need):
     """A co-ray start outside the window is looked up before the field,
-    and its need also covers the field's, max(d(base, start), zone,
-    r-max): at the need no radius check fails, and the start, 3 from the
-    base, lies outside zone 1."""
+    and the command's need also covers the field's, max(d(base, start),
+    zone, r-max): at the need no radius check fails, and the start, 3
+    from the base, lies outside zone 1."""
     argv = ["coray", "--space", "line", "--zone", "1", "--r-max",
             str(r_max), "--start", "3"]
     payload = _usage_error(capsys, *argv, "--radius", "1")
@@ -480,8 +480,8 @@ def test_coray_start_outside_the_window_names_its_need(capsys, r_max, need):
 def test_ray_target_outside_the_window_names_its_need(
         capsys, space, target, radius, zone, need):
     """A ray target outside the window raises the window's radius
-    ZoneError, whose need, d(base, target) + zone, also passes the
-    sweep's margin check: at the need the field is swept."""
+    ZoneError, and the command's need, d(base, target) + zone, also
+    passes the sweep's margin check: at the need the field is swept."""
     argv = ["busemann", "--space", space, "--ray-target", target,
             "--zone", str(zone)]
     payload = _usage_error(capsys, *argv, "--radius", str(radius))
@@ -489,6 +489,22 @@ def test_ray_target_outside_the_window_names_its_need(
         payload["message"]
     assert payload["parameter"] == "radius" and payload["need"] == need
     for r, code in ((need - 1, 2), (need, 0)):
+        assert main([*argv, "--radius", str(r)]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["busemann", "--space", "line", "--ray-target", "60"],
+    ["horo", "--space", "line", "--points", "55;60"]])
+def test_a_need_with_the_default_zone_holds_at_itself(capsys, argv):
+    """With --zone omitted the zone is R // 5, so the margin check's need
+    grows with the radius: the command's need is 74 = 60 + 74 // 5, where
+    it runs, and at 73 (zone 14) the margin check still fails."""
+    payload = _usage_error(capsys, *argv, "--radius", "50")
+    assert payload["error"] == "ZoneError" and "not in window" in \
+        payload["message"]
+    assert payload["parameter"] == "radius" and payload["need"] == 74
+    for r, code in ((73, 2), (74, 0)):
         assert main([*argv, "--radius", str(r)]) == code
     capsys.readouterr()
 

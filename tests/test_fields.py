@@ -548,8 +548,8 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
         (lambda: u_point_assigned(line_window, [3], 8)[0].value_at(4),
          "r-max", 4),
         (lambda: u_r(line_window, 0, 10), "radius", None),
-        # a sample point past R // 3 needs 3 d(base, s), and the radius of
-        # rho's other checks (max(schedule) = 70) when that is larger
+        # a sample point past R // 3 needs 3 d(base, s); rho builds the
+        # family first, whose schedule check names max(schedule) = 70
         (lambda: pairwise_dist(line_window, [0, 25]), "radius", 75),
         (lambda: rho_matrix(line_window, [0, 21], [3, 70], 8), "radius",
          70),
@@ -566,13 +566,14 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
 # error.  The checks, in order: the argument shapes, each anchor set
 # non-empty and in the window, a ray a geodesic, d(base, H_n) + margin
 # <= R (margin zone, 2 zone for sets), 1 <= zone, a sequence diverging.
-# An anchor outside the window needs max(d(base, v), d(base, H_n) +
-# margin) over every anchor, as grid2d gives each d(base, v) in closed
-# form, or d(base, v) alone when a later set is empty.
+# Each check names its own need: an anchor outside the window needs its
+# own d(base, v), which grid2d gives in closed form, and not the margin
+# a later check adds (the CLI re-runs at each need to find the radius
+# that passes both).
 ANCHOR_CHECKS = [
     ("busemann", ([(0, 0), (1, 0)], 2, 3), ("DomainError", None, None, None)),
     ("busemann", ([(0, 0), (11, 0)], 1, 3),
-     ("ZoneError", "radius", 14, (11, 0))),
+     ("ZoneError", "radius", 11, (11, 0))),
     ("busemann", ([(0, 0), (2, 0)], 1, 3), ("DomainError", None, None, None)),
     # not a geodesic and too far out: the geodesy check comes first
     ("busemann", ([(9, 0), (8, 0), (9, 0)], 2, 3),
@@ -581,7 +582,7 @@ ANCHOR_CHECKS = [
      ("ZoneError", "radius", 11, (8, 0))),
     ("busemann", ([(0, 0), (1, 0)], 1, 0), ("DomainError", None, None, None)),
     ("horo", ([(1, 0)], 3), ("DomainError", None, None, None)),
-    ("horo", ([(1, 0), (12, 0)], 3), ("ZoneError", "radius", 15, (12, 0))),
+    ("horo", ([(1, 0), (12, 0)], 3), ("ZoneError", "radius", 12, (12, 0))),
     ("horo", ([(1, 0), (8, 0), (9, 0)], 3),
      ("ZoneError", "radius", 12, (8, 0))),
     ("horo", ([(1, 0), (2, 0)], 0), ("DomainError", None, None, None)),

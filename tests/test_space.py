@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dlscape import (ResourceLimitError, ZoneError, build,
                      materialize_window, pairwise_dist, shortest_path,
                      sphere, vertex_budget)
-from dlscape.space import _bfs_from_indices
+from dlscape.space import Window, _bfs_from_indices
 
 SMALL = [("line", {}, 20), ("halfline", {}, 20), ("tree", {"b": 2}, 8),
          ("grid2d", {}, 8), ("h_graph", {}, 15),
@@ -152,6 +152,24 @@ def test_materialize_from_known_window_checks(monkeypatch):
         _budgeted(monkeypatch, 20, known.space, 3, 30, known=known)
     with pytest.raises(ResourceLimitError):
         _budgeted(monkeypatch, 5, known.space, 3, 5, known=known)
+
+
+def test_a_radius_at_the_budget_raises_before_any_growth(monkeypatch):
+    """|B_R| >= R + 1 in an infinite connected graph, so a radius at or
+    past the budget raises the budget's error with no growth, from the
+    generator or from a known window's rows; below it the same error
+    comes from the growth."""
+    grown = []
+    grow = Window._grow
+    monkeypatch.setattr(Window, "_grow",
+                        lambda self, rho: grown.append(rho) or grow(self, rho))
+    line = build("line")
+    known = materialize_window(line, 0, 40)
+    for radius, source in ((10, None), (11, None), (10, known), (9, None)):
+        with pytest.raises(ResourceLimitError,
+                           match=rf"R={radius}\) exceeds vertex budget 10"):
+            _budgeted(monkeypatch, 10, line, 0, radius, known=source)
+        assert grown == ([9] if radius == 9 else [])
 
 
 @given(x=st.integers(-30, 30))
