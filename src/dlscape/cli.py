@@ -399,18 +399,18 @@ def _radius_miss(exc):
 
 
 def _radius_need(args, need):
-    """The command's radius need, from ``need``, that of the first radius
-    ZoneError it raised.  A library check names only its own need, so the
-    command runs again at the need, output discarded, and again at the
-    need of each radius ZoneError with a larger one.  A check's need does
-    not fall as the radius grows (the default zone R // 5 grows with it),
-    so no run exceeds the smallest radius at which every check holds."""
+    """The command's radius need from ``need``, the first radius
+    ZoneError's: the command runs again at the need, output discarded,
+    until no radius ZoneError names a larger one.  A check's need does not
+    fall as R grows, so no run exceeds the smallest radius where all hold;
+    a fixed need (a lookup's is its whole list's) fails in one run at most,
+    the margin d(base, H_n) + R // 5 in about log_5 R runs."""
     while True:
         again = argparse.Namespace(**{**vars(args), "radius": need,
                                       "output": os.devnull})
         try:
             args.fn(again)
-        except (DlscapeError, OSError) as exc:
+        except Exception as exc:    # past the asked radius, any error ends
             larger = _radius_miss(exc)
             if larger is not None and larger > need:
                 need = larger

@@ -459,19 +459,16 @@ def _geodesic(window, idxs):
 
 
 def _resolve_sets(window, sets, what):
-    """(d(base, H_n), indices of H_n) per anchor set, each checked in turn
-    to be non-empty and in the window by
-    :meth:`~dlscape.space.Window.require_zone`, whose radius ZoneError
-    names a member's own d(base, v) as its need; the margin check of
-    :func:`_anchor_sets` names its own."""
-    require, radius, dist = window.require_zone, window.radius, window._dist
-    found = []
-    for h in sets:
-        if not h:
-            raise DomainError(f"{what} must be non-empty")
-        idxs = [require(v, radius, what) for v in h]
-        found.append((min(map(dist.__getitem__, idxs)), idxs))
-    return found
+    """(d(base, H_n), indices of H_n) per anchor set: the sets before the
+    first empty one, whose DomainError comes next, are looked up by
+    :meth:`~dlscape.space.Window.require_all`; the margin check of
+    :func:`_anchor_sets` names its own need."""
+    k = next((j for j, h in enumerate(sets) if not h), len(sets))
+    idxs = iter(window.require_all([v for h in sets[:k] for v in h], what))
+    if k < len(sets):
+        raise DomainError(f"{what} must be non-empty")
+    found = [[next(idxs) for _ in h] for h in sets]
+    return [(min(map(window._dist.__getitem__, i)), i) for i in found]
 
 
 def _anchor_sets(window, found, zone, margin, what, ray=False):

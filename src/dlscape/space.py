@@ -384,16 +384,26 @@ class Window:
                 f"{rho}", parameter="zone", witness=vertex, need=d)
         return i
 
+    def require_all(self, vertices, what):
+        """:meth:`require_zone` at R for each of ``vertices``; a miss names
+        the largest d(base, v) over them all, so one radius holds all."""
+        try:
+            return [self.require_zone(v, self.radius, what) for v in vertices]
+        except ZoneError as exc:
+            if exc.need is not None:    # space.distance is closed from base
+                exc.need = max(self.space.distance(self.base, v)
+                               for v in vertices if self.space.contains(v))
+            raise
+
     def require_sample(self, sample):
         """Indices of a non-empty sample inside the R // 3 zone.  A point
-        outside the window raises :meth:`require_zone`'s radius ZoneError;
+        outside the window raises :meth:`require_all`'s radius ZoneError;
         one in it but past the zone raises a radius ZoneError whose
         ``need``, 3 dmax, dmax the largest d(base, s), is the smallest
         radius whose zone holds the sample."""
         if not sample:
             raise DomainError("sample must be non-empty")
-        idxs = [self.require_zone(v, self.radius, what="sample")
-                for v in sample]
+        idxs = self.require_all(sample, "sample")
         dist = self._dist
         zone = self.radius // 3
         for v, i in zip(sample, idxs):

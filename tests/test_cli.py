@@ -7,7 +7,7 @@ import random
 import pytest
 from test_gh import metric_from_weights
 
-from dlscape import FiniteMetricSpace
+from dlscape import FiniteMetricSpace, cli
 from dlscape.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -507,6 +507,49 @@ def test_a_need_with_the_default_zone_holds_at_itself(capsys, argv):
     for r, code in ((73, 2), (74, 0)):
         assert main([*argv, "--radius", str(r)]) == code
     capsys.readouterr()
+
+
+_STEPS = ";".join(map(str, range(201)))
+
+
+@pytest.mark.parametrize("command,argv,radii", [
+    ("busemann", ["--ray", _STEPS], [1, 200, 240, 248, 249]),
+    ("horo", ["--points", _STEPS], [1, 200, 240, 248, 249]),
+    ("rho", ["--r-max", "2", "--sample", _STEPS], [1, 200, 600])])
+def test_a_long_list_outside_the_window_reruns_once_per_check(
+        capsys, monkeypatch, command, argv, radii):
+    """A list lookup names one need for its whole list, d(base, 200), so
+    200 vertices outside the window cost one run, not one each.  Then
+    busemann and horo re-run at the margin 200 + R // 5 until it holds,
+    and rho at the sample zone's need 3 * 200."""
+    seen, real = [], getattr(cli, f"cmd_{command}")
+
+    def counted(args):
+        seen.append(args.radius)
+        return real(args)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", counted)
+    payload = _usage_error(capsys, command, "--space", "line", "--radius",
+                           "1", *argv)
+    assert "not in window" in payload["message"]
+    assert payload["need"] == radii[-1] and seen == radii
+
+
+def test_an_unexpected_error_in_a_rerun_ends_the_loop(capsys, monkeypatch):
+    """A re-run runs past the asked radius; an error there that is not
+    the library's (here MemoryError) ends the loop at the need reached so
+    far, and the first error still prints as JSON."""
+    real = cli.cmd_horo
+
+    def horo(args):
+        if args.radius > 50:
+            raise MemoryError
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_horo", horo)
+    payload = _usage_error(capsys, "horo", "--space", "line", "--radius",
+                           "50", "--points", "55;60")
+    assert (payload["witness"], payload["need"]) == ("55", 60)
 
 
 def test_ray_target_outside_the_window_without_a_closed_form(capsys):

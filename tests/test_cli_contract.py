@@ -296,10 +296,11 @@ def test_cli_contract(argv):
 
 
 @st.composite
-def explicit_argvs(draw):
+def explicit_argvs(draw, zones=st.integers(1, 8)):
     """argv of field, level-set, coray, busemann, horo, rho or experiment
-    with --r-max set, and --zone set or not (experiment always sets it);
-    most vertices lie on a ray from the base, near enough to pass."""
+    with --r-max set, and --zone drawn from ``zones``, None for its
+    default (experiment always sets it); most vertices lie on a ray from
+    the base, near enough to pass."""
     command = draw(st.sampled_from(["field", "level-set", "coray",
                                     "busemann", "horo", "rho",
                                     "experiment"]))
@@ -313,7 +314,7 @@ def explicit_argvs(draw):
     label = st.one_of(near, near, labels(space))
     argv = [command, f"--space={space}",
             f"--radius={draw(st.integers(1, 28))}"]
-    zone = draw(st.one_of(st.none(), st.integers(1, 8)))
+    zone = draw(zones)
     if zone is not None:
         argv.append(f"--zone={zone}")
     if command in ("field", "level-set", "coray", "rho"):
@@ -351,6 +352,24 @@ def _answer(out):
     return payload
 
 
+def _need_holds(argv, err):
+    """At a radius ZoneError's need no radius check with a need fails;
+    one without (a vertex outside the window, whose distance it cannot
+    know) may."""
+    payload = json.loads(err)
+    if (payload["error"], payload.get("parameter")) != \
+            ("ZoneError", "radius") or "need" not in payload:
+        return
+    need = payload["need"]
+    assert need > int(argv[2].partition("=")[2]), (argv, payload)
+    code_n, _, err_n = _run(_at(argv, need))
+    if code_n == 2 and not _over_budget(code_n, err_n):
+        again = json.loads(err_n)
+        assert (again["error"], again.get("parameter")) != \
+            ("ZoneError", "radius") or "need" not in again, \
+            (argv, payload, again)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(explicit_argvs())
@@ -358,8 +377,6 @@ def test_a_larger_window_changes_no_answer(argv):
     radius = int(argv[2].partition("=")[2])
     code, out, err = _run(argv)
     if code == 0:
-        if not any(a.startswith("--zone=") for a in argv):
-            return      # the default zone, and so the answer, grows with R
         for k in range(1, 5):
             code_k, out_k, err_k = _run(_at(argv, radius + k))
             if _over_budget(code_k, err_k):
@@ -367,17 +384,15 @@ def test_a_larger_window_changes_no_answer(argv):
             assert code_k == 0, (argv, k, err_k)
             assert _answer(out_k) == _answer(out), (argv, k)
     elif code == 2:
-        payload = json.loads(err)
-        if (payload["error"], payload.get("parameter")) != \
-                ("ZoneError", "radius") or "need" not in payload:
-            return
-        need = payload["need"]
-        assert need > radius, (argv, payload)
-        # At the need no radius check with a need fails; one without (a
-        # vertex outside the window, whose distance it cannot know) may.
-        code_n, _, err_n = _run(_at(argv, need))
-        if code_n == 2 and not _over_budget(code_n, err_n):
-            again = json.loads(err_n)
-            assert (again["error"], again.get("parameter")) != \
-                ("ZoneError", "radius") or "need" not in again, \
-                (argv, payload, again)
+        _need_holds(argv, err)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(explicit_argvs(st.none()))
+def test_a_need_with_the_default_zone_holds(argv):
+    """The default zone R // 5 grows with the radius, and so may the
+    answer; the need still holds at itself."""
+    code, _, err = _run(argv)
+    if code == 2:
+        _need_holds(argv, err)

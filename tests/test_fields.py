@@ -566,10 +566,10 @@ def test_zone_errors_name_the_need(line_window, halfline_window):
 # error.  The checks, in order: the argument shapes, each anchor set
 # non-empty and in the window, a ray a geodesic, d(base, H_n) + margin
 # <= R (margin zone, 2 zone for sets), 1 <= zone, a sequence diverging.
-# Each check names its own need: an anchor outside the window needs its
-# own d(base, v), which grid2d gives in closed form, and not the margin
-# a later check adds (the CLI re-runs at each need to find the radius
-# that passes both).
+# Each check names its own need: an anchor outside the window needs the
+# largest d(base, v) over the anchors looked up, which grid2d gives in
+# closed form, and not the margin a later check adds (the CLI re-runs at
+# each need to find the radius that passes both).
 ANCHOR_CHECKS = [
     ("busemann", ([(0, 0), (1, 0)], 2, 3), ("DomainError", None, None, None)),
     ("busemann", ([(0, 0), (11, 0)], 1, 3),

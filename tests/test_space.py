@@ -231,6 +231,22 @@ def test_require_zone(h_window):
     assert exc.value.parameter == "zone" and exc.value.need == 6
 
 
+def test_require_all_names_one_need_for_the_list(line_window):
+    """The first vertex outside the window is the witness, and the need
+    is the largest d(base, v) over the list, so one radius holds it all;
+    a vertex the space does not contain counts for none."""
+    assert line_window.require_all([0, 3], "probe") == \
+        [line_window.find(0), line_window.find(3)]
+    with pytest.raises(ZoneError) as exc:
+        line_window.require_all([5, 70, -90, 65, (1, 2)], "probe")
+    e = exc.value
+    assert (e.parameter, e.witness, e.need) == ("radius", 70, 90)
+    tree = materialize_window(build("tree", {"b": 2}), (), 2)
+    with pytest.raises(ZoneError) as exc:
+        tree.require_all([(0,), (0, 0, 0)], "probe")
+    assert exc.value.need is None
+
+
 def _held(w):
     """The window's lists as held, without growing it: its vertices, each
     found at its index, distances and rows."""
