@@ -189,7 +189,9 @@ def cmd_coray(args):
     space, window = _window_for(args)
     sched, zone = _schedule(args), _zone(args)
     start = window.base
-    if args.start is not None:      # looked up before the field is built
+    if args.start is not None:
+        # Looked up before the field is built: a need re-run stops at the
+        # field's sweep, so a check after it would go unseen.
         start = _vertex(space, args.start)
         window.require_zone(start, window.radius)
     fld, _ = fields.u_point_assigned(window, sched, zone, args.tail)
@@ -214,7 +216,9 @@ def cmd_rho(args):
     space, window = _window_for(args)
     sample = [_vertex(space, t) for t in args.sample.split(";")]
     sched, zone = _schedule(args), _zone(args)
-    window.require_sample(sample)   # the sample's checks before the family's
+    # The sample's checks before the family's, and before its first sweep,
+    # where a need re-run stops.
+    window.require_sample(sample)
     flds = pseudometric.point_assigned_family(window, sample, sched, zone,
                                               args.tail)
     rho = pseudometric.rho_matrix(window, sample, sched, zone, args.tail,
@@ -404,10 +408,16 @@ def _radius_need(args, need):
     until no radius ZoneError names a larger one.  A check's need does not
     fall as R grows, so no run exceeds the smallest radius where all hold;
     a fixed need (a lookup's is its whole list's) fails in one run at most,
-    the margin d(base, H_n) + R // 5 in about log_5 R runs."""
+    the margin d(base, H_n) + R // 5 in about log_5 R runs.
+
+    Each run has tail -1, which the command's first sweep refuses before
+    any step runs (:func:`~dlscape.fields._sweep`), after every radius
+    check.  So a run costs the checks' lookups and the window growth they
+    read, not the answer.  ``check`` takes no tail, so its suites run in
+    full, at their own need, a few units."""
     while True:
         again = argparse.Namespace(**{**vars(args), "radius": need,
-                                      "output": os.devnull})
+                                      "tail": -1, "output": os.devnull})
         try:
             args.fn(again)
         except Exception as exc:    # past the asked radius, any error ends

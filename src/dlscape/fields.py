@@ -259,8 +259,12 @@ def _sweep(window, kind, zone, tail, steps):
 
     The other kinds keep every vertex pending, dated at the first step of
     its final run of entries equal to its final value, so the walk runs
-    every pass, and ``stable`` reads the dates.  A negative tail is
-    refused.
+    every pass, and ``stable`` reads the dates.
+
+    A negative tail is refused first, before any step runs.  The CLI's
+    radius-need re-runs (``cli._radius_need``) pass tail -1 so as to stop
+    here, after a command's radius checks: one placed after the command's
+    first sweep would not be seen by a re-run.
     """
     if tail is not None and tail < 0:
         raise DomainError(f"tail must be >= 0, got {tail}")

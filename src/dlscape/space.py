@@ -54,6 +54,7 @@ class GraphSpace:
 
     generator_id = "?"
     schema = {}
+    ball_size_exact = False
 
     def __init__(self, scale=Fraction(1)):
         scale = Fraction(scale)
@@ -68,7 +69,9 @@ class GraphSpace:
     def ball_size_bound(self, base, radius):
         """A proven upper bound on |B_radius(base)|, or None when none is
         known; :func:`materialize_window` builds a window on demand only
-        under a bound."""
+        under a bound.  A generator whose bound is |B_radius(base)| itself
+        sets ``ball_size_exact``, and :func:`materialize_window` then
+        refuses a ball over the budget before any growth."""
         return None
 
     def distance(self, a, b):
@@ -173,8 +176,8 @@ class Window:
     Budget.  :func:`materialize_window` builds a window on demand only when
     the space's :meth:`GraphSpace.ball_size_bound`, or else the ``known``
     window it grows from, proves B_R fits the vertex budget; otherwise it
-    grows it to R at once, so :class:`ResourceLimitError` is raised at
-    construction.
+    grows it to R at once, or refuses it with no growth where the bound
+    is exact, so :class:`ResourceLimitError` is raised at construction.
     """
 
     __slots__ = ("space", "base", "radius", "grown", "known", "_budget",
@@ -462,8 +465,10 @@ def materialize_window(space, base, radius, known=None):
     Adjacency rows keep the generator's neighbor order, restricted to
     in-window vertices.  Raises :class:`ResourceLimitError` when the vertex
     budget (``DLSCAPE_MAX_VERTICES``, default 2,000,000) would be exceeded:
-    with no growth when radius >= budget, as |B_R| >= R + 1 in a connected
-    infinite graph.  The window grows on demand (see :class:`Window`) when
+    with no growth when a floor on |B_R| is over the budget, the space's
+    ``ball_size_bound`` where it is exact (``ball_size_exact``), else
+    R + 1, as a connected infinite graph has a vertex at each distance.
+    The window grows on demand (see :class:`Window`) when
     ``space.ball_size_bound(base, radius)`` is at most the budget, and is
     grown to ``radius`` here otherwise.
 
@@ -480,14 +485,14 @@ def materialize_window(space, base, radius, known=None):
         raise DomainError("radius must be >= 0")
     space.check_vertex(base)
     budget = vertex_budget()
-    if radius >= budget:
+    bound = space.ball_size_bound(base, radius)
+    if (bound if space.ball_size_exact else radius + 1) > budget:
         raise _over_budget(space, base, radius, budget)
     if known is not None:
         k = known.find(base)
         if k is None or known._dist[k] + radius > known.radius:
             known = None
     window = Window(space, base, radius, budget, known)
-    bound = space.ball_size_bound(base, radius)
     if known is not None and (bound is None or bound > budget):
         bound = known.count_within(known._dist[k] + radius)
     if bound is None or bound > budget:

@@ -108,6 +108,7 @@ class Line(_IntVertices):
     """The integer line; contains a geodesic line through every vertex."""
 
     generator_id = "line"
+    ball_size_exact = True      # B_R(b) is the 2R + 1 integers b - R..b + R
 
     def ball_size_bound(self, base, radius):
         return 2 * radius + 1
@@ -123,6 +124,7 @@ class HalfLine(_IntVertices):
     """The one-ended ray 0,1,2,...; all point-assigned fields coincide."""
 
     generator_id = "halfline"
+    ball_size_exact = True      # B_R(b) is max(0, b - R)..b + R
 
     def ball_size_bound(self, base, radius):
         return radius + min(base, radius) + 1
@@ -188,6 +190,7 @@ class Grid2D(_PairVertices):
     """The Z^2 lattice with 4-neighbor adjacency."""
 
     generator_id = "grid2d"
+    ball_size_exact = True      # B_R(b) is the L1 diamond, 2R^2 + 2R + 1
 
     def ball_size_bound(self, base, radius):
         return 2 * radius * radius + 2 * radius + 1

@@ -535,6 +535,32 @@ def test_a_long_list_outside_the_window_reruns_once_per_check(
     assert payload["need"] == radii[-1] and seen == radii
 
 
+_ROW = ";".join(f"{x},0" for x in range(21))
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["rho", "--radius", "1", "--r-max", "2", "--sample", _ROW], 60),
+    (["horo", "--radius", "1", "--points", _ROW], 24),
+    (["coray", "--radius", "10", "--r-max", "8", "--start", "30,0"], 30)])
+def test_a_rerun_runs_no_pass(capsys, monkeypatch, argv, need):
+    """A need re-run stops at the command's first sweep, after its radius
+    checks, so finding the need runs no BFS pass: not the field's, the
+    family's, the sample distances' or the co-ray checks'."""
+    from dlscape import fields, space
+    passes = []
+    bfs = space._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        passes.append(limit)
+        return bfs(window, seeds, limit, settled)
+
+    for module in (fields, space):
+        monkeypatch.setattr(module, "_bfs_from_indices", counted)
+    payload = _usage_error(capsys, argv[0], "--space", "grid2d", *argv[1:])
+    assert payload["parameter"] == "radius" and payload["need"] == need
+    assert passes == []
+
+
 def test_an_unexpected_error_in_a_rerun_ends_the_loop(capsys, monkeypatch):
     """A re-run runs past the asked radius; an error there that is not
     the library's (here MemoryError) ends the loop at the need reached so

@@ -749,18 +749,32 @@ def test_point_assigned_small_window_matches_big(name, params, radius):
             assert r_small == r_big
 
 
-def test_a_negative_tail_is_refused(line_window):
+def test_a_negative_tail_is_refused(monkeypatch, line_window):
     """The stability tail counts schedule parameters back from the last,
     so a negative one would mark every value unstable: the sweep refuses
-    it, and tail 0 is still accepted."""
-    for sweep in (lambda tail: u_point_assigned(line_window, [8, 16, 24],
-                                                 6, tail),
+    it before its last step's pass runs (the CLI's radius-need re-runs
+    stop there), and tail 0 is still accepted, with that pass."""
+    from dlscape import fields
+    passes = []
+    bfs = fields._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        passes.append(limit)
+        return bfs(window, seeds, limit, settled)
+
+    # the sweeps' passes; the ray's geodesy check runs its own in space
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    for sweep in (lambda tail: u_point_assigned(line_window, [2, 4, 8], 6,
+                                                 tail),
                   lambda tail: busemann(line_window, range(0, 31), 30, 6,
                                         tail)):
         for tail in (-1, -5):
             with pytest.raises(DomainError, match="tail must be >= 0"):
                 sweep(tail)
+        assert passes == []
         sweep(0)
+        assert len(passes) == 1
+        passes.clear()
 
 
 # (generator, family base b, schedule, zone) on a window of radius 60 at
@@ -780,11 +794,12 @@ ROUTE_FIELDS = [("line", 0, range(1, 41), 6), ("line", -4, range(2, 41, 2), 6),
 def _routed_field(name, b, schedule, zone, passes, bound=None):
     """Every step's entries, the number of ``passes`` they ran, and the
     values, ``stable`` and ``last_change`` of b's point-assigned field;
-    with ``bound``, the space reports that ball bound, which routes every
-    step one way."""
+    with ``bound``, the space reports that ball bound, not as exact, which
+    routes every step one way."""
     gspace = build(name)
     if bound is not None:
         gspace.ball_size_bound = lambda base, radius: bound
+        gspace.ball_size_exact = False
     w = materialize_window(gspace, gspace.default_base(), 60)
     wb = w if b == w.base else \
         materialize_window(gspace, b, max(schedule[-1], zone), known=w)

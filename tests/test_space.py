@@ -155,21 +155,25 @@ def test_materialize_from_known_window_checks(monkeypatch):
 
 
 def test_a_radius_at_the_budget_raises_before_any_growth(monkeypatch):
-    """|B_R| >= R + 1 in an infinite connected graph, so a radius at or
-    past the budget raises the budget's error with no growth, from the
-    generator or from a known window's rows; below it the same error
-    comes from the growth."""
+    """|B_R| >= R + 1 in an infinite connected graph, and the line's bound
+    2R + 1 is |B_R| itself, so a line ball over the budget raises the
+    budget's error with no growth, at or below R = budget, from the
+    generator or from a known window's rows.  The tree's bound is not
+    exact, so below the budget its error comes from the growth."""
     grown = []
     grow = Window._grow
     monkeypatch.setattr(Window, "_grow",
                         lambda self, rho: grown.append(rho) or grow(self, rho))
-    line = build("line")
+    line, tree = build("line"), build("tree", {"b": 2})
     known = materialize_window(line, 0, 40)
-    for radius, source in ((10, None), (11, None), (10, known), (9, None)):
+    for space, radius, source in ((line, 10, None), (line, 11, None),
+                                  (line, 10, known), (line, 5, None),
+                                  (tree, 10, None), (tree, 9, None)):
         with pytest.raises(ResourceLimitError,
                            match=rf"R={radius}\) exceeds vertex budget 10"):
-            _budgeted(monkeypatch, 10, line, 0, radius, known=source)
-        assert grown == ([9] if radius == 9 else [])
+            _budgeted(monkeypatch, 10, space, space.default_base(), radius,
+                      known=source)
+        assert grown == ([9] if space is tree and radius == 9 else [])
 
 
 @given(x=st.integers(-30, 30))
