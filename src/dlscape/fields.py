@@ -362,7 +362,18 @@ def u_point_assigned(window, schedule, zone, tail=None):
     geodesic through b joins to S_r(b) inside it: it visits exactly
     B_r(b), whatever the rest of the ball holds.
 
-    Routes.  Each step reads S_r(b) from ``space.sphere_at`` once when it
+    Routes.  The ray route first: ``space.rays_cover(b, min(zone,
+    max(schedule)))``, asked once per field, says a geodesic ray from b
+    passes through every valued zone vertex x.  That ray meets S_r(b),
+    r >= d(b, x), at r - d(b, x) from x, so u^r(x) <= -d(b, x), and with
+    the lower bound u^r(x) >= -d(b, x) (the free dates of :func:`_sweep`)
+    u^r(x) = -d(b, x).  Every step then reads -d(b, .) off the window's
+    own distances from its base, with no pass and no ``sphere_at`` or
+    ``distance`` call; W grows only as far as the zone's lookup,
+    B_{delta + zone}(o), and the certificate dates every vertex free,
+    with no pass either.
+
+    Otherwise each step reads S_r(b) from ``space.sphere_at`` once when it
     runs, and gives its entries in closed form or runs that pass
     (:func:`_sweep`).  Where ``space.sphere_at`` gives S_r(b) and
     ``space.distance`` gives d(x, .) from every valued zone vertex x,
@@ -374,10 +385,10 @@ def u_point_assigned(window, schedule, zone, tail=None):
     calls, n the zone vertices the step values, and the pass visits
     B_r(b), at most ``space.ball_size_bound(b, r)`` vertices; a step
     takes the closed form only where the first is below the second.  So
-    on the line and the halfline, whose spheres hold one or two points,
-    a step takes it once r exceeds about n, and grid2d and h_graph keep
-    their passes.  d(x, .) is read once per zone vertex, the first time
-    the count wins.  W grows only as far as the passes that run read.
+    on the halfline off its end, whose spheres past b hold one point, a
+    step takes it once r exceeds about n, and h_graph keeps its passes.
+    d(x, .) is read once per zone vertex, the first time the count wins.
+    W grows only as far as the passes that run read.
 
     A pass starts from S_r(b) and leaves out that part of S_{r+1}(b).
     Where ``space.sphere_at`` gives spheres around b in closed form, each
@@ -398,14 +409,21 @@ def u_point_assigned(window, schedule, zone, tail=None):
     reads at most r.
     """
     schedule = _check_schedule(window, schedule, zone)
-    w = window if window.known is None else window.known
-    k = w.find(window.base)
-    delta, count = w._dist[k], w.count_within
-    space, b = w.space, window.base
-    at = list(window.held_in(w, range(window.count_within(zone))))
+    space, b = window.space, window.base
 
     def valued(r):          # the number of zone vertices step r values
         return window.count_within(min(r, zone))
+
+    def sweep(step):
+        return _sweep(window, "point_assigned", zone, tail,
+                      ((r, r, partial(step, r)) for r in schedule))
+
+    if space.rays_cover(b, min(zone, schedule[-1])):
+        return sweep(lambda r: [-d for d in window._dist[:valued(r)]])
+    w = window if window.known is None else window.known
+    k = w.find(b)
+    delta, count = w._dist[k], w.count_within
+    at = list(window.held_in(w, range(window.count_within(zone))))
 
     @cache
     def zone_vertices():    # the valued ones, () unless each d(x, .) is closed
@@ -435,8 +453,7 @@ def u_point_assigned(window, schedule, zone, tail=None):
                 cut.append(j)
         return _pass(w, at[:n], near, r, limit, cut)
 
-    return _sweep(window, "point_assigned", zone, tail,
-                  ((r, r, partial(step, r)) for r in schedule))
+    return sweep(step)
 
 
 def _geodesic(window, idxs):

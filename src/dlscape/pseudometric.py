@@ -27,9 +27,11 @@ def point_assigned_family(window, bases, schedule, zone, tail=None):
     when they hold it (``materialize_window(..., known=window)``; the
     sweep then runs its passes there, and it, rho and the classes grow
     B_m(b) only to B_zone(b), and the caller's window only as far as
-    those passes read, no further than B_{d(base, b) + zone} where every
-    step takes the closed form of :func:`u_point_assigned`), else from
-    the generator.  That is the field of a window
+    those passes read, no further than B_{d(base, b) + zone} where rays
+    from b cover its zone (``space.rays_cover``), so that no step runs a
+    pass, or where every step takes the closed form of
+    :func:`u_point_assigned`), else from the generator.  That is the
+    field of a window
     B_R(b): u_point_assigned is exact on any window of radius at least
     max(schedule) and zone (see its docstring), and B_m(b) is a prefix of
     B_R(b) in breadth-first order, so the vertex indices agree too.

@@ -43,10 +43,10 @@ class GraphSpace:
     A generator names itself in ``generator_id``, declares its parameters
     in ``schema`` (name -> description, each held as the attribute of that
     name; empty by default) and implements ``neighbors(v)`` and
-    ``contains(v)``, and where it can, ``ball_size_bound``, ``distance``
-    and ``sphere_at``.  It inherits its vertex codec, ``default_base()``,
-    ``parse_vertex(text)`` and ``vertex_label(v)``, and the
-    ``window_codec`` its windows hold keys in, from one of
+    ``contains(v)``, and where it can, ``ball_size_bound``, ``distance``,
+    ``sphere_at`` and ``rays_cover``.  It inherits its vertex codec,
+    ``default_base()``, ``parse_vertex(text)`` and ``vertex_label(v)``, and
+    the ``window_codec`` its windows hold keys in, from one of
     :mod:`dlscape.zoo`'s vertex types, or defines its own.  By default the
     space is that codec: ``encode`` and ``decode`` give a vertex as its own
     key, and ``neighbors`` is the rule on keys.
@@ -86,6 +86,13 @@ class GraphSpace:
         :meth:`distance`, for a given b it is None for every r or exact
         for every r."""
         return None
+
+    def rays_cover(self, b, r):
+        """True only where a geodesic ray from b passes through every
+        vertex of B_r(b), so that :func:`~dlscape.fields.u_point_assigned`
+        reads u^r'(x) = -d(b, x) there for every r' >= d(b, x); False by
+        default.  An override proves its answer in its docstring."""
+        return False
 
     def window_codec(self, base, radius):
         """The codec a window B_radius(base) holds its keys in (see

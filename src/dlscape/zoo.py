@@ -119,6 +119,10 @@ class Line(_IntVertices):
     def contains(self, v):
         return _is_int(v)
 
+    def rays_cover(self, b, r):
+        """Always: from b through v, keep moving away from b."""
+        return True
+
 
 class HalfLine(_IntVertices):
     """The one-ended ray 0,1,2,...; all point-assigned fields coincide."""
@@ -136,6 +140,12 @@ class HalfLine(_IntVertices):
 
     def contains(self, v):
         return _is_int(v) and v >= 0
+
+    def rays_cover(self, b, r):
+        """Only at the end or for r = 0: B_0(b) = {b}, and the ray 0, 1,
+        2, ... passes through every vertex; a geodesic ray from b >= 1 is
+        b, b + 1, ..., which misses b - 1."""
+        return b == 0 or r == 0
 
 
 class Tree(GraphSpace):
@@ -174,6 +184,14 @@ class Tree(GraphSpace):
         return (isinstance(v, tuple)
                 and all(_is_int(c) and 0 <= c < self.b for c in v))
 
+    def rays_cover(self, base, r):
+        """For b >= 2 always: from the base through v, go on down
+        children, the first not on the path back to the base (v has b
+        children, at most one of them on it); a path that never turns back
+        is a geodesic in a tree.  For b = 1 the tree is the halfline, so
+        only at the root or for r = 0 (:class:`HalfLine`)."""
+        return self.b >= 2 or base == () or r == 0
+
     def default_base(self):
         return ()
 
@@ -207,6 +225,12 @@ class Grid2D(_PairVertices):
 
     def contains(self, v):
         return _is_pair(v)
+
+    def rays_cover(self, b, r):
+        """Always: from b through v, keep moving away from b along a
+        coordinate of v - b (any, if v = b); each step adds one to the L1
+        distance."""
+        return True
 
     def distance(self, a, b):
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -453,6 +477,12 @@ class Cylinder(_PairVertices):
 
     def contains(self, v):
         return _is_pair(v) and 0 <= v[1] < self.m
+
+    def rays_cover(self, b, r):
+        """Always: from b through v, keep moving away from b along the
+        line; d((a, i), (x, j)) = |x - a| + d_m(i, j), d_m the distance on
+        the m-cycle, so each step adds one."""
+        return True
 
 
 GENERATORS = {cls.generator_id: cls for cls in (

@@ -254,11 +254,12 @@ def test_family_passes_leave_out_only_what_no_path_needs(
     caller's base, so on the h_graph d(b, .) comes from a BFS from b.
     Each family window, grown on the caller's rows, holds at the zone and
     at its radius what the generator gives.  The space reports a ball
-    bound of 0, so no step takes the closed form and every step that runs
-    is a pass."""
+    bound of 0 and no ray cover, so no step takes the closed form or the
+    ray route and every step that runs is a pass."""
     from dlscape import fields
     gspace = build(name, params)
     gspace.ball_size_bound = lambda base, radius: 0
+    gspace.rays_cover = lambda b, r: False
     bfs = fields._bfs_from_indices
     left_out = []
 
@@ -312,7 +313,8 @@ def test_family_pass_reaches_the_ball_at_its_base(monkeypatch, name, bases):
     B_r(b) holds (2 r^2 + 2 r + 1 on grid2d); the same pass with nothing
     left out reaches more of B_{delta + r}(o).  On the h_graph off (0, 0)
     d(b, .) comes from a pass from b, which leaves nothing out and is not
-    counted."""
+    counted.  The space reports no ray cover, so grid2d takes the pass
+    route."""
     from dlscape import fields
     bfs = fields._bfs_from_indices
     passes = []
@@ -327,6 +329,7 @@ def test_family_pass_reaches_the_ball_at_its_base(monkeypatch, name, bases):
 
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
     gspace = build(name)
+    gspace.rays_cover = lambda b, r: False
     w = materialize_window(gspace, (0, 0), 60)
     for b in bases:
         own = materialize_window(gspace, b, 36)
@@ -442,11 +445,12 @@ def test_set_limit_ball_is_tight():
 def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     """The point-assigned and Busemann sweeps run only the last pass until
     their certificate is read.  On the line and the grid every u^r value
-    is -d(base, x), so every zone vertex is dated with no pass.  On the
-    line, the steps from r = 30 take the closed form (25 zone vertices, 2
-    sphere points, against a ball of 2r + 1), so the last one runs no
-    pass; with the space reporting a ball bound of 0 it takes the pass,
-    as on the grid.  Along the
+    is -d(base, x), so every zone vertex is dated with no pass.  The
+    spaces report no ray cover, so the steps take the closed form or the
+    pass.  On the line, the steps from r = 30 take the closed form (25
+    zone vertices, 2 sphere points, against a ball of 2r + 1), so the last
+    one runs no pass; with the space reporting a ball bound of 0 it takes
+    the pass, as on the grid.  Along the
     line ray 0..40 (zone 12, tail 24, p* = 16) ``stable`` takes the passes
     at t = 1, which settles x <= 1, and at p* for the rest.  The dates
     take the passes at t = 1..12, as x = 12 settles only at t = 12; read
@@ -466,6 +470,7 @@ def test_monotone_sweeps_skip_settled_passes(monkeypatch):
     for name, bound, passes in (("line", None, 0), ("line", 0, 1),
                                 ("grid2d", None, 1)):
         gspace = build(name)
+        gspace.rays_cover = lambda b, r: False
         if bound is not None:
             gspace.ball_size_bound = lambda base, radius: bound
         w = materialize_window(gspace, gspace.default_base(), 60)
@@ -749,11 +754,14 @@ def test_point_assigned_small_window_matches_big(name, params, radius):
             assert r_small == r_big
 
 
-def test_a_negative_tail_is_refused(monkeypatch, line_window):
+def test_a_negative_tail_is_refused(monkeypatch, line_window, h_window):
     """The stability tail counts schedule parameters back from the last,
     so a negative one would mark every value unstable: the sweep refuses
     it before its last step's pass runs (the CLI's radius-need re-runs
-    stop there), and tail 0 is still accepted, with that pass."""
+    stop there), and tail 0 is still accepted, with that pass.  The
+    point-assigned sweep runs on the h_graph, whose last step takes a
+    pass: on the line rays from the base cover the zone, so no step
+    does."""
     from dlscape import fields
     passes = []
     bfs = fields._bfs_from_indices
@@ -764,7 +772,7 @@ def test_a_negative_tail_is_refused(monkeypatch, line_window):
 
     # the sweeps' passes; the ray's geodesy check runs its own in space
     monkeypatch.setattr(fields, "_bfs_from_indices", counted)
-    for sweep in (lambda tail: u_point_assigned(line_window, [2, 4, 8], 6,
+    for sweep in (lambda tail: u_point_assigned(h_window, [2, 4, 8], 6,
                                                  tail),
                   lambda tail: busemann(line_window, range(0, 31), 30, 6,
                                         tail)):
@@ -775,6 +783,62 @@ def test_a_negative_tail_is_refused(monkeypatch, line_window):
         sweep(0)
         assert len(passes) == 1
         passes.clear()
+
+
+# (generator, params, window base o, field base b): bases whose rays cover
+# the zone, the field on o's window (b = o) or on a family window grown
+# from its rows, d(o, b) <= zone.
+RAY_FIELDS = [("line", {}, 0, 0), ("line", {}, 0, -4),
+              ("grid2d", {}, (0, 0), (0, 0)), ("grid2d", {}, (0, 0), (3, -2)),
+              ("cylinder", {"m": 4}, (0, 0), (0, 0)),
+              ("cylinder", {"m": 4}, (0, 0), (-2, 3)),
+              ("cylinder", {"m": 5}, (2, 4), (2, 4)),
+              ("cylinder", {"m": 5}, (2, 4), (5, 0)),
+              ("tree", {"b": 2}, (), ()), ("tree", {"b": 2}, (), (0, 1)),
+              ("tree", {"b": 3}, (), ()), ("tree", {"b": 3}, (), (2,)),
+              ("halfline", {}, 0, 0), ("halfline", {}, 3, 0),
+              ("tree", {"b": 1}, (), ()), ("tree", {"b": 1}, (0, 0), ())]
+
+
+@pytest.mark.parametrize("first", ["stable", "last_change"])
+@pytest.mark.parametrize("name,params,o,b", RAY_FIELDS)
+def test_ray_route_equals_the_pass_route(monkeypatch, name, params, o, b,
+                                         first):
+    """Where rays from b cover the zone, every step reads -d(b, .) with no
+    pass, and W, o's window, grows no further than B_{d(o, b) + zone}.
+    Values, ``stable``, ``last_change`` (read in either order) and the
+    report equal those of the same field on a space that reports no ray
+    cover and a ball bound of 0, whose steps all take the pass."""
+    from dlscape import fields
+    passes = []
+    bfs = fields._bfs_from_indices
+
+    def counted(window, seeds, limit=None, settled=()):
+        passes.append(limit)
+        return bfs(window, seeds, limit, settled)
+
+    monkeypatch.setattr(fields, "_bfs_from_indices", counted)
+    m, zone = (5, 2) if name == "tree" else (16, 5)
+    other = "last_change" if first == "stable" else "stable"
+
+    def field(gspace, tail):
+        w = materialize_window(gspace, o, 2 * m)
+        wb = w if b == o else materialize_window(gspace, b, m, known=w)
+        passes.clear()
+        fld, rep = u_point_assigned(wb, range(1, m + 1, 2), zone, tail)
+        out = fld.values, getattr(rep, first), getattr(rep, other)
+        return out, rep, w.grown - w._dist[w.find(b)], len(passes)
+
+    by_pass = build(name, params)
+    by_pass.rays_cover = lambda b, r: False
+    by_pass.ball_size_bound = lambda base, radius: 0
+    by_pass.ball_size_exact = False
+    for tail in (None, 0, zone):
+        got, rep, grown, n = field(build(name, params), tail)
+        assert n == 0 and grown <= zone, tail
+        want, want_rep, _, n = field(by_pass, tail)
+        assert n > 0, tail
+        assert got == want and rep == want_rep, tail
 
 
 # (generator, family base b, schedule, zone) on a window of radius 60 at
@@ -793,10 +857,12 @@ ROUTE_FIELDS = [("line", 0, range(1, 41), 6), ("line", -4, range(2, 41, 2), 6),
 
 def _routed_field(name, b, schedule, zone, passes, bound=None):
     """Every step's entries, the number of ``passes`` they ran, and the
-    values, ``stable`` and ``last_change`` of b's point-assigned field;
-    with ``bound``, the space reports that ball bound, not as exact, which
-    routes every step one way."""
+    values, ``stable`` and ``last_change`` of b's point-assigned field.
+    The space reports no ray cover, so each step takes the closed form or
+    the pass; with ``bound``, it reports that ball bound, not as exact,
+    which routes every step one way."""
     gspace = build(name)
+    gspace.rays_cover = lambda b, r: False
     if bound is not None:
         gspace.ball_size_bound = lambda base, radius: bound
         gspace.ball_size_exact = False

@@ -1,13 +1,15 @@
 """The pseudo-metric rho, anti-triangle, base-Lipschitz, and classes."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from fractions import Fraction
 
 from dlscape import (ConsistencyError, ZoneError, anti_triangle_check,
-                     build, equivalence_classes, materialize_window, oracle,
-                     point_assigned_family, rho_matrix, u_point_assigned)
+                     build, cli, equivalence_classes, materialize_window,
+                     oracle, point_assigned_family, rho_matrix,
+                     u_point_assigned)
 from dlscape.pseudometric import RhoMatrix, base_lipschitz_gap
 from dlscape.space import _bfs_from_indices
 
@@ -444,8 +446,9 @@ def test_family_runs_no_pass_from_a_closed_form_base(
 
 
 # (generator, window base o, R_W, family base b, R, zone): b has closed-form
-# spheres.  On grid2d every value is -d(b, x), dated with no pass, so the
-# sweep runs its last pass only; the h_graph certificate runs more.
+# spheres.  On grid2d, with the ray route turned off, every value is
+# -d(b, x), dated with no pass, so the sweep runs its last pass only; the
+# h_graph certificate runs more.
 SPHERE_PASSES = [("grid2d", (0, 0), 60, (3, -2), 40, 12),
                  ("h_graph", (3, 3), 40, (0, 0), 24, 8)]
 
@@ -458,6 +461,7 @@ def test_family_field_reads_two_spheres_per_pass(
     of S_r(b) and reads those of S_{r+1}(b), no more."""
     from dlscape import fields
     space = build(name)
+    space.rays_cover = lambda b, r: False
     w = materialize_window(space, base, radius)
     wb = materialize_window(space, b, r_max, known=w)
     sphere_at = type(space).sphere_at
@@ -510,31 +514,38 @@ def test_rho_matrix_builds_the_family_before_the_sample_distances(
     assert len(passes) == 16
 
 
-# The benchmark's line and halfline rho shapes: (generator, R, r-max,
-# r-step, tail, zone, sample radius).
+# The benchmark's line, halfline and grid2d rho shapes: (generator, R,
+# r-max, r-step, tail, zone, sample radius).
 CLOSED_RHO = [("line", 6000, 4800, 480, 960, 10, 5),
-              ("halfline", 12000, 9600, 960, 1920, 12, 10)]
+              ("halfline", 12000, 9600, 960, 1920, 12, 10),
+              ("grid2d", 80, 64, None, None, 16, 8)]
 
 
 @pytest.mark.parametrize("name,radius,r_max,step,tail,zone,near",
                          CLOSED_RHO)
 def test_closed_form_rho_runs_no_field_pass(monkeypatch, name, radius,
                                             r_max, step, tail, zone, near):
-    """On the line and the halfline every family step takes the closed
-    form, so the family, rho and the classes run no pass in ``fields``
-    and grow no window past B_{zone + dmax}, dmax the sample's largest
-    distance from the base.  A family window whose generator bound fits
-    the budget does not grow the caller's window when it is made."""
+    """On the line, the grid and the halfline from its end, rays from the
+    sample point cover its zone, so every family step reads -d(b, .); at
+    the other halfline points every step takes the closed form.  So the
+    family, rho and the classes run no pass in ``fields`` and grow no
+    window past B_{zone + dmax}, dmax the sample's largest distance from
+    the base.  A family window whose generator bound fits the budget does
+    not grow the caller's window when it is made."""
     from dlscape import fields
     passes = []
     monkeypatch.setattr(fields, "_bfs_from_indices",
                         lambda *args: passes.append(args))
     gspace = build(name)
-    w = materialize_window(gspace, 0, radius)
-    sample = [0, near, near // 2, 1, near - 1, 3]
+    w = materialize_window(gspace, gspace.default_base(), radius)
+    if name == "grid2d":    # pairs at most 2 near = zone apart
+        sample = [(0, 0), (8, 0), (0, -8), (-3, 5), (4, 4), (1, 0),
+                  (-2, -6), (0, 1)]
+    else:
+        sample = [0, near, near // 2, 1, near - 1, 3]
     if name == "line":
         sample += [-near, -2]
-    schedule = range(step, r_max + 1, step)
+    schedule = cli._schedule(SimpleNamespace(r_max=r_max, r_step=step))
     flds = point_assigned_family(w, sample, schedule, zone, tail)
     rho = rho_matrix(w, sample, schedule, zone, tail, fields=flds)
     part = equivalence_classes(w, sample, schedule, zone, tail,
@@ -546,5 +557,5 @@ def test_closed_form_rho_runs_no_field_pass(monkeypatch, name, radius,
         assert f.window.grown <= zone + near
     assert w.grown <= zone + near
     grown = w.grown
-    materialize_window(gspace, 2, r_max, known=w)
+    materialize_window(gspace, sample[1], r_max, known=w)
     assert w.grown == grown

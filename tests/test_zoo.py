@@ -1,7 +1,9 @@
 """Generator catalog: structure, labels, parameters, and oracles."""
 
-import pytest
+from collections import deque
 from fractions import Fraction
+
+import pytest
 
 from dlscape import (DomainError, GeneratorParamError,
                      UnknownGeneratorError, build, build_from_dict, catalog,
@@ -201,6 +203,57 @@ def test_closed_form_sphere_is_the_window_sphere(name, bases, radius):
             got = list(space.sphere_at(b, r))
             assert len(got) == len(set(got)), (b, r)
             assert tuple(sorted(got)) == sphere(w, r), (b, r)
+
+
+def _plain_bfs(space, sources, keep):
+    """Distances from a source set over the generator's neighbor rule: a
+    deque BFS over a dict, independent of the window code, that enters a
+    vertex w at distance d only where ``keep(w, d)``."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for w in space.neighbors(v):
+            if w not in dist and keep(w, d):
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+# (generator, params, base) for each generator that overrides
+# ``rays_cover``; the last two are off the end of a one-ended graph.
+RAY_BASES = [("line", {}, 0), ("line", {}, -4), ("grid2d", {}, (0, 0)),
+             ("grid2d", {}, (3, -2)), ("cylinder", {"m": 4}, (0, 0)),
+             ("cylinder", {"m": 5}, (2, 4)), ("tree", {"b": 2}, ()),
+             ("tree", {"b": 2}, (0, 1)), ("tree", {"b": 3}, (2,)),
+             ("halfline", {}, 0), ("tree", {"b": 1}, ()),
+             ("halfline", {}, 3), ("tree", {"b": 1}, (0, 0, 0))]
+
+
+@pytest.mark.parametrize("name,params,base", RAY_BASES)
+def test_rays_cover_where_the_graph_has_the_rays(name, params, base):
+    """``rays_cover(b, r)`` against the graph.  A geodesic ray from b
+    through v meets S_R(b) at R - d(b, v) from v; a path from v to S_R(b)
+    that long, after a geodesic from b to v, is a geodesic from b through
+    v.  So, with both distances from plain BFS over the generator's
+    neighbors (the second confined to B_R(b), which a shortest path from
+    v to S_R(b) leaves only at its end), the hook must hold only where
+    d(v, S_R(b)) = R - d(b, v) at every v of B_r(b), R = 9 well past
+    r <= 3.  On these bases it holds exactly there: at every r, except off
+    the end of the halfline and of tree:b=1, where only at r = 0."""
+    space = build(name, params)
+    R = 9
+    ball = _plain_bfs(space, [base], lambda w, d: d <= R)
+    to_sphere = _plain_bfs(space, [v for v, d in ball.items() if d == R],
+                           lambda w, d: w in ball)
+    one_ended = name == "halfline" or params == {"b": 1}
+    off_end = one_ended and base not in (0, ())
+    for r in range(4):
+        covered = space.rays_cover(base, r)
+        assert covered == (r == 0 or not off_end), r
+        assert covered == all(to_sphere[v] == R - d
+                              for v, d in ball.items() if d <= r), r
 
 
 def test_stick_apex_distance():
